@@ -28,6 +28,7 @@ from .kinematics import (
     MechanismParams,
     forward_kinematics,
     inverse_kinematics,
+    spoon_position,
 )
 
 SETTLING_BAND_M = 0.005
@@ -203,13 +204,9 @@ def workspace_sample(params: MechanismParams, resolution: int,
     grids = [np.linspace(lo, hi, resolution)
              for lo, hi in params.joint_limits]
     phi, th2, th3 = np.meshgrid(*grids, indexing="ij")
-    r = (params.base_offset
-         + params.link1_length * np.cos(th2)
-         + params.link2_length * np.cos(th3)
-         + params.spoon_offset)
-    z = params.base_height + (params.link1_length * np.sin(th2)
-                              + params.link2_length * np.sin(th3))
-    pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    pts = np.stack(spoon_position(params, np.cos(phi), np.sin(phi),
+                                  np.cos(th2), np.sin(th2),
+                                  np.cos(th3), np.sin(th3)), axis=-1)
     pts = np.unique(pts.reshape(-1, 3), axis=0)
 
     radial = np.hypot(pts[:, 0], pts[:, 1])

@@ -26,6 +26,15 @@ Integration is classical fixed-step RK4 on the full state
 clamp the position and zero the outgoing velocity after each step.
 Everything is deterministic: identical inputs (including noise seeds)
 give bit-identical results.
+
+A rollout keeps its step loop to integration alone. The build's constant
+terms are computed once per rollout. The handle force at every RK4 stage
+time comes from one vectorised evaluation per block of FORCE_BLOCK steps,
+and each signal law is written once, in that evaluator. The loop stores
+the packed state of each row; after it, one numpy pass computes the
+positions, applied torques and energies, with the same arithmetic
+helpers the scalar equations use, and checks the mount's deflection
+limit.
 """
 
 from __future__ import annotations
@@ -39,19 +48,30 @@ import numpy as np
 
 from .errors import DeflectionExceededError, NonFiniteStateError
 from .kinematics import (
-    Handedness,
     Joint,
     JointState,
     MechanismParams,
-    handle_jacobian,
-    handle_pose,
+    handle_position,
+    handle_torques,
     inverse_kinematics,
-    spoon_pose,
+    spoon_position,
 )
-from .statics import gravity_potential, spring_potential, spring_torque
+from .statics import (
+    gravity_coefficients,
+    gravity_potential,
+    gravity_potential_at,
+    spring_potential,
+    spring_torque,
+)
+
+# Not called here any more, but kept as attributes of this module: callers
+# such as perfbench/tracer.py reach these functions through it.
+from .kinematics import handle_jacobian, handle_pose, spoon_pose  # noqa: F401
 
 DEFAULT_TIMESTEP = 1e-3
 NOISE_COMPONENTS = 64
+FORCE_BLOCK = 128           # steps whose stage forces are evaluated at once
+GRID_REL_TOL = 1e-9         # duration/timestep this close to whole is whole
 
 
 class DamperModel(Enum):
@@ -238,7 +258,21 @@ class Scenario:
 
     @property
     def steps(self) -> int:
-        return int(math.floor(self.duration / self.timestep)) + 1
+        return _grid_steps(self.duration, self.timestep)
+
+
+def _grid_steps(duration: float, dt: float) -> int:
+    """Rows of a uniform grid from 0 to `duration` inclusive.
+
+    A ratio within GRID_REL_TOL of a whole number counts as whole, so
+    decimal pairs such as 0.7 s / 0.1 s (6.999999999999999 in floats)
+    keep their last row.
+    """
+    ratio = duration / dt
+    whole = round(ratio)
+    if abs(ratio - whole) <= GRID_REL_TOL * ratio:
+        return whole + 1
+    return math.floor(ratio) + 1
 
 
 @dataclass(eq=False)
@@ -287,40 +321,60 @@ class ContactResponse:
 # mass matrix and friends
 
 
-def _mass_terms(params: MechanismParams, th2: float, th3: float):
-    """Scalar mass-matrix entries and their angle partials.
+def _mass_constants(params: MechanismParams):
+    """The constant entries M22 and M33 of M(q) and the coupling amplitude
+    B of M23 = B*cos(theta2 - theta3)."""
+    L1, L2 = params.link1_length, params.link2_length
+    m1, m2, mp = params.mass_link1, params.mass_link2, params.mass_payload
+    c1, c2 = params.com_fraction1, params.com_fraction2
+    m22 = (m1 * c1 * c1 + m2 + mp) * L1 * L1
+    m33 = (m2 * c2 * c2 + mp) * L2 * L2
+    return m22, m33, L1 * L2 * (m2 * c2 + mp)
 
-    Returns (M11, M22, M23, M33, D2, D3, Bs) with D2 = dM11/dtheta2,
-    D3 = dM11/dtheta3 and Bs = B*sin(theta2 - theta3) = -dM23/dtheta2.
+
+def _mass_terms(params: MechanismParams, b, c2t, s2t, c3t, s3t):
+    """Angle-dependent mass-matrix entries and their angle partials.
+
+    Takes B from _mass_constants and the cosines and sines of theta2 and
+    theta3, as floats or numpy arrays. Returns (M11, M23, D2, D3, Bs) with
+    D2 = dM11/dtheta2, D3 = dM11/dtheta3 and Bs = B*sin(theta2 - theta3)
+    = -dM23/dtheta2.
     """
     a1 = params.base_offset
     L1, L2 = params.link1_length, params.link2_length
     m1, m2, mp = params.mass_link1, params.mass_link2, params.mass_payload
     c1, c2 = params.com_fraction1, params.com_fraction2
 
-    c2t, s2t = math.cos(th2), math.sin(th2)
-    c3t, s3t = math.cos(th3), math.sin(th3)
-
     r1 = a1 + c1 * L1 * c2t
     r2 = a1 + L1 * c2t + c2 * L2 * c3t
     r3 = a1 + L1 * c2t + L2 * c3t
 
     m11 = m1 * r1 * r1 + m2 * r2 * r2 + mp * r3 * r3
-    m22 = (m1 * c1 * c1 + m2 + mp) * L1 * L1
-    m33 = (m2 * c2 * c2 + mp) * L2 * L2
-    b = L1 * L2 * (m2 * c2 + mp)
     cos_d = c2t * c3t + s2t * s3t     # cos(th2 - th3)
     sin_d = s2t * c3t - c2t * s3t
-    m23 = b * cos_d
-
     d2 = -2.0 * L1 * s2t * (m1 * c1 * r1 + m2 * r2 + mp * r3)
     d3 = -2.0 * L2 * s3t * (m2 * c2 * r2 + mp * r3)
-    return m11, m22, m23, m33, d2, d3, b * sin_d
+    return m11, b * cos_d, d2, d3, b * sin_d
+
+
+def _kinetic(m11, m22, m23, m33, w1, w2, w3):
+    """qdot^T M qdot / 2 from the mass-matrix entries; floats or arrays."""
+    return 0.5 * (m11 * w1 * w1 + m22 * w2 * w2 + m33 * w3 * w3) + m23 * w2 * w3
+
+
+def _state_mass(params: MechanismParams, state: JointState):
+    """(M11, M22, M23, M33, D2, D3, Bs) at one joint state."""
+    m22, m33, b = _mass_constants(params)
+    _, th2, th3 = state.q
+    m11, m23, d2, d3, bs = _mass_terms(params, b, math.cos(th2),
+                                       math.sin(th2), math.cos(th3),
+                                       math.sin(th3))
+    return m11, m22, m23, m33, d2, d3, bs
 
 
 def mass_matrix(params: MechanismParams, state: JointState) -> np.ndarray:
     """Symmetric 3x3 generalized mass matrix M(q)."""
-    m11, m22, m23, m33, *_ = _mass_terms(params, state.q[1], state.q[2])
+    m11, m22, m23, m33, *_ = _state_mass(params, state)
     return np.array([
         [m11, 0.0, 0.0],
         [0.0, m22, m23],
@@ -330,7 +384,7 @@ def mass_matrix(params: MechanismParams, state: JointState) -> np.ndarray:
 
 def coriolis_matrix(params: MechanismParams, state: JointState) -> np.ndarray:
     """Christoffel-form C(q, qdot); M' - 2C is skew-symmetric."""
-    _, _, _, _, d2, d3, bs = _mass_terms(params, state.q[1], state.q[2])
+    *_, d2, d3, bs = _state_mass(params, state)
     w1, w2, w3 = state.qdot
     return np.array([
         [0.5 * (d2 * w2 + d3 * w3), 0.5 * d2 * w1, 0.5 * d3 * w1],
@@ -340,9 +394,8 @@ def coriolis_matrix(params: MechanismParams, state: JointState) -> np.ndarray:
 
 
 def kinetic_energy(params: MechanismParams, state: JointState) -> float:
-    m11, m22, m23, m33, *_ = _mass_terms(params, state.q[1], state.q[2])
-    w1, w2, w3 = state.qdot
-    return 0.5 * (m11 * w1 * w1 + m22 * w2 * w2 + m33 * w3 * w3) + m23 * w2 * w3
+    m11, m22, m23, m33, *_ = _state_mass(params, state)
+    return _kinetic(m11, m22, m23, m33, *state.qdot)
 
 
 def potential_energy(params: MechanismParams, springs,
@@ -379,161 +432,173 @@ def _noise_table(rms: float, f_lo: float, f_hi: float, seed: int):
     return 2.0 * math.pi * freqs, phases, amplitude
 
 
+def _signal_forces(spec, t) -> np.ndarray:
+    """Handle force of a signal spec at time t, a float or a 1-D array of
+    times; the result has shape (3,) or (len(t), 3)."""
+    if isinstance(spec, SineTremor):
+        mag = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t)
+    elif isinstance(spec, NoiseTremor):
+        omega, phases, amplitude = _noise_table(
+            spec.rms, spec.f_lo, spec.f_hi, spec.seed)
+        mag = amplitude * np.sin(np.multiply.outer(t, omega)
+                                 + phases).sum(axis=-1)
+    elif isinstance(spec, SpasmImpulse):
+        inside = (spec.onset <= t) & (t <= spec.onset + spec.duration)
+        mag = np.where(inside, spec.force, 0.0)
+    else:
+        raise TypeError(f"unknown input signal {type(spec).__name__}")
+    return np.multiply.outer(mag, spec.direction)
+
+
 def generate_signal(spec, t: float) -> np.ndarray:
     """Handle force vector of an input signal at time t."""
     if isinstance(spec, FreeRelease) or isinstance(spec, PrescribedTrajectory):
         return np.zeros(3)
-    if isinstance(spec, SineTremor):
-        mag = spec.amplitude * math.sin(2.0 * math.pi * spec.frequency * t)
-    elif isinstance(spec, NoiseTremor):
-        omega, phases, amplitude = _noise_table(
-            spec.rms, spec.f_lo, spec.f_hi, spec.seed)
-        mag = amplitude * float(np.sum(np.sin(omega * t + phases)))
-    elif isinstance(spec, SpasmImpulse):
-        inside = spec.onset <= t <= spec.onset + spec.duration
-        mag = spec.force if inside else 0.0
-    else:
-        raise TypeError(f"unknown input signal {type(spec).__name__}")
-    return mag * np.asarray(spec.direction)
+    return _signal_forces(spec, float(t))
 
 
-def _force_fn(inputs):
-    """Normalize the `inputs` argument to None or a callable t -> (fx,fy,fz)."""
+def _force_source(inputs):
+    """Normalize the `inputs` argument to None or a function mapping a 1-D
+    array of times to the (len(times), 3) array of handle forces."""
     if inputs is None or isinstance(inputs, (FreeRelease, PrescribedTrajectory)):
         return None
     if isinstance(inputs, (SineTremor, NoiseTremor, SpasmImpulse)):
-        return lambda t: generate_signal(inputs, t)
+        return lambda times: _signal_forces(inputs, times)
     if callable(inputs):
-        return inputs
+        def called(times):
+            forces = np.array([tuple(inputs(t)) for t in times.tolist()],
+                              dtype=float)
+            if forces.shape != (len(times), 3):
+                raise ValueError("input force needs three components")
+            return forces
+        return called
     const = tuple(float(v) for v in inputs)
     if len(const) != 3:
         raise ValueError("constant input force needs three components")
-    return lambda t: const
+    return lambda times: np.tile(const, (len(times), 1))
+
+
+def _stage_times(k0: int, k1: int, n: int, dt: float) -> np.ndarray:
+    """RK4 stage times t_k, t_k + dt/2, t_k + dt of rows k0..k1-1, row by
+    row, built with the same float operations as the step loop. The last
+    row of an n-row run is not integrated and needs only t_k."""
+    tk = np.arange(k0, k1) * dt
+    times = np.stack([tk, tk + 0.5 * dt, tk + dt], axis=1).ravel()
+    return times[:-2] if k1 == n else times
 
 
 # ---------------------------------------------------------------------------
 # equations of motion
 
 
-def _damper_table(dampers):
-    """Per-joint list of (model, c, deadzone) triples."""
+def _equations(params: MechanismParams, springs, dampers,
+               compliance: ComplianceSpec):
+    """The time derivative deriv(y, force) of one build's packed state
+
+    y = (phi1, th2, th3, w1, w2, w3, dp, dy, vp, vy, e_diss)
+
+    under the handle force (fx, fy, fz), or None for no input. Every term
+    that does not depend on the state is computed here, once per rollout.
+    """
+    m22, m33, b = _mass_constants(params)
+    m22_m33 = m22 * m33
+    a2, a3 = gravity_coefficients(params)
+    neg_g = -params.gravity
+    springs2 = tuple(s for s in springs if s.joint is Joint.J2)
+    springs3 = tuple(s for s in springs if s.joint is not Joint.J2)
+    # (joint, damper) pairs in joint order, for the dampers that act
     table = ([], [], [])
     for spec in dampers:
         if spec.model is not DamperModel.NONE and spec.coefficient > 0.0:
             table[spec.joint].append(spec)
-    return table
+    damper_list = tuple((j, spec) for j in range(3) for spec in table[j])
+    compliant = compliance.mode is ComplianceMode.COMPLIANT
+    k_r, c_r = compliance.stiffness, compliance.damping
+    inv_i = 1.0 / compliance.inertia if compliant else 0.0
+    cos, sin = math.cos, math.sin
+    tiny = 1e-18
 
+    def deriv(y, force):
+        phi1, th2, th3, w1, w2, w3, dp, dy, vp, vy, _ = y
+        c2t, s2t, c3t, s3t = cos(th2), sin(th2), cos(th3), sin(th3)
+        m11, m23, d2, d3, bs = _mass_terms(params, b, c2t, s2t, c3t, s3t)
 
-def _deriv(params, springs, damper_table, compliance, force_fn, t, y):
-    """Time derivative of the packed state
-
-    y = (phi1, th2, th3, w1, w2, w3, dp, dy, vp, vy, e_diss).
-    """
-    phi1, th2, th3, w1, w2, w3, dp, dy, vp, vy, _ = y
-
-    m11, m22, m23, m33, d2, d3, bs = _mass_terms(params, th2, th3)
-
-    # gravity (same decoupled cosine law as statics)
-    g = params.gravity
-    a1 = params.base_offset
-    L1, L2 = params.link1_length, params.link2_length
-    m1, m2, mp = params.mass_link1, params.mass_link2, params.mass_payload
-    cf1, cf2 = params.com_fraction1, params.com_fraction2
-    c2t, s2t = math.cos(th2), math.sin(th2)
-    c3t, s3t = math.cos(th3), math.sin(th3)
-    tau2 = -g * c2t * L1 * (cf1 * m1 + m2 + mp)
-    tau3 = -g * c3t * L2 * (cf2 * m2 + mp)
-    tau1 = 0.0
-
-    for spec in springs:
-        if spec.joint is Joint.J2:
+        tau2 = neg_g * c2t * a2
+        tau3 = neg_g * c3t * a3
+        for spec in springs2:
             tau2 += spring_torque(spec, th2)
-        else:
+        for spec in springs3:
             tau3 += spring_torque(spec, th3)
 
-    diss_power = 0.0
-    rates = (w1, w2, w3)
-    taus_d = [0.0, 0.0, 0.0]
-    for j in range(3):
-        for spec in damper_table[j]:
+        diss_power = 0.0
+        rates = (w1, w2, w3)
+        taus_d = [0.0, 0.0, 0.0]
+        for j, spec in damper_list:
             td = damper_torque(spec, rates[j])
             taus_d[j] += td
             diss_power -= td * rates[j]
-    tau1 += taus_d[0]
-    tau2 += taus_d[1]
-    tau3 += taus_d[2]
+        tau1 = taus_d[0]
+        tau2 += taus_d[1]
+        tau3 += taus_d[2]
 
-    if force_fn is not None:
-        fx, fy, fz = force_fn(t)
-        cp, sp = math.cos(phi1), math.sin(phi1)
-        dh = params.handle_distance
-        r = a1 + L1 * c2t + dh * c3t
-        b_lat = (params.bracket_lateral
-                 if params.handedness is Handedness.RIGHT
-                 else -params.bracket_lateral)
-        # J_handle^T * F, written out
-        tau1 += (-r * sp - b_lat * cp) * fx + (r * cp - b_lat * sp) * fy
-        tau2 += -L1 * s2t * cp * fx - L1 * s2t * sp * fy + L1 * c2t * fz
-        tau3 += -dh * s3t * cp * fx - dh * s3t * sp * fy + dh * c3t * fz
+        if force is not None:
+            h1, h2, h3 = handle_torques(params, cos(phi1), sin(phi1),
+                                        c2t, s2t, c3t, s3t, *force)
+            tau1 += h1
+            tau2 += h2
+            tau3 += h3
 
-    # subtract C(q, qdot) * qdot
-    rhs1 = tau1 - w1 * (d2 * w2 + d3 * w3)
-    rhs2 = tau2 - (-0.5 * d2 * w1 * w1 + bs * w3 * w3)
-    rhs3 = tau3 - (-0.5 * d3 * w1 * w1 - bs * w2 * w2)
+        # subtract C(q, qdot) * qdot
+        rhs1 = tau1 - w1 * (d2 * w2 + d3 * w3)
+        rhs2 = tau2 - (-0.5 * d2 * w1 * w1 + bs * w3 * w3)
+        rhs3 = tau3 - (-0.5 * d3 * w1 * w1 - bs * w2 * w2)
 
-    # block solve; joints with no inertia (massless limit) hold their rate,
-    # and a singular planar block degrades to independent per-joint solves
-    tiny = 1e-18
-    acc1 = rhs1 / m11 if m11 > tiny else 0.0
-    det = m22 * m33 - m23 * m23
-    if det > tiny:
-        acc2 = (rhs2 * m33 - rhs3 * m23) / det
-        acc3 = (rhs3 * m22 - rhs2 * m23) / det
-    else:
-        acc2 = rhs2 / m22 if m22 > tiny else 0.0
-        acc3 = rhs3 / m33 if m33 > tiny else 0.0
+        # block solve; joints with no inertia (massless limit) hold their
+        # rate, and a singular planar block degrades to independent
+        # per-joint solves
+        acc1 = rhs1 / m11 if m11 > tiny else 0.0
+        det = m22_m33 - m23 * m23
+        if det > tiny:
+            acc2 = (rhs2 * m33 - rhs3 * m23) / det
+            acc3 = (rhs3 * m22 - rhs2 * m23) / det
+        else:
+            acc2 = rhs2 / m22 if m22 > tiny else 0.0
+            acc3 = rhs3 / m33 if m33 > tiny else 0.0
 
-    if compliance.mode is ComplianceMode.COMPLIANT:
-        inv_i = 1.0 / compliance.inertia
-        k_r, c_r = compliance.stiffness, compliance.damping
-        ap = (-k_r * dp - c_r * vp) * inv_i
-        ay = (-k_r * dy - c_r * vy) * inv_i
-        diss_power += c_r * (vp * vp + vy * vy)
-        return (w1, w2, w3, acc1, acc2, acc3, vp, vy, ap, ay, diss_power)
-    return (w1, w2, w3, acc1, acc2, acc3, 0.0, 0.0, 0.0, 0.0, diss_power)
+        if compliant:
+            ap = (-k_r * dp - c_r * vp) * inv_i
+            ay = (-k_r * dy - c_r * vy) * inv_i
+            diss_power += c_r * (vp * vp + vy * vy)
+            return (w1, w2, w3, acc1, acc2, acc3, vp, vy, ap, ay, diss_power)
+        return (w1, w2, w3, acc1, acc2, acc3, 0.0, 0.0, 0.0, 0.0, diss_power)
+
+    return deriv
 
 
-def _rk4_step(params, springs, damper_table, compliance, force_fn, t, y, dt):
-    k1 = _deriv(params, springs, damper_table, compliance, force_fn, t, y)
-    y2 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1))
-    k2 = _deriv(params, springs, damper_table, compliance, force_fn,
-                t + 0.5 * dt, y2)
-    y3 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2))
-    k3 = _deriv(params, springs, damper_table, compliance, force_fn,
-                t + 0.5 * dt, y3)
-    y4 = tuple(yi + dt * ki for yi, ki in zip(y, k3))
-    k4 = _deriv(params, springs, damper_table, compliance, force_fn,
-                t + dt, y4)
+def _rk4_step(deriv, limits, y, t, dt, f0, f_half, f1):
+    """One RK4 step of the list y from t, under the stage forces at t,
+    t + dt/2 and t + dt; returns the next state as a list."""
+    half = 0.5 * dt
+    k1 = deriv(y, f0)
+    k2 = deriv([yi + half * ki for yi, ki in zip(y, k1)], f_half)
+    k3 = deriv([yi + half * ki for yi, ki in zip(y, k2)], f_half)
+    k4 = deriv([yi + dt * ki for yi, ki in zip(y, k3)], f1)
     sixth = dt / 6.0
-    y_next = tuple(
-        yi + sixth * (a + 2.0 * b + 2.0 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+    y_next = [yi + sixth * (a + 2.0 * b + 2.0 * c + d)
+              for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
     # joint-limit clamp with zeroing of the outgoing velocity
-    q = list(y_next[:3])
-    w = list(y_next[3:6])
-    for j, (lo, hi) in enumerate(params.joint_limits):
-        if q[j] < lo:
-            q[j] = lo
-            if w[j] < 0.0:
-                w[j] = 0.0
-        elif q[j] > hi:
-            q[j] = hi
-            if w[j] > 0.0:
-                w[j] = 0.0
-    y_next = tuple(q) + tuple(w) + y_next[6:]
+    for j, (lo, hi) in enumerate(limits):
+        if y_next[j] < lo:
+            y_next[j] = lo
+            if y_next[j + 3] < 0.0:
+                y_next[j + 3] = 0.0
+        elif y_next[j] > hi:
+            y_next[j] = hi
+            if y_next[j + 3] > 0.0:
+                y_next[j + 3] = 0.0
 
-    if not all(math.isfinite(v) for v in y_next):
+    if not all(map(math.isfinite, y_next)):
         raise NonFiniteStateError(
             f"state diverged at t = {t + dt:.6f} s; reduce the timestep")
     return y_next
@@ -552,10 +617,14 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
-    y = state.q + state.qdot + tuple(float(v) for v in deflections) + (0.0,)
-    y = _rk4_step(params, springs, _damper_table(dampers), compliance,
-                  _force_fn(inputs), t, y, dt)
-    return JointState(q=y[:3], qdot=y[3:6]), y[6:10]
+    source = _force_source(inputs)
+    stage_forces = (None, None, None)
+    if source is not None:
+        stage_forces = source(np.array([t, t + 0.5 * dt, t + dt])).tolist()
+    y = list(state.q + state.qdot + tuple(float(v) for v in deflections))
+    y = _rk4_step(_equations(params, springs, dampers, compliance),
+                  params.joint_limits, y + [0.0], t, dt, *stage_forces)
+    return JointState(q=y[:3], qdot=y[3:6]), tuple(y[6:10])
 
 
 def run_scenario(params: MechanismParams, springs, dampers,
@@ -569,66 +638,96 @@ def run_scenario(params: MechanismParams, springs, dampers,
     comparison numbers). A PrescribedTrajectory input switches to
     kinematic playback: joints follow IK of the interpolated waypoints and
     no forces are integrated.
+
+    Raises DeflectionExceededError, naming the time of the first breach,
+    when the mount deflects beyond its validity limit.
     """
     if isinstance(scenario.input, PrescribedTrajectory):
         return _run_prescribed(params, springs, scenario)
 
     n = scenario.steps
     dt = scenario.timestep
-    damper_table = _damper_table(dampers)
-    force_fn = _force_fn(scenario.input)
-
-    t = np.empty(n)
-    q = np.empty((n, 3))
-    qdot = np.empty((n, 3))
-    spoon = np.empty((n, 3))
-    handle = np.empty((n, 3))
-    deflection = np.zeros((n, 2))
-    deflection_rate = np.zeros((n, 2))
-    applied = np.zeros((n, 3))
-    e_kin = np.empty(n)
-    e_pot = np.empty(n)
-    e_diss = np.empty(n)
+    deriv = _equations(params, springs, dampers, compliance)
+    limits = params.joint_limits
+    source = _force_source(scenario.input)
 
     contact = scenario.spoon_contact
     contact_step = None
     if contact is not None and compliance.mode is ComplianceMode.COMPLIANT:
         contact_step = min(max(int(round(contact.time / dt)), 0), n - 1)
 
-    y = scenario.initial.q + scenario.initial.qdot + (0.0,) * 5
-    for k in range(n):
-        tk = k * dt
-        if k == contact_step:
-            # impulse lands here: instantaneous velocity jump on the mount
-            inv_i = 1.0 / compliance.inertia
-            y = (y[:8] + (y[8] + contact.impulse_pitch * inv_i,
-                          y[9] + contact.impulse_yaw * inv_i) + (y[10],))
+    states = np.empty((n, 11))
+    # handle force at each row's own time, for the applied torque
+    row_forces = None if source is None else np.empty((n, 3))
+    y = list(scenario.initial.q + scenario.initial.qdot) + [0.0] * 5
+    for k0 in range(0, n, FORCE_BLOCK):
+        k1 = min(k0 + FORCE_BLOCK, n)
+        # three stage forces per row
+        if source is None:
+            forces = [None] * (3 * (k1 - k0))
+        else:
+            block = source(_stage_times(k0, k1, n, dt))
+            row_forces[k0:k1] = block[::3]
+            forces = block.tolist()
+        for k in range(k0, k1):
+            if k == contact_step:
+                # impulse lands here: instantaneous velocity jump on the mount
+                inv_i = 1.0 / compliance.inertia
+                y[8] += contact.impulse_pitch * inv_i
+                y[9] += contact.impulse_yaw * inv_i
+            states[k] = y
+            if k < n - 1:
+                i = 3 * (k - k0)
+                y = _rk4_step(deriv, limits, y, k * dt, dt, forces[i],
+                              forces[i + 1], forces[i + 2])
 
-        state = JointState(q=y[:3], qdot=y[3:6])
-        t[k] = tk
-        q[k] = y[:3]
-        qdot[k] = y[3:6]
-        spoon[k] = spoon_pose(params, state).position
-        handle[k] = handle_pose(params, state).position
-        deflection[k] = y[6:8]
-        deflection_rate[k] = y[8:10]
-        if force_fn is not None:
-            applied[k] = handle_jacobian(params, state).T @ np.asarray(
-                force_fn(tk), dtype=float)
-        e_kin[k] = kinetic_energy(params, state)
-        e_pot[k] = potential_energy(params, springs, state)
-        if compliance.mode is ComplianceMode.COMPLIANT:
-            kr = compliance.stiffness
-            e_pot[k] += 0.5 * kr * (y[6] ** 2 + y[7] ** 2)
-            e_kin[k] += 0.5 * compliance.inertia * (y[8] ** 2 + y[9] ** 2)
-        e_diss[k] = y[10]
+    t = np.arange(n) * dt
+    peak = np.abs(states[:, 6:8]).max(axis=1)
+    breach = np.flatnonzero(peak > compliance.deflection_limit)
+    if breach.size:
+        k = breach[0]
+        raise DeflectionExceededError(
+            f"mount deflection {peak[k]:.4f} rad exceeds the "
+            f"{compliance.deflection_limit:.4f} rad validity limit "
+            f"at t = {t[k]:.6f} s")
+    mount = compliance if compliance.mode is ComplianceMode.COMPLIANT else None
+    return _record(params, springs, mount, t, states, row_forces)
 
-        if k < n - 1:
-            y = _rk4_step(params, springs, damper_table, compliance,
-                          force_fn, tk, y, dt)
 
-    return SimResult(t, q, qdot, spoon, handle, deflection, deflection_rate,
-                     applied, e_kin, e_pot, e_diss)
+def _record(params: MechanismParams, springs, mount, t: np.ndarray,
+            states: np.ndarray, row_forces) -> SimResult:
+    """SimResult of a run from its packed states, one row per step.
+
+    One numpy pass computes the positions, the applied torque of
+    `row_forces` (the handle force at each row's time, or None) and the
+    energies, including the compliant `mount`'s when it is not None.
+    """
+    phi1, th2, th3, w1, w2, w3 = states[:, :6].T
+    trig = (np.cos(phi1), np.sin(phi1), np.cos(th2), np.sin(th2),
+            np.cos(th3), np.sin(th3))
+    _, _, c2t, s2t, c3t, s3t = trig
+    spoon = np.column_stack(spoon_position(params, *trig))
+    handle = np.column_stack(handle_position(params, *trig))
+    if row_forces is None:
+        applied = np.zeros((len(t), 3))
+    else:
+        applied = np.column_stack(handle_torques(params, *trig,
+                                                 *row_forces.T))
+
+    m22, m33, b = _mass_constants(params)
+    m11, m23, *_ = _mass_terms(params, b, c2t, s2t, c3t, s3t)
+    e_kin = _kinetic(m11, m22, m23, m33, w1, w2, w3)
+    e_pot = gravity_potential_at(params, s2t, s3t)
+    for spec in springs:
+        e_pot += np.array([spring_potential(spec, angle)
+                           for angle in states[:, spec.joint].tolist()])
+    if mount is not None:
+        dp, dy, vp, vy = states[:, 6:10].T
+        e_pot += 0.5 * mount.stiffness * (dp ** 2 + dy ** 2)
+        e_kin += 0.5 * mount.inertia * (vp ** 2 + vy ** 2)
+    return SimResult(t, states[:, 0:3], states[:, 3:6], spoon, handle,
+                     states[:, 6:8], states[:, 8:10], applied, e_kin, e_pot,
+                     states[:, 10])
 
 
 def _run_prescribed(params: MechanismParams, springs,
@@ -640,9 +739,8 @@ def _run_prescribed(params: MechanismParams, springs,
     dt = scenario.timestep
 
     t = np.arange(n) * dt
-    q = np.empty((n, 3))
-    for k, tk in enumerate(t):
-        tk = float(tk)
+    states = np.zeros((n, 11))
+    for k, tk in enumerate(t.tolist()):
         if tk <= times[0]:
             pos = wps[0][1:]
         elif tk >= times[-1]:
@@ -653,23 +751,9 @@ def _run_prescribed(params: MechanismParams, springs,
             u = (tk - t0) / (t1 - t0)
             pos = tuple(a + u * (b - a)
                         for a, b in zip(wps[i][1:], wps[i + 1][1:]))
-        q[k] = inverse_kinematics(params, pos).q
-
-    qdot = np.gradient(q, dt, axis=0)
-    spoon = np.empty((n, 3))
-    handle = np.empty((n, 3))
-    e_kin = np.empty(n)
-    e_pot = np.empty(n)
-    for k in range(n):
-        state = JointState(q=tuple(q[k]), qdot=tuple(qdot[k]))
-        spoon[k] = spoon_pose(params, state).position
-        handle[k] = handle_pose(params, state).position
-        e_kin[k] = kinetic_energy(params, state)
-        e_pot[k] = potential_energy(params, springs, state)
-
-    zeros2 = np.zeros((n, 2))
-    return SimResult(t, q, qdot, spoon, handle, zeros2, zeros2.copy(),
-                     np.zeros((n, 3)), e_kin, e_pot, np.zeros(n))
+        states[k, :3] = inverse_kinematics(params, pos).q
+    states[:, 3:6] = np.gradient(states[:, :3], dt, axis=0)
+    return _record(params, springs, None, t, states, None)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +788,7 @@ def spoon_contact_response(params: MechanismParams,
         d, v = s
         return (v, (-k_r * d - c_r * v) * inv_i)
 
-    n = int(math.floor(duration / dt)) + 1
+    n = _grid_steps(duration, dt)
     d, v = 0.0, impulse * inv_i
     peak = 0.0
     max_defl = 0.0

@@ -177,23 +177,68 @@ class Pose:
         return math.hypot(self.x, self.y)
 
 
-def _lateral_sign(params: MechanismParams) -> float:
+def _bracket_lateral(params: MechanismParams) -> float:
+    """Signed lateral offset of the handle bracket."""
     # right-handed builds offset the handle to +y at phi1 = 0, left-handed
     # builds are the mirror image
-    return 1.0 if params.handedness is Handedness.RIGHT else -1.0
+    sign = 1.0 if params.handedness is Handedness.RIGHT else -1.0
+    return sign * params.bracket_lateral
+
+
+def radial_height(params: MechanismParams, reach, c2t, s2t, c3t, s3t):
+    """Radial distance from the J1 axis and height of the point `reach`
+    out along link 2, from the cosines and sines of theta2 and theta3.
+
+    Plain arithmetic on its arguments, so they may be floats or numpy
+    arrays; the scalar poses and the vectorised rollout record both use it.
+    """
+    L1 = params.link1_length
+    return (params.base_offset + L1 * c2t + reach * c3t,
+            params.base_height + L1 * s2t + reach * s3t)
+
+
+def spoon_position(params: MechanismParams, cp, sp, c2t, s2t, c3t, s3t):
+    """Utensil-tip (x, y, z) from the cosines and sines of (phi1, theta2,
+    theta3); floats or arrays, like radial_height."""
+    r, z = radial_height(params, params.link2_length, c2t, s2t, c3t, s3t)
+    r = r + params.spoon_offset
+    return r * cp, r * sp, z
+
+
+def handle_position(params: MechanismParams, cp, sp, c2t, s2t, c3t, s3t):
+    """Handle grip (x, y, z), arguments as for spoon_position."""
+    r, z = radial_height(params, params.handle_distance, c2t, s2t, c3t, s3t)
+    b = _bracket_lateral(params)
+    return r * cp - b * sp, r * sp + b * cp, z + params.bracket_drop
+
+
+def handle_torques(params: MechanismParams, cp, sp, c2t, s2t, c3t, s3t,
+                   fx, fy, fz):
+    """Joint torques J_handle^T F of the handle force (fx, fy, fz).
+
+    Arguments as for spoon_position; floats or arrays. This is the one
+    definition of the handle Jacobian: handle_jacobian reads its rows
+    off unit forces.
+    """
+    r, _ = radial_height(params, params.handle_distance, c2t, s2t, c3t, s3t)
+    b = _bracket_lateral(params)
+    L1, dh = params.link1_length, params.handle_distance
+    return ((-r * sp - b * cp) * fx + (r * cp - b * sp) * fy,
+            -L1 * s2t * cp * fx - L1 * s2t * sp * fy + L1 * c2t * fz,
+            -dh * s3t * cp * fx - dh * s3t * sp * fy + dh * c3t * fz)
+
+
+def _trig(q):
+    """(cos phi1, sin phi1, cos theta2, sin theta2, cos theta3, sin theta3)."""
+    phi1, th2, th3 = q
+    return (math.cos(phi1), math.sin(phi1), math.cos(th2), math.sin(th2),
+            math.cos(th3), math.sin(th3))
 
 
 def spoon_pose(params: MechanismParams, state: JointState) -> Pose:
     """Pose of the utensil tip."""
-    phi1, th2, th3 = state.q
-    r = (params.base_offset
-         + params.link1_length * math.cos(th2)
-         + params.link2_length * math.cos(th3)
-         + params.spoon_offset)
-    z = (params.base_height
-         + params.link1_length * math.sin(th2)
-         + params.link2_length * math.sin(th3))
-    return Pose(x=r * math.cos(phi1), y=r * math.sin(phi1), z=z, yaw=phi1)
+    x, y, z = spoon_position(params, *_trig(state.q))
+    return Pose(x=x, y=y, z=z, yaw=state.q[0])
 
 
 def handle_pose(params: MechanismParams, state: JointState) -> Pose:
@@ -205,18 +250,9 @@ def handle_pose(params: MechanismParams, state: JointState) -> Pose:
     and bracket_lateral perpendicular to the arm plane, mirrored for
     left-handed builds. The discrete handle spin shows up in yaw only.
     """
-    phi1, th2, th3 = state.q
-    r = (params.base_offset
-         + params.link1_length * math.cos(th2)
-         + params.handle_distance * math.cos(th3))
-    z = (params.base_height
-         + params.link1_length * math.sin(th2)
-         + params.handle_distance * math.sin(th3)
-         + params.bracket_drop)
-    b = _lateral_sign(params) * params.bracket_lateral
-    c1, s1 = math.cos(phi1), math.sin(phi1)
-    yaw = phi1 + HANDLE_ANGLE_OFFSETS_RAD[params.handle_angle_index]
-    return Pose(x=r * c1 - b * s1, y=r * s1 + b * c1, z=z, yaw=yaw)
+    x, y, z = handle_position(params, *_trig(state.q))
+    yaw = state.q[0] + HANDLE_ANGLE_OFFSETS_RAD[params.handle_angle_index]
+    return Pose(x=x, y=y, z=z, yaw=yaw)
 
 
 def forward_kinematics(params: MechanismParams,
@@ -227,31 +263,25 @@ def forward_kinematics(params: MechanismParams,
 
 def jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
     """3x3 analytic Jacobian of the spoon position wrt (phi1, theta2, theta3)."""
-    phi1, th2, th3 = state.q
     L1, L2 = params.link1_length, params.link2_length
-    c1, s1 = math.cos(phi1), math.sin(phi1)
-    r = (params.base_offset + L1 * math.cos(th2) + L2 * math.cos(th3)
-         + params.spoon_offset)
+    c1, s1, c2t, s2t, c3t, s3t = _trig(state.q)
+    r, _ = radial_height(params, L2, c2t, s2t, c3t, s3t)
+    r += params.spoon_offset
     return np.array([
-        [-r * s1, -L1 * math.sin(th2) * c1, -L2 * math.sin(th3) * c1],
-        [r * c1, -L1 * math.sin(th2) * s1, -L2 * math.sin(th3) * s1],
-        [0.0, L1 * math.cos(th2), L2 * math.cos(th3)],
+        [-r * s1, -L1 * s2t * c1, -L2 * s3t * c1],
+        [r * c1, -L1 * s2t * s1, -L2 * s3t * s1],
+        [0.0, L1 * c2t, L2 * c3t],
     ])
 
 
 def handle_jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
     """3x3 analytic Jacobian of the handle position; maps handle forces to
     joint torques through its transpose."""
-    phi1, th2, th3 = state.q
-    L1, dh = params.link1_length, params.handle_distance
-    c1, s1 = math.cos(phi1), math.sin(phi1)
-    r = params.base_offset + L1 * math.cos(th2) + dh * math.cos(th3)
-    b = _lateral_sign(params) * params.bracket_lateral
-    return np.array([
-        [-r * s1 - b * c1, -L1 * math.sin(th2) * c1, -dh * math.sin(th3) * c1],
-        [r * c1 - b * s1, -L1 * math.sin(th2) * s1, -dh * math.sin(th3) * s1],
-        [0.0, L1 * math.cos(th2), dh * math.cos(th3)],
-    ])
+    trig = _trig(state.q)
+    # row i of J is J^T e_i
+    return np.array([handle_torques(params, *trig, *unit)
+                     for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                  (0.0, 0.0, 1.0))])
 
 
 def _wrap_angle(a: float) -> float:

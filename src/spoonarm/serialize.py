@@ -15,6 +15,7 @@ SIM_HEADER = ("t,phi1,theta2,theta3,dphi1,dtheta2,dtheta3,"
 BALANCE_HEADER = "angle_rad,tau_gravity,tau_spring,tau_residual"
 COMPARE_HEADER = "variant,d_h,spoon_rise_m,handle_rise_m,ratio"
 WORKSPACE_HEADER = "x,y,z"
+CSV_BLOCK_ROWS = 256        # rows formatted per block of a float table
 
 
 def fmt(value) -> str:
@@ -31,17 +32,29 @@ def _write_rows(path, header, rows):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def sim_rows(result):
-    for k in range(len(result)):
-        yield (result.t[k], *result.q[k], *result.qdot[k],
-               *result.spoon_pos[k], *result.handle_pos[k],
-               *result.deflection[k],
-               result.e_kin[k], result.e_pot[k], result.e_diss[k])
+def _write_table(path, header, columns):
+    """Float columns (1-D or 2-D arrays of equal length) as CSV rows.
+
+    Rows are formatted from Python floats, CSV_BLOCK_ROWS at a time, so
+    memory stays flat however long the table is; repr of a float is what
+    fmt writes, so the bytes are the same.
+    """
+    n = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            block = np.column_stack(
+                [c[start:start + CSV_BLOCK_ROWS] for c in columns])
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in block.tolist())
 
 
 def write_sim_csv(result, path):
     """One row per step, SIM_HEADER columns, SI units throughout."""
-    _write_rows(path, SIM_HEADER, sim_rows(result))
+    _write_table(path, SIM_HEADER, (
+        result.t, result.q, result.qdot, result.spoon_pos,
+        result.handle_pos, result.deflection,
+        result.e_kin, result.e_pot, result.e_diss))
 
 
 def write_balance_csv(params, springs, profiles, path):
@@ -75,4 +88,4 @@ def write_compare_csv(rows, path):
 
 def write_workspace_csv(points, path):
     """Utensil point cloud, one x,y,z row per unique sample."""
-    _write_rows(path, WORKSPACE_HEADER, points)
+    _write_table(path, WORKSPACE_HEADER, (np.asarray(points, dtype=float),))

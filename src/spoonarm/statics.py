@@ -157,11 +157,17 @@ def gravity_torque(params: MechanismParams,
 def gravity_potential(params: MechanismParams, state: JointState) -> float:
     """Total gravitational potential of the three lumped masses."""
     _, th2, th3 = state.q
+    return gravity_potential_at(params, math.sin(th2), math.sin(th3))
+
+
+def gravity_potential_at(params: MechanismParams, s2t, s3t):
+    """gravity_potential from the sines of theta2 and theta3; plain
+    arithmetic, so they may be floats or numpy arrays."""
     h0 = params.base_height
     L1, L2 = params.link1_length, params.link2_length
-    z1 = h0 + params.com_fraction1 * L1 * math.sin(th2)
-    z2 = h0 + L1 * math.sin(th2) + params.com_fraction2 * L2 * math.sin(th3)
-    z3 = h0 + L1 * math.sin(th2) + L2 * math.sin(th3)
+    z1 = h0 + params.com_fraction1 * L1 * s2t
+    z2 = h0 + L1 * s2t + params.com_fraction2 * L2 * s3t
+    z3 = h0 + L1 * s2t + L2 * s3t
     return params.gravity * (params.mass_link1 * z1
                              + params.mass_link2 * z2
                              + params.mass_payload * z3)

@@ -18,13 +18,18 @@ from spoonarm.dynamics import (
     ComplianceSpec,
     NoiseTremor,
     Scenario,
+    run_scenario,
 )
 from spoonarm.kinematics import forward_kinematics
 from spoonarm.serialize import (
     BALANCE_HEADER,
     COMPARE_HEADER,
+    CSV_BLOCK_ROWS,
     SIM_HEADER,
     WORKSPACE_HEADER,
+    fmt,
+    write_sim_csv,
+    write_workspace_csv,
 )
 
 
@@ -151,6 +156,31 @@ def test_simulate_repeats_byte_identical(capsys, tmp_path):
     assert run(capsys, "simulate", "--scenario", str(scn_path),
                "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_csv_tables_match_per_cell_formatting(tmp_path):
+    # the block writers against the plain one-row-at-a-time formatting,
+    # on tables longer than one block
+    config = load_config(default_config_path())
+    scn = Scenario(duration=3 * CSV_BLOCK_ROWS * 1e-3, timestep=1e-3,
+                   initial=JointState(q=(0.0, 0.7, -1.4)),
+                   input=NoiseTremor(rms=0.25, f_lo=2.0, f_hi=9.0, seed=7))
+    res = run_scenario(config.mechanism, config.springs, config.dampers,
+                       config.compliance, scn)
+    assert len(res) > 2 * CSV_BLOCK_ROWS
+    want = [SIM_HEADER]
+    for k in range(len(res)):
+        row = (res.t[k], *res.q[k], *res.qdot[k], *res.spoon_pos[k],
+               *res.handle_pos[k], *res.deflection[k],
+               res.e_kin[k], res.e_pot[k], res.e_diss[k])
+        want.append(",".join(fmt(v) for v in row))
+    write_sim_csv(res, tmp_path / "sim.csv")
+    assert (tmp_path / "sim.csv").read_text() == "\n".join(want) + "\n"
+
+    points = res.spoon_pos[::-1]
+    want = [WORKSPACE_HEADER] + [",".join(fmt(v) for v in p) for p in points]
+    write_workspace_csv(points, tmp_path / "cloud.csv")
+    assert (tmp_path / "cloud.csv").read_text() == "\n".join(want) + "\n"
 
 
 def test_simulate_missing_scenario_is_usage_error(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from spoonarm import JointState, MechanismParams
 from spoonarm.dynamics import (
+    FORCE_BLOCK,
     ComplianceMode,
     ComplianceSpec,
     ContactResponse,
@@ -31,6 +32,7 @@ from spoonarm.dynamics import (
     spoon_contact_response,
     step_dynamics,
 )
+from spoonarm.dynamics import _signal_forces, _stage_times
 from spoonarm.errors import DeflectionExceededError, NonFiniteStateError
 from spoonarm.kinematics import Joint, handle_jacobian
 from spoonarm.statics import SpringKind, synthesize_balancing
@@ -244,6 +246,24 @@ def test_scenario_validation():
     assert Scenario(duration=1.0, timestep=1e-3).steps == 1001
 
 
+@pytest.mark.parametrize("duration, timestep, steps", [
+    (0.7, 0.1, 8),          # 0.7 / 0.1 == 6.999999999999999
+    (0.3, 0.1, 4),          # 0.3 / 0.1 == 2.9999999999999996
+    (0.6, 0.2, 4),
+    (1.1, 0.1, 12),
+    (4.0, 1e-3, 4001),
+    (0.35, 0.1, 4),         # not a whole number of steps: floor
+    (1.0005, 1e-3, 1001),
+])
+def test_scenario_steps_on_decimal_grids(duration, timestep, steps):
+    sc = Scenario(duration=duration, timestep=timestep)
+    assert sc.steps == steps
+    res = run_scenario(free_params(), [], [], RIGID, sc)
+    assert len(res) == steps
+    assert res.t[-1] <= duration + 1e-9 * duration
+    assert res.t[-1] > duration - timestep
+
+
 def test_compliance_spec_validation():
     # rigid mode does not need oscillator constants
     ComplianceSpec(mode=ComplianceMode.RIGID, stiffness=0.0, damping=0.0,
@@ -397,6 +417,105 @@ def test_step_dynamics_equals_run_scenario_step():
                                sc.input, 1e-3, t=0.0)
     assert tuple(res.q[1]) == stepped.q
     assert tuple(res.qdot[1]) == stepped.qdot
+
+
+def wobble_force(t):
+    return (0.2 * math.sin(3.0 * t), -0.1, 0.3 * math.cos(5.0 * t))
+
+
+@pytest.mark.parametrize("inputs", [
+    SineTremor(amplitude=0.5, frequency=2.0, direction=(0.3, -0.2, 0.9)),
+    NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=3),
+    SpasmImpulse(force=0.8, duration=0.05, onset=0.1,
+                 direction=(1.0, 0.0, 1.0)),
+    (0.1, -0.2, 0.3),
+    wobble_force,
+], ids=["sine", "noise", "spasm", "constant", "callable"])
+def test_run_scenario_rows_equal_repeated_steps(inputs):
+    # longer than one force block, on the compliant mount with springs
+    # and dampers, so every term of the equations takes part
+    p = free_params()
+    springs = synthesize_balancing(p, SpringKind.LINEAR_ZERO_FREE_LENGTH).springs
+    dampers = [DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4),
+               DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.4, 0.05)]
+    comp = ComplianceSpec()
+    dt = 1e-3
+    n = 2 * FORCE_BLOCK + 30
+    sc = Scenario(duration=(n - 1) * dt, timestep=dt,
+                  initial=JointState(q=(0.1, 0.8, -0.3),
+                                     qdot=(0.2, -0.1, 0.3)),
+                  input=inputs)
+    assert sc.steps == n
+    res = run_scenario(p, springs, dampers, comp, sc)
+    state, defl = sc.initial, (0.0, 0.0, 0.0, 0.0)
+    for k in range(1, n):
+        state, defl = step_dynamics(p, springs, dampers, comp, state, inputs,
+                                    dt, t=(k - 1) * dt, deflections=defl)
+        assert tuple(res.q[k]) == state.q
+        assert tuple(res.qdot[k]) == state.qdot
+        assert tuple(res.deflection[k]) + tuple(res.deflection_rate[k]) == defl
+
+
+def test_callable_input_called_once_per_stage_time():
+    calls = []
+
+    def force(t):
+        calls.append(t)
+        return wobble_force(t)
+
+    dt = 1e-3
+    n = FORCE_BLOCK + 10
+    sc = Scenario(duration=(n - 1) * dt, timestep=dt,
+                  initial=JointState(q=(0.1, 0.8, -0.3)), input=force)
+    run_scenario(free_params(), [], [], RIGID, sc)
+    want = []
+    for k in range(n - 1):
+        tk = k * dt
+        want += [tk, tk + 0.5 * dt, tk + dt]
+    want.append((n - 1) * dt)   # the last row's applied torque
+    assert calls == want
+
+
+@pytest.mark.parametrize("spec", [
+    SineTremor(amplitude=0.5, frequency=7.0, direction=(0.3, -0.2, 0.9)),
+    NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=11),
+    # the pulse edges fall on stage times next to the first block boundary
+    SpasmImpulse(force=0.8, duration=2e-3, onset=(FORCE_BLOCK - 1) * 1e-3,
+                 direction=(1.0, 0.0, 1.0)),
+])
+def test_block_forces_equal_generate_signal(spec):
+    dt = 1e-3
+    n = 2 * FORCE_BLOCK + 7
+    for k0 in range(0, n, FORCE_BLOCK):
+        k1 = min(k0 + FORCE_BLOCK, n)
+        times = _stage_times(k0, k1, n, dt)
+        want = []
+        for k in range(k0, k1):
+            tk = k * dt
+            want += [tk] if k == n - 1 else [tk, tk + 0.5 * dt, tk + dt]
+        assert times.tolist() == want
+        block = _signal_forces(spec, times)
+        for t, force in zip(want, block):
+            assert np.array_equal(force, generate_signal(spec, t))
+    if isinstance(spec, SpasmImpulse):
+        # both sides of the pulse were sampled
+        assert generate_signal(spec, spec.onset)[0] > 0.0
+        assert generate_signal(spec, spec.onset - 0.5 * dt)[0] == 0.0
+
+
+def test_deflection_limit_enforced_in_rollout():
+    # 1.0 N*m*s on the default 0.6 rad mount swings the spoon to about
+    # 2 rad in the first step after the contact
+    p = free_params()
+    sc = Scenario(duration=0.5, timestep=1e-3,
+                  initial=JointState(q=(0.0, 0.7, -0.2)),
+                  spoon_contact=SpoonContact(time=0.2, impulse_pitch=1.0))
+    with pytest.raises(DeflectionExceededError, match=r"t = 0\.201000 s"):
+        run_scenario(p, [], [], ComplianceSpec(), sc)
+    # the same contact is within a wider validity bound
+    wide = ComplianceSpec(deflection_limit=50.0)
+    res = run_scenario(p, [], [], wide, sc)
+    assert np.max(np.abs(res.deflection)) > 0.6
 
 
 def test_applied_torque_is_jacobian_transpose_force():
