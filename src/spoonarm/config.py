@@ -6,10 +6,12 @@ describes one rollout: duration, timestep, initial state, input signal,
 optional contact event. Field names carry SI units as suffixes so a file
 is readable without this docstring.
 
-Loading is strict: unknown keys, missing keys, and wrong JSON types are
-ParseError with the offending field path; values that parse but violate a
-domain constraint are ValidationError; a schema_version other than
-SCHEMA_VERSION is VersionMismatchError. Saving writes the shortest
+Each JSON object is described by one table of fields, and one reader and
+one writer walk every table. Loading is strict: unknown keys, missing
+keys, wrong JSON types and non-finite numbers (array entries included)
+are ParseError with the offending field path; values that parse but
+violate a domain constraint are ValidationError; a schema_version other
+than SCHEMA_VERSION is VersionMismatchError. Saving writes the shortest
 round-tripping decimal for every float, so save-then-load reproduces the
 exact domain objects and repeated saves are byte-identical.
 """
@@ -17,9 +19,10 @@ exact domain objects and repeated saves are byte-identical.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from .dynamics import (
     ComplianceMode,
@@ -52,8 +55,9 @@ class ConfigFile:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        object.__setattr__(self, "springs", tuple(self.springs))
-        object.__setattr__(self, "dampers", tuple(self.dampers))
+        # frozen: write the normalised tuples past __setattr__
+        vars(self).update(springs=tuple(self.springs),
+                          dampers=tuple(self.dampers))
 
 
 def default_config_path():
@@ -62,7 +66,12 @@ def default_config_path():
 
 
 # ---------------------------------------------------------------------------
-# strict readers
+# element types: how one JSON value is read and written
+
+
+class _Type(NamedTuple):
+    read: Callable      # (JSON value, path) -> domain value
+    write: Callable = lambda value: value   # domain value -> JSON value
 
 
 def _mapping(node, path):
@@ -71,432 +80,317 @@ def _mapping(node, path):
     return node
 
 
-def _sequence(node, path, length=None):
-    if not isinstance(node, list):
-        raise ParseError(path, f"expected an array, got {type(node).__name__}")
-    if length is not None and len(node) != length:
-        raise ParseError(path, f"expected {length} entries, got {len(node)}")
+def _number(node, path):
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ParseError(path, "expected a number")
+    # also false for NaN, and for integers too large for a float
+    if not abs(node) <= sys.float_info.max:
+        raise ParseError(path, "expected a finite number")
+    return float(node)
+
+
+def _integer(node, path):
+    if isinstance(node, bool) or not isinstance(node, int):
+        raise ParseError(path, "expected an integer")
     return node
 
 
-class _Section:
-    """One JSON object being consumed key by key; complains about leftovers."""
-
-    def __init__(self, node, path):
-        self.node = dict(_mapping(node, path))
-        self.path = path
-
-    def _pop(self, key, default=..., required=True):
-        if key in self.node:
-            return self.node.pop(key)
-        if not required:
-            return default
-        raise ParseError(f"{self.path}.{key}", "missing required key")
-
-    def child(self, key):
-        return f"{self.path}.{key}" if self.path else key
-
-    def number(self, key, default=..., required=True):
-        value = self._pop(key, default, required)
-        if value is default and not required:
-            return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(self.child(key), "expected a number")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ParseError(self.child(key), "expected a finite number")
-        return value
-
-    def integer(self, key, default=..., required=True):
-        value = self._pop(key, default, required)
-        if value is default and not required:
-            return default
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(self.child(key), "expected an integer")
-        return value
-
-    def string(self, key):
-        value = self._pop(key)
-        if not isinstance(value, str):
-            raise ParseError(self.child(key), "expected a string")
-        return value
-
-    def enum(self, key, mapping):
-        value = self.string(key)
-        try:
-            return mapping[value]
-        except KeyError:
-            options = ", ".join(sorted(mapping))
-            raise ParseError(self.child(key),
-                             f"expected one of: {options}") from None
-
-    def raw(self, key, default=..., required=True):
-        return self._pop(key, default, required)
-
-    def vector3(self, key, default=..., required=True):
-        value = self._pop(key, default, required)
-        if value is default and not required:
-            return default
-        seq = _sequence(value, self.child(key), length=3)
-        out = []
-        for i, v in enumerate(seq):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ParseError(f"{self.child(key)}[{i}]", "expected a number")
-            out.append(float(v))
-        return tuple(out)
-
-    def finish(self):
-        if self.node:
-            key = sorted(self.node)[0]
-            raise ParseError(self.child(key), "unknown key")
+_NUMBER = _Type(_number)
+_INTEGER = _Type(_integer)
 
 
-_VARIANTS = {v.value: v for v in HandleVariant}
-_HANDEDNESS = {h.value: h for h in Handedness}
-_JOINTS = {j.key: j for j in Joint}
-_SPRING_KINDS = {k.value: k for k in SpringKind}
-_DAMPER_MODELS = {m.value: m for m in DamperModel}
-_COMPLIANCE_MODES = {m.value: m for m in ComplianceMode}
+def _choice(members: dict) -> _Type:
+    """A string naming one of `members` (name -> domain value)."""
+    names = {member: name for name, member in members.items()}
+
+    def read(node, path):
+        if not isinstance(node, str):
+            raise ParseError(path, "expected a string")
+        if node not in members:
+            raise ParseError(path,
+                             "expected one of: " + ", ".join(sorted(members)))
+        return members[node]
+
+    def write(member):
+        if member not in names:
+            raise TypeError(f"cannot write {member!r}")
+        return names[member]
+
+    return _Type(read, write)
 
 
-def _domain(path, known_fields, build):
-    """Run a domain constructor, mapping ValueError to ValidationError.
+def _array(length, element=_NUMBER) -> _Type:
+    """An array of `length` entries (None: any length), read as a tuple."""
+    def read(node, path):
+        if not isinstance(node, list):
+            raise ParseError(path,
+                             f"expected an array, got {type(node).__name__}")
+        if length is not None and len(node) != length:
+            raise ParseError(path,
+                             f"expected {length} entries, got {len(node)}")
+        return tuple(element.read(v, f"{path}[{i}]")
+                     for i, v in enumerate(node))
 
-    The constraint messages start with the offending field's name when
-    there is a single offender; use it to sharpen the error path.
-    """
-    try:
-        return build()
-    except ValueError as exc:
-        message = str(exc)
-        first = message.split()[0] if message else ""
-        if first in known_fields:
-            path = f"{path}.{first}" if path else first
-        raise ValidationError(path, message) from None
-
-
-def _parse_mechanism(node, path="mechanism"):
-    sec = _Section(node, path)
-    kwargs = dict(
-        base_height=sec.number("base_height_m"),
-        base_offset=sec.number("base_offset_m"),
-        link1_length=sec.number("link1_length_m"),
-        link2_length=sec.number("link2_length_m"),
-        spoon_offset=sec.number("spoon_offset_m"),
-        handle_variant=sec.enum("handle_variant", _VARIANTS),
-        handle_distance=sec.number("handle_distance_m"),
-        bracket_drop=sec.number("bracket_drop_m"),
-        bracket_lateral=sec.number("bracket_lateral_m"),
-        handedness=sec.enum("handedness", _HANDEDNESS),
-        handle_angle_index=sec.integer("handle_angle_index"),
-        mass_link1=sec.number("mass_link1_kg"),
-        mass_link2=sec.number("mass_link2_kg"),
-        mass_payload=sec.number("mass_payload_kg"),
-        com_fraction1=sec.number("com_fraction1"),
-        com_fraction2=sec.number("com_fraction2"),
-        gravity=sec.number("gravity_m_per_s2"),
-    )
-    limits_node = _sequence(sec.raw("joint_limits_rad"),
-                            sec.child("joint_limits_rad"), length=3)
-    limits = []
-    for i, pair in enumerate(limits_node):
-        pair_path = f"{sec.child('joint_limits_rad')}[{i}]"
-        seq = _sequence(pair, pair_path, length=2)
-        for v in seq:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ParseError(pair_path, "expected numbers")
-        limits.append((float(seq[0]), float(seq[1])))
-    kwargs["joint_limits"] = tuple(limits)
-    sec.finish()
-    return _domain(path, set(kwargs), lambda: MechanismParams(**kwargs))
+    return _Type(read, lambda value: [element.write(v) for v in value])
 
 
-def _parse_spring(node, path):
-    sec = _Section(node, path)
-    kind = sec.enum("kind", _SPRING_KINDS)
-    joint = sec.enum("joint", _JOINTS)
-    kwargs = dict(kind=kind, joint=joint)
-    if kind is SpringKind.TORSION:
-        kwargs["stiffness"] = sec.number("stiffness_n_m_per_rad")
-        kwargs["torsion_neutral"] = sec.number("neutral_rad")
-    else:
-        kwargs["stiffness"] = sec.number("stiffness_n_per_m")
-        kwargs["anchor_radius"] = sec.number("anchor_radius_m")
-        kwargs["bar_radius"] = sec.number("bar_radius_m")
-        if kind is SpringKind.LINEAR_REAL:
-            kwargs["free_length"] = sec.number("free_length_m")
-    sec.finish()
-    fields = {"stiffness", "anchor_radius", "bar_radius", "free_length",
-              "torsion_neutral", "joint"}
-    return _domain(path, fields, lambda: SpringSpec(**kwargs))
-
-
-def _parse_damper(node, path):
-    sec = _Section(node, path)
-    joint = sec.enum("joint", _JOINTS)
-    model = sec.enum("model", _DAMPER_MODELS)
-    kwargs = dict(joint=joint, model=model)
-    if model is not DamperModel.NONE:
-        kwargs["coefficient"] = sec.number("coefficient_n_m_s_per_rad")
-    if model is DamperModel.DEAD_ZONE_VISCOUS:
-        kwargs["deadzone"] = sec.number("deadzone_rad_per_s")
-    sec.finish()
-    return _domain(path, {"coefficient", "deadzone"},
-                   lambda: DamperSpec(**kwargs))
-
-
-def _parse_compliance(node, path="compliance"):
-    sec = _Section(node, path)
-    kwargs = dict(
-        mode=sec.enum("mode", _COMPLIANCE_MODES),
-        stiffness=sec.number("stiffness_n_m_per_rad"),
-        damping=sec.number("damping_n_m_s_per_rad"),
-        deflection_limit=sec.number("deflection_limit_rad"),
-        recenter_tolerance=sec.number("recenter_tolerance_rad"),
-        inertia=sec.number("inertia_kg_m2"),
-    )
-    sec.finish()
-    fields = {"stiffness", "damping", "deflection_limit",
-              "recenter_tolerance", "inertia"}
-    return _domain(path, fields, lambda: ComplianceSpec(**kwargs))
-
-
-def _check_version(sec):
-    version = sec.integer("schema_version")
-    if version != SCHEMA_VERSION:
-        raise VersionMismatchError(version, SCHEMA_VERSION)
-    return version
-
-
-def parse_config(data) -> ConfigFile:
-    """Build a ConfigFile from already-decoded JSON data."""
-    sec = _Section(data, "")
-    version = _check_version(sec)
-    mechanism = _parse_mechanism(sec.raw("mechanism"))
-    springs = tuple(
-        _parse_spring(item, f"springs[{i}]")
-        for i, item in enumerate(_sequence(sec.raw("springs"), "springs")))
-    dampers = tuple(
-        _parse_damper(item, f"dampers[{i}]")
-        for i, item in enumerate(_sequence(sec.raw("dampers"), "dampers")))
-    compliance = _parse_compliance(sec.raw("compliance"))
-    sec.finish()
-    return ConfigFile(mechanism=mechanism, springs=springs, dampers=dampers,
-                      compliance=compliance, schema_version=version)
-
-
-def load_config(path) -> ConfigFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("<file>", f"invalid JSON: {exc}") from None
-    return parse_config(data)
-
-
-def _parse_input(node, path="input"):
-    sec = _Section(node, path)
-    kind = sec.string("type")
-    try:
-        if kind == "free_release":
-            sec.finish()
-            return FreeRelease()
-        if kind == "sine_tremor":
-            spec = SineTremor(amplitude=sec.number("amplitude_n"),
-                              frequency=sec.number("frequency_hz"),
-                              direction=sec.vector3("direction"))
-            sec.finish()
-            return spec
-        if kind == "noise_tremor":
-            spec = NoiseTremor(rms=sec.number("rms_n"),
-                               f_lo=sec.number("f_lo_hz"),
-                               f_hi=sec.number("f_hi_hz"),
-                               seed=sec.integer("seed"),
-                               direction=sec.vector3("direction"))
-            sec.finish()
-            return spec
-        if kind == "spasm_impulse":
-            spec = SpasmImpulse(force=sec.number("force_n"),
-                                duration=sec.number("duration_s"),
-                                onset=sec.number("onset_s"),
-                                direction=sec.vector3("direction"))
-            sec.finish()
-            return spec
-        if kind == "prescribed_trajectory":
-            raw = _sequence(sec.raw("waypoints"), sec.child("waypoints"))
-            waypoints = []
-            for i, wp in enumerate(raw):
-                wp_path = f"{sec.child('waypoints')}[{i}]"
-                seq = _sequence(wp, wp_path, length=4)
-                for v in seq:
-                    if isinstance(v, bool) or not isinstance(v, (int, float)):
-                        raise ParseError(wp_path, "expected numbers")
-                waypoints.append(tuple(float(v) for v in seq))
-            spec = PrescribedTrajectory(tuple(waypoints))
-            sec.finish()
-            return spec
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
-    raise ParseError(sec.child("type"),
-                     "unknown input type " + repr(kind))
-
-
-def parse_scenario(data) -> Scenario:
-    sec = _Section(data, "")
-    _check_version(sec)
-    duration = sec.number("duration_s")
-    timestep = sec.number("timestep_s")
-
-    init_sec = _Section(sec.raw("initial"), "initial")
-    q = init_sec.vector3("q_rad")
-    qdot = init_sec.vector3("qdot_rad_per_s", default=(0.0, 0.0, 0.0),
-                            required=False)
-    init_sec.finish()
-
-    input_spec = _parse_input(sec.raw("input"))
-
-    contact = None
-    contact_node = sec.raw("spoon_contact", default=None, required=False)
-    if contact_node is not None:
-        c = _Section(contact_node, "spoon_contact")
-        contact = SpoonContact(
-            time=c.number("time_s"),
-            impulse_pitch=c.number("impulse_pitch_n_m_s"),
-            impulse_yaw=c.number("impulse_yaw_n_m_s", default=0.0,
-                                 required=False))
-        c.finish()
-    sec.finish()
-
-    initial = _domain("initial", {"q_rad", "qdot_rad_per_s"},
-                      lambda: JointState(q=q, qdot=qdot))
-    return _domain("", {"duration", "timestep"},
-                   lambda: Scenario(duration=duration, timestep=timestep,
-                                    initial=initial, input=input_spec,
-                                    spoon_contact=contact))
-
-
-def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("<file>", f"invalid JSON: {exc}") from None
-    return parse_scenario(data)
+def _named(enum):
+    return _choice({member.value: member for member in enum})
 
 
 # ---------------------------------------------------------------------------
-# writers (canonical form: 2-space indent, shortest round-trip floats)
+# field tables
+
+_REQUIRED = object()
 
 
-def _mechanism_data(m: MechanismParams) -> dict:
-    return {
-        "base_height_m": m.base_height,
-        "base_offset_m": m.base_offset,
-        "link1_length_m": m.link1_length,
-        "link2_length_m": m.link2_length,
-        "spoon_offset_m": m.spoon_offset,
-        "handle_variant": m.handle_variant.value,
-        "handle_distance_m": m.handle_distance,
-        "bracket_drop_m": m.bracket_drop,
-        "bracket_lateral_m": m.bracket_lateral,
-        "handedness": m.handedness.value,
-        "handle_angle_index": m.handle_angle_index,
-        "joint_limits_rad": [list(pair) for pair in m.joint_limits],
-        "mass_link1_kg": m.mass_link1,
-        "mass_link2_kg": m.mass_link2,
-        "mass_payload_kg": m.mass_payload,
-        "com_fraction1": m.com_fraction1,
-        "com_fraction2": m.com_fraction2,
-        "gravity_m_per_s2": m.gravity,
-    }
+@dataclass(frozen=True)
+class _Field:
+    """One key of a JSON object.
+
+    `key` is the JSON key with its unit suffix, `name` the domain
+    attribute when it differs from the key, and `type` the element type.
+    A non-empty `tags` lists the values of the object's tag field (spring
+    kind, damper model, input type) whose objects carry this key. A
+    `default` makes the key optional; a default of None also lets the key
+    be null, and the writer leaves a None value out.
+    """
+
+    key: str
+    name: str = ""
+    type: _Type = _NUMBER
+    tags: tuple = ()
+    default: object = _REQUIRED
+
+    @property
+    def attr(self) -> str:
+        return self.name or self.key
+
+    def take(self, node: dict, path: str):
+        """Pop this key off `node`, the object at `path`, and read it."""
+        child = f"{path}.{self.key}" if path else self.key
+        value = node.pop(self.key, self.default)
+        if value is _REQUIRED:
+            raise ParseError(child, "missing required key")
+        return value if value is self.default else self.type.read(value, child)
 
 
-def _spring_data(s: SpringSpec) -> dict:
-    out = {"kind": s.kind.value, "joint": s.joint.key}
-    if s.kind is SpringKind.TORSION:
-        out["stiffness_n_m_per_rad"] = s.stiffness
-        out["neutral_rad"] = s.torsion_neutral
-    else:
-        out["stiffness_n_per_m"] = s.stiffness
-        out["anchor_radius_m"] = s.anchor_radius
-        out["bar_radius_m"] = s.bar_radius
-        if s.kind is SpringKind.LINEAR_REAL:
-            out["free_length_m"] = s.free_length
-    return out
+def _object(build, *fields, tag=None) -> _Type:
+    """A JSON object holding `fields`, built into a domain value by
+    `build(**attributes)`. The value of the `tag` field, which precedes
+    the tagged fields, selects which of them the object carries.
+
+    A ValueError from `build` becomes a ValidationError. The constraint
+    messages start with the offending attribute's name when there is a
+    single offender; it sharpens the error path.
+    """
+    known = {f.attr for f in fields}
+
+    def read(node, path):
+        node = dict(_mapping(node, path))
+        values = {}
+        for f in fields:
+            if not f.tags or values[tag.attr] in f.tags:
+                values[f.attr] = f.take(node, path)
+        if node:
+            key = sorted(node)[0]
+            raise ParseError(f"{path}.{key}" if path else key, "unknown key")
+        try:
+            return build(**values)
+        except ValueError as exc:
+            message = str(exc)
+            first = message.split()[0] if message else ""
+            if first in known:
+                path = f"{path}.{first}" if path else first
+            raise ValidationError(path, message) from None
+
+    def write(value):
+        tag_value = tag and getattr(value, tag.attr)
+        items = ((f, getattr(value, f.attr)) for f in fields
+                 if not f.tags or tag_value in f.tags)
+        return {f.key: f.type.write(item) for f, item in items
+                if item is not None}
+
+    return _Type(read, write)
 
 
-def _damper_data(d: DamperSpec) -> dict:
-    out = {"joint": d.joint.key, "model": d.model.value}
-    if d.model is not DamperModel.NONE:
-        out["coefficient_n_m_s_per_rad"] = d.coefficient
-    if d.model is DamperModel.DEAD_ZONE_VISCOUS:
-        out["deadzone_rad_per_s"] = d.deadzone
-    return out
+# fields that two objects share
+_JOINT = _Field("joint", type=_choice({j.key: j for j in Joint}))
+_ROTARY_STIFFNESS = _Field("stiffness_n_m_per_rad", "stiffness")
+_DURATION = _Field("duration_s", "duration")
+
+_MECHANISM = _object(
+    MechanismParams,
+    _Field("base_height_m", "base_height"),
+    _Field("base_offset_m", "base_offset"),
+    _Field("link1_length_m", "link1_length"),
+    _Field("link2_length_m", "link2_length"),
+    _Field("spoon_offset_m", "spoon_offset"),
+    _Field("handle_variant", type=_named(HandleVariant)),
+    _Field("handle_distance_m", "handle_distance"),
+    _Field("bracket_drop_m", "bracket_drop"),
+    _Field("bracket_lateral_m", "bracket_lateral"),
+    _Field("handedness", type=_named(Handedness)),
+    _Field("handle_angle_index", type=_INTEGER),
+    _Field("joint_limits_rad", "joint_limits", _array(3, _array(2))),
+    _Field("mass_link1_kg", "mass_link1"),
+    _Field("mass_link2_kg", "mass_link2"),
+    _Field("mass_payload_kg", "mass_payload"),
+    _Field("com_fraction1"),
+    _Field("com_fraction2"),
+    _Field("gravity_m_per_s2", "gravity"),
+)
+
+_SPRING_KIND = _Field("kind", type=_named(SpringKind))
+_TORSION = (SpringKind.TORSION,)
+_LINEAR = (SpringKind.LINEAR_ZERO_FREE_LENGTH, SpringKind.LINEAR_REAL)
+_SPRING = _object(
+    SpringSpec,
+    _SPRING_KIND,
+    _JOINT,
+    replace(_ROTARY_STIFFNESS, tags=_TORSION),
+    _Field("neutral_rad", "torsion_neutral", tags=_TORSION),
+    _Field("stiffness_n_per_m", "stiffness", tags=_LINEAR),
+    _Field("anchor_radius_m", "anchor_radius", tags=_LINEAR),
+    _Field("bar_radius_m", "bar_radius", tags=_LINEAR),
+    _Field("free_length_m", "free_length", tags=(SpringKind.LINEAR_REAL,)),
+    tag=_SPRING_KIND,
+)
+
+_DAMPER_MODEL = _Field("model", type=_named(DamperModel))
+_DAMPER = _object(
+    DamperSpec,
+    _JOINT,
+    _DAMPER_MODEL,
+    _Field("coefficient_n_m_s_per_rad", "coefficient",
+           tags=(DamperModel.VISCOUS, DamperModel.DEAD_ZONE_VISCOUS)),
+    _Field("deadzone_rad_per_s", "deadzone",
+           tags=(DamperModel.DEAD_ZONE_VISCOUS,)),
+    tag=_DAMPER_MODEL,
+)
+
+_COMPLIANCE = _object(
+    ComplianceSpec,
+    _Field("mode", type=_named(ComplianceMode)),
+    _ROTARY_STIFFNESS,
+    _Field("damping_n_m_s_per_rad", "damping"),
+    _Field("deflection_limit_rad", "deflection_limit"),
+    _Field("recenter_tolerance_rad", "recenter_tolerance"),
+    _Field("inertia_kg_m2", "inertia"),
+)
+
+_CONFIG = _object(
+    ConfigFile,
+    _Field("mechanism", type=_MECHANISM),
+    _Field("springs", type=_array(None, _SPRING)),
+    _Field("dampers", type=_array(None, _DAMPER)),
+    _Field("compliance", type=_COMPLIANCE),
+)
+
+# the input's tag is its class
+_INPUT_TYPE = _Field("type", "__class__", _choice({
+    "free_release": FreeRelease,
+    "sine_tremor": SineTremor,
+    "noise_tremor": NoiseTremor,
+    "spasm_impulse": SpasmImpulse,
+    "prescribed_trajectory": PrescribedTrajectory,
+}))
+_SINE, _NOISE, _SPASM = (SineTremor,), (NoiseTremor,), (SpasmImpulse,)
+_INPUT = _object(
+    lambda __class__, **values: __class__(**values),
+    _INPUT_TYPE,
+    _Field("amplitude_n", "amplitude", tags=_SINE),
+    _Field("frequency_hz", "frequency", tags=_SINE),
+    _Field("rms_n", "rms", tags=_NOISE),
+    _Field("f_lo_hz", "f_lo", tags=_NOISE),
+    _Field("f_hi_hz", "f_hi", tags=_NOISE),
+    _Field("seed", type=_INTEGER, tags=_NOISE),
+    _Field("force_n", "force", tags=_SPASM),
+    replace(_DURATION, tags=_SPASM),
+    _Field("onset_s", "onset", tags=_SPASM),
+    _Field("direction", type=_array(3), tags=_SINE + _NOISE + _SPASM),
+    _Field("waypoints", type=_array(None, _array(4)),
+           tags=(PrescribedTrajectory,)),
+    tag=_INPUT_TYPE,
+)
+
+_SCENARIO = _object(
+    Scenario,
+    _DURATION,
+    _Field("timestep_s", "timestep"),
+    _Field("initial", type=_object(
+        JointState,
+        _Field("q_rad", "q", _array(3)),
+        _Field("qdot_rad_per_s", "qdot", _array(3),
+               default=(0.0, 0.0, 0.0)),
+    )),
+    _Field("input", type=_INPUT),
+    _Field("spoon_contact", type=_object(
+        SpoonContact,
+        _Field("time_s", "time"),
+        _Field("impulse_pitch_n_m_s", "impulse_pitch"),
+        _Field("impulse_yaw_n_m_s", "impulse_yaw", default=0.0),
+    ), default=None),
+)
+
+_VERSION = _Field("schema_version", type=_INTEGER)
 
 
-def _compliance_data(c: ComplianceSpec) -> dict:
-    return {
-        "mode": c.mode.value,
-        "stiffness_n_m_per_rad": c.stiffness,
-        "damping_n_m_s_per_rad": c.damping,
-        "deflection_limit_rad": c.deflection_limit,
-        "recenter_tolerance_rad": c.recenter_tolerance,
-        "inertia_kg_m2": c.inertia,
-    }
+# ---------------------------------------------------------------------------
+# files
 
 
-def config_data(config: ConfigFile) -> dict:
-    return {
-        "schema_version": config.schema_version,
-        "mechanism": _mechanism_data(config.mechanism),
-        "springs": [_spring_data(s) for s in config.springs],
-        "dampers": [_damper_data(d) for d in config.dampers],
-        "compliance": _compliance_data(config.compliance),
-    }
+def _parse_file(data, table: _Type):
+    """A whole file's domain value. The version is checked before any
+    other key, so a file of another version fails on its version alone."""
+    node = dict(_mapping(data, ""))
+    version = _VERSION.take(node, "")
+    if version != SCHEMA_VERSION:
+        raise VersionMismatchError(version, SCHEMA_VERSION)
+    return table.read(node, "")
 
 
-def scenario_data(scenario: Scenario) -> dict:
-    spec = scenario.input
-    if isinstance(spec, FreeRelease):
-        input_data = {"type": "free_release"}
-    elif isinstance(spec, SineTremor):
-        input_data = {"type": "sine_tremor", "amplitude_n": spec.amplitude,
-                      "frequency_hz": spec.frequency,
-                      "direction": list(spec.direction)}
-    elif isinstance(spec, NoiseTremor):
-        input_data = {"type": "noise_tremor", "rms_n": spec.rms,
-                      "f_lo_hz": spec.f_lo, "f_hi_hz": spec.f_hi,
-                      "seed": spec.seed, "direction": list(spec.direction)}
-    elif isinstance(spec, SpasmImpulse):
-        input_data = {"type": "spasm_impulse", "force_n": spec.force,
-                      "duration_s": spec.duration, "onset_s": spec.onset,
-                      "direction": list(spec.direction)}
-    elif isinstance(spec, PrescribedTrajectory):
-        input_data = {"type": "prescribed_trajectory",
-                      "waypoints": [list(wp) for wp in spec.waypoints]}
-    else:
-        raise TypeError(f"cannot serialize input {type(spec).__name__}")
-
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "duration_s": scenario.duration,
-        "timestep_s": scenario.timestep,
-        "initial": {"q_rad": list(scenario.initial.q),
-                    "qdot_rad_per_s": list(scenario.initial.qdot)},
-        "input": input_data,
-    }
-    if scenario.spoon_contact is not None:
-        c = scenario.spoon_contact
-        data["spoon_contact"] = {"time_s": c.time,
-                                 "impulse_pitch_n_m_s": c.impulse_pitch,
-                                 "impulse_yaw_n_m_s": c.impulse_yaw}
-    return data
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError("<file>", f"invalid JSON: {exc}") from None
 
 
 def _write_json(data, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
+
+
+def parse_config(data) -> ConfigFile:
+    """Build a ConfigFile from already-decoded JSON data."""
+    return _parse_file(data, _CONFIG)
+
+
+def parse_scenario(data) -> Scenario:
+    return _parse_file(data, _SCENARIO)
+
+
+def load_config(path) -> ConfigFile:
+    return parse_config(_read_json(path))
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(_read_json(path))
+
+
+# canonical form: schema_version first, 2-space indent, shortest
+# round-trip floats
+
+
+def config_data(config: ConfigFile) -> dict:
+    return {_VERSION.key: config.schema_version, **_CONFIG.write(config)}
+
+
+def scenario_data(scenario: Scenario) -> dict:
+    return {_VERSION.key: SCHEMA_VERSION, **_SCENARIO.write(scenario)}
 
 
 def save_config(config: ConfigFile, path):

@@ -207,8 +207,10 @@ class SpasmImpulse:
     direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.duration < 0.0 or self.onset < 0.0:
-            raise ValueError("onset and duration must be >= 0")
+        if self.onset < 0.0:
+            raise ValueError("onset must be >= 0")
+        if self.duration < 0.0:
+            raise ValueError("duration must be >= 0")
         object.__setattr__(self, "direction", _unit(self.direction))
 
 
@@ -251,10 +253,7 @@ class Scenario:
     spoon_contact: SpoonContact | None = None
 
     def __post_init__(self):
-        if not self.timestep > 0.0:
-            raise ValueError("timestep must be > 0")
-        if self.duration < self.timestep:
-            raise ValueError("duration must be >= timestep")
+        _grid_steps(self.duration, self.timestep)    # checks the grid
 
     @property
     def steps(self) -> int:
@@ -264,11 +263,17 @@ class Scenario:
 def _grid_steps(duration: float, dt: float) -> int:
     """Rows of a uniform grid from 0 to `duration` inclusive.
 
-    A ratio within GRID_REL_TOL of a whole number counts as whole, so
-    decimal pairs such as 0.7 s / 0.1 s (6.999999999999999 in floats)
-    keep their last row.
+    The grid needs dt > 0, duration >= dt and a finite ratio
+    duration/dt; otherwise this raises ValueError. A ratio within
+    GRID_REL_TOL of a whole number counts as whole, so decimal pairs such
+    as 0.7 s / 0.1 s (6.999999999999999 in floats) keep their last row.
     """
+    if not dt > 0.0:
+        raise ValueError("timestep must be > 0")
     ratio = duration / dt
+    if not (dt <= duration and ratio < math.inf):
+        raise ValueError("duration must be >= timestep, with a finite "
+                         "number of steps")
     whole = round(ratio)
     if abs(ratio - whole) <= GRID_REL_TOL * ratio:
         return whole + 1
@@ -613,7 +618,8 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     `inputs` is a handle force: None / FreeRelease, a constant (fx, fy, fz),
     one of the signal specs, or a callable t -> force evaluated at the RK4
     stage times. `deflections` packs (delta_p, delta_y, rate_p, rate_y) of
-    the compliant mount.
+    the compliant mount. Raises DeflectionExceededError when the returned
+    deflection lies beyond the mount's validity limit.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
@@ -624,7 +630,22 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     y = list(state.q + state.qdot + tuple(float(v) for v in deflections))
     y = _rk4_step(_equations(params, springs, dampers, compliance),
                   params.joint_limits, y + [0.0], t, dt, *stage_forces)
+    _check_deflection(compliance, [t + dt], np.array([y[6:8]]))
     return JointState(q=y[:3], qdot=y[3:6]), tuple(y[6:10])
+
+
+def _check_deflection(compliance: ComplianceSpec, t, deflections):
+    """Raise DeflectionExceededError, naming the time, at the first row of
+    the (n, 2) pitch and yaw `deflections` at times `t` that lies beyond
+    the mount's validity limit."""
+    peak = np.abs(deflections).max(axis=1)
+    breach = np.flatnonzero(peak > compliance.deflection_limit)
+    if breach.size:
+        k = breach[0]
+        raise DeflectionExceededError(
+            f"mount deflection {peak[k]:.4f} rad exceeds the "
+            f"{compliance.deflection_limit:.4f} rad validity limit "
+            f"at t = {t[k]:.6f} s")
 
 
 def run_scenario(params: MechanismParams, springs, dampers,
@@ -682,14 +703,7 @@ def run_scenario(params: MechanismParams, springs, dampers,
                               forces[i + 1], forces[i + 2])
 
     t = np.arange(n) * dt
-    peak = np.abs(states[:, 6:8]).max(axis=1)
-    breach = np.flatnonzero(peak > compliance.deflection_limit)
-    if breach.size:
-        k = breach[0]
-        raise DeflectionExceededError(
-            f"mount deflection {peak[k]:.4f} rad exceeds the "
-            f"{compliance.deflection_limit:.4f} rad validity limit "
-            f"at t = {t[k]:.6f} s")
+    _check_deflection(compliance, t, states[:, 6:8])
     mount = compliance if compliance.mode is ComplianceMode.COMPLIANT else None
     return _record(params, springs, mount, t, states, row_forces)
 
@@ -772,9 +786,14 @@ def spoon_contact_response(params: MechanismParams,
     the horizon. Rigid mode has no deflection dynamics at all; as the
     comparison value it reports the impulse spread over a single timestep,
     flagged model-dependent because it scales with 1/dt.
+
+    dt and duration follow a scenario's grid rule, or this raises
+    ValueError. A deflection beyond the mount's validity limit raises
+    DeflectionExceededError naming the time of the first breach.
     """
     if not math.isfinite(impulse):
         raise ValueError("impulse must be finite")
+    n = _grid_steps(duration, dt)
     if compliance.mode is ComplianceMode.RIGID:
         return ContactResponse(peak_torque=abs(impulse) / dt,
                                settling_time=0.0, recentered=True,
@@ -782,41 +801,24 @@ def spoon_contact_response(params: MechanismParams,
 
     k_r, c_r = compliance.stiffness, compliance.damping
     inv_i = 1.0 / compliance.inertia
-    eps = compliance.recenter_tolerance
 
-    def deriv(s):
-        d, v = s
+    def deriv(y, _force):
+        d, v = y
         return (v, (-k_r * d - c_r * v) * inv_i)
 
-    n = _grid_steps(duration, dt)
-    d, v = 0.0, impulse * inv_i
-    peak = 0.0
-    max_defl = 0.0
-    last_outside = 0 if abs(d) >= eps else -1
+    states = np.empty((n, 2))
+    y = [0.0, impulse * inv_i]
     for k in range(n):
-        reaction = abs(k_r * d + c_r * v)
-        if reaction > peak:
-            peak = reaction
-        if abs(d) > max_defl:
-            max_defl = abs(d)
-        if abs(d) >= eps:
-            last_outside = k
+        states[k] = y
         if k < n - 1:
-            k1 = deriv((d, v))
-            k2 = deriv((d + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1]))
-            k3 = deriv((d + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1]))
-            k4 = deriv((d + dt * k3[0], v + dt * k3[1]))
-            d += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            v += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            y = _rk4_step(deriv, (), y, k * dt, dt, None, None, None)
+    _check_deflection(compliance, np.arange(n) * dt, states[:, :1])
 
-    if max_defl > compliance.deflection_limit:
-        raise DeflectionExceededError(
-            f"deflection {max_defl:.4f} rad exceeds the "
-            f"{compliance.deflection_limit:.4f} rad validity limit")
-
+    d, v = states.T
+    peak = float(np.abs(k_r * d + c_r * v).max())
+    outside = np.flatnonzero(np.abs(d) >= compliance.recenter_tolerance)
+    last_outside = int(outside[-1]) if outside.size else -1
     recentered = last_outside < n - 1
     settling = (last_outside + 1) * dt if recentered else math.inf
-    if last_outside == -1:
-        settling = 0.0
     return ContactResponse(peak_torque=peak, settling_time=settling,
                            recentered=recentered)

@@ -297,6 +297,18 @@ def test_contact_rigid_config_has_no_comparison(capsys, tmp_path):
     assert "rigid_comparison_peak_n_m" not in got
 
 
+@pytest.mark.parametrize("flags", [
+    ("--dt", "0"), ("--dt", "-0.001"), ("--duration", "-1"),
+    ("--duration", "0.0005"), ("--duration", "inf"),
+])
+def test_contact_bad_grid_is_domain_error(capsys, flags):
+    code, out, err = run(capsys, "contact", "--impulse", "0.02", *flags)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "timestep" in err
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

@@ -375,3 +375,156 @@ def test_config_data_is_pure():
     mutated = copy.deepcopy(data)
     mutated["mechanism"]["gravity_m_per_s2"] = 1.0
     assert config_data(cfg) == data
+
+
+# ---------------------------------------------------------------------------
+# every key of both file formats: missing and mistyped values
+
+
+OPTIONAL_KEYS = {"initial.qdot_rad_per_s", "spoon_contact",
+                 "spoon_contact.impulse_yaw_n_m_s"}
+JSON_SAMPLES = (None, True, 1, 0.5, "x", [], {})
+
+
+def key_paths(node, path=""):
+    """Path of every object key, nested ones included, such as
+    springs[1].joint."""
+    out = []
+    if isinstance(node, dict):
+        for key, value in node.items():
+            child = f"{path}.{key}" if path else key
+            out.append(child)
+            out += key_paths(value, child)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            out += key_paths(value, f"{path}[{i}]")
+    return out
+
+
+def chain(path):
+    """Dict keys and list indices of a path like springs[1].joint or
+    input.waypoints[1][2]."""
+    steps = []
+    for part in path.split("."):
+        name, *indices = part.replace("]", "").split("[")
+        steps.append(name)
+        steps += [int(i) for i in indices]
+    return steps
+
+
+def wrong_values(good):
+    """JSON values of a type the key does not take."""
+    if isinstance(good, bool) or good is None:
+        raise AssertionError("no key holds a boolean or null")
+    if isinstance(good, int):
+        accepted = lambda v: isinstance(v, int) and not isinstance(v, bool)
+    elif isinstance(good, float):
+        accepted = (lambda v: isinstance(v, (int, float))
+                    and not isinstance(v, bool))
+    else:
+        accepted = lambda v: isinstance(v, type(good))
+    return [v for v in JSON_SAMPLES if not accepted(v)]
+
+
+FIELD_SCENARIO_INPUTS = [
+    FreeRelease(),
+    SineTremor(amplitude=0.15, frequency=2.0, direction=(0.0, 1.0, 0.5)),
+    NoiseTremor(rms=0.3, f_lo=2.0, f_hi=12.0, seed=99),
+    SpasmImpulse(force=4.0, duration=0.08, onset=0.6,
+                 direction=(1.0, 1.0, 0.0)),
+    PrescribedTrajectory(((0.0, 0.35, 0.0, 0.02), (1.0, 0.35, 0.0, 0.35))),
+]
+
+
+def field_scenario_data(signal):
+    return scenario_data(Scenario(
+        duration=1.5, timestep=1e-3,
+        initial=JointState(q=(0.0, 0.5, -0.5), qdot=(0.0, 0.1, -0.1)),
+        input=signal,
+        spoon_contact=SpoonContact(time=0.5, impulse_pitch=0.02,
+                                   impulse_yaw=-0.01)))
+
+
+FIELD_CASES = (
+    [pytest.param(parse_config, lambda: config_data(full_config()), path,
+                  id=f"config:{path}")
+     for path in key_paths(config_data(full_config()))]
+    + [pytest.param(parse_scenario,
+                    lambda signal=signal: field_scenario_data(signal), path,
+                    id=f"{type(signal).__name__}:{path}")
+       for signal in FIELD_SCENARIO_INPUTS
+       for path in key_paths(field_scenario_data(signal))])
+
+
+def parent_of(data, path):
+    *steps, key = chain(path)
+    node = data
+    for step in steps:
+        node = node[step]
+    return node, key
+
+
+@pytest.mark.parametrize("parse, make, path", FIELD_CASES)
+def test_every_key_missing(parse, make, path):
+    data = make()
+    node, key = parent_of(data, path)
+    del node[key]
+    if path in OPTIONAL_KEYS:
+        parse(data)
+        return
+    with pytest.raises(ParseError, match="missing required key") as err:
+        parse(data)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("parse, make, path", FIELD_CASES)
+def test_every_key_wrong_type(parse, make, path):
+    node, key = parent_of(make(), path)
+    for wrong in wrong_values(node[key]):
+        if wrong is None and path == "spoon_contact":
+            continue    # null is an absent contact
+        data = make()
+        node, key = parent_of(data, path)
+        node[key] = wrong
+        with pytest.raises(ParseError) as err:
+            parse(data)
+        assert err.value.path == path, wrong
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("make, parse, path", [
+    (lambda: field_scenario_data(FIELD_SCENARIO_INPUTS[1]), parse_scenario,
+     "input.direction[0]"),
+    (lambda: field_scenario_data(FIELD_SCENARIO_INPUTS[4]), parse_scenario,
+     "input.waypoints[1][2]"),
+    (lambda: field_scenario_data(FreeRelease()), parse_scenario,
+     "initial.q_rad[1]"),
+    (lambda: config_data(full_config()), parse_config,
+     "mechanism.joint_limits_rad[1][0]"),
+])
+def test_non_finite_array_entry_rejected(make, parse, path, value):
+    data = make()
+    node, key = parent_of(data, path)
+    node[key] = value
+    with pytest.raises(ParseError, match="finite") as err:
+        parse(data)
+    assert err.value.path == path
+
+
+def test_non_finite_direction_in_file_rejected(tmp_path):
+    path = tmp_path / "scenario.json"
+    data = field_scenario_data(FIELD_SCENARIO_INPUTS[1])
+    data["input"]["direction"][0] = "entry"
+    path.write_text(json.dumps(data).replace('"entry"', "Infinity"),
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_scenario(path)
+    assert err.value.path == "input.direction[0]"
+
+
+def test_integer_too_large_for_a_float_rejected():
+    data = good_data()
+    data["mechanism"]["gravity_m_per_s2"] = 10 ** 400
+    with pytest.raises(ParseError, match="finite") as err:
+        parse_config(data)
+    assert err.value.path == "mechanism.gravity_m_per_s2"

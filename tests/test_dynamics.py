@@ -518,6 +518,19 @@ def test_deflection_limit_enforced_in_rollout():
     assert np.max(np.abs(res.deflection)) > 0.6
 
 
+def test_deflection_limit_enforced_in_step_dynamics():
+    # default build: a 5 rad pitch deflection stays near 5 rad for one
+    # step, far past the 0.6 rad validity limit
+    p = MechanismParams()
+    state = JointState(q=(0.0, 0.7, -0.2))
+    with pytest.raises(DeflectionExceededError, match=r"t = 0\.001000 s"):
+        step_dynamics(p, [], [], ComplianceSpec(), state, None, 1e-3,
+                      deflections=(5.0, 0.0, 0.0, 0.0))
+    _, defl = step_dynamics(p, [], [], ComplianceSpec(), state, None, 1e-3,
+                            deflections=(0.5, 0.0, 0.0, 0.0))
+    assert 0.0 < defl[0] < 0.6
+
+
 def test_applied_torque_is_jacobian_transpose_force():
     p = free_params()
     sig = SineTremor(amplitude=1.5, frequency=1.0, direction=(0.3, -0.2, 0.9))
@@ -613,6 +626,29 @@ def test_contact_never_settling_reports_inf():
     res = spoon_contact_response(p, comp, 0.02, duration=1.0)
     assert not res.recentered
     assert math.isinf(res.settling_time)
+
+
+@pytest.mark.parametrize("dt, duration", [
+    (0.0, 5.0), (-1e-3, 5.0), (math.nan, 5.0), (1e-3, -1.0),
+    (1e-3, 5e-4), (1e-3, math.nan), (1e-3, math.inf), (1e-3, 1e308),
+])
+@pytest.mark.parametrize("mount", [ComplianceSpec(), RIGID])
+def test_contact_response_rejects_bad_grid(dt, duration, mount):
+    with pytest.raises(ValueError):
+        spoon_contact_response(free_params(), mount, 0.02, dt=dt,
+                               duration=duration)
+    # the same rule as a scenario's
+    with pytest.raises(ValueError):
+        Scenario(duration=duration, timestep=dt)
+
+
+def test_contact_divergence_is_named():
+    # omega_n*dt = 6.3 is far outside RK4's stability region; the state
+    # overflows and the step that does it says so
+    with pytest.raises(NonFiniteStateError, match="reduce the timestep"):
+        spoon_contact_response(free_params(),
+                               ComplianceSpec(deflection_limit=1e300),
+                               0.001, dt=0.1, duration=100.0)
 
 
 # ---------------------------------------------------------------------------
