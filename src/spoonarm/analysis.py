@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import settling_time
 from .errors import GridMismatchError, NotBracketedError, SpoonArmError
 from .kinematics import (
     HandleVariant,
@@ -275,13 +276,6 @@ def stabilization_report(reference, result, baseline=None,
     else:
         attenuation = rms / base_rms
 
-    outside = np.nonzero(dev >= band)[0]
-    if len(outside) == 0:
-        settling = 0.0
-    elif outside[-1] == len(dev) - 1:
-        settling = math.inf
-    else:
-        settling = float(result.t[outside[-1] + 1])
-
+    settling = settling_time(dev >= band, result.t)
     return StabilizationReport(rms_deviation=rms, attenuation=attenuation,
                                settling_time=settling, peak_deviation=peak)

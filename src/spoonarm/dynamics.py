@@ -21,11 +21,11 @@ impulse: it arrives as a velocity jump of Lambda / I_s. The oscillators
 do not couple back into the arm (the payload mass already rides the arm;
 the deflection inertia is small), which keeps the safety analysis clean.
 
-Integration is classical fixed-step RK4 on the full state
-(q, q', deflections, deflection rates, dissipated energy). Joint limits
-clamp the position and zero the outgoing velocity after each step.
-Everything is deterministic: identical inputs (including noise seeds)
-give bit-identical results.
+Integration is classical fixed-step RK4 on the arm's state (q, q',
+dissipated energy); joint limits clamp the position and zero the outgoing
+velocity after each step. _mount_rows steps each mount axis on its own,
+by the same RK4. Everything is deterministic: identical inputs (including
+noise seeds) give bit-identical results.
 
 A rollout keeps its step loop to integration alone. The build's constant
 terms are computed once per rollout. The handle force at every RK4 stage
@@ -33,8 +33,7 @@ time comes from one vectorised evaluation per block of FORCE_BLOCK steps,
 and each signal law is written once, in that evaluator. The loop stores
 the packed state of each row; after it, one numpy pass computes the
 positions, applied torques and energies, with the same arithmetic
-helpers the scalar equations use, and checks the mount's deflection
-limit.
+helpers the scalar equations use.
 """
 
 from __future__ import annotations
@@ -243,6 +242,11 @@ class SpoonContact:
     impulse_pitch: float
     impulse_yaw: float = 0.0
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.time, self.impulse_pitch,
+                                       self.impulse_yaw))):
+            raise ValueError("contact time and impulses must be finite")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -254,6 +258,9 @@ class Scenario:
 
     def __post_init__(self):
         _grid_steps(self.duration, self.timestep)    # checks the grid
+        contact = self.spoon_contact
+        if contact is not None and not 0.0 <= contact.time <= self.duration:
+            raise ValueError("spoon_contact time must lie in [0, duration]")
 
     @property
     def steps(self) -> int:
@@ -496,11 +503,10 @@ def _stage_times(k0: int, k1: int, n: int, dt: float) -> np.ndarray:
 # equations of motion
 
 
-def _equations(params: MechanismParams, springs, dampers,
-               compliance: ComplianceSpec):
-    """The time derivative deriv(y, force) of one build's packed state
+def _equations(params: MechanismParams, springs, dampers):
+    """The time derivative deriv(y, force) of one build's packed arm state
 
-    y = (phi1, th2, th3, w1, w2, w3, dp, dy, vp, vy, e_diss)
+    y = (phi1, th2, th3, w1, w2, w3, e_diss)
 
     under the handle force (fx, fy, fz), or None for no input. Every term
     that does not depend on the state is computed here, once per rollout.
@@ -517,14 +523,11 @@ def _equations(params: MechanismParams, springs, dampers,
         if spec.model is not DamperModel.NONE and spec.coefficient > 0.0:
             table[spec.joint].append(spec)
     damper_list = tuple((j, spec) for j in range(3) for spec in table[j])
-    compliant = compliance.mode is ComplianceMode.COMPLIANT
-    k_r, c_r = compliance.stiffness, compliance.damping
-    inv_i = 1.0 / compliance.inertia if compliant else 0.0
     cos, sin = math.cos, math.sin
     tiny = 1e-18
 
     def deriv(y, force):
-        phi1, th2, th3, w1, w2, w3, dp, dy, vp, vy, _ = y
+        phi1, th2, th3, w1, w2, w3, _ = y
         c2t, s2t, c3t, s3t = cos(th2), sin(th2), cos(th3), sin(th3)
         m11, m23, d2, d3, bs = _mass_terms(params, b, c2t, s2t, c3t, s3t)
 
@@ -569,13 +572,7 @@ def _equations(params: MechanismParams, springs, dampers,
         else:
             acc2 = rhs2 / m22 if m22 > tiny else 0.0
             acc3 = rhs3 / m33 if m33 > tiny else 0.0
-
-        if compliant:
-            ap = (-k_r * dp - c_r * vp) * inv_i
-            ay = (-k_r * dy - c_r * vy) * inv_i
-            diss_power += c_r * (vp * vp + vy * vy)
-            return (w1, w2, w3, acc1, acc2, acc3, vp, vy, ap, ay, diss_power)
-        return (w1, w2, w3, acc1, acc2, acc3, 0.0, 0.0, 0.0, 0.0, diss_power)
+        return (w1, w2, w3, acc1, acc2, acc3, diss_power)
 
     return deriv
 
@@ -609,6 +606,25 @@ def _rk4_step(deriv, limits, y, t, dt, f0, f_half, f1):
     return y_next
 
 
+def _mount_rows(compliance: ComplianceSpec, d: float, v: float, n: int,
+                dt: float, t0: float = 0.0) -> np.ndarray:
+    """n rows of (deflection, rate, dissipated energy) of one axis of the
+    compliant mount, from deflection d and rate v at time t0, one RK4 step
+    of dt apart."""
+    k_r, c_r = compliance.stiffness, compliance.damping
+    inv_i = 1.0 / compliance.inertia
+
+    def deriv(y, _force):
+        d, v, _ = y
+        return (v, (-k_r * d - c_r * v) * inv_i, c_r * v * v)
+
+    rows = [[d, v, 0.0]]
+    for k in range(n - 1):
+        rows.append(_rk4_step(deriv, (), rows[-1], t0 + k * dt, dt,
+                              None, None, None))
+    return np.array(rows)
+
+
 def step_dynamics(params: MechanismParams, springs, dampers,
                   compliance: ComplianceSpec, state: JointState, inputs,
                   dt: float, t: float = 0.0,
@@ -618,8 +634,8 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     `inputs` is a handle force: None / FreeRelease, a constant (fx, fy, fz),
     one of the signal specs, or a callable t -> force evaluated at the RK4
     stage times. `deflections` packs (delta_p, delta_y, rate_p, rate_y) of
-    the compliant mount. Raises DeflectionExceededError when the returned
-    deflection lies beyond the mount's validity limit.
+    the compliant mount; a rigid one returns them unchanged. Raises
+    DeflectionExceededError when they lie beyond its validity limit.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
@@ -627,25 +643,40 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     stage_forces = (None, None, None)
     if source is not None:
         stage_forces = source(np.array([t, t + 0.5 * dt, t + dt])).tolist()
-    y = list(state.q + state.qdot + tuple(float(v) for v in deflections))
-    y = _rk4_step(_equations(params, springs, dampers, compliance),
-                  params.joint_limits, y + [0.0], t, dt, *stage_forces)
-    _check_deflection(compliance, [t + dt], np.array([y[6:8]]))
-    return JointState(q=y[:3], qdot=y[3:6]), tuple(y[6:10])
+    y = _rk4_step(_equations(params, springs, dampers), params.joint_limits,
+                  list(state.q + state.qdot) + [0.0], t, dt, *stage_forces)
+    dp, dy, vp, vy = (float(v) for v in deflections)
+    if compliance.mode is ComplianceMode.COMPLIANT:
+        dp, vp, _ = _mount_rows(compliance, dp, vp, 2, dt, t)[1].tolist()
+        dy, vy, _ = _mount_rows(compliance, dy, vy, 2, dt, t)[1].tolist()
+    _check_deflection(compliance, [t + dt], np.array([[dp, dy]]))
+    return JointState(q=y[:3], qdot=y[3:6]), (dp, dy, vp, vy)
 
 
 def _check_deflection(compliance: ComplianceSpec, t, deflections):
     """Raise DeflectionExceededError, naming the time, at the first row of
     the (n, 2) pitch and yaw `deflections` at times `t` that lies beyond
-    the mount's validity limit."""
+    the mount's validity limit, or is not a number."""
     peak = np.abs(deflections).max(axis=1)
-    breach = np.flatnonzero(peak > compliance.deflection_limit)
+    breach = np.flatnonzero(~(peak <= compliance.deflection_limit))
     if breach.size:
         k = breach[0]
         raise DeflectionExceededError(
             f"mount deflection {peak[k]:.4f} rad exceeds the "
             f"{compliance.deflection_limit:.4f} rad validity limit "
             f"at t = {t[k]:.6f} s")
+
+
+def settling_time(outside: np.ndarray, t: np.ndarray) -> float:
+    """Settling time of a series at times `t` whose rows `outside` its band
+    are True: the time of the first row after the last one outside; 0.0
+    if no row is outside, inf if the last row still is."""
+    rows = np.flatnonzero(outside)
+    if rows.size == 0:
+        return 0.0
+    if rows[-1] == len(t) - 1:
+        return math.inf
+    return float(t[rows[-1] + 1])
 
 
 def run_scenario(params: MechanismParams, springs, dampers,
@@ -668,19 +699,14 @@ def run_scenario(params: MechanismParams, springs, dampers,
 
     n = scenario.steps
     dt = scenario.timestep
-    deriv = _equations(params, springs, dampers, compliance)
+    deriv = _equations(params, springs, dampers)
     limits = params.joint_limits
     source = _force_source(scenario.input)
 
-    contact = scenario.spoon_contact
-    contact_step = None
-    if contact is not None and compliance.mode is ComplianceMode.COMPLIANT:
-        contact_step = min(max(int(round(contact.time / dt)), 0), n - 1)
-
-    states = np.empty((n, 11))
+    states = np.empty((n, 7))
     # handle force at each row's own time, for the applied torque
     row_forces = None if source is None else np.empty((n, 3))
-    y = list(scenario.initial.q + scenario.initial.qdot) + [0.0] * 5
+    y = list(scenario.initial.q + scenario.initial.qdot) + [0.0]
     for k0 in range(0, n, FORCE_BLOCK):
         k1 = min(k0 + FORCE_BLOCK, n)
         # three stage forces per row
@@ -691,11 +717,6 @@ def run_scenario(params: MechanismParams, springs, dampers,
             row_forces[k0:k1] = block[::3]
             forces = block.tolist()
         for k in range(k0, k1):
-            if k == contact_step:
-                # impulse lands here: instantaneous velocity jump on the mount
-                inv_i = 1.0 / compliance.inertia
-                y[8] += contact.impulse_pitch * inv_i
-                y[9] += contact.impulse_yaw * inv_i
             states[k] = y
             if k < n - 1:
                 i = 3 * (k - k0)
@@ -703,18 +724,31 @@ def run_scenario(params: MechanismParams, springs, dampers,
                               forces[i + 1], forces[i + 2])
 
     t = np.arange(n) * dt
-    _check_deflection(compliance, t, states[:, 6:8])
-    mount = compliance if compliance.mode is ComplianceMode.COMPLIANT else None
-    return _record(params, springs, mount, t, states, row_forces)
+    mount = np.zeros((n, 4))    # pitch, yaw deflection; pitch, yaw rate
+    contact = scenario.spoon_contact
+    compliant = compliance.mode is ComplianceMode.COMPLIANT
+    if contact is not None and compliant:
+        k = min(round(contact.time / dt), n - 1)    # the nearest row
+        inv_i = 1.0 / compliance.inertia
+        impulses = (contact.impulse_pitch, contact.impulse_yaw)
+        for axis, impulse in enumerate(impulses):
+            rows = _mount_rows(compliance, 0.0, impulse * inv_i, n - k, dt,
+                               k * dt)
+            mount[k:, axis::2] = rows[:, :2]
+            states[k:, 6] += rows[:, 2]
+        _check_deflection(compliance, t, mount[:, :2])
+    return _record(params, springs, compliance if compliant else None, t,
+                   states, mount, row_forces)
 
 
-def _record(params: MechanismParams, springs, mount, t: np.ndarray,
-            states: np.ndarray, row_forces) -> SimResult:
-    """SimResult of a run from its packed states, one row per step.
+def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
+            states: np.ndarray, mount: np.ndarray, row_forces) -> SimResult:
+    """SimResult of a run from its packed arm states and the (n, 4)
+    deflections and rates of its `mount`, one row per step.
 
     One numpy pass computes the positions, the applied torque of
     `row_forces` (the handle force at each row's time, or None) and the
-    energies, including the compliant `mount`'s when it is not None.
+    energies, including the mount's when `compliance` is not None.
     """
     phi1, th2, th3, w1, w2, w3 = states[:, :6].T
     trig = (np.cos(phi1), np.sin(phi1), np.cos(th2), np.sin(th2),
@@ -735,39 +769,31 @@ def _record(params: MechanismParams, springs, mount, t: np.ndarray,
     for spec in springs:
         e_pot += np.array([spring_potential(spec, angle)
                            for angle in states[:, spec.joint].tolist()])
-    if mount is not None:
-        dp, dy, vp, vy = states[:, 6:10].T
-        e_pot += 0.5 * mount.stiffness * (dp ** 2 + dy ** 2)
-        e_kin += 0.5 * mount.inertia * (vp ** 2 + vy ** 2)
+    if compliance is not None:
+        dp, dy, vp, vy = mount.T
+        e_pot += 0.5 * compliance.stiffness * (dp ** 2 + dy ** 2)
+        e_kin += 0.5 * compliance.inertia * (vp ** 2 + vy ** 2)
     return SimResult(t, states[:, 0:3], states[:, 3:6], spoon, handle,
-                     states[:, 6:8], states[:, 8:10], applied, e_kin, e_pot,
-                     states[:, 10])
+                     mount[:, 0:2], mount[:, 2:4], applied, e_kin, e_pot,
+                     states[:, 6])
 
 
 def _run_prescribed(params: MechanismParams, springs,
                     scenario: Scenario) -> SimResult:
     """Kinematic playback of a prescribed utensil trajectory."""
-    wps = scenario.input.waypoints
-    times = [wp[0] for wp in wps]
+    wps = np.array(scenario.input.waypoints)
     n = scenario.steps
     dt = scenario.timestep
 
     t = np.arange(n) * dt
-    states = np.zeros((n, 11))
-    for k, tk in enumerate(t.tolist()):
-        if tk <= times[0]:
-            pos = wps[0][1:]
-        elif tk >= times[-1]:
-            pos = wps[-1][1:]
-        else:
-            i = max(j for j, tj in enumerate(times) if tj <= tk)
-            t0, t1 = times[i], times[i + 1]
-            u = (tk - t0) / (t1 - t0)
-            pos = tuple(a + u * (b - a)
-                        for a, b in zip(wps[i][1:], wps[i + 1][1:]))
+    # np.interp holds the end waypoints outside their time span
+    path = np.column_stack([np.interp(t, wps[:, 0], wps[:, i])
+                            for i in (1, 2, 3)])
+    states = np.zeros((n, 7))
+    for k, pos in enumerate(path.tolist()):
         states[k, :3] = inverse_kinematics(params, pos).q
     states[:, 3:6] = np.gradient(states[:, :3], dt, axis=0)
-    return _record(params, springs, None, t, states, None)
+    return _record(params, springs, None, t, states, np.zeros((n, 4)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -799,26 +825,14 @@ def spoon_contact_response(params: MechanismParams,
                                settling_time=0.0, recentered=True,
                                model_dependent=True)
 
-    k_r, c_r = compliance.stiffness, compliance.damping
-    inv_i = 1.0 / compliance.inertia
+    rows = _mount_rows(compliance, 0.0, impulse * (1.0 / compliance.inertia),
+                       n, dt)
+    t = np.arange(n) * dt
+    _check_deflection(compliance, t, rows[:, :1])
 
-    def deriv(y, _force):
-        d, v = y
-        return (v, (-k_r * d - c_r * v) * inv_i)
-
-    states = np.empty((n, 2))
-    y = [0.0, impulse * inv_i]
-    for k in range(n):
-        states[k] = y
-        if k < n - 1:
-            y = _rk4_step(deriv, (), y, k * dt, dt, None, None, None)
-    _check_deflection(compliance, np.arange(n) * dt, states[:, :1])
-
-    d, v = states.T
-    peak = float(np.abs(k_r * d + c_r * v).max())
-    outside = np.flatnonzero(np.abs(d) >= compliance.recenter_tolerance)
-    last_outside = int(outside[-1]) if outside.size else -1
-    recentered = last_outside < n - 1
-    settling = (last_outside + 1) * dt if recentered else math.inf
+    d, v, _ = rows.T
+    peak = float(np.abs(compliance.stiffness * d
+                        + compliance.damping * v).max())
+    settling = settling_time(np.abs(d) >= compliance.recenter_tolerance, t)
     return ContactResponse(peak_torque=peak, settling_time=settling,
-                           recentered=recentered)
+                           recentered=settling < math.inf)

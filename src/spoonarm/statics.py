@@ -249,27 +249,23 @@ def _synthesize_joint(joint: Joint, gravity_coeff: float, angle_range,
         raise InfeasibleBoundsError(f"joint range for {joint.key} is degenerate")
     a, b = anchors
     grid = np.linspace(lo, hi, GRID_SAMPLES)
-    tau_g = -gravity_coeff * np.cos(grid)
 
     if kind is SpringKind.LINEAR_ZERO_FREE_LENGTH:
-        k = gravity_coeff / (a * b)
-        spec = SpringSpec(kind, joint, k, a, b)
-    elif kind is SpringKind.LINEAR_REAL:
+        return SpringSpec(kind, joint, gravity_coeff / (a * b), a, b)
+    if kind is SpringKind.LINEAR_REAL:
         if free_length == 0.0:
             # degenerates to the zero-free-length geometry, whose exact
             # optimum is the closed form; skip the search
             k = gravity_coeff / (a * b)
         else:
-            l = np.sqrt(a * a + b * b - 2.0 * a * b * np.sin(grid))
-            safe_l = np.where(l > 1e-12, l, 1.0)
-            shape = np.where(l > 1e-12,
-                             (l - free_length) * a * b * np.cos(grid) / safe_l,
-                             0.0)
+            tau_g = -gravity_coeff * np.cos(grid)
+            unit = SpringSpec(kind, joint, 1.0, a, b, free_length=free_length)
+            shape = np.array([spring_torque(unit, t) for t in grid.tolist()])
             k = _golden_min(
                 lambda kk: float(np.max(np.abs(tau_g + kk * shape))),
                 0.0, 4.0 * gravity_coeff / (a * b) + 1.0)
-        spec = SpringSpec(kind, joint, k, a, b, free_length=free_length)
-    elif kind is SpringKind.TORSION:
+        return SpringSpec(kind, joint, k, a, b, free_length=free_length)
+    if kind is SpringKind.TORSION:
         # for fixed k the best neutral angle centers the residual band,
         # leaving half the band width as the minimax residual
         def band(kk):
@@ -280,12 +276,8 @@ def _synthesize_joint(joint: Joint, gravity_coeff: float, angle_range,
         h = gravity_coeff * np.cos(grid) + k * grid
         center = 0.5 * float(h.max() + h.min())
         neutral = center / k if k > 0.0 else 0.5 * (lo + hi)
-        spec = SpringSpec(kind, joint, k, torsion_neutral=neutral)
-    else:
-        raise ValueError(f"unknown spring kind {kind!r}")
-
-    residual = tau_g + np.array([spring_torque(spec, t) for t in grid])
-    return spec, TorqueProfile(joint, grid, residual)
+        return SpringSpec(kind, joint, k, torsion_neutral=neutral)
+    raise ValueError(f"unknown spring kind {kind!r}")
 
 
 def synthesize_balancing(params: MechanismParams, kind: SpringKind,
@@ -317,13 +309,11 @@ def synthesize_balancing(params: MechanismParams, kind: SpringKind,
 
     a2, a3 = gravity_coefficients(params)
     g = params.gravity
-    spec2, prof2 = _synthesize_joint(Joint.J2, g * a2,
-                                     params.joint_limits[Joint.J2],
-                                     kind, (a, b), free_length)
-    spec3, prof3 = _synthesize_joint(Joint.J3, g * a3,
-                                     params.joint_limits[Joint.J3],
-                                     kind, (a, b), free_length)
-    return BalanceResult(spec2, spec3, prof2, prof3)
+    springs = tuple(_synthesize_joint(joint, g * coeff,
+                                      params.joint_limits[joint], kind,
+                                      (a, b), free_length)
+                    for joint, coeff in ((Joint.J2, a2), (Joint.J3, a3)))
+    return BalanceResult(*springs, *residual_torque_profile(params, springs))
 
 
 def residual_torque_profile(params: MechanismParams, springs,

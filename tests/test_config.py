@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -158,6 +159,23 @@ def test_scenario_contact_omitted():
     data = scenario_data(scenario_with_everything())
     del data["spoon_contact"]
     assert parse_scenario(data).spoon_contact is None
+
+
+@pytest.mark.parametrize("time, error, path", [
+    (10.0, ValidationError, "spoon_contact"),
+    (-5.0, ValidationError, "spoon_contact"),
+    (math.nan, ParseError, "spoon_contact.time_s"),
+])
+def test_contact_outside_scenario_in_file_rejected(tmp_path, time, error,
+                                                   path):
+    data = scenario_data(Scenario(duration=1.0, spoon_contact=SpoonContact(
+        time=0.5, impulse_pitch=0.01)))
+    data["spoon_contact"]["time_s"] = time
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(error) as err:
+        load_scenario(file)
+    assert err.value.path == path
 
 
 # ---------------------------------------------------------------------------

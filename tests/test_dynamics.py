@@ -29,13 +29,20 @@ from spoonarm.dynamics import (
     mass_matrix,
     potential_energy,
     run_scenario,
+    settling_time,
     spoon_contact_response,
     step_dynamics,
 )
-from spoonarm.dynamics import _signal_forces, _stage_times
+from spoonarm.dynamics import _equations, _signal_forces, _stage_times
 from spoonarm.errors import DeflectionExceededError, NonFiniteStateError
 from spoonarm.kinematics import Joint, handle_jacobian
-from spoonarm.statics import SpringKind, synthesize_balancing
+from spoonarm.statics import (
+    SpringKind,
+    SpringSpec,
+    gravity_torque,
+    spring_joint_torques,
+    synthesize_balancing,
+)
 
 # limits so wide that free swings never clamp; clamping is tested on its own
 FREE_LIMITS = ((-1e6, 1e6), (-1e6, 1e6), (-1e6, 1e6))
@@ -140,6 +147,34 @@ def test_coriolis_skew_symmetry():
                 - mass_matrix(p, JointState(q=qb))) / (2.0 * h)
         s = mdot - 2.0 * coriolis_matrix(p, state)
         assert np.max(np.abs(s + s.T)) < 1e-7
+
+
+def test_equations_satisfy_the_manipulator_equation():
+    # M(q) qdd + C(q, qd) qd = tau_gravity + tau_spring + tau_damper ties
+    # the inline C(q, qd) qd of the equations to coriolis_matrix
+    p = free_params()
+    springs = (
+        SpringSpec(SpringKind.LINEAR_REAL, Joint.J2, stiffness=150.0,
+                   anchor_radius=0.1, bar_radius=0.05, free_length=0.02),
+        SpringSpec(SpringKind.TORSION, Joint.J3, stiffness=0.8,
+                   torsion_neutral=0.3),
+    )
+    dampers = (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),
+               DamperSpec(Joint.J2, DamperModel.DEAD_ZONE_VISCOUS, 0.4, 0.3),
+               DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.1))
+    deriv = _equations(p, springs, dampers)
+    for state in random_states(100, seed=41):
+        out = deriv(list(state.q + state.qdot) + [0.0], None)
+        assert out[:3] == state.qdot
+        qdot = np.array(state.qdot)
+        tau_d = np.array([damper_torque(spec, qdot[spec.joint])
+                          for spec in dampers])
+        tau = (np.array(spring_joint_torques(springs, state))
+               + [0.0, *gravity_torque(p, state)] + tau_d)
+        lhs = (mass_matrix(p, state) @ out[3:6]
+               + coriolis_matrix(p, state) @ qdot)
+        assert np.allclose(lhs, tau, rtol=1e-10, atol=1e-10)
+        assert out[6] == pytest.approx(-tau_d @ qdot, rel=1e-12, abs=1e-15)
 
 
 def test_potential_energy_includes_springs():
@@ -531,6 +566,19 @@ def test_deflection_limit_enforced_in_step_dynamics():
     assert 0.0 < defl[0] < 0.6
 
 
+def test_rigid_step_keeps_deflections_and_rejects_nan():
+    # a rigid mount has no deflection dynamics: the step hands the
+    # deflections back unchanged, and a NaN one is still an error
+    p = MechanismParams()
+    state = JointState(q=(0.0, 0.7, -0.2))
+    defl = (0.1, -0.2, 0.3, -0.4)
+    assert step_dynamics(p, [], [], RIGID, state, None, 1e-3,
+                         deflections=defl)[1] == defl
+    with pytest.raises(DeflectionExceededError, match="nan"):
+        step_dynamics(p, [], [], RIGID, state, None, 1e-3,
+                      deflections=(math.nan, 0.0, 0.0, 0.0))
+
+
 def test_applied_torque_is_jacobian_transpose_force():
     p = free_params()
     sig = SineTremor(amplitude=1.5, frequency=1.0, direction=(0.3, -0.2, 0.9))
@@ -589,6 +637,62 @@ def test_contact_ignored_by_rigid_mount():
     res = run_scenario(p, [], [], RIGID, sc)
     assert np.all(res.deflection == 0.0)
     assert np.all(res.deflection_rate == 0.0)
+
+
+@pytest.mark.parametrize("time", [10.0, -5.0, math.nan])
+def test_contact_outside_scenario_rejected(time):
+    with pytest.raises(ValueError):
+        Scenario(duration=1.0,
+                 spoon_contact=SpoonContact(time=time, impulse_pitch=0.01))
+
+
+@pytest.mark.parametrize("impulses", [(math.nan, 0.0), (0.01, -math.inf)])
+def test_contact_impulse_must_be_finite(impulses):
+    with pytest.raises(ValueError):
+        SpoonContact(0.5, *impulses)
+
+
+@pytest.mark.parametrize("duration", [1.0, 1.0008])
+def test_contact_at_duration_lands_on_last_row(duration):
+    # 1.0008 s is not a whole number of 1 ms steps: the nearest row past
+    # the grid's end would be row 1001, and the last row is 1000
+    comp = ComplianceSpec()
+    sc = Scenario(duration=duration, spoon_contact=SpoonContact(
+        time=duration, impulse_pitch=0.01))
+    res = run_scenario(free_params(), [], [], comp, sc)
+    assert len(res) == 1001
+    assert np.all(res.deflection_rate[:-1] == 0.0)
+    assert res.deflection_rate[-1, 0] == 0.01 * (1.0 / comp.inertia)
+
+
+def test_mount_is_decoupled_from_the_arm():
+    # the same contact gives the same deflection rows on a sine-driven arm
+    # and on a pinned one: the mount never reads the arm's state
+    q0 = (0.0, 0.7, -0.2)
+    contact = SpoonContact(time=0.3, impulse_pitch=0.01, impulse_yaw=-0.004)
+    moving = run_scenario(free_params(), [], [], ComplianceSpec(), Scenario(
+        duration=1.0, initial=JointState(q=q0), spoon_contact=contact,
+        input=SineTremor(amplitude=2.0, frequency=3.0)))
+    pinned = run_scenario(
+        MechanismParams(joint_limits=tuple((q, q) for q in q0)), [], [],
+        ComplianceSpec(),
+        Scenario(duration=1.0, initial=JointState(q=q0),
+                 spoon_contact=contact))
+    assert np.ptp(moving.q[:, 1]) > 0.01
+    assert np.all(pinned.q == q0)
+    assert np.any(moving.deflection != 0.0)
+    assert np.array_equal(moving.deflection, pinned.deflection)
+    assert np.array_equal(moving.deflection_rate, pinned.deflection_rate)
+
+
+@pytest.mark.parametrize("outside, settled", [
+    ((False, False, False, False), 0.0),
+    ((True, False, True, False), 0.75),
+    ((False, False, False, True), math.inf),
+])
+def test_settling_time_rule(outside, settled):
+    # shared by spoon_contact_response and stabilization_report
+    assert settling_time(np.array(outside), np.arange(4) * 0.25) == settled
 
 
 def test_contact_response_compliant_vs_rigid():
