@@ -23,17 +23,30 @@ the deflection inertia is small), which keeps the safety analysis clean.
 
 Integration is classical fixed-step RK4 on the arm's state (q, q',
 dissipated energy); joint limits clamp the position and zero the outgoing
-velocity after each step. _mount_rows steps each mount axis on its own,
-by the same RK4. Everything is deterministic: identical inputs (including
-noise seeds) give bit-identical results.
+velocity after each step. Everything is deterministic: identical inputs
+(including noise seeds) give bit-identical results.
 
-A rollout keeps its step loop to integration alone. The build's constant
-terms are computed once per rollout. The handle force at every RK4 stage
-time comes from one vectorised evaluation per block of FORCE_BLOCK steps,
-and each signal law is written once, in that evaluator. The loop stores
-the packed state of each row; after it, one numpy pass computes the
-positions, applied torques and energies, with the same arithmetic
-helpers the scalar equations use.
+Each build gets one RK4 step function, made by _arm_stepper; rollouts and
+single steps (step_dynamics) both step the arm with it. Building it
+computes every per-build constant once: the mass coefficients, gravity,
+the handle-torque geometry and each spring's and damper's law, bound by
+statics.spring_laws and damper_law. The step then runs its four stages
+on local floats. Each law keeps one body: _mass_terms and
+kinematics.handle_torques take a per-build coefficient tuple and serve
+the stepper's floats and the recording's arrays alike, and spring_torque
+and damper_torque call the same bound laws. _equations wraps the same
+stage evaluation as the derivative deriv(y, force) of the packed state.
+
+_mount_rows steps each axis of the mount on its own, through the
+list-based _rk4_step, which serves only it until a closed-form
+propagator replaces it.
+
+A rollout keeps its step loop to integration alone. The handle force at
+every RK4 stage time comes from one vectorised evaluation per block of
+FORCE_BLOCK steps, and each signal law is written once, in that
+evaluator. The loop stores the packed state of each row; after it, one
+numpy pass computes the positions, applied torques and energies, each
+spring's potential on its whole angle column at once.
 """
 
 from __future__ import annotations
@@ -50,6 +63,7 @@ from .kinematics import (
     Joint,
     JointState,
     MechanismParams,
+    handle_coefficients,
     handle_position,
     handle_torques,
     inverse_kinematics,
@@ -59,13 +73,14 @@ from .statics import (
     gravity_coefficients,
     gravity_potential,
     gravity_potential_at,
+    spring_laws,
     spring_potential,
-    spring_torque,
 )
 
 # Not called here any more, but kept as attributes of this module: callers
 # such as perfbench/tracer.py reach these functions through it.
 from .kinematics import handle_jacobian, handle_pose, spoon_pose  # noqa: F401
+from .statics import spring_torque  # noqa: F401
 
 DEFAULT_TIMESTEP = 1e-3
 NOISE_COMPONENTS = 64
@@ -334,38 +349,39 @@ class ContactResponse:
 
 
 def _mass_constants(params: MechanismParams):
-    """The constant entries M22 and M33 of M(q) and the coupling amplitude
-    B of M23 = B*cos(theta2 - theta3)."""
+    """(M22, M33, coefficients): the constant entries M22 and M33 of M(q),
+    and the per-build coefficient tuple _mass_terms takes."""
     L1, L2 = params.link1_length, params.link2_length
     m1, m2, mp = params.mass_link1, params.mass_link2, params.mass_payload
     c1, c2 = params.com_fraction1, params.com_fraction2
     m22 = (m1 * c1 * c1 + m2 + mp) * L1 * L1
     m33 = (m2 * c2 * c2 + mp) * L2 * L2
-    return m22, m33, L1 * L2 * (m2 * c2 + mp)
+    return m22, m33, (params.base_offset, L1, L2, m1, m2, mp, c1 * L1,
+                      c2 * L2, m1 * c1, m2 * c2, -2.0 * L1, -2.0 * L2,
+                      L1 * L2 * (m2 * c2 + mp))
 
 
-def _mass_terms(params: MechanismParams, b, c2t, s2t, c3t, s3t):
+def _mass_terms(coefficients, c2t, s2t, c3t, s3t):
     """Angle-dependent mass-matrix entries and their angle partials.
 
-    Takes B from _mass_constants and the cosines and sines of theta2 and
-    theta3, as floats or numpy arrays. Returns (M11, M23, D2, D3, Bs) with
-    D2 = dM11/dtheta2, D3 = dM11/dtheta3 and Bs = B*sin(theta2 - theta3)
-    = -dM23/dtheta2.
+    Takes the coefficients from _mass_constants and the cosines and sines
+    of theta2 and theta3, as floats or numpy arrays. Returns (M11, M23,
+    D2, D3, Bs) with D2 = dM11/dtheta2, D3 = dM11/dtheta3, and, for the
+    coupling amplitude B of M23 = B*cos(theta2 - theta3),
+    Bs = B*sin(theta2 - theta3) = -dM23/dtheta2.
     """
-    a1 = params.base_offset
-    L1, L2 = params.link1_length, params.link2_length
-    m1, m2, mp = params.mass_link1, params.mass_link2, params.mass_payload
-    c1, c2 = params.com_fraction1, params.com_fraction2
-
-    r1 = a1 + c1 * L1 * c2t
-    r2 = a1 + L1 * c2t + c2 * L2 * c3t
-    r3 = a1 + L1 * c2t + L2 * c3t
+    a1, L1, L2, m1, m2, mp, c1L1, c2L2, m1c1, m2c2, n2L1, n2L2, b = \
+        coefficients
+    inner = a1 + L1 * c2t
+    r1 = a1 + c1L1 * c2t
+    r2 = inner + c2L2 * c3t
+    r3 = inner + L2 * c3t
 
     m11 = m1 * r1 * r1 + m2 * r2 * r2 + mp * r3 * r3
     cos_d = c2t * c3t + s2t * s3t     # cos(th2 - th3)
     sin_d = s2t * c3t - c2t * s3t
-    d2 = -2.0 * L1 * s2t * (m1 * c1 * r1 + m2 * r2 + mp * r3)
-    d3 = -2.0 * L2 * s3t * (m2 * c2 * r2 + mp * r3)
+    d2 = n2L1 * s2t * (m1c1 * r1 + m2 * r2 + mp * r3)
+    d3 = n2L2 * s3t * (m2c2 * r2 + mp * r3)
     return m11, b * cos_d, d2, d3, b * sin_d
 
 
@@ -376,9 +392,9 @@ def _kinetic(m11, m22, m23, m33, w1, w2, w3):
 
 def _state_mass(params: MechanismParams, state: JointState):
     """(M11, M22, M23, M33, D2, D3, Bs) at one joint state."""
-    m22, m33, b = _mass_constants(params)
+    m22, m33, coefficients = _mass_constants(params)
     _, th2, th3 = state.q
-    m11, m23, d2, d3, bs = _mass_terms(params, b, math.cos(th2),
+    m11, m23, d2, d3, bs = _mass_terms(coefficients, math.cos(th2),
                                        math.sin(th2), math.cos(th3),
                                        math.sin(th3))
     return m11, m22, m23, m33, d2, d3, bs
@@ -423,16 +439,26 @@ def potential_energy(params: MechanismParams, springs,
 # dampers and input signals
 
 
+def damper_law(spec: DamperSpec):
+    """The torque law torque(omega) of one damper at joint rate omega,
+    its constants bound."""
+    if spec.model is DamperModel.NONE:
+        return lambda omega: 0.0
+    neg_c = -spec.coefficient
+    if spec.model is DamperModel.VISCOUS:
+        return lambda omega: neg_c * omega
+    deadzone, copysign = spec.deadzone, math.copysign
+
+    def dead_zone_viscous(omega):
+        if abs(omega) <= deadzone:
+            return 0.0
+        return neg_c * (omega - copysign(deadzone, omega))
+    return dead_zone_viscous
+
+
 def damper_torque(spec: DamperSpec, omega: float) -> float:
     """Torque the damper exerts at joint rate omega."""
-    if spec.model is DamperModel.NONE:
-        return 0.0
-    if spec.model is DamperModel.VISCOUS:
-        return -spec.coefficient * omega
-    if abs(omega) <= spec.deadzone:
-        return 0.0
-    shift = math.copysign(spec.deadzone, omega)
-    return -spec.coefficient * (omega - shift)
+    return damper_law(spec)(omega)
 
 
 @lru_cache(maxsize=64)
@@ -503,54 +529,63 @@ def _stage_times(k0: int, k1: int, n: int, dt: float) -> np.ndarray:
 # equations of motion
 
 
-def _equations(params: MechanismParams, springs, dampers):
-    """The time derivative deriv(y, force) of one build's packed arm state
+def _arm_law(params: MechanismParams, springs, dampers):
+    """accel(phi1, th2, th3, w1, w2, w3, force) of one build: the joint
+    accelerations and the dissipated power (acc1, acc2, acc3, power) at
+    one state under the handle force (fx, fy, fz), or None for no input.
 
-    y = (phi1, th2, th3, w1, w2, w3, e_diss)
-
-    under the handle force (fx, fy, fz), or None for no input. Every term
-    that does not depend on the state is computed here, once per rollout.
+    Every term that does not depend on the state is computed here, once
+    per build: the mass and handle coefficients, gravity, and each
+    spring's and each acting damper's law, bound per joint.
     """
-    m22, m33, b = _mass_constants(params)
+    m22, m33, mass = _mass_constants(params)
     m22_m33 = m22 * m33
     a2, a3 = gravity_coefficients(params)
     neg_g = -params.gravity
-    springs2 = tuple(s for s in springs if s.joint is Joint.J2)
-    springs3 = tuple(s for s in springs if s.joint is not Joint.J2)
-    # (joint, damper) pairs in joint order, for the dampers that act
-    table = ([], [], [])
+    handle = handle_coefficients(params)
+    # the torque laws of the springs and of the dampers that act, per
+    # joint, in the order given
+    spring_torques, damper_torques = ([], [], []), ([], [], [])
+    for spec in springs:
+        spring_torques[spec.joint].append(spring_laws(spec)[0])
     for spec in dampers:
         if spec.model is not DamperModel.NONE and spec.coefficient > 0.0:
-            table[spec.joint].append(spec)
-    damper_list = tuple((j, spec) for j in range(3) for spec in table[j])
+            damper_torques[spec.joint].append(damper_law(spec))
+    _, springs2, springs3 = map(tuple, spring_torques)
+    dampers1, dampers2, dampers3 = map(tuple, damper_torques)
     cos, sin = math.cos, math.sin
     tiny = 1e-18
 
-    def deriv(y, force):
-        phi1, th2, th3, w1, w2, w3, _ = y
+    def accel(phi1, th2, th3, w1, w2, w3, force):
         c2t, s2t, c3t, s3t = cos(th2), sin(th2), cos(th3), sin(th3)
-        m11, m23, d2, d3, bs = _mass_terms(params, b, c2t, s2t, c3t, s3t)
+        m11, m23, d2, d3, bs = _mass_terms(mass, c2t, s2t, c3t, s3t)
 
         tau2 = neg_g * c2t * a2
         tau3 = neg_g * c3t * a3
-        for spec in springs2:
-            tau2 += spring_torque(spec, th2)
-        for spec in springs3:
-            tau3 += spring_torque(spec, th3)
+        for torque in springs2:
+            tau2 += torque(th2, c2t, s2t)
+        for torque in springs3:
+            tau3 += torque(th3, c3t, s3t)
 
-        diss_power = 0.0
-        rates = (w1, w2, w3)
-        taus_d = [0.0, 0.0, 0.0]
-        for j, spec in damper_list:
-            td = damper_torque(spec, rates[j])
-            taus_d[j] += td
-            diss_power -= td * rates[j]
-        tau1 = taus_d[0]
-        tau2 += taus_d[1]
-        tau3 += taus_d[2]
+        # damper torques summed per joint, their power in joint order
+        power = tau1 = damp2 = damp3 = 0.0
+        for torque in dampers1:
+            td = torque(w1)
+            tau1 += td
+            power -= td * w1
+        for torque in dampers2:
+            td = torque(w2)
+            damp2 += td
+            power -= td * w2
+        for torque in dampers3:
+            td = torque(w3)
+            damp3 += td
+            power -= td * w3
+        tau2 += damp2
+        tau3 += damp3
 
         if force is not None:
-            h1, h2, h3 = handle_torques(params, cos(phi1), sin(phi1),
+            h1, h2, h3 = handle_torques(handle, cos(phi1), sin(phi1),
                                         c2t, s2t, c3t, s3t, *force)
             tau1 += h1
             tau2 += h2
@@ -572,34 +607,96 @@ def _equations(params: MechanismParams, springs, dampers):
         else:
             acc2 = rhs2 / m22 if m22 > tiny else 0.0
             acc3 = rhs3 / m33 if m33 > tiny else 0.0
-        return (w1, w2, w3, acc1, acc2, acc3, diss_power)
+        return acc1, acc2, acc3, power
+
+    return accel
+
+
+def _equations(params: MechanismParams, springs, dampers):
+    """The time derivative deriv(y, force) of one build's packed arm state
+
+    y = (phi1, th2, th3, w1, w2, w3, e_diss)
+
+    under the handle force (fx, fy, fz), or None for no input.
+    """
+    accel = _arm_law(params, springs, dampers)
+
+    def deriv(y, force):
+        phi1, th2, th3, w1, w2, w3, _ = y
+        return (w1, w2, w3, *accel(phi1, th2, th3, w1, w2, w3, force))
 
     return deriv
 
 
-def _rk4_step(deriv, limits, y, t, dt, f0, f_half, f1):
-    """One RK4 step of the list y from t, under the stage forces at t,
-    t + dt/2 and t + dt; returns the next state as a list."""
+def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
+    """The RK4 step of dt of one build's arm: step(y, t, f0, f_half, f1)
+    takes the packed state y of _equations at time t as a 7-tuple, with
+    the handle force at t, t + dt/2 and t + dt, and returns the next one.
+
+    The joint limits clamp the position and zero the outgoing velocity;
+    a state that is not finite raises NonFiniteStateError.
+    """
+    accel = _arm_law(params, springs, dampers)
+    (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
     half = 0.5 * dt
-    k1 = deriv(y, f0)
-    k2 = deriv([yi + half * ki for yi, ki in zip(y, k1)], f_half)
-    k3 = deriv([yi + half * ki for yi, ki in zip(y, k2)], f_half)
-    k4 = deriv([yi + dt * ki for yi, ki in zip(y, k3)], f1)
+    sixth = dt / 6.0
+    isfinite = math.isfinite
+
+    def step(y, t, f0, f_half, f1):
+        q1, q2, q3, w1, w2, w3, e = y
+        # stage k_i = (rates u_i, accelerations a_i, power p_i)
+        a1, a2, a3, p1 = accel(q1, q2, q3, w1, w2, w3, f0)
+        u1, u2, u3 = w1 + half * a1, w2 + half * a2, w3 + half * a3
+        b1, b2, b3, p2 = accel(q1 + half * w1, q2 + half * w2,
+                               q3 + half * w3, u1, u2, u3, f_half)
+        v1, v2, v3 = w1 + half * b1, w2 + half * b2, w3 + half * b3
+        c1, c2, c3, p3 = accel(q1 + half * u1, q2 + half * u2,
+                               q3 + half * u3, v1, v2, v3, f_half)
+        x1, x2, x3 = w1 + dt * c1, w2 + dt * c2, w3 + dt * c3
+        d1, d2, d3, p4 = accel(q1 + dt * v1, q2 + dt * v2, q3 + dt * v3,
+                               x1, x2, x3, f1)
+        q1 += sixth * (w1 + 2.0 * u1 + 2.0 * v1 + x1)
+        q2 += sixth * (w2 + 2.0 * u2 + 2.0 * v2 + x2)
+        q3 += sixth * (w3 + 2.0 * u3 + 2.0 * v3 + x3)
+        w1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        w2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        w3 += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        e += sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+
+        # joint-limit clamp with zeroing of the outgoing velocity
+        if q1 < lo1:
+            q1, w1 = lo1, max(w1, 0.0)
+        elif q1 > hi1:
+            q1, w1 = hi1, min(w1, 0.0)
+        if q2 < lo2:
+            q2, w2 = lo2, max(w2, 0.0)
+        elif q2 > hi2:
+            q2, w2 = hi2, min(w2, 0.0)
+        if q3 < lo3:
+            q3, w3 = lo3, max(w3, 0.0)
+        elif q3 > hi3:
+            q3, w3 = hi3, min(w3, 0.0)
+
+        y = (q1, q2, q3, w1, w2, w3, e)
+        if not all(map(isfinite, y)):
+            raise NonFiniteStateError(
+                f"state diverged at t = {t + dt:.6f} s; reduce the timestep")
+        return y
+
+    return step
+
+
+def _rk4_step(deriv, y, t, dt):
+    """One RK4 step of the list y from t under the autonomous derivative
+    deriv(y); returns the next state as a list. Only _mount_rows uses it."""
+    half = 0.5 * dt
+    k1 = deriv(y)
+    k2 = deriv([yi + half * ki for yi, ki in zip(y, k1)])
+    k3 = deriv([yi + half * ki for yi, ki in zip(y, k2)])
+    k4 = deriv([yi + dt * ki for yi, ki in zip(y, k3)])
     sixth = dt / 6.0
     y_next = [yi + sixth * (a + 2.0 * b + 2.0 * c + d)
               for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-
-    # joint-limit clamp with zeroing of the outgoing velocity
-    for j, (lo, hi) in enumerate(limits):
-        if y_next[j] < lo:
-            y_next[j] = lo
-            if y_next[j + 3] < 0.0:
-                y_next[j + 3] = 0.0
-        elif y_next[j] > hi:
-            y_next[j] = hi
-            if y_next[j + 3] > 0.0:
-                y_next[j + 3] = 0.0
-
     if not all(map(math.isfinite, y_next)):
         raise NonFiniteStateError(
             f"state diverged at t = {t + dt:.6f} s; reduce the timestep")
@@ -614,14 +711,13 @@ def _mount_rows(compliance: ComplianceSpec, d: float, v: float, n: int,
     k_r, c_r = compliance.stiffness, compliance.damping
     inv_i = 1.0 / compliance.inertia
 
-    def deriv(y, _force):
+    def deriv(y):
         d, v, _ = y
         return (v, (-k_r * d - c_r * v) * inv_i, c_r * v * v)
 
     rows = [[d, v, 0.0]]
     for k in range(n - 1):
-        rows.append(_rk4_step(deriv, (), rows[-1], t0 + k * dt, dt,
-                              None, None, None))
+        rows.append(_rk4_step(deriv, rows[-1], t0 + k * dt, dt))
     return np.array(rows)
 
 
@@ -643,8 +739,8 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     stage_forces = (None, None, None)
     if source is not None:
         stage_forces = source(np.array([t, t + 0.5 * dt, t + dt])).tolist()
-    y = _rk4_step(_equations(params, springs, dampers), params.joint_limits,
-                  list(state.q + state.qdot) + [0.0], t, dt, *stage_forces)
+    step = _arm_stepper(params, springs, dampers, dt)
+    y = step(state.q + state.qdot + (0.0,), t, *stage_forces)
     dp, dy, vp, vy = (float(v) for v in deflections)
     if compliance.mode is ComplianceMode.COMPLIANT:
         dp, vp, _ = _mount_rows(compliance, dp, vp, 2, dt, t)[1].tolist()
@@ -699,14 +795,13 @@ def run_scenario(params: MechanismParams, springs, dampers,
 
     n = scenario.steps
     dt = scenario.timestep
-    deriv = _equations(params, springs, dampers)
-    limits = params.joint_limits
+    step = _arm_stepper(params, springs, dampers, dt)
     source = _force_source(scenario.input)
 
     states = np.empty((n, 7))
     # handle force at each row's own time, for the applied torque
     row_forces = None if source is None else np.empty((n, 3))
-    y = list(scenario.initial.q + scenario.initial.qdot) + [0.0]
+    y = scenario.initial.q + scenario.initial.qdot + (0.0,)
     for k0 in range(0, n, FORCE_BLOCK):
         k1 = min(k0 + FORCE_BLOCK, n)
         # three stage forces per row
@@ -720,8 +815,7 @@ def run_scenario(params: MechanismParams, springs, dampers,
             states[k] = y
             if k < n - 1:
                 i = 3 * (k - k0)
-                y = _rk4_step(deriv, limits, y, k * dt, dt, forces[i],
-                              forces[i + 1], forces[i + 2])
+                y = step(y, k * dt, forces[i], forces[i + 1], forces[i + 2])
 
     t = np.arange(n) * dt
     mount = np.zeros((n, 4))    # pitch, yaw deflection; pitch, yaw rate
@@ -732,6 +826,8 @@ def run_scenario(params: MechanismParams, springs, dampers,
         inv_i = 1.0 / compliance.inertia
         impulses = (contact.impulse_pitch, contact.impulse_yaw)
         for axis, impulse in enumerate(impulses):
+            if impulse == 0.0:
+                continue    # an axis at rest stays at rest: rows of +0.0
             rows = _mount_rows(compliance, 0.0, impulse * inv_i, n - k, dt,
                                k * dt)
             mount[k:, axis::2] = rows[:, :2]
@@ -759,16 +855,17 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
     if row_forces is None:
         applied = np.zeros((len(t), 3))
     else:
-        applied = np.column_stack(handle_torques(params, *trig,
-                                                 *row_forces.T))
+        applied = np.column_stack(handle_torques(handle_coefficients(params),
+                                                 *trig, *row_forces.T))
 
-    m22, m33, b = _mass_constants(params)
-    m11, m23, *_ = _mass_terms(params, b, c2t, s2t, c3t, s3t)
+    m22, m33, mass = _mass_constants(params)
+    m11, m23, *_ = _mass_terms(mass, c2t, s2t, c3t, s3t)
     e_kin = _kinetic(m11, m22, m23, m33, w1, w2, w3)
     e_pot = gravity_potential_at(params, s2t, s3t)
     for spec in springs:
-        e_pot += np.array([spring_potential(spec, angle)
-                           for angle in states[:, spec.joint].tolist()])
+        _, potential = spring_laws(spec)
+        angle, sine = (th2, s2t) if spec.joint == Joint.J2 else (th3, s3t)
+        e_pot += potential(angle, sine, np.sqrt, np.maximum)
     if compliance is not None:
         dp, dy, vp, vy = mount.T
         e_pot += 0.5 * compliance.stiffness * (dp ** 2 + dy ** 2)

@@ -212,17 +212,21 @@ def handle_position(params: MechanismParams, cp, sp, c2t, s2t, c3t, s3t):
     return r * cp - b * sp, r * sp + b * cp, z + params.bracket_drop
 
 
-def handle_torques(params: MechanismParams, cp, sp, c2t, s2t, c3t, s3t,
-                   fx, fy, fz):
+def handle_coefficients(params: MechanismParams) -> tuple:
+    """The per-build constants handle_torques takes."""
+    return (params.base_offset, params.link1_length, params.handle_distance,
+            _bracket_lateral(params))
+
+
+def handle_torques(coefficients, cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
     """Joint torques J_handle^T F of the handle force (fx, fy, fz).
 
-    Arguments as for spoon_position; floats or arrays. This is the one
-    definition of the handle Jacobian: handle_jacobian reads its rows
-    off unit forces.
+    Takes the build's handle_coefficients, then the trigonometry as for
+    spoon_position; floats or arrays. This is the one definition of the
+    handle Jacobian: handle_jacobian reads its rows off unit forces.
     """
-    r, _ = radial_height(params, params.handle_distance, c2t, s2t, c3t, s3t)
-    b = _bracket_lateral(params)
-    L1, dh = params.link1_length, params.handle_distance
+    a1, L1, dh, b = coefficients
+    r = a1 + L1 * c2t + dh * c3t    # radial_height's radius at reach d_h
     return ((-r * sp - b * cp) * fx + (r * cp - b * sp) * fy,
             -L1 * s2t * cp * fx - L1 * s2t * sp * fy + L1 * c2t * fz,
             -dh * s3t * cp * fx - dh * s3t * sp * fy + dh * c3t * fz)
@@ -277,9 +281,9 @@ def jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
 def handle_jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
     """3x3 analytic Jacobian of the handle position; maps handle forces to
     joint torques through its transpose."""
-    trig = _trig(state.q)
+    coefficients, trig = handle_coefficients(params), _trig(state.q)
     # row i of J is J^T e_i
-    return np.array([handle_torques(params, *trig, *unit)
+    return np.array([handle_torques(coefficients, *trig, *unit)
                      for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                   (0.0, 0.0, 1.0))])
 

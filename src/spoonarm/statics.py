@@ -177,39 +177,82 @@ def gravity_potential_at(params: MechanismParams, s2t, s3t):
 # spring models
 
 
-def _spring_length(spec: SpringSpec, angle: float) -> float:
+def _spring_length(a2b2, two_ab, s, sqrt=math.sqrt, maximum=max):
+    """Length of a linear spring with a2b2 = a^2 + b^2 and two_ab = 2ab
+    at bar-angle sine s: floats, or numpy arrays with sqrt=np.sqrt and
+    maximum=np.maximum."""
+    return sqrt(maximum(a2b2 - two_ab * s, 0.0))
+
+
+def spring_laws(spec: SpringSpec):
+    """The torque and potential laws of one spring, its constants bound.
+
+    torque(angle, c, s) is the torque the spring exerts on its joint at
+    the bar angle, given with its cosine c and sine s, as floats.
+    potential(angle, s, sqrt=math.sqrt, maximum=max) is the elastic
+    energy stored at the angle with sine s: floats, or numpy arrays with
+    numpy's sqrt and maximum, for a whole column in one pass.
+    """
+    k = spec.stiffness
+    half_k = 0.5 * k
+    if spec.kind is SpringKind.TORSION:
+        neg_k, neutral = -k, spec.torsion_neutral
+
+        def torque(angle, c, s):
+            return neg_k * (angle - neutral)
+
+        def potential(angle, s, sqrt=math.sqrt, maximum=max):
+            d = angle - neutral
+            return half_k * d * d
+        return torque, potential
+
     a, b = spec.anchor_radius, spec.bar_radius
-    return math.sqrt(max(a * a + b * b - 2.0 * a * b * math.sin(angle), 0.0))
+    ab, a2b2, two_ab = a * b, a * a + b * b, 2.0 * a * b
+    if spec.kind is SpringKind.LINEAR_ZERO_FREE_LENGTH:
+        kab = k * ab
+
+        def torque(angle, c, s):
+            return kab * c
+
+        def potential(angle, s, sqrt=math.sqrt, maximum=max):
+            l = _spring_length(a2b2, two_ab, s, sqrt, maximum)
+            return half_k * l * l
+        return torque, potential
+
+    # real linear spring: tau = -k (l - l0) dl/dtheta, dl/dtheta = -ab cos/l
+    l0 = spec.free_length
+
+    def torque(angle, c, s):
+        l = _spring_length(a2b2, two_ab, s)
+        if l < 1e-12:
+            # anchor and attachment coincide (a == b, bar vertical); the
+            # force direction is undefined there, the torque limit is zero
+            return 0.0
+        return k * (l - l0) * ab * c / l
+
+    def potential(angle, s, sqrt=math.sqrt, maximum=max):
+        stretch = _spring_length(a2b2, two_ab, s, sqrt, maximum) - l0
+        return half_k * stretch * stretch
+    return torque, potential
 
 
 def spring_torque(spec: SpringSpec, angle: float) -> float:
     """Torque the spring exerts on its joint at the given bar angle."""
-    k = spec.stiffness
-    if spec.kind is SpringKind.TORSION:
-        return -k * (angle - spec.torsion_neutral)
-    ab = spec.anchor_radius * spec.bar_radius
-    if spec.kind is SpringKind.LINEAR_ZERO_FREE_LENGTH:
-        return k * ab * math.cos(angle)
-    # real linear spring: tau = -k (l - l0) dl/dtheta, dl/dtheta = -ab cos/l
-    l = _spring_length(spec, angle)
-    if l < 1e-12:
-        # anchor and attachment coincide (a == b, bar vertical); the force
-        # direction is undefined there, the torque limit is zero
-        return 0.0
-    return k * (l - spec.free_length) * ab * math.cos(angle) / l
+    torque, _ = spring_laws(spec)
+    return torque(angle, math.cos(angle), math.sin(angle))
 
 
 def spring_potential(spec: SpringSpec, angle: float) -> float:
     """Elastic energy stored in the spring at the given bar angle."""
-    k = spec.stiffness
-    if spec.kind is SpringKind.TORSION:
-        d = angle - spec.torsion_neutral
-        return 0.5 * k * d * d
-    l = _spring_length(spec, angle)
-    if spec.kind is SpringKind.LINEAR_ZERO_FREE_LENGTH:
-        return 0.5 * k * l * l
-    stretch = l - spec.free_length
-    return 0.5 * k * stretch * stretch
+    _, potential = spring_laws(spec)
+    return potential(angle, math.sin(angle))
+
+
+def _torques_over(spec: SpringSpec, grid) -> np.ndarray:
+    """spring_torque at each angle of a 1-D grid, the law bound once."""
+    torque, _ = spring_laws(spec)
+    return np.array([torque(t, math.cos(t), math.sin(t))
+                     for t in grid.tolist()])
 
 
 def spring_joint_torques(springs, state: JointState) -> tuple[float, float, float]:
@@ -260,7 +303,7 @@ def _synthesize_joint(joint: Joint, gravity_coeff: float, angle_range,
         else:
             tau_g = -gravity_coeff * np.cos(grid)
             unit = SpringSpec(kind, joint, 1.0, a, b, free_length=free_length)
-            shape = np.array([spring_torque(unit, t) for t in grid.tolist()])
+            shape = _torques_over(unit, grid)
             k = _golden_min(
                 lambda kk: float(np.max(np.abs(tau_g + kk * shape))),
                 0.0, 4.0 * gravity_coeff / (a * b) + 1.0)
@@ -330,7 +373,7 @@ def residual_torque_profile(params: MechanismParams, springs,
         tau = -params.gravity * coeff * np.cos(grid)
         for spec in springs:
             if spec.joint is joint:
-                tau = tau + np.array([spring_torque(spec, t) for t in grid])
+                tau = tau + _torques_over(spec, grid)
         profiles.append(TorqueProfile(joint, grid, tau))
     return tuple(profiles)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spoonarm import JointState, MechanismParams
+from spoonarm import JointState, MechanismParams, dynamics
 from spoonarm.dynamics import (
     FORCE_BLOCK,
     ComplianceMode,
@@ -33,7 +33,13 @@ from spoonarm.dynamics import (
     spoon_contact_response,
     step_dynamics,
 )
-from spoonarm.dynamics import _equations, _signal_forces, _stage_times
+from spoonarm.dynamics import (
+    _arm_stepper,
+    _equations,
+    _mount_rows,
+    _signal_forces,
+    _stage_times,
+)
 from spoonarm.errors import DeflectionExceededError, NonFiniteStateError
 from spoonarm.kinematics import Joint, handle_jacobian
 from spoonarm.statics import (
@@ -441,6 +447,20 @@ def test_joint_limits_clamp_and_zero_velocity():
     assert np.any(res.q[:, 1] == 0.2)
 
 
+def test_plain_int_joints_act_on_their_joint():
+    # SpringSpec and DamperSpec accept the int value of a Joint; a spring
+    # given joint=1 acts on theta2, as one given Joint.J2 does
+    p = MechanismParams()
+    sc = Scenario(duration=0.05, initial=JointState(q=(0.0, 0.7, -0.2)))
+    runs = [run_scenario(p, (SpringSpec(SpringKind.TORSION, j2, 0.8,
+                                        torsion_neutral=0.3),),
+                         (DamperSpec(j2, DamperModel.VISCOUS, 0.4),), RIGID,
+                         sc)
+            for j2 in (Joint.J2, 1)]
+    assert np.array_equal(runs[0].q, runs[1].q)
+    assert np.array_equal(runs[0].e_pot, runs[1].e_pot)
+
+
 def test_step_dynamics_equals_run_scenario_step():
     p = free_params()
     init = JointState(q=(0.2, 0.8, -0.3), qdot=(0.5, -0.4, 0.6))
@@ -456,6 +476,91 @@ def test_step_dynamics_equals_run_scenario_step():
 
 def wobble_force(t):
     return (0.2 * math.sin(3.0 * t), -0.1, 0.3 * math.cos(5.0 * t))
+
+
+def textbook_rk4(deriv, limits, y, dt, forces):
+    """Classical RK4 over deriv(y, force), then the joint-limit clamp."""
+    f0, f_half, f1 = forces
+    k1 = deriv(y, f0)
+    k2 = deriv([a + dt / 2 * k for a, k in zip(y, k1)], f_half)
+    k3 = deriv([a + dt / 2 * k for a, k in zip(y, k2)], f_half)
+    k4 = deriv([a + dt * k for a, k in zip(y, k3)], f1)
+    y = [a + dt / 6 * (p + 2 * q + 2 * r + s)
+         for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    for j, (lo, hi) in enumerate(limits):
+        if y[j] < lo:
+            y[j] = lo
+            if y[j + 3] < 0.0:
+                y[j + 3] = 0.0
+        elif y[j] > hi:
+            y[j] = hi
+            if y[j + 3] > 0.0:
+                y[j + 3] = 0.0
+    return y
+
+
+STEP_STATE = (0.2, 0.8, -0.3, 0.5, -1.0, 2.0, 0.1)
+STAGE_FORCES = ((0.3, -0.2, 1.1), (0.35, -0.1, 1.0), (0.4, 0.0, 0.9))
+ZERO_FREE_LENGTH = SpringSpec(SpringKind.LINEAR_ZERO_FREE_LENGTH, Joint.J2,
+                              280.0, 0.1, 0.05)
+REAL_SPRING = SpringSpec(SpringKind.LINEAR_REAL, Joint.J3, 150.0, 0.1, 0.05,
+                         free_length=0.02)
+TORSION_SPRING = SpringSpec(SpringKind.TORSION, Joint.J3, 0.8,
+                            torsion_neutral=0.3)
+ALL_SPRINGS = (ZERO_FREE_LENGTH, REAL_SPRING, TORSION_SPRING)
+
+
+@pytest.mark.parametrize("params, springs, dampers, y", [
+    pytest.param(free_params(), (ZERO_FREE_LENGTH,), (), STEP_STATE,
+                 id="zero-free-length"),
+    pytest.param(free_params(), (REAL_SPRING,), (), STEP_STATE, id="real"),
+    pytest.param(free_params(), (TORSION_SPRING,), (), STEP_STATE,
+                 id="torsion"),
+    pytest.param(free_params(), ALL_SPRINGS,
+                 (DamperSpec(Joint.J3, DamperModel.NONE),), STEP_STATE,
+                 id="damper-none"),
+    pytest.param(free_params(), ALL_SPRINGS,
+                 (DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4),),
+                 STEP_STATE, id="viscous"),
+    # |w2| = 1.0 lies inside a band of 1.5 and outside one of 0.3
+    pytest.param(free_params(), ALL_SPRINGS,
+                 (DamperSpec(Joint.J2, DamperModel.DEAD_ZONE_VISCOUS, 0.4,
+                             1.5),), STEP_STATE, id="dead-zone-inside"),
+    pytest.param(free_params(), ALL_SPRINGS,
+                 (DamperSpec(Joint.J2, DamperModel.DEAD_ZONE_VISCOUS, 0.4,
+                             0.3),), STEP_STATE, id="dead-zone-outside"),
+    pytest.param(free_params(), ALL_SPRINGS,
+                 (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),),
+                 STEP_STATE, id="j1-damper"),
+    pytest.param(free_params(), ALL_SPRINGS,
+                 (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),
+                  DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.3,
+                             0.05),
+                  DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.1)),
+                 STEP_STATE, id="two-dampers-on-j3"),
+    # theta2 runs over its upper limit, theta3 under its lower one
+    pytest.param(MechanismParams(), ALL_SPRINGS,
+                 (DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4),),
+                 (0.0, 1.999, -1.749, 0.3, 2.0, -2.0, 0.0),
+                 id="joint-limit-clamp"),
+    # no link-2 or payload mass: M33 = 0 and the planar block is singular
+    pytest.param(free_params(mass_link2=0.0, mass_payload=0.0), ALL_SPRINGS,
+                 (DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4),),
+                 STEP_STATE, id="degenerate-mass-block"),
+])
+@pytest.mark.parametrize("forces", [(None, None, None), STAGE_FORCES],
+                         ids=["no-force", "handle-force"])
+def test_stepper_equals_textbook_rk4(params, springs, dampers, y, forces):
+    dt = 1e-3
+    step = _arm_stepper(params, springs, dampers, dt)
+    got = step(y, 0.0, *forces)
+    expected = textbook_rk4(_equations(params, springs, dampers),
+                            params.joint_limits, list(y), dt, forces)
+    assert isinstance(got, tuple)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    if params.joint_limits != FREE_LIMITS:
+        # the step did clamp, otherwise this case checks nothing
+        assert got[1:3] == (2.0, -1.75) and got[4:6] == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("inputs", [
@@ -663,6 +768,40 @@ def test_contact_at_duration_lands_on_last_row(duration):
     assert len(res) == 1001
     assert np.all(res.deflection_rate[:-1] == 0.0)
     assert res.deflection_rate[-1, 0] == 0.01 * (1.0 / comp.inertia)
+
+
+def test_pitch_only_contact_leaves_yaw_at_rest(monkeypatch):
+    # a zero yaw impulse is not stepped: its rows are +0.0 and e_diss is
+    # the arm's plus the pitch axis's, as if the resting axis were stepped
+    p, comp, k = free_params(), ComplianceSpec(), 300
+    init = JointState(q=(0.0, 0.7, -0.2))
+    dampers = [DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4)]
+    sc = Scenario(duration=1.0, initial=init,
+                  input=SineTremor(amplitude=2.0, frequency=3.0),
+                  spoon_contact=SpoonContact(time=0.3, impulse_pitch=0.01))
+    stepped = []
+    monkeypatch.setattr(dynamics, "_mount_rows",
+                        lambda *args: stepped.append(args[2]) or
+                        _mount_rows(*args))
+    res = run_scenario(p, [], dampers, comp, sc)
+    monkeypatch.undo()
+    assert stepped == [0.01 * (1.0 / comp.inertia)]    # the pitch axis only
+    yaw = np.column_stack([res.deflection[:, 1], res.deflection_rate[:, 1]])
+    assert yaw.tobytes() == np.zeros_like(yaw).tobytes()
+
+    arm = run_scenario(p, [], dampers, comp, Scenario(
+        duration=1.0, initial=init, input=sc.input))
+    n = len(res)
+    pitch = _mount_rows(comp, 0.0, 0.01 * (1.0 / comp.inertia), n - k,
+                        1e-3, k * 1e-3)
+    at_rest = _mount_rows(comp, 0.0, 0.0, n - k, 1e-3, k * 1e-3)
+    assert at_rest.tobytes() == np.zeros_like(at_rest).tobytes()
+    e_diss = arm.e_diss.copy()
+    e_diss[k:] += pitch[:, 2]
+    e_diss[k:] += at_rest[:, 2]
+    assert res.e_diss.tobytes() == e_diss.tobytes()
+    assert np.array_equal(res.deflection[:, 0],
+                          np.concatenate([np.zeros(k), pitch[:, 0]]))
 
 
 def test_mount_is_decoupled_from_the_arm():

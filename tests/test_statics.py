@@ -16,6 +16,7 @@ from spoonarm.statics import (
     holding_force,
     residual_torque_profile,
     spring_joint_torques,
+    spring_laws,
     spring_potential,
     spring_torque,
     synthesize_balancing,
@@ -121,6 +122,42 @@ def test_real_spring_with_zero_free_length_matches_ideal():
     for angle in np.linspace(*COMPARISON_RANGE, 181):
         assert spring_torque(real, float(angle)) == pytest.approx(
             spring_torque(ideal, float(angle)), abs=1e-12)
+
+
+# a = b puts the anchor on the attachment at a vertical bar (length 0);
+# this near-equal pair rounds a^2 + b^2 - 2ab to -1.7e-18 there, which
+# the length clamps to 0
+NEAR_EQUAL = (0.08079917387670907, 0.08079917387670908)
+
+
+@pytest.mark.parametrize("spec", [
+    SpringSpec(SpringKind.LINEAR_ZERO_FREE_LENGTH, Joint.J2, 282.0, 0.1, 0.05),
+    SpringSpec(SpringKind.LINEAR_REAL, Joint.J2, 298.0, 0.1, 0.05,
+               free_length=0.005),
+    SpringSpec(SpringKind.TORSION, Joint.J3, 0.62, torsion_neutral=2.1),
+    SpringSpec(SpringKind.LINEAR_ZERO_FREE_LENGTH, Joint.J2, 282.0, 0.05,
+               0.05),
+    SpringSpec(SpringKind.LINEAR_REAL, Joint.J3, 298.0, 0.05, 0.05,
+               free_length=0.005),
+    SpringSpec(SpringKind.LINEAR_ZERO_FREE_LENGTH, Joint.J2, 282.0,
+               *NEAR_EQUAL),
+    SpringSpec(SpringKind.LINEAR_REAL, Joint.J3, 298.0, *NEAR_EQUAL,
+               free_length=0.005),
+])
+def test_spring_potential_column_equals_rows(spec):
+    # the rollout record evaluates each spring's potential on its whole
+    # angle column in one numpy pass; it must equal spring_potential per row
+    # (the sines come from math.sin, as spring_potential's do)
+    angles = np.append(np.linspace(-2.0, 2.5, 901), math.pi / 2)
+    sines = np.array([math.sin(a) for a in angles.tolist()])
+    _, potential = spring_laws(spec)
+    column = potential(angles, sines, np.sqrt, np.maximum)
+    rows = np.array([spring_potential(spec, a) for a in angles.tolist()])
+    assert column.tobytes() == rows.tobytes()
+    k, l0 = spec.stiffness, spec.free_length
+    if spec.anchor_radius and abs(spec.anchor_radius - spec.bar_radius) < 1e-9:
+        # length 0 at the vertical bar, so the stretch is -l0
+        assert rows[-1] == 0.5 * k * l0 * l0
 
 
 @pytest.mark.parametrize("spec", [
