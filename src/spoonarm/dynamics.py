@@ -14,12 +14,12 @@ Coriolis/centrifugal terms come from the Christoffel symbols of the
 analytic M(q), which guarantees the skew-symmetry that makes the energy
 bookkeeping testable.
 
-The compliant mount is modeled as two independent driven torsional
-oscillators (pitch and yaw deflection of the spoon relative to its
-carrier): I_s * dd'' = -k_r * dd - c_r * dd' + tau_contact. Contact is an
-impulse: it arrives as a velocity jump of Lambda / I_s. The oscillators
-do not couple back into the arm (the payload mass already rides the arm;
-the deflection inertia is small), which keeps the safety analysis clean.
+The compliant mount is modeled as two independent torsional oscillators
+(pitch and yaw deflection of the spoon relative to its carrier):
+I_s * dd'' = -k_r * dd - c_r * dd'. Contact is an impulse: it arrives as
+a velocity jump of Lambda / I_s. The oscillators do not couple back into
+the arm (the payload mass already rides the arm; the deflection inertia
+is small), which keeps the safety analysis clean.
 
 Integration is classical fixed-step RK4 on the arm's state (q, q',
 dissipated energy); joint limits clamp the position and zero the outgoing
@@ -37,9 +37,9 @@ the stepper's floats and the recording's arrays alike, and spring_torque
 and damper_torque call the same bound laws. _equations wraps the same
 stage evaluation as the derivative deriv(y, force) of the packed state.
 
-_mount_rows steps each axis of the mount on its own, through the
-list-based _rk4_step, which serves only it until a closed-form
-propagator replaces it.
+The mount is linear and unforced after a contact, so _mount_rows steps
+each axis with its exact propagator, and the arm's is the only integrator.
+The grid must sample the mount's undamped period twice (omega_n*dt < pi).
 
 A rollout keeps its step loop to integration alone. The handle force at
 every RK4 stage time comes from one vectorised evaluation per block of
@@ -58,7 +58,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DeflectionExceededError, NonFiniteStateError
+from .errors import (DeflectionExceededError, NonFiniteStateError,
+                     TimestepTooCoarseError)
 from .kinematics import (
     Joint,
     JointState,
@@ -142,11 +143,11 @@ class ComplianceSpec:
             raise ValueError("deflection_limit must be > 0")
         if not self.recenter_tolerance > 0.0:
             raise ValueError("recenter_tolerance must be > 0")
-        if self.mode is ComplianceMode.COMPLIANT:
-            if not (self.stiffness > 0.0 and self.damping > 0.0
-                    and self.inertia > 0.0):
-                raise ValueError(
-                    "compliant mode needs stiffness, damping, inertia > 0")
+        if self.mode is ComplianceMode.COMPLIANT and not all(
+                0.0 < v < math.inf
+                for v in (self.stiffness, self.damping, self.inertia)):
+            raise ValueError("compliant mode needs finite stiffness, "
+                             "damping, inertia > 0")
 
     @property
     def damping_ratio(self) -> float:
@@ -221,6 +222,9 @@ class SpasmImpulse:
     direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.force, self.duration,
+                                       self.onset))):
+            raise ValueError("spasm force, duration and onset must be finite")
         if self.onset < 0.0:
             raise ValueError("onset must be >= 0")
         if self.duration < 0.0:
@@ -686,39 +690,47 @@ def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
     return step
 
 
-def _rk4_step(deriv, y, t, dt):
-    """One RK4 step of the list y from t under the autonomous derivative
-    deriv(y); returns the next state as a list. Only _mount_rows uses it."""
-    half = 0.5 * dt
-    k1 = deriv(y)
-    k2 = deriv([yi + half * ki for yi, ki in zip(y, k1)])
-    k3 = deriv([yi + half * ki for yi, ki in zip(y, k2)])
-    k4 = deriv([yi + dt * ki for yi, ki in zip(y, k3)])
-    sixth = dt / 6.0
-    y_next = [yi + sixth * (a + 2.0 * b + 2.0 * c + d)
-              for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, y_next)):
-        raise NonFiniteStateError(
-            f"state diverged at t = {t + dt:.6f} s; reduce the timestep")
-    return y_next
-
-
 def _mount_rows(compliance: ComplianceSpec, d: float, v: float, n: int,
                 dt: float, t0: float = 0.0) -> np.ndarray:
     """n rows of (deflection, rate, dissipated energy) of one axis of the
-    compliant mount, from deflection d and rate v at time t0, one RK4 step
-    of dt apart."""
-    k_r, c_r = compliance.stiffness, compliance.damping
-    inv_i = 1.0 / compliance.inertia
+    compliant mount, from deflection d and rate v at time t0, dt apart:
+    each is the last times exp(A*dt), A = [[0, 1], [-k/I, -c/I]], and its
+    energy k*d^2/2 + I*d'^2/2 less the first row's is the dissipation."""
+    k_r, c_r, inertia = (compliance.stiffness, compliance.damping,
+                         compliance.inertia)
+    wn_dt = dt * math.sqrt(k_r / inertia)
+    if not wn_dt < math.pi:
+        raise TimestepTooCoarseError(
+            f"mount omega_n*dt = {wn_dt:.4g} is not below pi; the largest "
+            f"allowed dt is {dt * math.pi / wn_dt:.6g} s; reduce the timestep")
+    # exp(A*dt) = ch + sh*(A*dt - s) with ch = e^s*cosh r, sh = e^s*sinh(r)/r,
+    # s = trace(A*dt)/2, r^2 = s^2 - det(A*dt); exponents combined, no overflow
+    s = -0.5 * c_r * dt / inertia
+    if -s < wn_dt:
+        w = math.sqrt((wn_dt + s) * (wn_dt - s))
+        ch, sh = math.exp(s) * math.cos(w), math.exp(s) * math.sin(w) / w
+    elif -s > wn_dt:
+        r = math.sqrt(-s - wn_dt) * math.sqrt(wn_dt - s)
+        slow = math.exp(wn_dt * wn_dt / (s - r))    # e^(s + r)
+        ch = 0.5 * (slow + math.exp(s - r))
+        sh = -0.5 * slow * math.expm1(-2.0 * r) / r
+    else:
+        ch = sh = math.exp(s)
+    p11, p12 = ch - s * sh, dt * sh
+    p21, p22 = -k_r * dt / inertia * sh, ch + s * sh
 
-    def deriv(y):
-        d, v, _ = y
-        return (v, (-k_r * d - c_r * v) * inv_i, c_r * v * v)
-
-    rows = [[d, v, 0.0]]
-    for k in range(n - 1):
-        rows.append(_rk4_step(deriv, rows[-1], t0 + k * dt, dt))
-    return np.array(rows)
+    rows = [(d, v)]
+    for _ in range(n - 1):
+        d, v = p11 * d + p12 * v, p21 * d + p22 * v
+        rows.append((d, v))
+    d, v = np.array(rows).T
+    energy = 0.5 * k_r * d * d + 0.5 * inertia * v * v
+    rows = np.column_stack([d, v, energy[0] - energy])
+    bad = np.flatnonzero(~np.isfinite(rows[:, 2]))    # d, v or energy
+    if bad.size:
+        raise NonFiniteStateError(
+            f"mount state is not finite at t = {t0 + bad[0] * dt:.6f} s")
+    return rows
 
 
 def step_dynamics(params: MechanismParams, springs, dampers,
@@ -731,7 +743,8 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     one of the signal specs, or a callable t -> force evaluated at the RK4
     stage times. `deflections` packs (delta_p, delta_y, rate_p, rate_y) of
     the compliant mount; a rigid one returns them unchanged. Raises
-    DeflectionExceededError when they lie beyond its validity limit.
+    DeflectionExceededError when they lie beyond its validity limit, and
+    TimestepTooCoarseError when a compliant mount has omega_n*dt >= pi.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
@@ -903,16 +916,17 @@ def spoon_contact_response(params: MechanismParams,
                            duration: float = 5.0) -> ContactResponse:
     """Response of the utensil mount to an impulse torque (N*m*s).
 
-    Compliant mode integrates one deflection axis under the impulse and
-    reports the peak reaction torque |k_r*d + c_r*d'|, the settling time
-    into the recenter tolerance, and whether recentering happened within
-    the horizon. Rigid mode has no deflection dynamics at all; as the
-    comparison value it reports the impulse spread over a single timestep,
-    flagged model-dependent because it scales with 1/dt.
+    Compliant mode solves one deflection axis exactly on the grid of dt
+    and reports the peak reaction torque |k_r*d + c_r*d'|, the settling
+    time into the recenter tolerance, and whether recentering happened
+    within the horizon. Rigid mode has no deflection dynamics at all; as
+    the comparison value it reports the impulse spread over a single
+    timestep, flagged model-dependent because it scales with 1/dt.
 
     dt and duration follow a scenario's grid rule, or this raises
-    ValueError. A deflection beyond the mount's validity limit raises
-    DeflectionExceededError naming the time of the first breach.
+    ValueError, and a compliant mount needs omega_n*dt < pi, or this
+    raises TimestepTooCoarseError. A deflection beyond the validity limit
+    raises DeflectionExceededError naming the time of the first breach.
     """
     if not math.isfinite(impulse):
         raise ValueError("impulse must be finite")

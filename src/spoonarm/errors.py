@@ -25,6 +25,10 @@ class NonFiniteStateError(SpoonArmError):
     """Integration produced NaN/inf; usually the timestep is too large."""
 
 
+class TimestepTooCoarseError(NonFiniteStateError):
+    """The timestep is too coarse for a validity bound of the model."""
+
+
 class DeflectionExceededError(SpoonArmError):
     """Compliant mount deflected beyond its validity limit."""
 
