@@ -23,19 +23,19 @@ is small), which keeps the safety analysis clean.
 
 Integration is classical fixed-step RK4 on the arm's state (q, q',
 dissipated energy); joint limits clamp the position and zero the outgoing
-velocity after each step. Everything is deterministic: identical inputs
-(including noise seeds) give bit-identical results.
+velocity after each step, so a step must start within them. Everything
+is deterministic: identical inputs (including noise seeds) give
+bit-identical results.
 
 Each build gets one RK4 step function, made by _arm_stepper; rollouts and
 single steps (step_dynamics) both step the arm with it. Building it
 computes every per-build constant once: the mass coefficients, gravity,
-the handle-torque geometry and each spring's and damper's law, bound by
-statics.spring_laws and damper_law. The step then runs its four stages
-on local floats. Each law keeps one body: _mass_terms and
-kinematics.handle_torques take a per-build coefficient tuple and serve
-the stepper's floats and the recording's arrays alike, and spring_torque
-and damper_torque call the same bound laws. _equations wraps the same
-stage evaluation as the derivative deriv(y, force) of the packed state.
+the handle-torque geometry, each joint's statics.spring_sum and each
+damper's law. The step then runs its four stages on local floats. Each
+law keeps one body: _mass_terms, kinematics.handle_torques and the
+spring sum serve the stepper's floats and the statics' and recording's
+arrays alike. _equations wraps the same stage evaluation as the
+derivative deriv(y, force) of the packed state.
 
 The mount is linear and unforced after a contact, so _mount_rows steps
 each axis with its exact propagator, and the arm's is the only integrator.
@@ -58,8 +58,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DeflectionExceededError, NonFiniteStateError,
-                     TimestepTooCoarseError)
+from .errors import (DeflectionExceededError, LimitViolationError,
+                     NonFiniteStateError, TimestepTooCoarseError)
 from .kinematics import (
     Joint,
     JointState,
@@ -76,6 +76,7 @@ from .statics import (
     gravity_potential_at,
     spring_laws,
     spring_potential,
+    spring_sum,
 )
 
 # Not called here any more, but kept as attributes of this module: callers
@@ -110,10 +111,10 @@ class DamperSpec:
     deadzone: float = 0.0        # rad/s, dead-zone model only
 
     def __post_init__(self):
-        if self.coefficient < 0.0:
-            raise ValueError("damper coefficient must be >= 0")
-        if self.deadzone < 0.0:
-            raise ValueError("damper deadzone must be >= 0")
+        if not 0.0 <= self.coefficient < math.inf:
+            raise ValueError("damper coefficient must be finite and >= 0")
+        if not 0.0 <= self.deadzone < math.inf:
+            raise ValueError("damper deadzone must be finite and >= 0")
         # fields that the model cannot use must stay zero, so every spec
         # round-trips losslessly through the per-model config schema
         if self.model is not DamperModel.DEAD_ZONE_VISCOUS and self.deadzone:
@@ -139,10 +140,10 @@ class ComplianceSpec:
     inertia: float = 5e-4           # kg*m^2, spoon about the mount
 
     def __post_init__(self):
-        if not self.deflection_limit > 0.0:
-            raise ValueError("deflection_limit must be > 0")
-        if not self.recenter_tolerance > 0.0:
-            raise ValueError("recenter_tolerance must be > 0")
+        if not 0.0 < self.deflection_limit < math.inf:
+            raise ValueError("deflection_limit must be finite and > 0")
+        if not 0.0 < self.recenter_tolerance < math.inf:
+            raise ValueError("recenter_tolerance must be finite and > 0")
         if self.mode is ComplianceMode.COMPLIANT and not all(
                 0.0 < v < math.inf
                 for v in (self.stiffness, self.damping, self.inertia)):
@@ -161,8 +162,8 @@ def _unit(direction):
     if len(d) != 3:
         raise ValueError("direction needs three components")
     n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-    if not n > 0.0:
-        raise ValueError("direction must be nonzero")
+    if not 0.0 < n < math.inf:
+        raise ValueError("direction must be nonzero and finite")
     if abs(n - 1.0) < 1e-12:
         # already unit; dividing again would wobble the last bit and
         # break exact save/load round trips
@@ -184,8 +185,9 @@ class SineTremor:
     direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.amplitude < 0.0 or not self.frequency > 0.0:
-            raise ValueError("need amplitude >= 0 and frequency > 0")
+        if not (0.0 <= self.amplitude < math.inf
+                and 0.0 < self.frequency < math.inf):
+            raise ValueError("need finite amplitude >= 0 and frequency > 0")
         object.__setattr__(self, "direction", _unit(self.direction))
 
 
@@ -205,10 +207,10 @@ class NoiseTremor:
     direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.rms < 0.0:
-            raise ValueError("rms must be >= 0")
-        if not 0.0 < self.f_lo < self.f_hi:
-            raise ValueError("need 0 < f_lo < f_hi")
+        if not 0.0 <= self.rms < math.inf:
+            raise ValueError("rms must be finite and >= 0")
+        if not 0.0 < self.f_lo < self.f_hi < math.inf:
+            raise ValueError("need 0 < f_lo < f_hi < inf")
         object.__setattr__(self, "direction", _unit(self.direction))
 
 
@@ -247,6 +249,8 @@ class PrescribedTrajectory:
         wps = tuple(tuple(float(v) for v in wp) for wp in self.waypoints)
         if len(wps) < 2 or any(len(wp) != 4 for wp in wps):
             raise ValueError("need at least two (t, x, y, z) waypoints")
+        if not all(math.isfinite(v) for wp in wps for v in wp):
+            raise ValueError("waypoints must be finite")
         times = [wp[0] for wp in wps]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("waypoint times must be strictly increasing")
@@ -338,8 +342,9 @@ class SimResult:
 class ContactResponse:
     """Summary of spoon_contact_response.
 
-    `model_dependent` marks the rigid comparison value, which is an
-    impulse divided by one timestep rather than a physical force level.
+    `model_dependent` marks a peak the ideal impulse makes, not a force
+    level: the rigid comparison, an impulse over one timestep, and a
+    compliant peak on the impulse row, c_r times the velocity jump.
     """
 
     peak_torque: float
@@ -547,15 +552,13 @@ def _arm_law(params: MechanismParams, springs, dampers):
     a2, a3 = gravity_coefficients(params)
     neg_g = -params.gravity
     handle = handle_coefficients(params)
-    # the torque laws of the springs and of the dampers that act, per
-    # joint, in the order given
-    spring_torques, damper_torques = ([], [], []), ([], [], [])
-    for spec in springs:
-        spring_torques[spec.joint].append(spring_laws(spec)[0])
+    spring2, spring3 = (spring_sum(springs, joint)
+                        for joint in (Joint.J2, Joint.J3))
+    # the torque laws of the dampers that act, per joint, in the order given
+    damper_torques = ([], [], [])
     for spec in dampers:
         if spec.model is not DamperModel.NONE and spec.coefficient > 0.0:
             damper_torques[spec.joint].append(damper_law(spec))
-    _, springs2, springs3 = map(tuple, spring_torques)
     dampers1, dampers2, dampers3 = map(tuple, damper_torques)
     cos, sin = math.cos, math.sin
     tiny = 1e-18
@@ -564,12 +567,8 @@ def _arm_law(params: MechanismParams, springs, dampers):
         c2t, s2t, c3t, s3t = cos(th2), sin(th2), cos(th3), sin(th3)
         m11, m23, d2, d3, bs = _mass_terms(mass, c2t, s2t, c3t, s3t)
 
-        tau2 = neg_g * c2t * a2
-        tau3 = neg_g * c3t * a3
-        for torque in springs2:
-            tau2 += torque(th2, c2t, s2t)
-        for torque in springs3:
-            tau3 += torque(th3, c3t, s3t)
+        tau2 = neg_g * c2t * a2 + spring2(th2, c2t, s2t)
+        tau3 = neg_g * c3t * a3 + spring3(th3, c3t, s3t)
 
         # damper torques summed per joint, their power in joint order
         power = tau1 = damp2 = damp3 = 0.0
@@ -638,27 +637,32 @@ def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
     the handle force at t, t + dt/2 and t + dt, and returns the next one.
 
     The joint limits clamp the position and zero the outgoing velocity;
-    a state that is not finite raises NonFiniteStateError.
+    a state or stage that leaves the floats raises NonFiniteStateError.
     """
     accel = _arm_law(params, springs, dampers)
     (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
     half = 0.5 * dt
     sixth = dt / 6.0
     isfinite = math.isfinite
+    diverged = "state diverged at t = {:.6f} s; reduce the timestep".format
 
     def step(y, t, f0, f_half, f1):
         q1, q2, q3, w1, w2, w3, e = y
-        # stage k_i = (rates u_i, accelerations a_i, power p_i)
-        a1, a2, a3, p1 = accel(q1, q2, q3, w1, w2, w3, f0)
-        u1, u2, u3 = w1 + half * a1, w2 + half * a2, w3 + half * a3
-        b1, b2, b3, p2 = accel(q1 + half * w1, q2 + half * w2,
-                               q3 + half * w3, u1, u2, u3, f_half)
-        v1, v2, v3 = w1 + half * b1, w2 + half * b2, w3 + half * b3
-        c1, c2, c3, p3 = accel(q1 + half * u1, q2 + half * u2,
-                               q3 + half * u3, v1, v2, v3, f_half)
-        x1, x2, x3 = w1 + dt * c1, w2 + dt * c2, w3 + dt * c3
-        d1, d2, d3, p4 = accel(q1 + dt * v1, q2 + dt * v2, q3 + dt * v3,
-                               x1, x2, x3, f1)
+        try:
+            # stage k_i = (rates u_i, accelerations a_i, power p_i)
+            a1, a2, a3, p1 = accel(q1, q2, q3, w1, w2, w3, f0)
+            u1, u2, u3 = w1 + half * a1, w2 + half * a2, w3 + half * a3
+            b1, b2, b3, p2 = accel(q1 + half * w1, q2 + half * w2,
+                                   q3 + half * w3, u1, u2, u3, f_half)
+            v1, v2, v3 = w1 + half * b1, w2 + half * b2, w3 + half * b3
+            c1, c2, c3, p3 = accel(q1 + half * u1, q2 + half * u2,
+                                   q3 + half * u3, v1, v2, v3, f_half)
+            x1, x2, x3 = w1 + dt * c1, w2 + dt * c2, w3 + dt * c3
+            d1, d2, d3, p4 = accel(q1 + dt * v1, q2 + dt * v2,
+                                   q3 + dt * v3, x1, x2, x3, f1)
+        except (ValueError, OverflowError):
+            # a stage left the floats, as math.cos of an infinite angle
+            raise NonFiniteStateError(diverged(t + dt)) from None
         q1 += sixth * (w1 + 2.0 * u1 + 2.0 * v1 + x1)
         q2 += sixth * (w2 + 2.0 * u2 + 2.0 * v2 + x2)
         q3 += sixth * (w3 + 2.0 * u3 + 2.0 * v3 + x3)
@@ -683,8 +687,7 @@ def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
 
         y = (q1, q2, q3, w1, w2, w3, e)
         if not all(map(isfinite, y)):
-            raise NonFiniteStateError(
-                f"state diverged at t = {t + dt:.6f} s; reduce the timestep")
+            raise NonFiniteStateError(diverged(t + dt))
         return y
 
     return step
@@ -743,11 +746,13 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     one of the signal specs, or a callable t -> force evaluated at the RK4
     stage times. `deflections` packs (delta_p, delta_y, rate_p, rate_y) of
     the compliant mount; a rigid one returns them unchanged. Raises
-    DeflectionExceededError when they lie beyond its validity limit, and
-    TimestepTooCoarseError when a compliant mount has omega_n*dt >= pi.
+    LimitViolationError for a `state` outside the joint limits,
+    DeflectionExceededError for deflections beyond the mount's validity
+    limit, and TimestepTooCoarseError when omega_n*dt >= pi.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
+    _check_start(params, state)
     source = _force_source(inputs)
     stage_forces = (None, None, None)
     if source is not None:
@@ -760,6 +765,13 @@ def step_dynamics(params: MechanismParams, springs, dampers,
         dy, vy, _ = _mount_rows(compliance, dy, vy, 2, dt, t)[1].tolist()
     _check_deflection(compliance, [t + dt], np.array([[dp, dy]]))
     return JointState(q=y[:3], qdot=y[3:6]), (dp, dy, vp, vy)
+
+
+def _check_start(params: MechanismParams, state: JointState):
+    """The limit clamp would snap a start outside the limits, adding energy."""
+    if not params.within_limits(state.q):
+        raise LimitViolationError(
+            f"initial joint angles {state.q} lie outside the joint limits")
 
 
 def _check_deflection(compliance: ComplianceSpec, t, deflections):
@@ -800,11 +812,13 @@ def run_scenario(params: MechanismParams, springs, dampers,
     kinematic playback: joints follow IK of the interpolated waypoints and
     no forces are integrated.
 
-    Raises DeflectionExceededError, naming the time of the first breach,
-    when the mount deflects beyond its validity limit.
+    Raises LimitViolationError for a force-driven start outside the joint
+    limits, and DeflectionExceededError, naming the time of the first
+    breach, when the mount deflects beyond its validity limit.
     """
     if isinstance(scenario.input, PrescribedTrajectory):
         return _run_prescribed(params, springs, scenario)
+    _check_start(params, scenario.initial)
 
     n = scenario.steps
     dt = scenario.timestep
@@ -919,9 +933,10 @@ def spoon_contact_response(params: MechanismParams,
     Compliant mode solves one deflection axis exactly on the grid of dt
     and reports the peak reaction torque |k_r*d + c_r*d'|, the settling
     time into the recenter tolerance, and whether recentering happened
-    within the horizon. Rigid mode has no deflection dynamics at all; as
-    the comparison value it reports the impulse spread over a single
-    timestep, flagged model-dependent because it scales with 1/dt.
+    within the horizon; a peak on the impulse row is model-dependent. Rigid
+    mode has no deflection dynamics; as the comparison value it reports
+    the impulse spread over one timestep, model-dependent as it scales
+    with 1/dt.
 
     dt and duration follow a scenario's grid rule, or this raises
     ValueError, and a compliant mount needs omega_n*dt < pi, or this
@@ -942,8 +957,9 @@ def spoon_contact_response(params: MechanismParams,
     _check_deflection(compliance, t, rows[:, :1])
 
     d, v, _ = rows.T
-    peak = float(np.abs(compliance.stiffness * d
-                        + compliance.damping * v).max())
+    torque = np.abs(compliance.stiffness * d + compliance.damping * v)
+    peak = float(torque.max())
     settling = settling_time(np.abs(d) >= compliance.recenter_tolerance, t)
     return ContactResponse(peak_torque=peak, settling_time=settling,
-                           recentered=settling < math.inf)
+                           recentered=settling < math.inf,
+                           model_dependent=bool(0.0 < peak == torque[0]))

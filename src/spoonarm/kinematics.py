@@ -99,10 +99,13 @@ class MechanismParams:
     gravity: float = 9.81
 
     def __post_init__(self):
+        for name in ("bracket_drop", "bracket_lateral", "gravity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("base_height", "base_offset", "link1_length",
                      "link2_length", "spoon_offset"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.handle_variant is HandleVariant.OLD_TIP:
             # the old design rides the outer end of link 2, always
             object.__setattr__(self, "handle_distance", self.link2_length)
@@ -112,8 +115,8 @@ class MechanismParams:
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
         for name in ("mass_link1", "mass_link2", "mass_payload"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.handle_angle_index not in range(5):
             raise ValueError("handle_angle_index must be one of 0..4")
         limits = tuple((float(lo), float(hi)) for lo, hi in self.joint_limits)
@@ -222,8 +225,8 @@ def handle_torques(coefficients, cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
     """Joint torques J_handle^T F of the handle force (fx, fy, fz).
 
     Takes the build's handle_coefficients, then the trigonometry as for
-    spoon_position; floats or arrays. This is the one definition of the
-    handle Jacobian: handle_jacobian reads its rows off unit forces.
+    spoon_position; floats or arrays. This is the one definition of a
+    point's Jacobian: jacobian and handle_jacobian read their rows off it.
     """
     a1, L1, dh, b = coefficients
     r = a1 + L1 * c2t + dh * c3t    # radial_height's radius at reach d_h
@@ -265,27 +268,27 @@ def forward_kinematics(params: MechanismParams,
     return spoon_pose(params, state), handle_pose(params, state)
 
 
+def _point_jacobian(coefficients, q) -> np.ndarray:
+    """3x3 Jacobian of the point with these handle_coefficients at q."""
+    trig = _trig(q)
+    # row i of J is J^T e_i
+    return np.array([handle_torques(coefficients, *trig, *unit)
+                     for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                  (0.0, 0.0, 1.0))])
+
+
 def jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
-    """3x3 analytic Jacobian of the spoon position wrt (phi1, theta2, theta3)."""
-    L1, L2 = params.link1_length, params.link2_length
-    c1, s1, c2t, s2t, c3t, s3t = _trig(state.q)
-    r, _ = radial_height(params, L2, c2t, s2t, c3t, s3t)
-    r += params.spoon_offset
-    return np.array([
-        [-r * s1, -L1 * s2t * c1, -L2 * s3t * c1],
-        [r * c1, -L1 * s2t * s1, -L2 * s3t * s1],
-        [0.0, L1 * c2t, L2 * c3t],
-    ])
+    """3x3 analytic Jacobian of the spoon position wrt (phi1, theta2, theta3):
+    a point at reach L2 and radial offset base_offset + spoon_offset."""
+    return _point_jacobian((params.base_offset + params.spoon_offset,
+                            params.link1_length, params.link2_length, 0.0),
+                           state.q)
 
 
 def handle_jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
     """3x3 analytic Jacobian of the handle position; maps handle forces to
     joint torques through its transpose."""
-    coefficients, trig = handle_coefficients(params), _trig(state.q)
-    # row i of J is J^T e_i
-    return np.array([handle_torques(coefficients, *trig, *unit)
-                     for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                                  (0.0, 0.0, 1.0))])
+    return _point_jacobian(handle_coefficients(params), state.q)
 
 
 def _wrap_angle(a: float) -> float:

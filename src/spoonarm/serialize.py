@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .statics import gravity_coefficients, spring_sum
+
 SIM_HEADER = ("t,phi1,theta2,theta3,dphi1,dtheta2,dtheta3,"
               "spoon_x,spoon_y,spoon_z,handle_x,handle_y,handle_z,"
               "delta_p,delta_y,E_kin,E_pot,E_diss")
@@ -60,25 +62,21 @@ def write_sim_csv(result, path):
 def write_balance_csv(params, springs, profiles, path):
     """Residual torque table for both lifted joints, stacked.
 
-    `profiles` are the per-joint residual TorqueProfiles; gravity and
-    spring columns are recomputed per row so the file is self-checking
-    (residual = gravity + spring).
+    `profiles` are the per-joint residual TorqueProfiles; the gravity and
+    spring columns are computed afresh over each profile's angles, so the
+    file is self-checking (residual = gravity + spring).
     """
-    from .statics import gravity_torque, spring_joint_torques
-    from .kinematics import JointState
-
-    def rows():
-        for profile in profiles:
-            j = profile.joint
-            for angle, residual in zip(profile.angles, profile.torques):
-                q = [0.0, 0.0, 0.0]
-                q[j] = float(angle)
-                state = JointState(q=tuple(q))
-                tau_g = gravity_torque(params, state)[j - 1]
-                tau_s = spring_joint_torques(springs, state)[j]
-                yield (float(angle), tau_g, tau_s, residual)
-
-    _write_rows(path, BALANCE_HEADER, rows())
+    blocks = []
+    for profile in profiles:
+        angles, joint = profile.angles, profile.joint
+        cos = np.cos(angles)
+        coeff = gravity_coefficients(params)[joint - 1]
+        blocks.append(np.column_stack([
+            angles, -params.gravity * coeff * cos,
+            spring_sum(springs, joint)(angles, cos, np.sin(angles), np.sqrt,
+                                       np.maximum),
+            profile.torques]))
+    _write_table(path, BALANCE_HEADER, (np.concatenate(blocks),))
 
 
 def write_compare_csv(rows, path):

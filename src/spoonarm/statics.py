@@ -70,10 +70,10 @@ class SpringSpec:
     def __post_init__(self):
         if self.joint not in (Joint.J2, Joint.J3):
             raise ValueError("springs act on J2 or J3 only")
-        if self.stiffness < 0.0:
-            raise ValueError("stiffness must be >= 0")
-        if self.free_length < 0.0:
-            raise ValueError("free_length must be >= 0")
+        if not 0.0 <= self.stiffness < math.inf:
+            raise ValueError("stiffness must be finite and >= 0")
+        if not 0.0 <= self.free_length < math.inf:
+            raise ValueError("free_length must be finite and >= 0")
         if self.kind is SpringKind.TORSION:
             # torsion springs have no geometry fields; keeping them zeroed
             # lets the config format store each kind losslessly
@@ -81,10 +81,13 @@ class SpringSpec:
                     or self.free_length != 0.0):
                 raise ValueError(
                     "torsion springs take no anchor/bar/free-length geometry")
+            if not math.isfinite(self.torsion_neutral):
+                raise ValueError("torsion_neutral must be finite")
         else:
-            if not (self.anchor_radius > 0.0 and self.bar_radius > 0.0):
-                raise ValueError(
-                    "linear springs need anchor_radius > 0 and bar_radius > 0")
+            if not (0.0 < self.anchor_radius < math.inf
+                    and 0.0 < self.bar_radius < math.inf):
+                raise ValueError("linear springs need finite anchor_radius "
+                                 "> 0 and bar_radius > 0")
             if self.torsion_neutral != 0.0:
                 raise ValueError(
                     "torsion_neutral applies to torsion springs only")
@@ -187,10 +190,10 @@ def _spring_length(a2b2, two_ab, s, sqrt=math.sqrt, maximum=max):
 def spring_laws(spec: SpringSpec):
     """The torque and potential laws of one spring, its constants bound.
 
-    torque(angle, c, s) is the torque the spring exerts on its joint at
-    the bar angle, given with its cosine c and sine s, as floats.
-    potential(angle, s, sqrt=math.sqrt, maximum=max) is the elastic
-    energy stored at the angle with sine s: floats, or numpy arrays with
+    torque(angle, c, s, sqrt=math.sqrt, maximum=max) is the torque the
+    spring exerts on its joint at the bar angle, given with its cosine c
+    and sine s; potential(angle, s, sqrt=math.sqrt, maximum=max) is the
+    elastic energy stored there. Both take floats, or numpy arrays with
     numpy's sqrt and maximum, for a whole column in one pass.
     """
     k = spec.stiffness
@@ -198,7 +201,7 @@ def spring_laws(spec: SpringSpec):
     if spec.kind is SpringKind.TORSION:
         neg_k, neutral = -k, spec.torsion_neutral
 
-        def torque(angle, c, s):
+        def torque(angle, c, s, sqrt=math.sqrt, maximum=max):
             return neg_k * (angle - neutral)
 
         def potential(angle, s, sqrt=math.sqrt, maximum=max):
@@ -211,7 +214,7 @@ def spring_laws(spec: SpringSpec):
     if spec.kind is SpringKind.LINEAR_ZERO_FREE_LENGTH:
         kab = k * ab
 
-        def torque(angle, c, s):
+        def torque(angle, c, s, sqrt=math.sqrt, maximum=max):
             return kab * c
 
         def potential(angle, s, sqrt=math.sqrt, maximum=max):
@@ -222,13 +225,11 @@ def spring_laws(spec: SpringSpec):
     # real linear spring: tau = -k (l - l0) dl/dtheta, dl/dtheta = -ab cos/l
     l0 = spec.free_length
 
-    def torque(angle, c, s):
-        l = _spring_length(a2b2, two_ab, s)
-        if l < 1e-12:
-            # anchor and attachment coincide (a == b, bar vertical); the
-            # force direction is undefined there, the torque limit is zero
-            return 0.0
-        return k * (l - l0) * ab * c / l
+    def torque(angle, c, s, sqrt=math.sqrt, maximum=max):
+        l = _spring_length(a2b2, two_ab, s, sqrt, maximum)
+        # below 1e-12 the anchor and attachment coincide (a == b, bar
+        # vertical): the force direction is undefined, the torque limit 0
+        return (l >= 1e-12) * (k * (l - l0) * ab * c / maximum(l, 1e-12))
 
     def potential(angle, s, sqrt=math.sqrt, maximum=max):
         stretch = _spring_length(a2b2, two_ab, s, sqrt, maximum) - l0
@@ -248,19 +249,27 @@ def spring_potential(spec: SpringSpec, angle: float) -> float:
     return potential(angle, math.sin(angle))
 
 
-def _torques_over(spec: SpringSpec, grid) -> np.ndarray:
-    """spring_torque at each angle of a 1-D grid, the law bound once."""
-    torque, _ = spring_laws(spec)
-    return np.array([torque(t, math.cos(t), math.sin(t))
-                     for t in grid.tolist()])
+def spring_sum(springs, joint: Joint):
+    """The summed torque law of the springs on `joint`, called as a
+    spring_laws torque, the laws bound once. No spring gives +0.0 at every
+    angle; one spring's sum is its own law, with no extra call."""
+    laws = tuple(spring_laws(spec)[0] for spec in springs
+                 if spec.joint == joint)
+    if len(laws) == 1:
+        return laws[0]
+
+    def torque(angle, c, s, sqrt=math.sqrt, maximum=max):
+        tau = 0.0 * abs(angle)      # +0.0, a float or a column like angle
+        for law in laws:
+            tau = tau + law(angle, c, s, sqrt, maximum)
+        return tau
+    return torque
 
 
 def spring_joint_torques(springs, state: JointState) -> tuple[float, float, float]:
     """Summed spring torque per joint as a (0, tau2, tau3) triple."""
-    taus = [0.0, 0.0, 0.0]
-    for spec in springs:
-        taus[spec.joint] += spring_torque(spec, state.q[spec.joint])
-    return tuple(taus)
+    return tuple(spring_sum(springs, joint)(q, math.cos(q), math.sin(q))
+                 for joint, q in zip(Joint, state.q))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +312,8 @@ def _synthesize_joint(joint: Joint, gravity_coeff: float, angle_range,
         else:
             tau_g = -gravity_coeff * np.cos(grid)
             unit = SpringSpec(kind, joint, 1.0, a, b, free_length=free_length)
-            shape = _torques_over(unit, grid)
+            shape = spring_sum((unit,), joint)(
+                grid, np.cos(grid), np.sin(grid), np.sqrt, np.maximum)
             k = _golden_min(
                 lambda kk: float(np.max(np.abs(tau_g + kk * shape))),
                 0.0, 4.0 * gravity_coeff / (a * b) + 1.0)
@@ -370,10 +380,9 @@ def residual_torque_profile(params: MechanismParams, springs,
             grid = np.linspace(lo, hi, GRID_SAMPLES)
         else:
             grid = np.array([lo])
-        tau = -params.gravity * coeff * np.cos(grid)
-        for spec in springs:
-            if spec.joint is joint:
-                tau = tau + _torques_over(spec, grid)
+        spring = spring_sum(springs, joint)
+        tau = -params.gravity * coeff * np.cos(grid) + spring(
+            grid, np.cos(grid), np.sin(grid), np.sqrt, np.maximum)
         profiles.append(TorqueProfile(joint, grid, tau))
     return tuple(profiles)
 

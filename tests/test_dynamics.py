@@ -40,7 +40,8 @@ from spoonarm.dynamics import (
     _signal_forces,
     _stage_times,
 )
-from spoonarm.errors import DeflectionExceededError, NonFiniteStateError
+from spoonarm.errors import (DeflectionExceededError, LimitViolationError,
+                             NonFiniteStateError)
 from spoonarm.kinematics import Joint, handle_jacobian
 from spoonarm.statics import (
     SpringKind,
@@ -886,8 +887,8 @@ def test_contact_response_rejects_bad_grid(dt, duration, mount):
 
 
 def test_contact_divergence_is_named():
-    # omega_n*dt = 6.3 is far outside RK4's stability region; the state
-    # overflows and the step that does it says so
+    # omega_n*dt = 6.3 is above the mount's bound of pi (fewer than two
+    # rows per undamped period), so the study refuses the grid and says so
     with pytest.raises(NonFiniteStateError, match="reduce the timestep"):
         spoon_contact_response(free_params(),
                                ComplianceSpec(deflection_limit=1e300),
@@ -921,3 +922,92 @@ def test_prescribed_trajectory_holds_endpoints():
     res = run_scenario(p, [], [], RIGID, sc)
     assert res.spoon_pos[0, 2] == pytest.approx(0.05, abs=1e-9)
     assert res.spoon_pos[-1, 2] == pytest.approx(0.30, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# named errors for a diverging stage, an out-of-limits start and
+# non-finite spec numbers
+
+
+def example_build():
+    from spoonarm.config import default_config_path, load_config, load_scenario
+    config = load_config(default_config_path())
+    scenario = load_scenario(default_config_path().with_name(
+        "example_scenario.json"))
+    return config, scenario
+
+
+@pytest.mark.parametrize("coefficient", [30.0, 40.0])
+def test_stiff_damper_divergence_is_named_even_inside_a_stage(coefficient):
+    # at c = 30 a stage angle overflows before the state does, and
+    # math.cos of it raised a bare ValueError
+    config, scenario = example_build()
+    damper = DamperSpec(Joint.J3, DamperModel.VISCOUS, coefficient)
+    with pytest.raises(NonFiniteStateError, match="reduce the timestep"):
+        run_scenario(config.mechanism, config.springs, [damper],
+                     config.compliance, scenario)
+
+
+def test_stage_angle_overflow_is_named_by_the_step():
+    # w^2 overflows in the first stage, so the third stage's angle is
+    # infinite and its cosine is a math domain error
+    step = _arm_stepper(MechanismParams(), [], [], 1e-3)
+    y = (0.0, 0.5, 0.0, 0.0, 1e200, 1e200, 0.0)
+    with pytest.raises(NonFiniteStateError,
+                       match=r"t = 0\.251000 s; reduce the timestep"):
+        step(y, 0.25, None, None, None)
+
+
+START_OUTSIDE = JointState(q=(0.0, 2.3, -1.0))    # theta2 above its 2.0 cap
+
+
+def test_rollout_refuses_a_start_outside_the_joint_limits():
+    sc = Scenario(duration=0.002, timestep=1e-3, initial=START_OUTSIDE)
+    with pytest.raises(LimitViolationError, match="outside the joint limits"):
+        run_scenario(MechanismParams(), [], [], RIGID, sc)
+    with pytest.raises(LimitViolationError):
+        step_dynamics(MechanismParams(), [], [], RIGID, START_OUTSIDE, None,
+                      1e-3)
+
+
+def test_start_on_a_joint_limit_is_accepted():
+    on_limit = JointState(q=(math.pi, 2.0, -1.75))
+    sc = Scenario(duration=0.002, timestep=1e-3, initial=on_limit)
+    assert len(run_scenario(MechanismParams(), [], [], RIGID, sc)) == 3
+    step_dynamics(MechanismParams(), [], [], RIGID, on_limit, None, 1e-3)
+
+
+NON_FINITE_SPECS = [
+    (DamperSpec, dict(joint=Joint.J2), "coefficient"),
+    (lambda **kw: DamperSpec(Joint.J2, DamperModel.DEAD_ZONE_VISCOUS, 0.4,
+                             **kw), {}, "deadzone"),
+    (SineTremor, dict(frequency=2.0), "amplitude"),
+    (SineTremor, dict(amplitude=0.1), "frequency"),
+    (NoiseTremor, dict(f_lo=1.0, f_hi=8.0, seed=1), "rms"),
+    (NoiseTremor, dict(rms=0.1, f_hi=8.0, seed=1), "f_lo"),
+    (NoiseTremor, dict(rms=0.1, f_lo=1.0, seed=1), "f_hi"),
+    (ComplianceSpec, {}, "deflection_limit"),
+    (ComplianceSpec, {}, "recenter_tolerance"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("make, kw, field", NON_FINITE_SPECS,
+                         ids=[field for *_, field in NON_FINITE_SPECS])
+def test_specs_reject_non_finite_numbers(make, kw, field, bad):
+    with pytest.raises(ValueError, match=field):
+        make(**kw, **{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_signal_direction_and_waypoints_reject_non_finite_numbers(bad):
+    with pytest.raises(ValueError, match="direction"):
+        SineTremor(0.1, 2.0, direction=(0.0, bad, 1.0))
+    with pytest.raises(ValueError, match="waypoints"):
+        PrescribedTrajectory(((0.0, 0.35, 0.0, 0.05),
+                              (1.0, 0.35, bad, 0.30)))
+
+
+def test_nan_tremor_is_a_spec_error_not_a_timestep_error():
+    with pytest.raises(ValueError, match="amplitude"):
+        SineTremor(math.nan, 2.0)

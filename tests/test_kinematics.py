@@ -297,3 +297,41 @@ def test_jacobian_yaw_column_is_radial_at_zero_yaw():
     s = JointState(q=(0.0, 0.6, -0.3))
     assert jacobian(p, s)[1, 0] == pytest.approx(
         spoon_pose(p, s).radial, abs=1e-12)
+
+
+def test_spoon_jacobian_is_a_handle_jacobian_at_the_tip():
+    # the tip is a tip-mounted handle with the spoon offset moved into the
+    # base offset and no lateral bracket offset
+    p = MechanismParams()
+    tip = MechanismParams(base_offset=p.base_offset + p.spoon_offset,
+                          handle_variant=HandleVariant.OLD_TIP,
+                          bracket_lateral=0.0)
+    for s in random_states(MechanismParams(joint_limits=WIDE_LIMITS), 200, 31):
+        np.testing.assert_array_equal(jacobian(p, s), handle_jacobian(tip, s))
+
+
+def test_spoon_jacobian_matches_the_closed_form():
+    p = MechanismParams()
+    L1, L2 = p.link1_length, p.link2_length
+    for s in random_states(p, 500, 32):
+        phi1, th2, th3 = s.q
+        r = (p.base_offset + L1 * math.cos(th2) + L2 * math.cos(th3)
+             + p.spoon_offset)
+        c1, s1 = math.cos(phi1), math.sin(phi1)
+        expect = np.array([
+            [-r * s1, -L1 * math.sin(th2) * c1, -L2 * math.sin(th3) * c1],
+            [r * c1, -L1 * math.sin(th2) * s1, -L2 * math.sin(th3) * s1],
+            [0.0, L1 * math.cos(th2), L2 * math.cos(th3)],
+        ])
+        np.testing.assert_allclose(jacobian(p, s), expect, rtol=0,
+                                   atol=2.3e-16)
+
+
+@pytest.mark.parametrize("field", [
+    "base_height", "base_offset", "link1_length", "link2_length",
+    "spoon_offset", "bracket_drop", "bracket_lateral", "mass_link1",
+    "mass_link2", "mass_payload", "gravity"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mechanism_params_reject_non_finite_numbers(field, bad):
+    with pytest.raises(ValueError, match=field):
+        MechanismParams(**{field: bad})

@@ -231,3 +231,21 @@ def test_spasm_needs_finite_values(field, value):
     kw = {"force": 1.0, "duration": 0.1, "onset": 0.2, field: value}
     with pytest.raises(ValueError, match="finite"):
         SpasmImpulse(**kw)
+
+
+@pytest.mark.parametrize("damping, peak", [(1.0, 40.0), (50.0, 2000.0)])
+def test_peak_on_the_impulse_row_is_model_dependent(damping, peak):
+    # the reaction on the impulse row is c * v0 with v0 = 0.02 / 5e-4, an
+    # artifact of the ideal impulse that grows with c without bound
+    res = spoon_contact_response(MechanismParams(), wide(damping=damping),
+                                 0.02)
+    assert res.peak_torque == pytest.approx(peak, rel=1e-12)
+    assert res.model_dependent
+
+
+def test_later_peak_and_zero_impulse_are_not_model_dependent():
+    later = spoon_contact_response(MechanismParams(), ComplianceSpec(), 0.02)
+    assert later.peak_torque == 1.0430074916432155
+    assert not later.model_dependent
+    assert not spoon_contact_response(MechanismParams(), ComplianceSpec(),
+                                      0.0).model_dependent

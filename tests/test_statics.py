@@ -18,9 +18,11 @@ from spoonarm.statics import (
     spring_joint_torques,
     spring_laws,
     spring_potential,
+    spring_sum,
     spring_torque,
     synthesize_balancing,
 )
+from spoonarm.serialize import write_balance_csv
 
 # gravity torque amplitudes g*A2, g*A3 for the nominal build
 G2 = 1.4101875
@@ -330,3 +332,148 @@ def test_spring_joint_torques_routing():
     assert t[0] == 0.0
     assert t[1] == pytest.approx(spring_torque(s2, 0.2), abs=1e-15)
     assert t[2] == pytest.approx(spring_torque(s3, -0.5), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one spring sum, on floats and on arrays
+
+
+SUM_SPRINGS = {
+    "ideal": SpringSpec(SpringKind.LINEAR_ZERO_FREE_LENGTH, Joint.J2, 282.0,
+                        0.10, 0.05),
+    "real": SpringSpec(SpringKind.LINEAR_REAL, Joint.J2, 298.1, 0.10, 0.05,
+                       free_length=0.005),
+    # a == b: anchor and attachment coincide with the bar vertical
+    "real_a_eq_b": SpringSpec(SpringKind.LINEAR_REAL, Joint.J2, 150.0, 0.07,
+                              0.07, free_length=0.005),
+    "torsion": SpringSpec(SpringKind.TORSION, Joint.J2, 0.62,
+                          torsion_neutral=2.1467314686341252),
+}
+
+
+def sum_grid():
+    """A joint-range grid plus the vertical bar and its float neighbours."""
+    up = math.pi / 2
+    near = [up, np.nextafter(up, 0.0), np.nextafter(up, 4.0),
+            up - 1e-9, up + 1e-9, up - 1e-6, up + 1e-6]
+    return np.sort(np.concatenate([np.linspace(-1.75, 2.0, 181), near]))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("springs", [
+    *([spec] for spec in SUM_SPRINGS.values()),
+    list(SUM_SPRINGS.values()),     # several springs on one joint
+    [],                             # none
+], ids=[*SUM_SPRINGS, "all_four", "none"])
+def test_spring_sum_on_arrays_equals_the_float_law_bit_for_bit(springs):
+    grid = sum_grid()
+    c, s = np.cos(grid), np.sin(grid)
+    torque = spring_sum(springs, Joint.J2)
+    column = torque(grid, c, s, np.sqrt, np.maximum)
+    floats = [torque(t, ct, st)
+              for t, ct, st in zip(grid.tolist(), c.tolist(), s.tolist())]
+    assert column.shape == grid.shape
+    np.testing.assert_array_equal(bits(column), bits(floats))
+    if not springs:
+        assert not np.signbit(column).any() and not column.any()
+
+
+def test_real_spring_law_keeps_its_floats_and_zero_at_coincidence():
+    spec = SUM_SPRINGS["real_a_eq_b"]
+    k, a, b, l0 = spec.stiffness, spec.anchor_radius, spec.bar_radius, \
+        spec.free_length
+    torque, _ = spring_laws(spec)
+    checked = 0
+    for t in sum_grid().tolist():
+        c, s = math.cos(t), math.sin(t)
+        l = math.sqrt(max(a * a + b * b - 2.0 * a * b * s, 0.0))
+        got = torque(t, c, s)
+        if l < 1e-12:
+            assert got == 0.0
+        else:
+            # the law as written for floats alone, before arrays
+            assert bits([got]) == bits([k * (l - l0) * (a * b) * c / l])
+            checked += 1
+    assert checked > 181
+
+
+def test_spring_sum_routes_by_joint_and_adds_in_order():
+    s2 = SUM_SPRINGS["ideal"]
+    s3 = SpringSpec(SpringKind.TORSION, Joint.J3, 0.3, torsion_neutral=0.4)
+    torsion2 = SUM_SPRINGS["torsion"]
+    t = 0.3
+    c, s = math.cos(t), math.sin(t)
+    both = spring_sum([s2, s3, torsion2], Joint.J2)(t, c, s)
+    assert both == (0.0 + spring_torque(s2, t)) + spring_torque(torsion2, t)
+    assert spring_sum([s2, s3], Joint.J3)(t, c, s) == spring_torque(s3, t)
+
+
+def read_balance_csv(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "angle_rad,tau_gravity,tau_spring,tau_residual"
+    return [tuple(map(float, line.split(","))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("kind", list(SpringKind))
+def test_balance_csv_columns_match_the_reference_helpers(tmp_path, kind):
+    p = MechanismParams()
+    result = synthesize_balancing(p, kind)
+    profiles = (result.residual_j2, result.residual_j3)
+    path = tmp_path / "balance.csv"
+    write_balance_csv(p, result.springs, profiles, path)
+    rows = read_balance_csv(path)
+    assert len(rows) == sum(len(profile.angles) for profile in profiles)
+    i = 0
+    for profile in profiles:
+        j = profile.joint
+        for angle, residual in zip(profile.angles.tolist(),
+                                   profile.torques.tolist()):
+            q = [0.0, 0.0, 0.0]
+            q[j] = angle
+            state = JointState(q=tuple(q))
+            got_angle, tau_g, tau_s, tau_r = rows[i]
+            assert got_angle == angle
+            # numpy's and the C library's cosine may differ in the last bit
+            # on some builds, hence the few-ulp tolerance
+            assert tau_g == pytest.approx(gravity_torque(p, state)[j - 1],
+                                          rel=1e-14, abs=1e-15)
+            assert tau_s == pytest.approx(
+                spring_joint_torques(result.springs, state)[j],
+                rel=1e-13, abs=1e-15)
+            assert tau_r == residual
+            i += 1
+
+
+def test_balance_csv_joint_without_springs_has_a_zero_column(tmp_path):
+    p = MechanismParams()
+    only_j2 = (ideal_spring(Joint.J2, G2),)
+    profiles = residual_torque_profile(p, only_j2)
+    path = tmp_path / "balance.csv"
+    write_balance_csv(p, only_j2, profiles, path)
+    rows = read_balance_csv(path)
+    j3_rows = rows[len(profiles[0].angles):]
+    assert len(j3_rows) == len(profiles[1].angles)
+    assert all(r[2] == 0.0 and math.copysign(1.0, r[2]) == 1.0
+               for r in j3_rows)
+    np.testing.assert_array_equal([r[3] for r in j3_rows],
+                                  [r[1] for r in j3_rows])
+
+
+def test_spring_spec_rejects_non_finite_numbers():
+    geometry = dict(anchor_radius=0.1, bar_radius=0.05)
+    for bad in (math.nan, math.inf):
+        for kind, field, extra in (
+                (SpringKind.LINEAR_REAL, "stiffness", geometry),
+                (SpringKind.LINEAR_REAL, "free_length", geometry),
+                (SpringKind.LINEAR_REAL, "anchor_radius",
+                 dict(bar_radius=0.05)),
+                (SpringKind.LINEAR_REAL, "bar_radius",
+                 dict(anchor_radius=0.1)),
+                (SpringKind.TORSION, "torsion_neutral", {})):
+            kw = dict(extra, stiffness=1.0)
+            kw[field] = bad
+            with pytest.raises(ValueError, match=field):
+                SpringSpec(kind, Joint.J2, **kw)
