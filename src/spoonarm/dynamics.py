@@ -44,9 +44,14 @@ The grid must sample the mount's undamped period twice (omega_n*dt < pi).
 A rollout keeps its step loop to integration alone. The handle force at
 every RK4 stage time comes from one vectorised evaluation per block of
 FORCE_BLOCK steps, and each signal law is written once, in that
-evaluator. The loop stores the packed state of each row; after it, one
-numpy pass computes the positions, applied torques and energies, each
-spring's potential on its whole angle column at once.
+evaluator. A signal spec's blocks are shared across rollouts: the last
+SIGNAL_BLOCKS of them, about 1.2 MB whatever the rollout length, stay in
+_signal_block, read-only and keyed by the spec's repr and the grid, so a
+study that runs many builds on one tremor evaluates it once. A constant
+or callable force is evaluated in every run. The loop stores the packed
+state of each row; after it, one numpy pass computes the positions,
+applied torques and energies, each spring's potential on its whole angle
+column at once.
 """
 
 from __future__ import annotations
@@ -87,6 +92,9 @@ from .statics import spring_torque  # noqa: F401
 DEFAULT_TIMESTEP = 1e-3
 NOISE_COMPONENTS = 64
 FORCE_BLOCK = 128           # steps whose stage forces are evaluated at once
+# stage-force blocks kept for reuse by later rollouts: at most
+# SIGNAL_BLOCKS * 3*FORCE_BLOCK rows * 3 * 8 B, about 1.2 MB
+SIGNAL_BLOCKS = 128
 GRID_REL_TOL = 1e-9         # duration/timestep this close to whole is whole
 
 
@@ -471,12 +479,14 @@ def damper_torque(spec: DamperSpec, omega: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _noise_table(rms: float, f_lo: float, f_hi: float, seed: int):
+def _noise_table(f_lo: float, f_hi: float, seed: int):
+    """Angular frequencies and seeded phases of a noise tremor's tones. The
+    amplitude stays out: a cache that took rms = -0.0 and 0.0 as one key
+    would hand one sign of zero to both."""
     freqs = np.linspace(f_lo, f_hi, NOISE_COMPONENTS)
     phases = np.random.default_rng(seed).uniform(
         0.0, 2.0 * math.pi, NOISE_COMPONENTS)
-    amplitude = rms * math.sqrt(2.0 / NOISE_COMPONENTS)
-    return 2.0 * math.pi * freqs, phases, amplitude
+    return 2.0 * math.pi * freqs, phases
 
 
 def _signal_forces(spec, t) -> np.ndarray:
@@ -485,8 +495,8 @@ def _signal_forces(spec, t) -> np.ndarray:
     if isinstance(spec, SineTremor):
         mag = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t)
     elif isinstance(spec, NoiseTremor):
-        omega, phases, amplitude = _noise_table(
-            spec.rms, spec.f_lo, spec.f_hi, spec.seed)
+        omega, phases = _noise_table(spec.f_lo, spec.f_hi, spec.seed)
+        amplitude = spec.rms * math.sqrt(2.0 / NOISE_COMPONENTS)
         mag = amplitude * np.sin(np.multiply.outer(t, omega)
                                  + phases).sum(axis=-1)
     elif isinstance(spec, SpasmImpulse):
@@ -506,7 +516,8 @@ def generate_signal(spec, t: float) -> np.ndarray:
 
 def _force_source(inputs):
     """Normalize the `inputs` argument to None or a function mapping a 1-D
-    array of times to the (len(times), 3) array of handle forces."""
+    array of times to the (len(times), 3) array of handle forces. A
+    constant or a callable force that is not finite raises ValueError."""
     if inputs is None or isinstance(inputs, (FreeRelease, PrescribedTrajectory)):
         return None
     if isinstance(inputs, (SineTremor, NoiseTremor, SpasmImpulse)):
@@ -517,12 +528,45 @@ def _force_source(inputs):
                               dtype=float)
             if forces.shape != (len(times), 3):
                 raise ValueError("input force needs three components")
+            bad = np.flatnonzero(~np.isfinite(forces).all(axis=1))
+            if bad.size:
+                raise ValueError("input force must be finite; it is "
+                                 f"{tuple(forces[bad[0]].tolist())} at "
+                                 f"t = {times[bad[0]]:.6f} s")
             return forces
         return called
     const = tuple(float(v) for v in inputs)
     if len(const) != 3:
         raise ValueError("constant input force needs three components")
+    if not all(map(math.isfinite, const)):
+        raise ValueError(f"constant input force must be finite, not {const}")
     return lambda times: np.tile(const, (len(times), 1))
+
+
+@lru_cache(maxsize=SIGNAL_BLOCKS)
+def _signal_block(key: str, spec, k0: int, k1: int, n: int,
+                  dt: float) -> np.ndarray:
+    """Read-only _signal_forces of a signal spec at the _stage_times of
+    rows k0..k1-1 of an n-row grid of dt, shared by every rollout that
+    needs it. `key` is repr(spec): specs that compare equal, as a 0.0 and
+    a -0.0 field do, can still give forces of different signs."""
+    block = _signal_forces(spec, _stage_times(k0, k1, n, dt))
+    block.flags.writeable = False
+    return block
+
+
+def _block_forces(inputs, n: int, dt: float):
+    """None for no input, or forces(k0, k1): the handle forces at the
+    _stage_times of rows k0..k1-1 of an n-row grid of dt. A signal spec's
+    blocks come from _signal_block; a callable is called at every stage
+    time of every run."""
+    if isinstance(inputs, (SineTremor, NoiseTremor, SpasmImpulse)):
+        key = repr(inputs)
+        return lambda k0, k1: _signal_block(key, inputs, k0, k1, n, dt)
+    source = _force_source(inputs)
+    if source is None:
+        return None
+    return lambda k0, k1: source(_stage_times(k0, k1, n, dt))
 
 
 def _stage_times(k0: int, k1: int, n: int, dt: float) -> np.ndarray:
@@ -823,7 +867,7 @@ def run_scenario(params: MechanismParams, springs, dampers,
     n = scenario.steps
     dt = scenario.timestep
     step = _arm_stepper(params, springs, dampers, dt)
-    source = _force_source(scenario.input)
+    source = _block_forces(scenario.input, n, dt)
 
     states = np.empty((n, 7))
     # handle force at each row's own time, for the applied torque
@@ -835,7 +879,7 @@ def run_scenario(params: MechanismParams, springs, dampers,
         if source is None:
             forces = [None] * (3 * (k1 - k0))
         else:
-            block = source(_stage_times(k0, k1, n, dt))
+            block = source(k0, k1)
             row_forces[k0:k1] = block[::3]
             forces = block.tolist()
         for k in range(k0, k1):
