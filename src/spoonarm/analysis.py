@@ -25,12 +25,16 @@ from .dynamics import settling_time
 from .errors import GridMismatchError, NotBracketedError, SpoonArmError
 from .kinematics import (
     HandleVariant,
-    JointState,
     MechanismParams,
-    forward_kinematics,
+    _trig,
+    handle_position,
     inverse_kinematics,
     spoon_position,
 )
+
+# Not called here any more, but kept as an attribute of this module:
+# perfbench/tracer.py patches it here.
+from .kinematics import forward_kinematics  # noqa: F401
 
 SETTLING_BAND_M = 0.005
 PLATE_RADIUS_M = 0.35
@@ -48,6 +52,9 @@ class TrajectorySpec:
     def __post_init__(self):
         plate = (float(self.plate[0]), float(self.plate[1]))
         mouth = (float(self.mouth[0]), float(self.mouth[1]))
+        for name, point in (("plate", plate), ("mouth", mouth)):
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"{name} must be finite, not {point}")
         object.__setattr__(self, "plate", plate)
         object.__setattr__(self, "mouth", mouth)
         if not mouth[1] - plate[1] > 0.0:
@@ -108,6 +115,24 @@ def trajectory_states(params: MechanismParams,
                  for pt in trajectory.points())
 
 
+def _trajectory_trig(params: MechanismParams,
+                     trajectory: TrajectorySpec) -> np.ndarray:
+    """The six _trig rows of the IK solutions along the trajectory, taken
+    with math as forward_kinematics does, so heights from them match its
+    poses bit for bit. IK never reads the handle: builds that differ
+    only in their handle share these rows."""
+    return np.array([_trig(state.q)
+                     for state in trajectory_states(params, trajectory)]).T
+
+
+def _excursion(params: MechanismParams, trig: np.ndarray) -> Excursion:
+    spoon_z = spoon_position(params, *trig)[2]
+    handle_z = handle_position(params, *trig)[2]
+    spoon_rise = float(spoon_z.max() - spoon_z.min())
+    handle_rise = float(handle_z.max() - handle_z.min())
+    return Excursion(spoon_rise, handle_rise, handle_rise / spoon_rise)
+
+
 def handle_excursion(params: MechanismParams,
                      trajectory: TrajectorySpec) -> Excursion:
     """Vertical travel of utensil and handle over one feeding motion.
@@ -115,15 +140,7 @@ def handle_excursion(params: MechanismParams,
     Rises are max minus min height along the path, so constant bracket
     offsets cancel; the ratio is what the attachment variant changes.
     """
-    spoon_z = []
-    handle_z = []
-    for state in trajectory_states(params, trajectory):
-        spoon, handle = forward_kinematics(params, state)
-        spoon_z.append(spoon.z)
-        handle_z.append(handle.z)
-    spoon_rise = max(spoon_z) - min(spoon_z)
-    handle_rise = max(handle_z) - min(handle_z)
-    return Excursion(spoon_rise, handle_rise, handle_rise / spoon_rise)
+    return _excursion(params, _trajectory_trig(params, trajectory))
 
 
 def calibrate_handle_distance(params: MechanismParams,
@@ -139,11 +156,12 @@ def calibrate_handle_distance(params: MechanismParams,
     if not tolerance > 0.0:
         raise ValueError("tolerance must be > 0")
     L2 = params.link2_length
+    trig = _trajectory_trig(params, trajectory)
 
     def rise_at(d: float) -> float:
         trial = replace(params, handle_variant=HandleVariant.NEW_INBOARD,
                         handle_distance=d)
-        return handle_excursion(trial, trajectory).handle_rise
+        return _excursion(trial, trig).handle_rise
 
     lo, hi = L2 * 1e-6, L2
     sweep = [rise_at(lo + (hi - lo) * i / 8.0) for i in range(9)]
@@ -182,9 +200,10 @@ def compare_handle_variants(params: MechanismParams,
     """
     old = replace(params, handle_variant=HandleVariant.OLD_TIP,
                   bracket_drop=0.0, bracket_lateral=0.0)
+    trig = _trajectory_trig(params, trajectory)
     rows = []
     for name, build in (("old_tip", old), ("new_inboard", params)):
-        exc = handle_excursion(build, trajectory)
+        exc = _excursion(build, trig)
         rows.append((name, build.handle_distance, exc.spoon_rise,
                      exc.handle_rise, exc.ratio))
     return tuple(rows)
@@ -202,13 +221,18 @@ def workspace_sample(params: MechanismParams, resolution: int,
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per joint")
+    if not 0.0 <= radial_band < math.inf:
+        raise ValueError(f"radial_band must be finite and >= 0, "
+                         f"not {radial_band}")
+    if not (math.isfinite(plate_radius) and math.isfinite(target_rise)):
+        raise ValueError("plate_radius and target_rise must be finite")
     grids = [np.linspace(lo, hi, resolution)
              for lo, hi in params.joint_limits]
     phi, th2, th3 = np.meshgrid(*grids, indexing="ij")
     pts = np.stack(spoon_position(params, np.cos(phi), np.sin(phi),
                                   np.cos(th2), np.sin(th2),
                                   np.cos(th3), np.sin(th3)), axis=-1)
-    pts = np.unique(pts.reshape(-1, 3), axis=0)
+    pts = _unique_rows(pts.reshape(-1, 3))
 
     radial = np.hypot(pts[:, 0], pts[:, 1])
     in_band = np.abs(radial - plate_radius) <= radial_band
@@ -225,6 +249,13 @@ def workspace_sample(params: MechanismParams, resolution: int,
         covers_target_rise=plate_span >= target_rise,
     )
     return WorkspaceSample(points=pts, summary=summary)
+
+
+def _unique_rows(points: np.ndarray) -> np.ndarray:
+    """np.unique(points, axis=0) of an (n, 3) table, by one lexsort
+    rather than np.unique's slower generic row compare."""
+    s = points[np.lexsort(points.T[::-1])]
+    return s[np.concatenate(([True], np.any(s[1:] != s[:-1], axis=1)))]
 
 
 def _segment_deviation(trajectory: TrajectorySpec,

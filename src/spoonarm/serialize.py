@@ -2,7 +2,9 @@
 
 Every float is written as repr() produces it: the shortest decimal string
 that round-trips to the same double. Identical inputs therefore yield
-byte-identical files, which is what the golden tests pin.
+byte-identical files, which is what the golden tests pin. Float tables
+are formatted a block of rows at a time and column by column, with one
+repr per cell; that repr is the floor of a table's write time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def _write_table(path, header, columns):
 
     Rows are formatted from Python floats, CSV_BLOCK_ROWS at a time, so
     memory stays flat however long the table is; repr of a float is what
-    fmt writes, so the bytes are the same.
+    fmt writes, so the bytes are the same. Each block's columns are
+    formatted whole and zipped into rows, one write per block.
     """
     n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -47,8 +50,8 @@ def _write_table(path, header, columns):
         for start in range(0, n, CSV_BLOCK_ROWS):
             block = np.column_stack(
                 [c[start:start + CSV_BLOCK_ROWS] for c in columns])
-            fh.writelines(",".join(map(repr, row)) + "\n"
-                          for row in block.tolist())
+            text = [map(repr, column) for column in block.T.tolist()]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def write_sim_csv(result, path):
