@@ -28,6 +28,7 @@ from .kinematics import (
     MechanismParams,
     _trig,
     handle_position,
+    integer,
     inverse_kinematics,
     spoon_position,
 )
@@ -59,8 +60,10 @@ class TrajectorySpec:
         object.__setattr__(self, "mouth", mouth)
         if not mouth[1] - plate[1] > 0.0:
             raise ValueError("mouth must sit above the plate")
-        if self.waypoints < 2:
+        waypoints = integer(self.waypoints, "waypoints")
+        if waypoints < 2:
             raise ValueError("need at least two waypoints")
+        object.__setattr__(self, "waypoints", waypoints)
 
     @property
     def rise(self) -> float:
@@ -219,6 +222,7 @@ def workspace_sample(params: MechanismParams, resolution: int,
     whose horizontal radius falls within radial_band of plate_radius; it
     answers whether the feeding rise fits the workspace at that radius.
     """
+    resolution = integer(resolution, "resolution")
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per joint")
     if not 0.0 <= radial_band < math.inf:

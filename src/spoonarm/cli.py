@@ -194,12 +194,9 @@ def _cmd_compare_handles(args) -> int:
     config = _load(args)
     rows = analysis.compare_handle_variants(config.mechanism,
                                             analysis.TrajectorySpec())
-    print(serialize.COMPARE_HEADER)
-    for row in rows:
-        print(",".join(serialize.fmt(v) for v in row))
+    print(serialize.compare_table(rows), end="")
     if args.out:
-        path = _out_path(args.out)
-        serialize.write_compare_csv(rows, path)
+        serialize.write_compare_csv(rows, _out_path(args.out))
     return 0
 
 
@@ -245,10 +242,7 @@ def main(argv=None) -> int:
         print(f"spoonarm: cannot read {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return 2
-    except SpoonArmError as exc:
-        print(f"spoonarm: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (SpoonArmError, ValueError) as exc:
         print(f"spoonarm: {exc}", file=sys.stderr)
         return 1
 

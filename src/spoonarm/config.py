@@ -52,7 +52,6 @@ class ConfigFile:
     springs: tuple = ()
     dampers: tuple = ()
     compliance: ComplianceSpec = ComplianceSpec()
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         # frozen: write the normalised tuples past __setattr__
@@ -386,7 +385,7 @@ def load_scenario(path) -> Scenario:
 
 
 def config_data(config: ConfigFile) -> dict:
-    return {_VERSION.key: config.schema_version, **_CONFIG.write(config)}
+    return {_VERSION.key: SCHEMA_VERSION, **_CONFIG.write(config)}
 
 
 def scenario_data(scenario: Scenario) -> dict:

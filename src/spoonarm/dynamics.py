@@ -52,6 +52,11 @@ or callable force is evaluated in every run. The loop stores the packed
 state of each row; after it, one numpy pass computes the positions,
 applied torques and energies, each spring's potential on its whole angle
 column at once.
+
+run_scenario has one tail. The arm states of a rollout, integrated or
+played back from a PrescribedTrajectory by IK, go through the same spoon
+contact, mount, deflection check and recording. A playback is only a
+rollout: step_dynamics rejects one.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .kinematics import (
     Joint,
     JointState,
     MechanismParams,
+    as_joint,
     handle_coefficients,
     handle_position,
     handle_torques,
@@ -119,6 +125,7 @@ class DamperSpec:
     deadzone: float = 0.0        # rad/s, dead-zone model only
 
     def __post_init__(self):
+        object.__setattr__(self, "joint", as_joint(self.joint))
         if not 0.0 <= self.coefficient < math.inf:
             raise ValueError("damper coefficient must be finite and >= 0")
         if not 0.0 <= self.deadzone < math.inf:
@@ -517,9 +524,13 @@ def generate_signal(spec, t: float) -> np.ndarray:
 def _force_source(inputs):
     """Normalize the `inputs` argument to None or a function mapping a 1-D
     array of times to the (len(times), 3) array of handle forces. A
-    constant or a callable force that is not finite raises ValueError."""
-    if inputs is None or isinstance(inputs, (FreeRelease, PrescribedTrajectory)):
+    constant or a callable force that is not finite raises ValueError, and
+    so does a playback, which has no handle force."""
+    if inputs is None or isinstance(inputs, FreeRelease):
         return None
+    if isinstance(inputs, PrescribedTrajectory):
+        raise ValueError("a PrescribedTrajectory is kinematic playback, not "
+                         "a force; run it through run_scenario")
     if isinstance(inputs, (SineTremor, NoiseTremor, SpasmImpulse)):
         return lambda times: _signal_forces(inputs, times)
     if callable(inputs):
@@ -788,11 +799,12 @@ def step_dynamics(params: MechanismParams, springs, dampers,
 
     `inputs` is a handle force: None / FreeRelease, a constant (fx, fy, fz),
     one of the signal specs, or a callable t -> force evaluated at the RK4
-    stage times. `deflections` packs (delta_p, delta_y, rate_p, rate_y) of
-    the compliant mount; a rigid one returns them unchanged. Raises
-    LimitViolationError for a `state` outside the joint limits,
-    DeflectionExceededError for deflections beyond the mount's validity
-    limit, and TimestepTooCoarseError when omega_n*dt >= pi.
+    stage times; a PrescribedTrajectory raises ValueError, as playback
+    runs through run_scenario. `deflections` packs (delta_p, delta_y,
+    rate_p, rate_y) of the compliant mount; a rigid one returns them
+    unchanged. Raises LimitViolationError for a `state` outside the joint
+    limits, DeflectionExceededError for deflections beyond the mount's
+    validity limit, and TimestepTooCoarseError when omega_n*dt >= pi.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
@@ -848,47 +860,49 @@ def run_scenario(params: MechanismParams, springs, dampers,
                  compliance: ComplianceSpec, scenario: Scenario) -> SimResult:
     """Deterministic fixed-step rollout of one scenario.
 
-    A spoon contact lands on the nearest step boundary as a velocity jump
-    of the compliant mount; the recorded row at that step is post-impulse.
-    With a rigid mount there is no deflection state, so the contact event
-    has no effect here (use spoon_contact_response for the rigid-side
-    comparison numbers). A PrescribedTrajectory input switches to
-    kinematic playback: joints follow IK of the interpolated waypoints and
-    no forces are integrated.
+    A PrescribedTrajectory input switches to kinematic playback: joints
+    follow IK of the interpolated waypoints and no forces are integrated.
+    Either way, a spoon contact then lands on the nearest step boundary
+    as a velocity jump of the compliant mount; the recorded row at that
+    step is post-impulse. With a rigid mount there is no deflection
+    state, so the contact event has no effect here (use
+    spoon_contact_response for the rigid-side comparison numbers).
 
     Raises LimitViolationError for a force-driven start outside the joint
-    limits, and DeflectionExceededError, naming the time of the first
-    breach, when the mount deflects beyond its validity limit.
+    limits, TimestepTooCoarseError for a contact when omega_n*dt >= pi,
+    and DeflectionExceededError, naming the time of the first breach,
+    when the mount deflects beyond its validity limit.
     """
-    if isinstance(scenario.input, PrescribedTrajectory):
-        return _run_prescribed(params, springs, scenario)
-    _check_start(params, scenario.initial)
-
     n = scenario.steps
     dt = scenario.timestep
-    step = _arm_stepper(params, springs, dampers, dt)
-    source = _block_forces(scenario.input, n, dt)
-
-    states = np.empty((n, 7))
-    # handle force at each row's own time, for the applied torque
-    row_forces = None if source is None else np.empty((n, 3))
-    y = scenario.initial.q + scenario.initial.qdot + (0.0,)
-    for k0 in range(0, n, FORCE_BLOCK):
-        k1 = min(k0 + FORCE_BLOCK, n)
-        # three stage forces per row
-        if source is None:
-            forces = [None] * (3 * (k1 - k0))
-        else:
-            block = source(k0, k1)
-            row_forces[k0:k1] = block[::3]
-            forces = block.tolist()
-        for k in range(k0, k1):
-            states[k] = y
-            if k < n - 1:
-                i = 3 * (k - k0)
-                y = step(y, k * dt, forces[i], forces[i + 1], forces[i + 2])
-
     t = np.arange(n) * dt
+    row_forces = None    # handle force at each row's own time
+    if isinstance(scenario.input, PrescribedTrajectory):
+        states = _playback_states(params, scenario.input, t, dt)
+    else:
+        _check_start(params, scenario.initial)
+        step = _arm_stepper(params, springs, dampers, dt)
+        source = _block_forces(scenario.input, n, dt)
+        states = np.empty((n, 7))
+        if source is not None:
+            row_forces = np.empty((n, 3))
+        y = scenario.initial.q + scenario.initial.qdot + (0.0,)
+        for k0 in range(0, n, FORCE_BLOCK):
+            k1 = min(k0 + FORCE_BLOCK, n)
+            # three stage forces per row
+            if source is None:
+                forces = [None] * (3 * (k1 - k0))
+            else:
+                block = source(k0, k1)
+                row_forces[k0:k1] = block[::3]
+                forces = block.tolist()
+            for k in range(k0, k1):
+                states[k] = y
+                if k < n - 1:
+                    i = 3 * (k - k0)
+                    y = step(y, k * dt, forces[i], forces[i + 1],
+                             forces[i + 2])
+
     mount = np.zeros((n, 4))    # pitch, yaw deflection; pitch, yaw rate
     contact = scenario.spoon_contact
     compliant = compliance.mode is ComplianceMode.COMPLIANT
@@ -946,22 +960,20 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
                      states[:, 6])
 
 
-def _run_prescribed(params: MechanismParams, springs,
-                    scenario: Scenario) -> SimResult:
-    """Kinematic playback of a prescribed utensil trajectory."""
-    wps = np.array(scenario.input.waypoints)
-    n = scenario.steps
-    dt = scenario.timestep
-
-    t = np.arange(n) * dt
+def _playback_states(params: MechanismParams,
+                     trajectory: PrescribedTrajectory, t: np.ndarray,
+                     dt: float) -> np.ndarray:
+    """Packed arm states of a playback at times `t`, dt apart: IK of the
+    interpolated waypoints, rates by finite differences, no dissipation."""
+    wps = np.array(trajectory.waypoints)
     # np.interp holds the end waypoints outside their time span
     path = np.column_stack([np.interp(t, wps[:, 0], wps[:, i])
                             for i in (1, 2, 3)])
-    states = np.zeros((n, 7))
+    states = np.zeros((len(t), 7))
     for k, pos in enumerate(path.tolist()):
         states[k, :3] = inverse_kinematics(params, pos).q
     states[:, 3:6] = np.gradient(states[:, :3], dt, axis=0)
-    return _record(params, springs, None, t, states, np.zeros((n, 4)), None)
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ lateral offset mirrors with handedness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -47,6 +48,28 @@ class Joint(IntEnum):
     @property
     def key(self) -> str:
         return self.name.lower()
+
+
+def integer(value, name: str) -> int:
+    """`value` as a plain int: any integer, numpy integers included, but
+    not a bool; anything else raises ValueError naming `name`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def as_joint(value) -> Joint:
+    """A Joint, or the integer index of one, as a Joint; anything else
+    raises ValueError naming `joint`."""
+    try:
+        return Joint(integer(value, "joint"))
+    except ValueError:
+        raise ValueError("joint must be a Joint or one of 0, 1, 2, not "
+                         f"{value!r}") from None
+
 
 # The handle can be clamped at five discrete spin angles about its own axis.
 # Spinning the handle has no effect on any position, only on the handle
@@ -117,8 +140,10 @@ class MechanismParams:
         for name in ("mass_link1", "mass_link2", "mass_payload"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if self.handle_angle_index not in range(5):
+        index = integer(self.handle_angle_index, "handle_angle_index")
+        if index not in range(5):
             raise ValueError("handle_angle_index must be one of 0..4")
+        object.__setattr__(self, "handle_angle_index", index)
         limits = tuple((float(lo), float(hi)) for lo, hi in self.joint_limits)
         if len(limits) != 3:
             raise ValueError("joint_limits needs one (min, max) pair per joint")

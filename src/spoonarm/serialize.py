@@ -29,13 +29,6 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-
-
 def _write_table(path, header, columns):
     """Float columns (1-D or 2-D arrays of equal length) as CSV rows.
 
@@ -82,9 +75,17 @@ def write_balance_csv(params, springs, profiles, path):
     _write_table(path, BALANCE_HEADER, (np.concatenate(blocks),))
 
 
+def compare_table(rows) -> str:
+    """Handle-excursion comparison table as CSV text, one row per variant;
+    `spoonarm compare-handles` prints it and write_compare_csv writes it."""
+    lines = [COMPARE_HEADER] + [",".join(map(fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_compare_csv(rows, path):
-    """Handle-excursion comparison table (one row per variant)."""
-    _write_rows(path, COMPARE_HEADER, rows)
+    """The compare_table of `rows` as a CSV file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(compare_table(rows))
 
 
 def write_workspace_csv(points, path):

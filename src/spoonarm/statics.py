@@ -34,7 +34,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InfeasibleBoundsError
-from .kinematics import JointState, Joint, MechanismParams, handle_jacobian
+from .kinematics import (JointState, Joint, MechanismParams, as_joint,
+                         handle_jacobian)
 
 GRID_SAMPLES = 181          # minimax grid over a joint range
 GOLDEN_REL_TOL = 1e-10      # relative bracket convergence for stiffness fits
@@ -68,6 +69,7 @@ class SpringSpec:
     torsion_neutral: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "joint", as_joint(self.joint))
         if self.joint not in (Joint.J2, Joint.J3):
             raise ValueError("springs act on J2 or J3 only")
         if not 0.0 <= self.stiffness < math.inf:

@@ -348,3 +348,23 @@ def test_settling_time_of_damped_release():
     report = stabilization_report(ref, released)
     assert 0.0 < report.settling_time < 8.0
     assert report.peak_deviation > 0.005
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "50"])
+def test_trajectory_waypoints_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="waypoints"):
+        TrajectorySpec(waypoints=bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "25"])
+def test_workspace_resolution_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="resolution"):
+        workspace_sample(nominal_params(), bad)
+
+
+def test_counts_take_numpy_integers():
+    assert TrajectorySpec(waypoints=np.int64(7)) == TrajectorySpec(
+        waypoints=7)
+    sample = workspace_sample(nominal_params(), np.int32(4))
+    assert np.array_equal(sample.points,
+                          workspace_sample(nominal_params(), 4).points)

@@ -343,3 +343,11 @@ def test_help_documents_out_dir(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "SPOONARM_OUT_DIR" in out
+
+
+def test_compare_handles_out_writes_what_it_prints(capsys, tmp_path):
+    path = tmp_path / "compare.csv"
+    code, out, _ = run(capsys, "compare-handles", "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode("utf-8")
+    assert out.count("\n") == 3

@@ -546,3 +546,10 @@ def test_integer_too_large_for_a_float_rejected():
     with pytest.raises(ParseError, match="finite") as err:
         parse_config(data)
     assert err.value.path == "mechanism.gravity_m_per_s2"
+
+
+def test_config_data_writes_the_tool_schema_version():
+    assert config_data(full_config())["schema_version"] == SCHEMA_VERSION
+    # the version belongs to the file format, not to a build
+    with pytest.raises(TypeError):
+        ConfigFile(mechanism=MechanismParams(), schema_version=SCHEMA_VERSION)

@@ -41,7 +41,7 @@ from spoonarm.dynamics import (
     _stage_times,
 )
 from spoonarm.errors import (DeflectionExceededError, LimitViolationError,
-                             NonFiniteStateError)
+                             NonFiniteStateError, TimestepTooCoarseError)
 from spoonarm.kinematics import Joint, handle_jacobian
 from spoonarm.statics import (
     SpringKind,
@@ -924,6 +924,70 @@ def test_prescribed_trajectory_holds_endpoints():
     assert res.spoon_pos[-1, 2] == pytest.approx(0.30, abs=1e-9)
 
 
+PLAYBACK = PrescribedTrajectory(((0.0, 0.35, 0.0, 0.05),
+                                 (1.0, 0.35, 0.0, 0.30)))
+
+
+def contact_run(signal, contact, compliance, dt=1e-3):
+    """A 1 s rollout of `signal` from rest at q = (0, 0.7, -0.2)."""
+    return run_scenario(MechanismParams(), [], [], compliance,
+                        Scenario(duration=1.0, timestep=dt,
+                                 initial=JointState(q=(0.0, 0.7, -0.2)),
+                                 input=signal, spoon_contact=contact))
+
+
+@pytest.mark.parametrize("contact", [SpoonContact(0.5, 0.02),
+                                     SpoonContact(0.2, -0.01, 0.015)])
+def test_playback_applies_a_spoon_contact(contact):
+    # the mount does not couple back into the arm, so a playback's mount
+    # rows are those of any other rollout with the same contact
+    mount = ComplianceSpec()
+    play = contact_run(PLAYBACK, contact, mount)
+    release = contact_run(FreeRelease(), contact, mount)
+    assert np.abs(play.deflection).max() > 0.1
+    assert np.array_equal(play.deflection, release.deflection)
+    assert np.array_equal(play.deflection_rate, release.deflection_rate)
+    # the arm dissipates nothing in playback: e_diss is the mount's alone
+    n, dt = len(play), 1e-3
+    k = round(contact.time / dt)
+    e_diss = np.zeros(n)
+    for impulse in (contact.impulse_pitch, contact.impulse_yaw):
+        if impulse:
+            e_diss[k:] += _mount_rows(mount, 0.0, impulse / mount.inertia,
+                                      n - k, dt, k * dt)[:, 2]
+    assert np.array_equal(play.e_diss, e_diss)
+
+
+def test_playback_contact_moves_only_the_mount():
+    contact = SpoonContact(0.5, 0.02)
+    with_contact = contact_run(PLAYBACK, contact, ComplianceSpec())
+    without = contact_run(PLAYBACK, None, ComplianceSpec())
+    for name in ("t", "q", "qdot", "spoon_pos", "handle_pos",
+                 "applied_torque"):
+        assert np.array_equal(getattr(with_contact, name),
+                              getattr(without, name))
+    # a rigid mount has no deflection state: the contact changes nothing
+    rigid = contact_run(PLAYBACK, contact, RIGID)
+    assert not rigid.deflection.any() and not rigid.e_diss.any()
+
+
+def test_playback_contact_follows_the_grid_rule():
+    # omega_n*dt = 6.3 on the default mount: not below pi
+    with pytest.raises(TimestepTooCoarseError, match="reduce the timestep"):
+        contact_run(PLAYBACK, SpoonContact(0.5, 0.02), ComplianceSpec(),
+                    dt=0.1)
+    # without a contact the mount is never stepped, as in any rollout
+    contact_run(PLAYBACK, None, ComplianceSpec(), dt=0.1)
+
+
+def test_step_dynamics_rejects_a_playback():
+    with pytest.raises(ValueError, match="run_scenario"):
+        step_dynamics(MechanismParams(), [], [], RIGID,
+                      JointState(q=(0.0, 0.7, -0.2)), PLAYBACK, 1e-3)
+    # as a signal, a playback has no handle force
+    assert np.array_equal(generate_signal(PLAYBACK, 0.3), np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # named errors for a diverging stage, an out-of-limits start and
 # non-finite spec numbers
@@ -1011,3 +1075,26 @@ def test_signal_direction_and_waypoints_reject_non_finite_numbers(bad):
 def test_nan_tremor_is_a_spec_error_not_a_timestep_error():
     with pytest.raises(ValueError, match="amplitude"):
         SineTremor(math.nan, 2.0)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 1.0, True, "j2", None])
+def test_damper_spec_joint_must_name_a_joint(bad):
+    with pytest.raises(ValueError, match="joint"):
+        DamperSpec(bad, DamperModel.VISCOUS, 5.0)
+
+
+def test_plain_int_damper_joint_acts_on_that_joint():
+    # one 1 ms step: a damper given joint=2 slows theta3 as one given
+    # Joint.J3 does
+    state = JointState(q=(0.0, 0.7, -0.2), qdot=(1.0, 0.5, -0.5))
+
+    def step(dampers):
+        return step_dynamics(MechanismParams(), [], dampers, RIGID, state,
+                             None, 1e-3)[0]
+
+    free = step(())
+    damped = [step((DamperSpec(j3, DamperModel.VISCOUS, 5.0),))
+              for j3 in (Joint.J3, 2, np.int64(2))]
+    assert damped[0] == damped[1] == damped[2]
+    assert free.qdot[2] == pytest.approx(-0.530, abs=1e-3)
+    assert damped[0].qdot[2] == pytest.approx(-0.287, abs=1e-3)

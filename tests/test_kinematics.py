@@ -335,3 +335,15 @@ def test_spoon_jacobian_matches_the_closed_form():
 def test_mechanism_params_reject_non_finite_numbers(field, bad):
     with pytest.raises(ValueError, match=field):
         MechanismParams(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", None])
+def test_handle_angle_index_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="handle_angle_index"):
+        MechanismParams(handle_angle_index=bad)
+
+
+def test_handle_angle_index_takes_numpy_integers():
+    p = MechanismParams(handle_angle_index=np.int64(3))
+    assert type(p.handle_angle_index) is int
+    assert p == MechanismParams(handle_angle_index=3)

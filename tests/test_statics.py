@@ -477,3 +477,16 @@ def test_spring_spec_rejects_non_finite_numbers():
             kw[field] = bad
             with pytest.raises(ValueError, match=field):
                 SpringSpec(kind, Joint.J2, **kw)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "j2", 3, -1, None])
+def test_spring_spec_joint_must_name_a_joint(bad):
+    with pytest.raises(ValueError, match="joint"):
+        SpringSpec(SpringKind.TORSION, bad, 0.5)
+
+
+@pytest.mark.parametrize("index", [1, 2, np.int64(2)])
+def test_spring_spec_normalises_an_integer_joint(index):
+    spec = SpringSpec(SpringKind.TORSION, index, 0.5)
+    assert spec.joint is Joint(int(index))
+    assert spec == SpringSpec(SpringKind.TORSION, Joint(int(index)), 0.5)
