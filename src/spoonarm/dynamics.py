@@ -56,7 +56,8 @@ column at once.
 run_scenario has one tail. The arm states of a rollout, integrated or
 played back from a PrescribedTrajectory by IK, go through the same spoon
 contact, mount, deflection check and recording. A playback is only a
-rollout: step_dynamics rejects one.
+rollout: step_dynamics rejects one. Its IK runs once over the whole
+interpolated path (kinematics.inverse_kinematics_path).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .kinematics import (
     handle_coefficients,
     handle_position,
     handle_torques,
-    inverse_kinematics,
+    inverse_kinematics_path,
     spoon_position,
 )
 from .statics import (
@@ -92,7 +93,8 @@ from .statics import (
 
 # Not called here any more, but kept as attributes of this module: callers
 # such as perfbench/tracer.py reach these functions through it.
-from .kinematics import handle_jacobian, handle_pose, spoon_pose  # noqa: F401
+from .kinematics import (handle_jacobian, handle_pose,  # noqa: F401
+                         inverse_kinematics, spoon_pose)
 from .statics import spring_torque  # noqa: F401
 
 DEFAULT_TIMESTEP = 1e-3
@@ -254,8 +256,8 @@ class PrescribedTrajectory:
     """Kinematic playback: the utensil tip tracks (t, x, y, z) waypoints.
 
     The user is position-controlling the handle here, so the rollout is
-    kinematic (IK per step with linear interpolation between waypoints)
-    rather than force-driven.
+    kinematic (IK of every step's linearly interpolated waypoint, in one
+    pass over whole arrays) rather than force-driven.
     """
 
     waypoints: tuple    # ((t, x, y, z), ...)
@@ -862,25 +864,30 @@ def run_scenario(params: MechanismParams, springs, dampers,
 
     A PrescribedTrajectory input switches to kinematic playback: joints
     follow IK of the interpolated waypoints and no forces are integrated.
-    Either way, a spoon contact then lands on the nearest step boundary
-    as a velocity jump of the compliant mount; the recorded row at that
-    step is post-impulse. With a rigid mount there is no deflection
-    state, so the contact event has no effect here (use
-    spoon_contact_response for the rigid-side comparison numbers).
+    Its first row is IK of the first waypoint: a playback uses `initial`
+    only for the joint-limit check every rollout makes, and a start off
+    the first waypoint is not an error. Either way, a spoon contact then
+    lands on the nearest step boundary as a velocity jump of the
+    compliant mount; the recorded row at that step is post-impulse. With
+    a rigid mount there is no deflection state, so the contact event has
+    no effect here (use spoon_contact_response for the rigid-side
+    comparison numbers).
 
-    Raises LimitViolationError for a force-driven start outside the joint
-    limits, TimestepTooCoarseError for a contact when omega_n*dt >= pi,
-    and DeflectionExceededError, naming the time of the first breach,
-    when the mount deflects beyond its validity limit.
+    Raises LimitViolationError for a start outside the joint limits;
+    UnreachableError or LimitViolationError, naming the time, for the
+    first playback row that IK rejects; TimestepTooCoarseError for a
+    contact when omega_n*dt >= pi; and DeflectionExceededError, naming
+    the time of the first breach, when the mount deflects beyond its
+    validity limit.
     """
     n = scenario.steps
     dt = scenario.timestep
     t = np.arange(n) * dt
     row_forces = None    # handle force at each row's own time
+    _check_start(params, scenario.initial)
     if isinstance(scenario.input, PrescribedTrajectory):
         states = _playback_states(params, scenario.input, t, dt)
     else:
-        _check_start(params, scenario.initial)
         step = _arm_stepper(params, springs, dampers, dt)
         source = _block_forces(scenario.input, n, dt)
         states = np.empty((n, 7))
@@ -967,11 +974,9 @@ def _playback_states(params: MechanismParams,
     interpolated waypoints, rates by finite differences, no dissipation."""
     wps = np.array(trajectory.waypoints)
     # np.interp holds the end waypoints outside their time span
-    path = np.column_stack([np.interp(t, wps[:, 0], wps[:, i])
-                            for i in (1, 2, 3)])
+    path = (np.interp(t, wps[:, 0], wps[:, i]) for i in (1, 2, 3))
     states = np.zeros((len(t), 7))
-    for k, pos in enumerate(path.tolist()):
-        states[k, :3] = inverse_kinematics(params, pos).q
+    states[:, :3] = inverse_kinematics_path(params, t, *path)
     states[:, 3:6] = np.gradient(states[:, :3], dt, axis=0)
     return states
 

@@ -316,12 +316,76 @@ def handle_jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
     return _point_jacobian(handle_coefficients(params), state.q)
 
 
-def _wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = math.fmod(a + math.pi, TWO_PI)
-    if a <= 0.0:
-        a += TWO_PI
-    return a - math.pi
+def _wrap_angle(a, fmod=math.fmod):
+    """Wrap to (-pi, pi]; a float, or an array with numpy's fmod."""
+    a = fmod(a + math.pi, TWO_PI)
+    return a + TWO_PI * (a <= 0.0) - math.pi
+
+
+def _select(condition, a, b):
+    """np.where for one float."""
+    return a if condition else b
+
+
+# the functions _ik_closure takes to run on numpy arrays of targets
+_ARRAY_IK = dict(hypot=np.hypot, atan2=np.arctan2, acos=np.arccos,
+                 sin=np.sin, cos=np.cos, fmod=np.fmod, minimum=np.minimum,
+                 maximum=np.maximum, where=np.where)
+
+
+def _ik_closure(params: MechanismParams, x, y, z, hypot=math.hypot,
+                atan2=math.atan2, acos=math.acos, sin=math.sin, cos=math.cos,
+                fmod=math.fmod, minimum=min, maximum=max, where=_select):
+    """The closed-form IK of inverse_kinematics, on floats or, with the
+    _ARRAY_IK functions, on numpy arrays of target coordinates.
+
+    Returns (phi1, theta2, theta3, d, unreachable, inside): the branch
+    the joint limits admit, elbow-up first, the planar distance d, and
+    whether the target lies outside the annulus, and whether the angles
+    lie inside the limits; _ik_error names what is wrong.
+    """
+    L1, L2 = params.link1_length, params.link2_length
+    radial = hypot(x, y)
+    phi1 = where(radial > 0.0, atan2(y, x), 0.0)
+    u = radial - params.base_offset - params.spoon_offset
+    w = z - params.base_height
+    d = hypot(u, w)
+    unreachable = (d > L1 + L2 + 1e-12) | (d < abs(L1 - L2) - 1e-12)
+    cos_gamma = (d * d + L1 * L1 - L2 * L2) / (2.0 * L1 * maximum(d, 1e-12))
+    gamma = acos(minimum(1.0, maximum(-1.0, cos_gamma)))
+    psi = atan2(w, u)
+    (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
+    branches = []
+    for th2 in (psi + gamma, psi - gamma):  # elbow-up first
+        th3 = _wrap_angle(atan2(w - L1 * sin(th2), u - L1 * cos(th2)), fmod)
+        th2 = _wrap_angle(th2, fmod)
+        branches.append((th2, th3, (lo2 <= th2) & (th2 <= hi2)
+                         & (lo3 <= th3) & (th3 <= hi3)))
+    (th2_up, th3_up, up), (th2_down, th3_down, down) = branches
+    th2 = where(up, th2_up, th2_down)
+    th3 = where(up, th3_up, th3_down)
+    inside = up | down
+    # below 1e-12 the fold-back singularity (only possible when L1 == L2):
+    # every theta2 works; take the straight-down fold
+    fold = d < 1e-12
+    th2 = where(fold, 0.0, th2)
+    th3 = where(fold, math.pi, th3)
+    inside = where(fold, (lo2 <= 0.0 <= hi2) & (lo3 <= math.pi <= hi3),
+                   inside)
+    return (phi1, th2, th3, d, unreachable,
+            (lo1 <= phi1) & (phi1 <= hi1) & inside)
+
+
+def _ik_error(params: MechanismParams, d, unreachable, at=""):
+    """The error for an IK target _ik_closure found `unreachable`, or
+    else inside no joint limits; `at` ends the message."""
+    if unreachable:
+        L1, L2 = params.link1_length, params.link2_length
+        return UnreachableError(
+            f"target at planar distance {d:.6f} m is outside the reachable "
+            f"annulus [{abs(L1 - L2):.6f}, {L1 + L2:.6f}]{at}")
+    return LimitViolationError(
+        f"target reachable only outside the joint limits{at}")
 
 
 def inverse_kinematics(params: MechanismParams, target) -> JointState:
@@ -336,35 +400,27 @@ def inverse_kinematics(params: MechanismParams, target) -> JointState:
     Raises UnreachableError outside the annulus, LimitViolationError when
     the target is reachable but both branches violate joint limits.
     """
-    x, y, z = (float(v) for v in target)
-    L1, L2 = params.link1_length, params.link2_length
+    x, y, z = map(float, target)
+    phi1, th2, th3, d, unreachable, inside = _ik_closure(params, x, y, z)
+    if unreachable or not inside:
+        raise _ik_error(params, d, unreachable)
+    return JointState(q=(phi1, th2, th3))
 
-    radial = math.hypot(x, y)
-    phi1 = math.atan2(y, x) if radial > 0.0 else 0.0
 
-    u = radial - params.base_offset - params.spoon_offset
-    w = z - params.base_height
-    d = math.hypot(u, w)
+def inverse_kinematics_path(params: MechanismParams, t, x, y,
+                            z) -> np.ndarray:
+    """(n, 3) joint angles of inverse_kinematics for the targets (x, y, z),
+    numpy arrays reached at times `t`, in one pass over whole arrays.
 
-    if d > L1 + L2 + 1e-12 or d < abs(L1 - L2) - 1e-12:
-        raise UnreachableError(
-            f"target at planar distance {d:.6f} m is outside the reachable "
-            f"annulus [{abs(L1 - L2):.6f}, {L1 + L2:.6f}]")
-    if d < 1e-12:
-        # fold-back singularity (only possible when L1 == L2): every theta2
-        # works; pick the straight-down fold
-        candidates = [(0.0, math.pi)]
-    else:
-        cos_gamma = (d * d + L1 * L1 - L2 * L2) / (2.0 * L1 * d)
-        gamma = math.acos(min(1.0, max(-1.0, cos_gamma)))
-        psi = math.atan2(w, u)
-        candidates = []
-        for th2 in (psi + gamma, psi - gamma):  # elbow-up first
-            th3 = math.atan2(w - L1 * math.sin(th2), u - L1 * math.cos(th2))
-            candidates.append((_wrap_angle(th2), _wrap_angle(th3)))
-
-    for th2, th3 in candidates:
-        if params.within_limits((phi1, th2, th3)):
-            return JointState(q=(phi1, th2, th3))
-    raise LimitViolationError(
-        "target reachable only outside the joint limits")
+    numpy's hypot, atan2 and acos may differ from math's in the last
+    bit, and so may the angles. The first row that is unreachable or
+    inside no joint limits raises inverse_kinematics's error for it,
+    naming the row's time.
+    """
+    phi1, th2, th3, d, unreachable, inside = _ik_closure(params, x, y, z,
+                                                         **_ARRAY_IK)
+    bad = np.flatnonzero(unreachable | ~inside)
+    if bad.size:
+        k = bad[0]
+        raise _ik_error(params, d[k], unreachable[k], f" at t = {t[k]:.6f} s")
+    return np.column_stack((phi1, th2, th3))

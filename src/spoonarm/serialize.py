@@ -3,8 +3,11 @@
 Every float is written as repr() produces it: the shortest decimal string
 that round-trips to the same double. Identical inputs therefore yield
 byte-identical files, which is what the golden tests pin. Float tables
-are formatted a block of rows at a time and column by column, with one
-repr per cell; that repr is the floor of a table's write time.
+are formatted a block of rows at a time and column by column. repr is
+most of a table's write time, so a column with few distinct values (at
+most one per four rows, as the workspace's z or a rollout's constant
+columns) formats each distinct value once; the other columns take one
+repr per cell.
 """
 
 from __future__ import annotations
@@ -29,22 +32,40 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _column_text(column):
+    """The text of one float column, read a block of rows at a time as
+    text(start, stop): repr of each cell, or, where the column holds at
+    most a quarter as many distinct values as rows, the one repr of each
+    distinct value gathered by row."""
+    # bits, not values: -0.0 and 0.0, and NaN payloads, stay apart
+    values, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if 4 * len(values) > len(column):
+        return lambda start, stop: map(repr, column[start:stop].tolist())
+    strings = np.array(list(map(repr, values.view(float).tolist())),
+                       dtype=object)
+    inverse = inverse.astype(np.int32)
+    return lambda start, stop: strings[inverse[start:stop]].tolist()
+
+
 def _write_table(path, header, columns):
     """Float columns (1-D or 2-D arrays of equal length) as CSV rows.
 
-    Rows are formatted from Python floats, CSV_BLOCK_ROWS at a time, so
-    memory stays flat however long the table is; repr of a float is what
-    fmt writes, so the bytes are the same. Each block's columns are
-    formatted whole and zipped into rows, one write per block.
+    Each cell is the repr of its float, which is what fmt writes, so the
+    bytes are the same; _column_text formats each column. Rows are
+    written CSV_BLOCK_ROWS at a time, one write per block, so the text in
+    memory stays flat however long the table is.
     """
     n = len(columns[0])
+    # the rows of each array's transpose, as 2-D, are its columns: views
+    texts = [_column_text(column)
+             for array in columns
+             for column in np.atleast_2d(np.asarray(array, dtype=float).T)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
-            block = np.column_stack(
-                [c[start:start + CSV_BLOCK_ROWS] for c in columns])
-            text = [map(repr, column) for column in block.T.tolist()]
-            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+            stop = start + CSV_BLOCK_ROWS
+            rows = zip(*[text(start, stop) for text in texts])
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_sim_csv(result, path):

@@ -84,6 +84,28 @@ def test_ik_fk_round_trip(capsys):
     assert abs(float(got["spoon_z"]) - 0.02) < 1e-9
 
 
+# stdout of `spoonarm ik`, pinned: its angles come from math, not numpy
+IK_STDOUT = {
+    "0.35,0.0,0.02": ("0.0", "0.7347863005736404", "-1.4323283077414541"),
+    "0.35,0.0,0.35": ("0.0", "1.6910599334760779", "0.007223018384193036"),
+    "0.3,-0.1,0.25": ("-0.32175055439664224", "1.750199842120792",
+                      "-0.3940707260909351"),
+    "-0.2,0.25,0.1": ("2.2455372690184494", "1.1806622465449577",
+                      "-1.180662246544958"),
+    "0.0,-0.4,-0.05": ("-1.5707963267948966", "0.39783508129246625",
+                       "-1.4120320900771404"),
+}
+
+
+@pytest.mark.parametrize("target", IK_STDOUT)
+def test_ik_stdout_is_unchanged(capsys, target):
+    code, out, err = run(capsys, "ik", f"--target={target}")
+    assert code == 0 and err == ""
+    assert out == "".join(f"{name} {value}\n" for name, value in
+                          zip(("phi1", "theta2", "theta3"),
+                              IK_STDOUT[target]))
+
+
 def test_ik_unreachable_is_domain_error(capsys):
     code, out, err = run(capsys, "ik", "--target", "2.0,0.0,0.0")
     assert code == 1

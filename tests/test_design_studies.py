@@ -30,6 +30,7 @@ from spoonarm.kinematics import (
     spoon_position,
 )
 from spoonarm.serialize import CSV_BLOCK_ROWS, _write_table
+from spoonarm.serialize import fmt
 
 
 def _bits(a):
@@ -113,6 +114,38 @@ def test_write_table_equals_per_row_repr(tmp_path, n):
     path = tmp_path / "table.csv"
     _write_table(path, header, columns)
     assert path.read_bytes() == _reference_csv(header, columns)
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(float)[0]
+
+
+N_EDGE = 4 * CSV_BLOCK_ROWS + 8     # a multiple of 4, and not of a block
+
+
+@pytest.mark.parametrize("values", [
+    [2.5],
+    [-0.0, 0.0],
+    # two NaN payloads, one of them negative, and both infinities
+    [_nan(0x7FF8000000000001), _nan(0xFFF8000000000000), math.inf,
+     -math.inf],
+    # exactly n/4 distinct values, and one more
+    np.arange(N_EDGE // 4) * 0.1,
+    np.arange(N_EDGE // 4 + 1) * 0.1,
+], ids=["constant", "signed-zeros", "nans-and-infs", "n/4", "n/4+1"])
+def test_write_table_columns_of_few_values_equal_fmt(tmp_path, values):
+    rng = np.random.default_rng(len(values))
+    values = np.array(values)
+    # every value occurs, in shuffled order, beside a column of distinct
+    # values and a 2-D column of the same few values
+    column = rng.permutation(np.resize(values, N_EDGE))
+    columns = (column, rng.standard_normal(N_EDGE),
+               values[rng.integers(len(values), size=(N_EDGE, 2))])
+    path = tmp_path / "table.csv"
+    _write_table(path, "a,b,c,d", columns)
+    rows = np.column_stack(columns)
+    want = ["a,b,c,d"] + [",".join(map(fmt, row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ from spoonarm.dynamics import (
 )
 from spoonarm.errors import (DeflectionExceededError, LimitViolationError,
                              NonFiniteStateError, TimestepTooCoarseError)
+from spoonarm.errors import UnreachableError
 from spoonarm.kinematics import Joint, handle_jacobian
+from spoonarm.kinematics import inverse_kinematics
 from spoonarm.statics import (
     SpringKind,
     SpringSpec,
@@ -986,6 +988,39 @@ def test_step_dynamics_rejects_a_playback():
                       JointState(q=(0.0, 0.7, -0.2)), PLAYBACK, 1e-3)
     # as a signal, a playback has no handle force
     assert np.array_equal(generate_signal(PLAYBACK, 0.3), np.zeros(3))
+
+
+def test_playback_rejects_a_start_outside_the_joint_limits():
+    # theta2 = -5 lies below -0.35: rejected as for any rollout, although
+    # the played-back rows never read the initial state
+    scenario = Scenario(duration=1.0, initial=JointState(q=(3.0, -5.0, 9.0)),
+                        input=PLAYBACK)
+    with pytest.raises(LimitViolationError, match="initial joint angles"):
+        run_scenario(MechanismParams(), [], [], RIGID, scenario)
+    # a start off the first waypoint is not an error
+    assert len(contact_run(PLAYBACK, None, RIGID)) == 1001
+
+
+@pytest.mark.parametrize("end, error", [
+    ((0.9, 0.0, 0.05), UnreachableError),
+    # the fold at planar distance 0 needs theta3 = pi, beyond its limit
+    ((0.13, 0.0, 0.1), LimitViolationError),
+])
+def test_playback_ik_error_names_the_first_rejected_row(end, error):
+    start = (0.35, 0.0, 0.05)
+    playback = PrescribedTrajectory(((0.0, *start), (1.0, *end)))
+    first = None
+    for k in range(1001):
+        u = k * 1e-3
+        target = [a + u * (b - a) for a, b in zip(start, end)]
+        try:
+            inverse_kinematics(MechanismParams(), target)
+        except error:
+            first = k * 1e-3
+            break
+    assert 0.0 < first < 1.0
+    with pytest.raises(error, match=f" at t = {first:.6f} s$"):
+        contact_run(playback, None, RIGID)
 
 
 # ---------------------------------------------------------------------------

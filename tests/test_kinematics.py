@@ -14,6 +14,7 @@ from spoonarm.kinematics import (
     handle_jacobian,
     handle_pose,
     inverse_kinematics,
+    inverse_kinematics_path,
     jacobian,
     spoon_pose,
 )
@@ -347,3 +348,52 @@ def test_handle_angle_index_takes_numpy_integers():
     p = MechanismParams(handle_angle_index=np.int64(3))
     assert type(p.handle_angle_index) is int
     assert p == MechanismParams(handle_angle_index=3)
+
+
+# ---------------------------------------------------------------------------
+# inverse kinematics over whole arrays against the scalar solver
+
+
+def _ik_both(params, targets):
+    """(array IK, scalar IK) of a list of (x, y, z) targets."""
+    x, y, z = np.array(targets).T
+    t = np.arange(len(targets)) * 1e-3
+    got = inverse_kinematics_path(params, t, x, y, z)
+    want = np.array([inverse_kinematics(params, target).q
+                     for target in targets])
+    return got, want
+
+
+@pytest.mark.parametrize("limits", [
+    MechanismParams().joint_limits,
+    # theta2 <= 0.5 excludes the elbow-up branch of many targets
+    ((-math.pi, math.pi), (-0.35, 0.5), (-1.75, 1.4)),
+])
+@pytest.mark.parametrize("seed", [3, 29])
+def test_ik_path_equals_scalar_ik_over_the_workspace(seed, limits):
+    p = MechanismParams(joint_limits=limits)
+    targets = [tuple(spoon_pose(p, s).position)
+               for s in random_states(p, 400, seed=seed, margin=1e-6)]
+    got, want = _ik_both(p, targets)
+    # math.hypot and np.hypot may differ in the last bit of the planar
+    # distance, and acos magnifies that by 1/sin(theta2 - theta3) as the
+    # arm straightens or folds
+    bent = np.abs(np.sin(want[:, 1] - want[:, 2]))
+    bound = 4e-15 * np.maximum(1.0, 0.1 / bent)
+    assert np.all(np.abs(got - want).max(axis=1) <= bound)
+    # the same branch on every row
+    elbow_up = want[:, 1] >= want[:, 2]
+    assert np.array_equal(got[:, 1] >= got[:, 2], elbow_up)
+    if limits[1][1] == 0.5:
+        assert 0 < np.count_nonzero(~elbow_up) < len(targets)
+
+
+def test_ik_path_on_the_j1_axis_and_at_the_fold():
+    p = MechanismParams(joint_limits=WIDE_LIMITS)
+    folded = (p.base_offset + p.spoon_offset, 0.0, p.base_height)
+    # x = y = 0, of either zero sign: phi1 is +0.0, not atan2's +-pi
+    axis = [(x, y, 0.3) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    got, want = _ik_both(p, axis + [folded])
+    assert np.abs(got - want).max() <= 4e-15
+    assert np.array_equal(got[:, 0].view(np.int64), np.zeros(5, np.int64))
+    assert tuple(got[4]) == tuple(want[4]) == (0.0, 0.0, math.pi)
