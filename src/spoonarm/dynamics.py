@@ -82,20 +82,14 @@ from .kinematics import (
     inverse_kinematics_path,
     spoon_position,
 )
-from .statics import (
-    gravity_coefficients,
-    gravity_potential,
-    gravity_potential_at,
-    spring_laws,
-    spring_potential,
-    spring_sum,
-)
+from .statics import gravity_coefficients, potential_sum, spring_sum
 
 # Not called here any more, but kept as attributes of this module: callers
 # such as perfbench/tracer.py reach these functions through it.
 from .kinematics import (handle_jacobian, handle_pose,  # noqa: F401
                          inverse_kinematics, spoon_pose)
-from .statics import spring_torque  # noqa: F401
+from .statics import (gravity_potential, potential_energy,  # noqa: F401
+                      spring_potential, spring_torque)
 
 DEFAULT_TIMESTEP = 1e-3
 NOISE_COMPONENTS = 64
@@ -172,6 +166,11 @@ class ComplianceSpec:
         if self.mode is ComplianceMode.RIGID:
             return math.inf
         return self.damping / (2.0 * math.sqrt(self.stiffness * self.inertia))
+
+    def energy(self, d, v):
+        """Elastic and kinetic energy (k*d^2/2, I*v^2/2) of mount axes at
+        deflection d and rate v, floats or numpy arrays."""
+        return 0.5 * self.stiffness * d * d, 0.5 * self.inertia * v * v
 
 
 def _unit(direction):
@@ -450,15 +449,6 @@ def coriolis_matrix(params: MechanismParams, state: JointState) -> np.ndarray:
 def kinetic_energy(params: MechanismParams, state: JointState) -> float:
     m11, m22, m23, m33, *_ = _state_mass(params, state)
     return _kinetic(m11, m22, m23, m33, *state.qdot)
-
-
-def potential_energy(params: MechanismParams, springs,
-                     state: JointState) -> float:
-    """Gravitational plus spring elastic energy."""
-    v = gravity_potential(params, state)
-    for spec in springs:
-        v += spring_potential(spec, state.q[spec.joint])
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +774,7 @@ def _mount_rows(compliance: ComplianceSpec, d: float, v: float, n: int,
         d, v = p11 * d + p12 * v, p21 * d + p22 * v
         rows.append((d, v))
     d, v = np.array(rows).T
-    energy = 0.5 * k_r * d * d + 0.5 * inertia * v * v
+    energy = np.add(*compliance.energy(d, v))
     rows = np.column_stack([d, v, energy[0] - energy])
     bad = np.flatnonzero(~np.isfinite(rows[:, 2]))    # d, v or energy
     if bad.size:
@@ -953,15 +943,12 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
     m22, m33, mass = _mass_constants(params)
     m11, m23, *_ = _mass_terms(mass, c2t, s2t, c3t, s3t)
     e_kin = _kinetic(m11, m22, m23, m33, w1, w2, w3)
-    e_pot = gravity_potential_at(params, s2t, s3t)
-    for spec in springs:
-        _, potential = spring_laws(spec)
-        angle, sine = (th2, s2t) if spec.joint == Joint.J2 else (th3, s3t)
-        e_pot += potential(angle, sine, np.sqrt, np.maximum)
+    e_pot = potential_sum(params, springs, th2, s2t, th3, s3t, np.sqrt,
+                          np.maximum)
     if compliance is not None:
-        dp, dy, vp, vy = mount.T
-        e_pot += 0.5 * compliance.stiffness * (dp ** 2 + dy ** 2)
-        e_kin += 0.5 * compliance.inertia * (vp ** 2 + vy ** 2)
+        pot, kin = compliance.energy(mount[:, :2], mount[:, 2:])
+        e_pot += pot.sum(axis=1)
+        e_kin += kin.sum(axis=1)
     return SimResult(t, states[:, 0:3], states[:, 3:6], spoon, handle,
                      mount[:, 0:2], mount[:, 2:4], applied, e_kin, e_pot,
                      states[:, 6])

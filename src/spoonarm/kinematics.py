@@ -36,6 +36,9 @@ import numpy as np
 from .errors import LimitViolationError, UnreachableError
 
 TWO_PI = 2.0 * math.pi
+# IK accepts an angle this close outside a joint limit and returns it on
+# the limit: FK and IK of a pose on a limit round-trip to within ~1e-14 rad
+IK_LIMIT_TOL = 1e-12
 
 
 class Joint(IntEnum):
@@ -342,7 +345,9 @@ def _ik_closure(params: MechanismParams, x, y, z, hypot=math.hypot,
     Returns (phi1, theta2, theta3, d, unreachable, inside): the branch
     the joint limits admit, elbow-up first, the planar distance d, and
     whether the target lies outside the annulus, and whether the angles
-    lie inside the limits; _ik_error names what is wrong.
+    lie inside the limits; _ik_error names what is wrong. An angle within
+    IK_LIMIT_TOL outside its limits counts as inside and is returned on
+    the limit.
     """
     L1, L2 = params.link1_length, params.link2_length
     radial = hypot(x, y)
@@ -355,15 +360,19 @@ def _ik_closure(params: MechanismParams, x, y, z, hypot=math.hypot,
     gamma = acos(minimum(1.0, maximum(-1.0, cos_gamma)))
     psi = atan2(w, u)
     (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
+
+    def within(angle, lo, hi):
+        return (lo - IK_LIMIT_TOL <= angle) & (angle <= hi + IK_LIMIT_TOL)
+
     branches = []
     for th2 in (psi + gamma, psi - gamma):  # elbow-up first
         th3 = _wrap_angle(atan2(w - L1 * sin(th2), u - L1 * cos(th2)), fmod)
         th2 = _wrap_angle(th2, fmod)
-        branches.append((th2, th3, (lo2 <= th2) & (th2 <= hi2)
-                         & (lo3 <= th3) & (th3 <= hi3)))
+        branches.append((th2, th3, within(th2, lo2, hi2)
+                         & within(th3, lo3, hi3)))
     (th2_up, th3_up, up), (th2_down, th3_down, down) = branches
-    th2 = where(up, th2_up, th2_down)
-    th3 = where(up, th3_up, th3_down)
+    th2 = minimum(maximum(where(up, th2_up, th2_down), lo2), hi2)
+    th3 = minimum(maximum(where(up, th3_up, th3_down), lo3), hi3)
     inside = up | down
     # below 1e-12 the fold-back singularity (only possible when L1 == L2):
     # every theta2 works; take the straight-down fold
@@ -372,8 +381,8 @@ def _ik_closure(params: MechanismParams, x, y, z, hypot=math.hypot,
     th3 = where(fold, math.pi, th3)
     inside = where(fold, (lo2 <= 0.0 <= hi2) & (lo3 <= math.pi <= hi3),
                    inside)
-    return (phi1, th2, th3, d, unreachable,
-            (lo1 <= phi1) & (phi1 <= hi1) & inside)
+    return (minimum(maximum(phi1, lo1), hi1), th2, th3, d, unreachable,
+            within(phi1, lo1, hi1) & inside)
 
 
 def _ik_error(params: MechanismParams, d, unreachable, at=""):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .statics import gravity_coefficients, spring_sum
+from .statics import torque_columns
 
 SIM_HEADER = ("t,phi1,theta2,theta3,dphi1,dtheta2,dtheta3,"
               "spoon_x,spoon_y,spoon_z,handle_x,handle_y,handle_z,"
@@ -79,20 +79,15 @@ def write_sim_csv(result, path):
 def write_balance_csv(params, springs, profiles, path):
     """Residual torque table for both lifted joints, stacked.
 
-    `profiles` are the per-joint residual TorqueProfiles; the gravity and
-    spring columns are computed afresh over each profile's angles, so the
-    file is self-checking (residual = gravity + spring).
+    `profiles` are the per-joint residual TorqueProfiles; beside each
+    residual go the gravity and spring columns statics.torque_columns
+    gives over the profile's angles, so the file is self-checking
+    (residual = gravity + spring).
     """
-    blocks = []
-    for profile in profiles:
-        angles, joint = profile.angles, profile.joint
-        cos = np.cos(angles)
-        coeff = gravity_coefficients(params)[joint - 1]
-        blocks.append(np.column_stack([
-            angles, -params.gravity * coeff * cos,
-            spring_sum(springs, joint)(angles, cos, np.sin(angles), np.sqrt,
-                                       np.maximum),
-            profile.torques]))
+    blocks = [np.column_stack([
+        profile.angles,
+        *torque_columns(params, springs, profile.joint, profile.angles),
+        profile.torques]) for profile in profiles]
     _write_table(path, BALANCE_HEADER, (np.concatenate(blocks),))
 
 

@@ -151,31 +151,29 @@ def gravity_coefficients(params: MechanismParams) -> tuple[float, float]:
     return a2, a3
 
 
+def _gravity_scale(params: MechanismParams, joint: Joint) -> float:
+    """g*A of a lifted joint: the amplitude of gravity's torque on it."""
+    return params.gravity * gravity_coefficients(params)[joint - 1]
+
+
+def gravity_laws(params: MechanismParams, joint: Joint):
+    """Gravity's laws on one lifted joint, floats or arrays: the torque
+    -g*A*c at the cosine c of its angle, and the potential g*A*s at its
+    sine s above the masses' rest at the base height (see potential_sum)."""
+    g_a = _gravity_scale(params, joint)
+    return (lambda c: -g_a * c), (lambda s: g_a * s)
+
+
 def gravity_torque(params: MechanismParams,
                    state: JointState) -> tuple[float, float]:
     """Gravity torques (tau_g2, tau_g3) at the two lifted joints."""
-    a2, a3 = gravity_coefficients(params)
-    g = params.gravity
-    return (-g * a2 * math.cos(state.q[1]), -g * a3 * math.cos(state.q[2]))
+    return tuple(gravity_laws(params, joint)[0](math.cos(state.q[joint]))
+                 for joint in (Joint.J2, Joint.J3))
 
 
 def gravity_potential(params: MechanismParams, state: JointState) -> float:
     """Total gravitational potential of the three lumped masses."""
-    _, th2, th3 = state.q
-    return gravity_potential_at(params, math.sin(th2), math.sin(th3))
-
-
-def gravity_potential_at(params: MechanismParams, s2t, s3t):
-    """gravity_potential from the sines of theta2 and theta3; plain
-    arithmetic, so they may be floats or numpy arrays."""
-    h0 = params.base_height
-    L1, L2 = params.link1_length, params.link2_length
-    z1 = h0 + params.com_fraction1 * L1 * s2t
-    z2 = h0 + L1 * s2t + params.com_fraction2 * L2 * s3t
-    z3 = h0 + L1 * s2t + L2 * s3t
-    return params.gravity * (params.mass_link1 * z1
-                             + params.mass_link2 * z2
-                             + params.mass_payload * z3)
+    return potential_energy(params, (), state)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +272,37 @@ def spring_joint_torques(springs, state: JointState) -> tuple[float, float, floa
                  for joint, q in zip(Joint, state.q))
 
 
+def potential_sum(params: MechanismParams, springs, th2, s2t, th3, s3t,
+                  sqrt=math.sqrt, maximum=max):
+    """Gravity's plus each spring's potential at the lifted joints' angles
+    th2, th3 and sines: floats, or arrays with numpy's sqrt and maximum."""
+    at = {Joint.J2: (th2, s2t), Joint.J3: (th3, s3t)}
+    v = params.gravity * params.base_height * (
+        params.mass_link1 + params.mass_link2 + params.mass_payload)
+    for joint, (_, s) in at.items():
+        v = v + gravity_laws(params, joint)[1](s)
+    for spec in springs:
+        v = v + spring_laws(spec)[1](*at[spec.joint], sqrt, maximum)
+    return v
+
+
+def potential_energy(params: MechanismParams, springs,
+                     state: JointState) -> float:
+    """Gravitational plus spring elastic energy."""
+    _, th2, th3 = state.q
+    return potential_sum(params, springs, th2, math.sin(th2), th3,
+                         math.sin(th3))
+
+
+def torque_columns(params: MechanismParams, springs, joint: Joint, angles):
+    """(tau_gravity, tau_spring): gravity's torque and the springs' summed
+    torque on `joint` over the numpy array `angles` of its angle."""
+    cos = np.cos(angles)
+    return (gravity_laws(params, joint)[0](cos),
+            spring_sum(springs, joint)(angles, cos, np.sin(angles), np.sqrt,
+                                       np.maximum))
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 
@@ -296,43 +325,42 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _synthesize_joint(joint: Joint, gravity_coeff: float, angle_range,
-                      kind: SpringKind, anchors, free_length: float):
-    lo, hi = angle_range
+def _synthesize_joint(params: MechanismParams, joint: Joint, kind: SpringKind,
+                      a: float, b: float, free_length: float) -> SpringSpec:
+    lo, hi = params.joint_limits[joint]
     if not hi > lo:
         raise InfeasibleBoundsError(f"joint range for {joint.key} is degenerate")
-    a, b = anchors
-    grid = np.linspace(lo, hi, GRID_SAMPLES)
-
-    if kind is SpringKind.LINEAR_ZERO_FREE_LENGTH:
-        return SpringSpec(kind, joint, gravity_coeff / (a * b), a, b)
-    if kind is SpringKind.LINEAR_REAL:
-        if free_length == 0.0:
-            # degenerates to the zero-free-length geometry, whose exact
-            # optimum is the closed form; skip the search
-            k = gravity_coeff / (a * b)
-        else:
-            tau_g = -gravity_coeff * np.cos(grid)
-            unit = SpringSpec(kind, joint, 1.0, a, b, free_length=free_length)
-            shape = spring_sum((unit,), joint)(
-                grid, np.cos(grid), np.sin(grid), np.sqrt, np.maximum)
-            k = _golden_min(
-                lambda kk: float(np.max(np.abs(tau_g + kk * shape))),
-                0.0, 4.0 * gravity_coeff / (a * b) + 1.0)
-        return SpringSpec(kind, joint, k, a, b, free_length=free_length)
+    g_a = _gravity_scale(params, joint)
     if kind is SpringKind.TORSION:
-        # for fixed k the best neutral angle centers the residual band,
-        # leaving half the band width as the minimax residual
-        def band(kk):
-            h = gravity_coeff * np.cos(grid) + kk * grid
-            return 0.5 * float(h.max() - h.min())
+        unit, k_hi = SpringSpec(kind, joint, 1.0), 4.0 * g_a + 1.0
+    elif kind is SpringKind.LINEAR_REAL and free_length != 0.0:
+        unit = SpringSpec(kind, joint, 1.0, a, b, free_length=free_length)
+        k_hi = 4.0 * g_a / (a * b) + 1.0
+    elif kind in (SpringKind.LINEAR_ZERO_FREE_LENGTH, SpringKind.LINEAR_REAL):
+        # a real spring of free length 0 has the zero-free-length geometry,
+        # whose exact optimum is the closed form; skip the search
+        return SpringSpec(kind, joint, g_a / (a * b), a, b)
+    else:
+        raise ValueError(f"unknown spring kind {kind!r}")
+    # the residual torque at stiffness k is tau_g + k * shape
+    tau_g, shape = torque_columns(params, (unit,), joint,
+                                  np.linspace(lo, hi, GRID_SAMPLES))
+    if kind is SpringKind.LINEAR_REAL:
+        k = _golden_min(lambda kk: float(np.max(np.abs(tau_g + kk * shape))),
+                        0.0, k_hi)
+        return SpringSpec(kind, joint, k, a, b, free_length=free_length)
 
-        k = _golden_min(band, 0.0, 4.0 * gravity_coeff + 1.0)
-        h = gravity_coeff * np.cos(grid) + k * grid
-        center = 0.5 * float(h.max() + h.min())
-        neutral = center / k if k > 0.0 else 0.5 * (lo + hi)
-        return SpringSpec(kind, joint, k, torsion_neutral=neutral)
-    raise ValueError(f"unknown spring kind {kind!r}")
+    # for fixed k the best neutral angle centers the residual band,
+    # leaving half the band width as the minimax residual
+    def band(kk):
+        h = tau_g + kk * shape
+        return 0.5 * float(h.max() - h.min())
+
+    k = _golden_min(band, 0.0, k_hi)
+    h = tau_g + k * shape
+    center = -0.5 * float(h.max() + h.min())     # the band's, sign flipped
+    neutral = center / k if k > 0.0 else 0.5 * (lo + hi)
+    return SpringSpec(kind, joint, k, torsion_neutral=neutral)
 
 
 def synthesize_balancing(params: MechanismParams, kind: SpringKind,
@@ -362,30 +390,20 @@ def synthesize_balancing(params: MechanismParams, kind: SpringKind,
     if free_length < 0.0:
         raise InfeasibleBoundsError("free_length must be >= 0")
 
-    a2, a3 = gravity_coefficients(params)
-    g = params.gravity
-    springs = tuple(_synthesize_joint(joint, g * coeff,
-                                      params.joint_limits[joint], kind,
-                                      (a, b), free_length)
-                    for joint, coeff in ((Joint.J2, a2), (Joint.J3, a3)))
+    springs = tuple(_synthesize_joint(params, joint, kind, a, b, free_length)
+                    for joint in (Joint.J2, Joint.J3))
     return BalanceResult(*springs, *residual_torque_profile(params, springs))
 
 
 def residual_torque_profile(params: MechanismParams, springs,
                             ) -> tuple[TorqueProfile, TorqueProfile]:
     """Gravity plus summed spring torque over each lifted joint's range."""
-    a2, a3 = gravity_coefficients(params)
     profiles = []
-    for joint, coeff in ((Joint.J2, a2), (Joint.J3, a3)):
+    for joint in (Joint.J2, Joint.J3):
         lo, hi = params.joint_limits[joint]
-        if hi > lo:
-            grid = np.linspace(lo, hi, GRID_SAMPLES)
-        else:
-            grid = np.array([lo])
-        spring = spring_sum(springs, joint)
-        tau = -params.gravity * coeff * np.cos(grid) + spring(
-            grid, np.cos(grid), np.sin(grid), np.sqrt, np.maximum)
-        profiles.append(TorqueProfile(joint, grid, tau))
+        grid = np.linspace(lo, hi, GRID_SAMPLES if hi > lo else 1)
+        tau_g, tau_s = torque_columns(params, springs, joint, grid)
+        profiles.append(TorqueProfile(joint, grid, tau_g + tau_s))
     return tuple(profiles)
 
 
@@ -397,9 +415,8 @@ def holding_force(params: MechanismParams, springs,
     solve so a singular pose returns the minimum-norm force instead of
     blowing up.
     """
-    tau_g2, tau_g3 = gravity_torque(params, state)
-    tau_s = spring_joint_torques(springs, state)
-    residual = np.array([tau_s[0], tau_g2 + tau_s[1], tau_g3 + tau_s[2]])
+    residual = np.add((0.0, *gravity_torque(params, state)),
+                      spring_joint_torques(springs, state))
     jt = handle_jacobian(params, state).T
     force, *_ = np.linalg.lstsq(jt, -residual, rcond=None)
     return force

@@ -1,0 +1,195 @@
+"""One test per input check that the other tests never reach: each asserts
+the named error the check raises (or, for the exhausted calibration, the
+value it returns)."""
+
+import math
+from types import SimpleNamespace
+
+import pytest
+
+from spoonarm import analysis
+from spoonarm.analysis import (
+    TrajectorySpec,
+    calibrate_handle_distance,
+    stabilization_report,
+)
+from spoonarm.cli import main
+from spoonarm.config import scenario_data
+from spoonarm.defaults import nominal_params
+from spoonarm.dynamics import (
+    ComplianceMode,
+    ComplianceSpec,
+    DamperModel,
+    DamperSpec,
+    Scenario,
+    SineTremor,
+    SpasmImpulse,
+    generate_signal,
+    run_scenario,
+    spoon_contact_response,
+    step_dynamics,
+)
+from spoonarm.errors import InfeasibleBoundsError
+from spoonarm.kinematics import Joint, JointState, MechanismParams
+from spoonarm.statics import (
+    SpringKind,
+    SpringSpec,
+    TorqueProfile,
+    gravity_torque,
+    residual_torque_profile,
+    spring_torque,
+    synthesize_balancing,
+)
+
+RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+START = JointState(q=(0.0, 0.7, -1.4))
+
+
+# ---------------------------------------------------------------------------
+# dynamics
+
+
+def test_deadzone_on_a_model_without_one_is_rejected():
+    with pytest.raises(ValueError, match="deadzone applies to the dead-zone"):
+        DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.1, deadzone=0.05)
+
+
+def test_disabled_damper_with_a_coefficient_is_rejected():
+    with pytest.raises(ValueError, match="disabled damper cannot carry"):
+        DamperSpec(Joint.J2, DamperModel.NONE, coefficient=0.1)
+
+
+def test_direction_without_three_components_is_rejected():
+    with pytest.raises(ValueError, match="direction needs three components"):
+        SineTremor(amplitude=0.1, frequency=2.0, direction=(0.0, 1.0))
+
+
+def test_spasm_with_negative_onset_is_rejected():
+    with pytest.raises(ValueError, match="onset must be >= 0"):
+        SpasmImpulse(force=1.0, duration=0.1, onset=-0.1)
+
+
+def test_unknown_signal_spec_is_a_type_error():
+    with pytest.raises(TypeError, match="unknown input signal object"):
+        generate_signal(object(), 0.0)
+
+
+def test_constant_force_without_three_components_is_rejected():
+    with pytest.raises(ValueError,
+                       match="constant input force needs three components"):
+        step_dynamics(nominal_params(), [], [], RIGID, START, (0.0, 1.0),
+                      1e-3)
+
+
+def test_callable_force_without_three_components_is_rejected():
+    with pytest.raises(ValueError, match="^input force needs three"):
+        step_dynamics(nominal_params(), [], [], RIGID, START,
+                      lambda t: (0.0, 1.0), 1e-3)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_step_dynamics_needs_a_positive_timestep(dt):
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        step_dynamics(nominal_params(), [], [], RIGID, START, None, dt)
+
+
+@pytest.mark.parametrize("impulse", [math.nan, math.inf])
+def test_contact_response_needs_a_finite_impulse(impulse):
+    with pytest.raises(ValueError, match="impulse must be finite"):
+        spoon_contact_response(nominal_params(), ComplianceSpec(), impulse)
+
+
+# ---------------------------------------------------------------------------
+# statics
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    (SpringKind.TORSION, dict(anchor_radius=0.1),
+     "torsion springs take no anchor/bar/free-length geometry"),
+    (SpringKind.LINEAR_REAL, dict(anchor_radius=0.1, bar_radius=0.05,
+                                  torsion_neutral=0.5),
+     "torsion_neutral applies to torsion springs only"),
+    (SpringKind.LINEAR_ZERO_FREE_LENGTH,
+     dict(anchor_radius=0.1, bar_radius=0.05, free_length=0.01),
+     "zero-free-length springs must have free_length == 0"),
+])
+def test_spring_kind_and_geometry_must_match(kind, fields, message):
+    with pytest.raises(ValueError, match=message):
+        SpringSpec(kind, Joint.J2, 100.0, **fields)
+
+
+def test_torque_profile_shapes_must_match():
+    with pytest.raises(ValueError, match="same length"):
+        TorqueProfile(Joint.J2, [0.0, 0.1, 0.2], [1.0, 2.0])
+
+
+def test_synthesis_rejects_a_negative_free_length():
+    with pytest.raises(InfeasibleBoundsError, match="free_length must be"):
+        synthesize_balancing(nominal_params(), SpringKind.LINEAR_REAL,
+                             free_length=-0.001)
+
+
+def test_residual_profile_of_a_pinned_joint_is_one_angle():
+    params = MechanismParams(joint_limits=((-math.pi, math.pi), (0.4, 0.4),
+                                           (-1.75, 1.4)))
+    spring = SpringSpec(SpringKind.LINEAR_ZERO_FREE_LENGTH, Joint.J2, 200.0,
+                        0.1, 0.05)
+    pinned, free = residual_torque_profile(params, [spring])
+    assert pinned.angles.tolist() == [0.4]
+    tau_g2, _ = gravity_torque(params, JointState(q=(0.0, 0.4, 0.0)))
+    assert pinned.torques.tolist() == [tau_g2 + spring_torque(spring, 0.4)]
+    assert len(free.angles) > 1
+
+
+# ---------------------------------------------------------------------------
+# kinematics, config, analysis, cli
+
+
+def test_joint_limits_need_three_pairs():
+    with pytest.raises(ValueError, match="one \\(min, max\\) pair per joint"):
+        MechanismParams(joint_limits=((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def test_writing_an_input_without_a_config_type_is_a_type_error():
+    # a constant force runs, but the scenario format has no type for it
+    scenario = Scenario(duration=0.01, input=(0.0, 0.0, 1.0))
+    with pytest.raises(TypeError, match="cannot write <class 'tuple'>"):
+        scenario_data(scenario)
+
+
+def test_calibration_that_exhausts_bisection_returns_the_upper_end(
+        monkeypatch):
+    # a handle rise that jumps over the target at d_h = 0.1: no d_h meets
+    # it, so all 200 halvings run and the bracket's upper end is returned
+    calls = []
+
+    def rise(params, trig):
+        d = params.handle_distance
+        calls.append(d)
+        return SimpleNamespace(handle_rise=d if d < 0.1 else d + 0.01)
+
+    monkeypatch.setattr(analysis, "_excursion", rise)
+    d_h = calibrate_handle_distance(nominal_params(), TrajectorySpec(), 0.105)
+    assert len(calls) == 9 + 200    # the monotonicity sweep, then bisection
+    assert d_h == 0.1
+
+
+def test_attenuation_is_infinite_against_a_baseline_that_never_deviates():
+    params = nominal_params()
+    still = Scenario(duration=0.05, initial=START)
+    pushed = Scenario(duration=0.05, initial=START,
+                      input=SineTremor(amplitude=1.0, frequency=5.0))
+    reference = run_scenario(params, [], [], RIGID, still)
+    result = run_scenario(params, [], [], RIGID, pushed)
+    report = stabilization_report(reference, result, baseline=reference)
+    assert report.rms_deviation > 0.0
+    assert report.attenuation == math.inf
+
+
+def test_fk_with_non_numeric_angles_is_a_usage_error(capsys):
+    code = main(["fk", "--q", "a,b,c"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "expected three comma-separated numbers, got 'a,b,c'" in (
+        captured.err)
