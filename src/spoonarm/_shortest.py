@@ -1,0 +1,269 @@
+"""repr's text for whole blocks of float64 cells, as CSV rows.
+
+repr writes the shortest decimal that reads back as the same double and,
+of those, the one closest to it. Ryu (U. Adams, "Ryu: fast float-to-string
+conversion", PLDI 2018) finds those digits with 64x128-bit products and a
+digit-removal loop, and both run here on numpy uint64 arrays. Everything
+that depends on a double's biased exponent E comes from tables of 2,048
+entries, built with Python ints on the first call, not at import.
+
+Cells that Ryu may send down its trailing-zero path (0.5, 2.0, every
+magnitude from 2**49 to 2**131), zeros, subnormals, infinities and NaNs
+take repr itself, once per distinct bit pattern; every other cell takes
+the array path. The
+text of each cell is gathered from its digits by a table of layouts.
+numpy 1.24's value-based casting turns uint64 mixed with int64 into
+float64, so every operand of the uint64 arithmetic is uint64.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_U = np.uint64
+_M32, _32, _52, _63 = _U(0xFFFFFFFF), _U(32), _U(52), _U(63)
+_ALL = (1 << 64) - 1
+_BITS = 125                 # Ryu's multiplier precision, in bits
+
+# A cell's text is gathered from its 32 source bytes: 20 digits of the
+# decimal significand, 4 of the decimal exponent, then _CONST.
+_CONST = b"0.e-+,\n\0"
+_ZERO, _POINT, _E, _MINUS, _PLUS, _COMMA, _NEWLINE, _NUL = range(24, 32)
+_WIDTH = 25                 # the longest text, 24 bytes, and its separator
+# text forms: positional (digits 1-17, decimal point at -3..16), then
+# exponential (digits, exponent sign, three exponent digits), then repr's
+# own text of 1-24 bytes
+_EXPONENTIAL = 17 * 20
+_REPR = _EXPONENTIAL + 17 * 4
+_DECPTS = 700               # decimal points -330..369 in the form table
+
+_tables = None
+
+
+def _exponent_tables():
+    """Per biased exponent E: Ryu's multiplier mul as four 32-bit limbs;
+    its shift s, the product's bits from 2**s up being kept; the decimal
+    exponent of the product's integer part; a mask whose bits are all
+    clear in 4*mantissa where Ryu may take its trailing-zero path (always
+    for E = 0, 2047 and where Ryu tests divisibility by 5**q); and at
+    2E + d - 1, floor(d * mul / 2**s) for d = 1, 2, as high and low words."""
+    shift, e10, mask = [1] * 2048, [0] * 2048, [0] * 2048
+    mul, step = bytearray(16 * 2048), bytearray(32 * 2048)  # little-endian
+    for E in range(1, 2047):
+        e2 = E - 1077       # binary exponent of 4*mantissa
+        if e2 >= 0:
+            q = ((e2 * 78913) >> 18) - (e2 > 3)
+            p = 5 ** q
+            k = p.bit_length() - 1 + _BITS
+            m, j, e10[E] = (1 << k) // p + 1, q - e2 + k, q
+            mask[E] = 0 if q <= 21 else _ALL
+        else:
+            q = ((-e2 * 732923) >> 20) - (-e2 > 1)
+            p = 5 ** (-e2 - q)
+            k = p.bit_length() - _BITS
+            m, j, e10[E] = (p >> k if k >= 0 else p << -k), q - k, q + e2
+            mask[E] = 0 if q <= 1 else (1 << q) - 1 if q < 63 else _ALL
+        shift[E] = j - 64
+        mul[16 * E:16 * E + 16] = m.to_bytes(16, "little")
+        step[32 * E:32 * E + 32] = b"".join(
+            (d * m >> j - 64).to_bytes(16, "little") for d in (1, 2))
+    step = np.frombuffer(step, dtype="<u8").reshape(-1, 2).T
+    return (np.frombuffer(mul, dtype="<u4").reshape(-1, 4).T.astype(_U),
+            np.array(shift, dtype=_U), np.array(e10, dtype=np.intp),
+            np.array(mask, dtype=_U), step[1].astype(_U), step[0].astype(_U))
+
+
+def _form_table():
+    """The text form of each digit count 0..17 (0 for cells that take
+    repr) and decimal point, the decimal exponent of the first digit plus
+    one, at nd * _DECPTS + decpt + 330."""
+    nd = np.arange(18)[:, None]
+    decpt = np.arange(-330, _DECPTS - 330)
+    exp10 = decpt - 1
+    return np.where((decpt > -4) & (decpt <= 16), (nd - 1) * 20 + decpt + 3,
+                    _EXPONENTIAL + (nd - 1) * 4 + 2 * (exp10 < 0)
+                    + (abs(exp10) >= 100)).clip(0).ravel()
+
+
+def _layout_table():
+    """The source byte of each output byte, for every form, sign and
+    separator, padded with NUL."""
+    table = np.full((_REPR + 24, 2, 2, _WIDTH), _NUL, dtype=np.int32)
+
+    def put(form, body, signs=(0, 1)):
+        for neg in signs:
+            for last in (0, 1):
+                row = [_MINUS] * neg + body + [(_COMMA, _NEWLINE)[last]]
+                table[form, neg, last, :len(row)] = row
+
+    for nd in range(1, 18):
+        digits = list(range(20 - nd, 20))
+        for decpt in range(-3, 17):
+            if decpt <= 0:
+                body = [_ZERO, _POINT] + [_ZERO] * -decpt + digits
+            elif decpt < nd:
+                body = digits[:decpt] + [_POINT] + digits[decpt:]
+            else:
+                body = digits + [_ZERO] * (decpt - nd) + [_POINT, _ZERO]
+            put((nd - 1) * 20 + decpt + 3, body)
+        mantissa = digits[:1] + ([_POINT] + digits[1:]) * (nd > 1)
+        for negative in (0, 1):
+            for three in (0, 1):
+                put(_EXPONENTIAL + (nd - 1) * 4 + 2 * negative + three,
+                    mantissa + [_E, (_PLUS, _MINUS)[negative]]
+                    + list(range(22 - three, 24)))
+    for length in range(1, 25):
+        # repr's text carries its own sign
+        put(_REPR + length - 1, list(range(length)), signs=(0,))
+    return table.reshape(-1, _WIDTH)
+
+
+def _build_tables():
+    global _tables
+    if _tables is None:
+        # 4-digit chunks as 32-bit words, then the two words of _CONST
+        chunks = np.arange(10000, dtype=np.uint16)[:, None] \
+            // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + 48
+        words = np.concatenate([chunks.astype(np.uint8).view(np.uint32)
+                                .ravel(), np.frombuffer(_CONST, np.uint32)])
+        _tables = (*_exponent_tables(), words,
+                   np.array([10 ** i for i in range(20)], dtype=_U),
+                   _form_table(), _layout_table())
+    return _tables
+
+
+def _product(m, E, limbs, shift):
+    """floor(m * mul / 2**s) as high and low 64-bit words, for m < 2**55
+    and exponents E, with Ryu's multiplier mul < 2**125 as 32-bit limbs
+    and its shift 0 < s < 64 looked up per E."""
+    m0, m1 = m & _M32, m >> _32
+    b = limbs[0].take(E)
+    t = m0 * b
+    parts = [t & _M32]                  # 32-bit columns of the product
+    c = t >> _32                        # carried into the next column
+    for limb in limbs[1:]:
+        t = m1 * b
+        b = limb.take(E)
+        c += t & _M32
+        up = t >> _32
+        t = m0 * b
+        c += t & _M32
+        up += t >> _32
+        parts.append(c & _M32)
+        c >>= _32
+        c += up
+    t = m1 * b
+    del m0, m1, b, up
+    c += t & _M32
+    c += (t >> _32) << _32              # bits 128 and up
+    parts[1] <<= _32
+    parts[3] <<= _32
+    bottom, low = parts[0] | parts[1], parts[2] | parts[3]
+    del parts, t
+    s = shift.take(E)
+    left = _U(64) - s
+    c <<= left
+    c |= low >> s
+    low <<= left
+    bottom >>= s
+    low |= bottom
+    return c, low
+
+
+def _decimal(bits):
+    """Ryu's shortest decimal of each float64 bit pattern, as digits and
+    the power of ten of the last digit, and the indices of the cells that
+    take repr instead."""
+    (limbs, shift, e10, mask, step_hi, step_lo, _,
+     powers) = _build_tables()[:8]
+    E = ((bits >> _52) & _U(0x7FF)).astype(np.intp)
+    fraction = bits & _U((1 << 52) - 1)
+    narrow = (fraction == _U(0)) & (E > 1)      # a narrower lower margin
+    mv = (fraction | _U(1 << 52)) << _U(2)
+    del fraction
+    unsure = (mv & mask[E]) == _U(0)
+    vr, low = _product(mv, E, limbs, shift)
+    del mv
+    # With B_d = floor(d * mul / 2**s), vp is the high word of A + B_2,
+    # plus 0 or 1, and vm that of A - B_d, less 0 or 1, where A is the
+    # product's (vr, low) and d = 1 or 2 is Ryu's lower margin. Both are
+    # exact unless the low word of the sum is all ones or zero.
+    index = 2 * E
+    index -= narrow
+    index += 1
+    b_low = step_lo[index]
+    vm = vr - step_hi[index] - (low < b_low)
+    unsure |= low == b_low
+    index = 2 * E + 1
+    b_low = step_lo[index]
+    b_low += low
+    vp = vr + step_hi[index] + (b_low < low)
+    unsure |= b_low == _U(_ALL)
+    del index, b_low, low, narrow
+
+    # remove the most digits k for which vp // 10**k > vm // 10**k; as
+    # that holds for every smaller k too, the steps 16, 8, 4, 2, 1 find k
+    k = np.zeros(len(bits), dtype=np.intp)
+    p, m = vp, vm
+    for size in (16, 8, 4, 2, 1):
+        divisor = _U(10 ** size)
+        p_cut, m_cut = p // divisor, m // divisor
+        cut = p_cut > m_cut
+        if cut.any():
+            p, m = np.where(cut, p_cut, p), np.where(cut, m_cut, m)
+            k += cut * size
+    # round up where the removed digits are at least half of 10**k, or
+    # where r is vm, which lies outside the interval
+    scale = powers[k]
+    r = vr // scale
+    vr -= r * scale
+    vr += vr
+    r += (r == m) | (vr >= scale)
+    k += e10[E]
+    return r, k, np.flatnonzero(unsure)
+
+
+def csv_rows(block) -> bytes:
+    """The rows of a 2-D float64 array as CSV text: each cell is its
+    float's repr, cells end in ',' and rows in a newline."""
+    words, powers, forms, layout = _build_tables()[6:]
+    bits = np.ascontiguousarray(block, dtype=float).view(_U)
+    rows, cols = bits.shape
+    bits = bits.ravel()
+    n = bits.size
+    digits, exp10, rest = _decimal(bits)
+    nd = np.searchsorted(powers[:18], digits, side="right")
+    decpt = exp10 + nd
+    form = forms[nd * _DECPTS + decpt + 330] * 4
+    form += 2 * (bits >> _63).astype(np.intp)
+    source = np.empty((n, 8), dtype=np.uint32)  # 4-byte words of text
+    source.view(np.uint64)[:, 3] = words[10000:].view(np.uint64)[0]
+    source[:, 5] = words.take(np.abs(decpt - 1))
+    del exp10, nd, decpt
+    for column in range(4, 0, -1):
+        digits, chunk = np.divmod(digits, _U(10000))
+        source[:, column] = words.take(chunk)
+    source[:, 0] = words.take(digits)
+    source = source.view(np.uint8)
+    del digits, chunk
+
+    if rest.size:
+        values, inverse = np.unique(bits[rest], return_inverse=True)
+        texts = [repr(v).encode() for v in values.view(float).tolist()]
+        text = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
+        source[rest, :24] = text[inverse]
+        lengths = np.array(list(map(len, texts)), dtype=np.intp)
+        form[rest] = (_REPR - 1 + lengths[inverse]) * 4
+
+    form = form.reshape(rows, cols)
+    form[:, -1] += 1                            # a row's last cell
+    # gathered one column at a time, so the byte index stays small, and
+    # stripped of the NUL padding
+    source = source.ravel()
+    out = np.empty((cols, rows, _WIDTH), dtype=np.uint8)
+    for column in range(cols):
+        index = layout.take(form[:, column], axis=0) \
+            + np.arange(32 * column, 32 * n, 32 * cols)[:, None]
+        source.take(index, out=out[column])
+    out = out.transpose(1, 0, 2)
+    return out[out != 0].tobytes()

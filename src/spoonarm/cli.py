@@ -6,12 +6,14 @@ full precision: floats are repr()-formatted, so nothing is rounded away.
 
 Exit codes: 0 success; 1 domain error (unreachable target, infeasible
 synthesis, invalid config content, ...); 2 usage error (bad arguments,
-missing files). Diagnostics go to stderr as single lines.
+missing input files, output files that cannot be written). Diagnostics
+go to stderr as single lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -48,12 +50,22 @@ def _triple(text: str) -> tuple:
             f"expected three comma-separated numbers, got {text!r}") from None
 
 
-def _out_path(path: str) -> str:
-    """Apply the output-directory override to relative output paths."""
+class _CannotWrite(Exception):
+    """An --out file could not be written; main reports it, exit code 2."""
+
+
+@contextlib.contextmanager
+def _writing(out: str):
+    """The path to write --out `out` to, a relative one under $OUT_DIR_ENV
+    when that is set; an OSError in the block becomes _CannotWrite, so it
+    is not reported as an input that cannot be read."""
     base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+    path = os.path.join(base, out) if base and not os.path.isabs(out) else out
+    try:
+        yield path
+    except OSError as exc:
+        raise _CannotWrite(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load(args):
@@ -153,10 +165,10 @@ def _cmd_balance(args) -> int:
         _emit(f"{key}_max_residual", profile.max_abs)
     _emit("max_residual", result.max_residual)
     if args.out:
-        path = _out_path(args.out)
-        serialize.write_balance_csv(
-            config.mechanism, result.springs,
-            (result.residual_j2, result.residual_j3), path)
+        with _writing(args.out) as path:
+            serialize.write_balance_csv(
+                config.mechanism, result.springs,
+                (result.residual_j2, result.residual_j3), path)
         _emit("residual_csv", path)
     return 0
 
@@ -166,8 +178,8 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     result = run_scenario(config.mechanism, config.springs, config.dampers,
                           config.compliance, scenario)
-    path = _out_path(args.out)
-    serialize.write_sim_csv(result, path)
+    with _writing(args.out) as path:
+        serialize.write_sim_csv(result, path)
     _emit("rows", len(result))
     _emit("out", path)
     return 0
@@ -184,8 +196,8 @@ def _cmd_workspace(args) -> int:
     _emit("plate_vertical_span_m", s.plate_vertical_span)
     _emit("covers_target_rise", s.covers_target_rise)
     if args.out:
-        path = _out_path(args.out)
-        serialize.write_workspace_csv(sample.points, path)
+        with _writing(args.out) as path:
+            serialize.write_workspace_csv(sample.points, path)
         _emit("points_csv", path)
     return 0
 
@@ -196,7 +208,8 @@ def _cmd_compare_handles(args) -> int:
                                             analysis.TrajectorySpec())
     print(serialize.compare_table(rows), end="")
     if args.out:
-        serialize.write_compare_csv(rows, _out_path(args.out))
+        with _writing(args.out) as path:
+            serialize.write_compare_csv(rows, path)
     return 0
 
 
@@ -238,6 +251,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
+    except _CannotWrite as exc:
+        print(f"spoonarm: {exc}", file=sys.stderr)
+        return 2
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"spoonarm: cannot read {exc.filename}: {exc.strerror}",
               file=sys.stderr)

@@ -774,8 +774,10 @@ def _mount_rows(compliance: ComplianceSpec, d: float, v: float, n: int,
         d, v = p11 * d + p12 * v, p21 * d + p22 * v
         rows.append((d, v))
     d, v = np.array(rows).T
-    energy = np.add(*compliance.energy(d, v))
-    rows = np.column_stack([d, v, energy[0] - energy])
+    # a state that overflows raises NonFiniteStateError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = np.add(*compliance.energy(d, v))
+        rows = np.column_stack([d, v, energy[0] - energy])
     bad = np.flatnonzero(~np.isfinite(rows[:, 2]))    # d, v or energy
     if bad.size:
         raise NonFiniteStateError(

@@ -407,9 +407,12 @@ def inverse_kinematics(params: MechanismParams, target) -> JointState:
     branch is used only when joint limits exclude the preferred one.
 
     Raises UnreachableError outside the annulus, LimitViolationError when
-    the target is reachable but both branches violate joint limits.
+    the target is reachable but both branches violate joint limits, and
+    ValueError for a coordinate that is not finite.
     """
-    x, y, z = map(float, target)
+    x, y, z = point = tuple(map(float, target))
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"target must be finite, not {point}")
     phi1, th2, th3, d, unreachable, inside = _ik_closure(params, x, y, z)
     if unreachable or not inside:
         raise _ik_error(params, d, unreachable)

@@ -3,17 +3,19 @@
 Every float is written as repr() produces it: the shortest decimal string
 that round-trips to the same double. Identical inputs therefore yield
 byte-identical files, which is what the golden tests pin. Float tables
-are formatted a block of rows at a time and column by column. repr is
-most of a table's write time, so a column with few distinct values (at
-most one per four rows, as the workspace's z or a rollout's constant
-columns) formats each distinct value once; the other columns take one
-repr per cell.
+are written CSV_BLOCK_ROWS rows at a time; _shortest.csv_rows computes
+repr's text for a whole block with numpy integer arithmetic (Ryu's
+shortest digits), and takes repr itself only for zeros, non-finite and
+subnormal cells and the values Ryu may send down its trailing-zero path,
+such as 0.5 or any magnitude from 2**49 to 2**131. fmt is the scalar
+path, for stdout and the compare table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._shortest import csv_rows
 from .statics import torque_columns
 
 SIM_HEADER = ("t,phi1,theta2,theta3,dphi1,dtheta2,dtheta3,"
@@ -22,7 +24,9 @@ SIM_HEADER = ("t,phi1,theta2,theta3,dphi1,dtheta2,dtheta3,"
 BALANCE_HEADER = "angle_rad,tau_gravity,tau_spring,tau_residual"
 COMPARE_HEADER = "variant,d_h,spoon_rise_m,handle_rise_m,ratio"
 WORKSPACE_HEADER = "x,y,z"
-CSV_BLOCK_ROWS = 256        # rows formatted per block of a float table
+# rows formatted per block of a float table: the formatter's temporaries
+# take about 130 bytes a cell, some 1.2 MB for the 18-column sim table
+CSV_BLOCK_ROWS = 512
 
 
 def fmt(value) -> str:
@@ -32,40 +36,21 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _column_text(column):
-    """The text of one float column, read a block of rows at a time as
-    text(start, stop): repr of each cell, or, where the column holds at
-    most a quarter as many distinct values as rows, the one repr of each
-    distinct value gathered by row."""
-    # bits, not values: -0.0 and 0.0, and NaN payloads, stay apart
-    values, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    if 4 * len(values) > len(column):
-        return lambda start, stop: map(repr, column[start:stop].tolist())
-    strings = np.array(list(map(repr, values.view(float).tolist())),
-                       dtype=object)
-    inverse = inverse.astype(np.int32)
-    return lambda start, stop: strings[inverse[start:stop]].tolist()
-
-
 def _write_table(path, header, columns):
     """Float columns (1-D or 2-D arrays of equal length) as CSV rows.
 
     Each cell is the repr of its float, which is what fmt writes, so the
-    bytes are the same; _column_text formats each column. Rows are
-    written CSV_BLOCK_ROWS at a time, one write per block, so the text in
-    memory stays flat however long the table is.
+    bytes are the same; _shortest.csv_rows formats a block of
+    CSV_BLOCK_ROWS rows at a time, and each block is one write, so the
+    text in memory stays flat however long the table is.
     """
-    n = len(columns[0])
-    # the rows of each array's transpose, as 2-D, are its columns: views
-    texts = [_column_text(column)
-             for array in columns
-             for column in np.atleast_2d(np.asarray(array, dtype=float).T)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            stop = start + CSV_BLOCK_ROWS
-            rows = zip(*[text(start, stop) for text in texts])
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+    arrays = [np.asarray(array, dtype=float) for array in columns]
+    arrays = [a[:, None] if a.ndim == 1 else a for a in arrays]
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
+            block = [a[start:start + CSV_BLOCK_ROWS] for a in arrays]
+            fh.write(csv_rows(np.hstack(block)))
 
 
 def write_sim_csv(result, path):
