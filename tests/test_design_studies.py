@@ -100,8 +100,10 @@ def _reference_csv(header, columns):
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                               CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
+# partial blocks of 255-257 rows, and counts around the block boundaries
+@pytest.mark.parametrize("n", sorted({
+    0, 1, 255, 256, 257, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+    CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1}))
 def test_write_table_equals_per_row_repr(tmp_path, n):
     rng = np.random.default_rng(n)
     values = np.array(SPECIAL)
