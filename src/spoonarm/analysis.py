@@ -230,12 +230,13 @@ def workspace_sample(params: MechanismParams, resolution: int,
                          f"not {radial_band}")
     if not (math.isfinite(plate_radius) and math.isfinite(target_rise)):
         raise ValueError("plate_radius and target_rise must be finite")
-    grids = [np.linspace(lo, hi, resolution)
-             for lo, hi in params.joint_limits]
-    phi, th2, th3 = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack(spoon_position(params, np.cos(phi), np.sin(phi),
-                                  np.cos(th2), np.sin(th2),
-                                  np.cos(th3), np.sin(th3)), axis=-1)
+    # the trig on the three 1-D axes of an open grid; broadcasting then
+    # does per node the same arithmetic a meshgrid would, bit for bit
+    axes = np.ix_(*(np.linspace(lo, hi, resolution)
+                    for lo, hi in params.joint_limits))
+    pts = np.empty((resolution,) * 3 + (3,))
+    pts[..., 0], pts[..., 1], pts[..., 2] = spoon_position(
+        params, *(f(axis) for axis in axes for f in (np.cos, np.sin)))
     pts = _unique_rows(pts.reshape(-1, 3))
 
     radial = np.hypot(pts[:, 0], pts[:, 1])

@@ -7,7 +7,8 @@ full precision: floats are repr()-formatted, so nothing is rounded away.
 Exit codes: 0 success; 1 domain error (unreachable target, infeasible
 synthesis, invalid config content, ...); 2 usage error (bad arguments,
 missing input files, output files that cannot be written). Diagnostics
-go to stderr as single lines.
+go to stderr as single lines. A command writes its --out file before it
+prints its report, so a failed write prints no report.
 """
 
 from __future__ import annotations
@@ -152,6 +153,11 @@ def _cmd_balance(args) -> int:
     config = _load(args)
     kind = _KIND_NAMES[args.kind]
     result = synthesize_balancing(config.mechanism, kind)
+    if args.out:
+        with _writing(args.out) as path:
+            serialize.write_balance_csv(
+                config.mechanism, result.springs,
+                (result.residual_j2, result.residual_j3), path)
     for spring, profile in ((result.spring_j2, result.residual_j2),
                             (result.spring_j3, result.residual_j3)):
         key = spring.joint.key
@@ -165,10 +171,6 @@ def _cmd_balance(args) -> int:
         _emit(f"{key}_max_residual", profile.max_abs)
     _emit("max_residual", result.max_residual)
     if args.out:
-        with _writing(args.out) as path:
-            serialize.write_balance_csv(
-                config.mechanism, result.springs,
-                (result.residual_j2, result.residual_j3), path)
         _emit("residual_csv", path)
     return 0
 
@@ -188,6 +190,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_workspace(args) -> int:
     config = _load(args)
     sample = analysis.workspace_sample(config.mechanism, args.resolution)
+    if args.out:
+        with _writing(args.out) as path:
+            serialize.write_workspace_csv(sample.points, path)
     s = sample.summary
     _emit("points", len(sample.points))
     _emit("max_reach_m", s.max_reach)
@@ -196,8 +201,6 @@ def _cmd_workspace(args) -> int:
     _emit("plate_vertical_span_m", s.plate_vertical_span)
     _emit("covers_target_rise", s.covers_target_rise)
     if args.out:
-        with _writing(args.out) as path:
-            serialize.write_workspace_csv(sample.points, path)
         _emit("points_csv", path)
     return 0
 
@@ -206,10 +209,10 @@ def _cmd_compare_handles(args) -> int:
     config = _load(args)
     rows = analysis.compare_handle_variants(config.mechanism,
                                             analysis.TrajectorySpec())
-    print(serialize.compare_table(rows), end="")
     if args.out:
         with _writing(args.out) as path:
             serialize.write_compare_csv(rows, path)
+    print(serialize.compare_table(rows), end="")
     return 0
 
 

@@ -3,12 +3,14 @@
 Every float is written as repr() produces it: the shortest decimal string
 that round-trips to the same double. Identical inputs therefore yield
 byte-identical files, which is what the golden tests pin. Float tables
-are written CSV_BLOCK_ROWS rows at a time; _shortest.csv_rows computes
-repr's text for a whole block with numpy integer arithmetic (Ryu's
-shortest digits), and takes repr itself only for zeros, non-finite and
-subnormal cells and the values Ryu may send down its trailing-zero path,
-such as 0.5 or any magnitude from 2**49 to 2**131. fmt is the scalar
-path, for stdout and the compare table.
+are written in blocks of about CSV_BLOCK_CELLS cells (block_rows gives
+5,461 rows of the 3-column workspace cloud and 910 of the 18-column sim
+table); _shortest.csv_rows computes repr's text for a whole block with
+numpy integer arithmetic (Ryu's shortest digits), and takes repr itself
+only for zeros, non-finite and subnormal cells and the values Ryu may
+send down its trailing-zero path, such as 0.5 or any magnitude from
+2**49 to 2**131. fmt is the scalar path, for stdout and the compare
+table.
 """
 
 from __future__ import annotations
@@ -24,9 +26,16 @@ SIM_HEADER = ("t,phi1,theta2,theta3,dphi1,dtheta2,dtheta3,"
 BALANCE_HEADER = "angle_rad,tau_gravity,tau_spring,tau_residual"
 COMPARE_HEADER = "variant,d_h,spoon_rise_m,handle_rise_m,ratio"
 WORKSPACE_HEADER = "x,y,z"
-# rows formatted per block of a float table: the formatter's temporaries
-# take about 130 bytes a cell, some 1.2 MB for the 18-column sim table
-CSV_BLOCK_ROWS = 512
+# cells formatted per block of a float table. csv_rows makes ~150 numpy
+# calls a block whatever its size, so a block must be large for their
+# overhead to fade; at this size the tracemalloc peak of a write is about
+# 4.1 MB for the workspace cloud and 2.1 MB for the sim table
+CSV_BLOCK_CELLS = 16384
+
+
+def block_rows(width: int) -> int:
+    """Rows per CSV block of a table `width` floats wide; at least one."""
+    return max(1, CSV_BLOCK_CELLS // width)
 
 
 def fmt(value) -> str:
@@ -40,16 +49,17 @@ def _write_table(path, header, columns):
     """Float columns (1-D or 2-D arrays of equal length) as CSV rows.
 
     Each cell is the repr of its float, which is what fmt writes, so the
-    bytes are the same; _shortest.csv_rows formats a block of
-    CSV_BLOCK_ROWS rows at a time, and each block is one write, so the
-    text in memory stays flat however long the table is.
+    bytes are the same; _shortest.csv_rows formats block_rows(width) rows
+    at a time, and each block is one write, so the memory a write takes
+    stays flat however long the table is.
     """
     arrays = [np.asarray(array, dtype=float) for array in columns]
     arrays = [a[:, None] if a.ndim == 1 else a for a in arrays]
+    rows = block_rows(sum(a.shape[1] for a in arrays))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
-            block = [a[start:start + CSV_BLOCK_ROWS] for a in arrays]
+        for start in range(0, len(arrays[0]), rows):
+            block = [a[start:start + rows] for a in arrays]
             fh.write(csv_rows(np.hstack(block)))
 
 

@@ -24,9 +24,9 @@ from spoonarm.kinematics import forward_kinematics
 from spoonarm.serialize import (
     BALANCE_HEADER,
     COMPARE_HEADER,
-    CSV_BLOCK_ROWS,
     SIM_HEADER,
     WORKSPACE_HEADER,
+    block_rows,
     fmt,
     write_sim_csv,
     write_workspace_csv,
@@ -182,14 +182,15 @@ def test_simulate_repeats_byte_identical(capsys, tmp_path):
 
 def test_csv_tables_match_per_cell_formatting(tmp_path):
     # the block writers against the plain one-row-at-a-time formatting,
-    # on tables longer than one block
+    # on tables longer than one block: 2 * block_rows(3) + 1 rows, so the
+    # 3-column cloud ends one row into its third block
     config = load_config(default_config_path())
-    scn = Scenario(duration=3 * CSV_BLOCK_ROWS * 1e-3, timestep=1e-3,
+    scn = Scenario(duration=2 * block_rows(3) * 1e-3, timestep=1e-3,
                    initial=JointState(q=(0.0, 0.7, -1.4)),
                    input=NoiseTremor(rms=0.25, f_lo=2.0, f_hi=9.0, seed=7))
     res = run_scenario(config.mechanism, config.springs, config.dampers,
                        config.compliance, scn)
-    assert len(res) > 2 * CSV_BLOCK_ROWS
+    assert len(res) == 2 * block_rows(3) + 1 > 2 * block_rows(18)
     want = [SIM_HEADER]
     for k in range(len(res)):
         row = (res.t[k], *res.q[k], *res.qdot[k], *res.spoon_pos[k],

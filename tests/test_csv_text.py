@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from spoonarm import _shortest
+from spoonarm import _shortest, serialize
 from spoonarm._shortest import _build_tables, _decimal, _product, csv_rows
-from spoonarm.serialize import CSV_BLOCK_ROWS, _write_table, fmt
+from spoonarm.serialize import CSV_BLOCK_CELLS, _write_table, block_rows, fmt
 
 
 def _bits(*patterns):
@@ -148,9 +148,15 @@ SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5,
            0.1 + 0.2, -1.25, 12345.678, 0.001, 2.5, 1e300]
 
 
-@pytest.mark.parametrize("n", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                               CSV_BLOCK_ROWS + 1])
-@pytest.mark.parametrize("width", [1, 3, 7, 18])
+def _edges(width):
+    # partial blocks of 511-513 rows, then one row before, on and after the
+    # width's first block edge, and one row into its third block
+    rows = block_rows(width)
+    return [511, 512, 513, rows - 1, rows, rows + 1, 2 * rows + 1]
+
+
+@pytest.mark.parametrize("width,n", [(width, n) for width in (1, 3, 7, 18)
+                                     for n in _edges(width)])
 def test_tables_of_each_width_on_block_edges(tmp_path, width, n):
     rng = np.random.default_rng(width * 1000 + n)
     cells = rng.standard_normal((n, width)) * 10.0 ** rng.integers(
@@ -165,3 +171,27 @@ def test_tables_of_each_width_on_block_edges(tmp_path, width, n):
     _write_table(path, header, columns)
     want = [header] + [",".join(map(fmt, row)) for row in cells.tolist()]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def test_rows_per_block_follow_the_cell_budget(tmp_path, monkeypatch):
+    assert [block_rows(w) for w in (1, 3, 4, 7, 18)] == [
+        16384, 5461, 4096, 2340, 910]
+    assert block_rows(CSV_BLOCK_CELLS) == block_rows(CSV_BLOCK_CELLS + 1) == 1
+    blocks = []
+
+    def spy(block):
+        blocks.append(block.shape)
+        return csv_rows(block)
+
+    monkeypatch.setattr(serialize, "csv_rows", spy)
+    # a 3-column table one row into its third block, and a table wider
+    # than the budget, written one row a block
+    cells = np.arange(3.0 * (2 * block_rows(3) + 1)).reshape(-1, 3) / 7
+    wide = np.arange(3.0 * (CSV_BLOCK_CELLS + 1)).reshape(3, -1) / 7
+    for table in (cells, wide):
+        header = ",".join(f"c{i}" for i in range(table.shape[1]))
+        path = tmp_path / "table.csv"
+        _write_table(path, header, (table[:, 0], table[:, 1:]))
+        want = [header] + [",".join(map(fmt, row)) for row in table.tolist()]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    assert blocks == [(5461, 3), (5461, 3), (1, 3)] + [(1, 16385)] * 3

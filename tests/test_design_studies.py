@@ -29,7 +29,7 @@ from spoonarm.kinematics import (
     forward_kinematics,
     spoon_position,
 )
-from spoonarm.serialize import CSV_BLOCK_ROWS, _write_table
+from spoonarm.serialize import _write_table, block_rows
 from spoonarm.serialize import fmt
 
 
@@ -74,6 +74,16 @@ def test_workspace_points_equal_np_unique_with_pinned_joints(limits):
     _same_rows(sample.points, np.unique(_grid_points(params, 7), axis=0))
 
 
+@pytest.mark.parametrize("params", [
+    replace(nominal_params(), handedness=Handedness.LEFT),
+    replace(nominal_params(), joint_limits=(
+        (-2.3, 0.9), (-0.2, 1.7), (-1.1, 0.35))),
+], ids=["left-handed", "asymmetric-limits"])
+def test_workspace_points_equal_np_unique_off_the_default_build(params):
+    sample = workspace_sample(params, 40)
+    _same_rows(sample.points, np.unique(_grid_points(params, 40), axis=0))
+
+
 def test_unique_rows_with_duplicates_and_ties():
     rng = np.random.default_rng(7)
     # few distinct values per column: many rows tie in x, many in (x, y),
@@ -100,10 +110,11 @@ def _reference_csv(header, columns):
     return ("\n".join(lines) + "\n").encode()
 
 
-# partial blocks of 255-257 rows, and counts around the block boundaries
+# partial blocks of 255-257 and 511-513 rows, and counts around the block
+# boundaries of the test's 7-column table
 @pytest.mark.parametrize("n", sorted({
-    0, 1, 255, 256, 257, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-    CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1}))
+    0, 1, 255, 256, 257, 511, 512, 513, 1025, block_rows(7) - 1,
+    block_rows(7), block_rows(7) + 1, 2 * block_rows(7) + 1}))
 def test_write_table_equals_per_row_repr(tmp_path, n):
     rng = np.random.default_rng(n)
     values = np.array(SPECIAL)
@@ -122,7 +133,7 @@ def _nan(bits):
     return np.array([bits], dtype=np.uint64).view(float)[0]
 
 
-N_EDGE = 4 * CSV_BLOCK_ROWS + 8     # a multiple of 4, and not of a block
+N_EDGE = 2 * block_rows(4) + 8     # a multiple of 4, and not of a block
 
 
 @pytest.mark.parametrize("values", [
