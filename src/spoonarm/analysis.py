@@ -293,8 +293,10 @@ def stabilization_report(reference, result, baseline=None,
     TrajectorySpec (deviation is then the distance to the path segment).
     `baseline` is the paired undamped rollout for the attenuation ratio;
     without one, the result serves as its own baseline (attenuation 1.0,
-    or 0.0 for a perfect track).
+    or 0.0 for a perfect track). `band` (m) must be finite and > 0.
     """
+    if not 0.0 < band < math.inf:
+        raise ValueError(f"band must be finite and > 0, not {band!r}")
     dev = _deviation_series(reference, result)
     rms = float(math.sqrt(np.mean(dev ** 2)))
     peak = float(dev.max())

@@ -3,6 +3,8 @@
 Every subcommand takes --config (a config file path, or the literal
 string "default" for the shipped nominal build) and prints SI numbers at
 full precision: floats are repr()-formatted, so nothing is rounded away.
+Each subparser carries its command function; main loads --config once
+and calls that function with the loaded ConfigFile and the arguments.
 
 Exit codes: 0 success; 1 domain error (unreachable target, infeasible
 synthesis, invalid config content, ...); 2 usage error (bad arguments,
@@ -69,12 +71,6 @@ def _writing(out: str):
             f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _load(args):
-    if args.config == "default":
-        return load_config(default_config_path())
-    return load_config(args.config)
-
-
 def _emit(name, value):
     if isinstance(value, bool):
         value = "true" if value else "false"
@@ -90,39 +86,46 @@ def build_parser() -> argparse.ArgumentParser:
                "when that environment variable is set.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, run):
+        """A subcommand whose `run(config, args)` main calls."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default="default",
                        help="config file path, or 'default' for the "
                             "shipped nominal build")
+        p.set_defaults(run=run)
         return p
 
-    p = add("fk", "forward kinematics: joint angles to spoon/handle poses")
+    p = add("fk", "forward kinematics: joint angles to spoon/handle poses",
+            _cmd_fk)
     p.add_argument("--q", type=_triple, required=True,
                    metavar="PHI1,THETA2,THETA3",
                    help="joint angles in rad")
 
-    p = add("ik", "inverse kinematics: spoon target to joint angles")
+    p = add("ik", "inverse kinematics: spoon target to joint angles", _cmd_ik)
     p.add_argument("--target", type=_triple, required=True, metavar="X,Y,Z",
                    help="utensil tip position in m")
 
-    p = add("balance", "synthesize gravity-balancing springs")
+    p = add("balance", "synthesize gravity-balancing springs", _cmd_balance)
     p.add_argument("--kind", choices=sorted(_KIND_NAMES), default="ideal")
     p.add_argument("--out", help="write the residual torque table (CSV)")
 
-    p = add("simulate", "integrate one scenario file and write the CSV")
+    p = add("simulate", "integrate one scenario file and write the CSV",
+            _cmd_simulate)
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--out", required=True, help="output CSV path")
 
-    p = add("workspace", "sample the reachable utensil positions")
+    p = add("workspace", "sample the reachable utensil positions",
+            _cmd_workspace)
     p.add_argument("--resolution", type=int, default=25,
                    help="grid nodes per joint (>= 2)")
     p.add_argument("--out", help="write the point cloud (CSV)")
 
-    p = add("compare-handles", "handle travel of both attachment variants")
+    p = add("compare-handles", "handle travel of both attachment variants",
+            _cmd_compare_handles)
     p.add_argument("--out", help="also write the table (CSV)")
 
-    p = add("contact", "compliant-mount response to an impulse torque")
+    p = add("contact", "compliant-mount response to an impulse torque",
+            _cmd_contact)
     p.add_argument("--impulse", type=float, required=True,
                    help="impulse torque in N*m*s")
     p.add_argument("--dt", type=float, default=1e-3)
@@ -131,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_fk(args) -> int:
-    config = _load(args)
+def _cmd_fk(config, args) -> int:
     state = JointState(q=args.q)
     spoon, handle = forward_kinematics(config.mechanism, state)
     for name, pose in (("spoon", spoon), ("handle", handle)):
@@ -141,16 +143,14 @@ def _cmd_fk(args) -> int:
     return 0
 
 
-def _cmd_ik(args) -> int:
-    config = _load(args)
+def _cmd_ik(config, args) -> int:
     state = inverse_kinematics(config.mechanism, args.target)
     for name, value in zip(("phi1", "theta2", "theta3"), state.q):
         _emit(name, value)
     return 0
 
 
-def _cmd_balance(args) -> int:
-    config = _load(args)
+def _cmd_balance(config, args) -> int:
     kind = _KIND_NAMES[args.kind]
     result = synthesize_balancing(config.mechanism, kind)
     if args.out:
@@ -175,8 +175,7 @@ def _cmd_balance(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = _load(args)
+def _cmd_simulate(config, args) -> int:
     scenario = load_scenario(args.scenario)
     result = run_scenario(config.mechanism, config.springs, config.dampers,
                           config.compliance, scenario)
@@ -187,8 +186,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_workspace(args) -> int:
-    config = _load(args)
+def _cmd_workspace(config, args) -> int:
     sample = analysis.workspace_sample(config.mechanism, args.resolution)
     if args.out:
         with _writing(args.out) as path:
@@ -205,8 +203,7 @@ def _cmd_workspace(args) -> int:
     return 0
 
 
-def _cmd_compare_handles(args) -> int:
-    config = _load(args)
+def _cmd_compare_handles(config, args) -> int:
     rows = analysis.compare_handle_variants(config.mechanism,
                                             analysis.TrajectorySpec())
     if args.out:
@@ -216,8 +213,7 @@ def _cmd_compare_handles(args) -> int:
     return 0
 
 
-def _cmd_contact(args) -> int:
-    config = _load(args)
+def _cmd_contact(config, args) -> int:
     response = spoon_contact_response(config.mechanism, config.compliance,
                                       args.impulse, dt=args.dt,
                                       duration=args.duration)
@@ -235,17 +231,6 @@ def _cmd_contact(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fk": _cmd_fk,
-    "ik": _cmd_ik,
-    "balance": _cmd_balance,
-    "simulate": _cmd_simulate,
-    "workspace": _cmd_workspace,
-    "compare-handles": _cmd_compare_handles,
-    "contact": _cmd_contact,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -253,7 +238,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        config = load_config(default_config_path() if args.config == "default"
+                             else args.config)
+        return args.run(config, args)
     except _CannotWrite as exc:
         print(f"spoonarm: {exc}", file=sys.stderr)
         return 2

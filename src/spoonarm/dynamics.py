@@ -41,17 +41,18 @@ The mount is linear and unforced after a contact, so _mount_rows steps
 each axis with its exact propagator, and the arm's is the only integrator.
 The grid must sample the mount's undamped period twice (omega_n*dt < pi).
 
-A rollout keeps its step loop to integration alone. The handle force at
-every RK4 stage time comes from one vectorised evaluation per block of
-FORCE_BLOCK steps, and each signal law is written once, in that
-evaluator. A signal spec's blocks are shared across rollouts: the last
-SIGNAL_BLOCKS of them, about 1.2 MB whatever the rollout length, stay in
-_signal_block, read-only and keyed by the spec's repr and the grid, so a
-study that runs many builds on one tremor evaluates it once. A constant
-or callable force is evaluated in every run. The loop stores the packed
-state of each row; after it, one numpy pass computes the positions,
-applied torques and energies, each spring's potential on its whole angle
-column at once.
+One function, _handle_forces, evaluates the handle force of every input
+kind at a 1-D array of times. step_dynamics calls it on its three stage
+times, and a rollout once per block of FORCE_BLOCK steps, so its step
+loop only integrates. Each signal law is written once, in
+_signal_forces. A signal spec's blocks are shared across rollouts: the
+last SIGNAL_BLOCKS of them, about 1.2 MB whatever the rollout length,
+stay in _signal_block, read-only and keyed by the spec's repr and the
+grid, so a study that runs many builds on one tremor evaluates it once.
+A constant or callable force is evaluated in every run. The loop stores
+the packed state of each row; after it, one numpy pass computes the
+positions, applied torques and energies (a rigid mount's are zero), each
+spring's potential on its whole angle column at once.
 
 run_scenario has one tail. The arm states of a rollout, integrated or
 played back from a PrescribedTrajectory by IK, go through the same spoon
@@ -75,7 +76,7 @@ from .kinematics import (
     Joint,
     JointState,
     MechanismParams,
-    as_joint,
+    as_member,
     handle_coefficients,
     handle_position,
     handle_torques,
@@ -121,7 +122,10 @@ class DamperSpec:
     deadzone: float = 0.0        # rad/s, dead-zone model only
 
     def __post_init__(self):
-        object.__setattr__(self, "joint", as_joint(self.joint))
+        object.__setattr__(self, "joint", as_member(Joint, self.joint,
+                                                    "joint"))
+        object.__setattr__(self, "model", as_member(DamperModel, self.model,
+                                                    "model"))
         if not 0.0 <= self.coefficient < math.inf:
             raise ValueError("damper coefficient must be finite and >= 0")
         if not 0.0 <= self.deadzone < math.inf:
@@ -151,15 +155,21 @@ class ComplianceSpec:
     inertia: float = 5e-4           # kg*m^2, spoon about the mount
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", as_member(ComplianceMode, self.mode,
+                                                   "mode"))
         if not 0.0 < self.deflection_limit < math.inf:
             raise ValueError("deflection_limit must be finite and > 0")
         if not 0.0 < self.recenter_tolerance < math.inf:
             raise ValueError("recenter_tolerance must be finite and > 0")
-        if self.mode is ComplianceMode.COMPLIANT and not all(
-                0.0 < v < math.inf
-                for v in (self.stiffness, self.damping, self.inertia)):
-            raise ValueError("compliant mode needs finite stiffness, "
-                             "damping, inertia > 0")
+        constants = (self.stiffness, self.damping, self.inertia)
+        if self.mode is ComplianceMode.COMPLIANT:
+            if not all(0.0 < v < math.inf for v in constants):
+                raise ValueError("compliant mode needs finite stiffness, "
+                                 "damping, inertia > 0")
+        elif not all(0.0 <= v < math.inf for v in constants):
+            # a rigid mount's energy is k*0*0/2 and I*0*0/2: finite, not NaN
+            raise ValueError("rigid mode needs finite stiffness, damping, "
+                             "inertia >= 0")
 
     @property
     def damping_ratio(self) -> float:
@@ -248,6 +258,10 @@ class SpasmImpulse:
         if self.duration < 0.0:
             raise ValueError("duration must be >= 0")
         object.__setattr__(self, "direction", _unit(self.direction))
+
+
+# the input specs whose force is a law of time alone, see _signal_forces
+_SIGNALS = (SineTremor, NoiseTremor, SpasmImpulse)
 
 
 @dataclass(frozen=True)
@@ -513,37 +527,36 @@ def generate_signal(spec, t: float) -> np.ndarray:
     return _signal_forces(spec, float(t))
 
 
-def _force_source(inputs):
-    """Normalize the `inputs` argument to None or a function mapping a 1-D
-    array of times to the (len(times), 3) array of handle forces. A
-    constant or a callable force that is not finite raises ValueError, and
-    so does a playback, which has no handle force."""
+def _handle_forces(inputs, times: np.ndarray):
+    """The (len(times), 3) handle forces of `inputs` at a 1-D array of
+    times, or None for no input (None or FreeRelease). `inputs` is one of
+    the signal specs, a callable t -> force called once per time in order,
+    or a constant (fx, fy, fz). A force that is not finite raises
+    ValueError, and so does a playback, which has no handle force."""
     if inputs is None or isinstance(inputs, FreeRelease):
         return None
     if isinstance(inputs, PrescribedTrajectory):
         raise ValueError("a PrescribedTrajectory is kinematic playback, not "
                          "a force; run it through run_scenario")
-    if isinstance(inputs, (SineTremor, NoiseTremor, SpasmImpulse)):
-        return lambda times: _signal_forces(inputs, times)
+    if isinstance(inputs, _SIGNALS):
+        return _signal_forces(inputs, times)
     if callable(inputs):
-        def called(times):
-            forces = np.array([tuple(inputs(t)) for t in times.tolist()],
-                              dtype=float)
-            if forces.shape != (len(times), 3):
-                raise ValueError("input force needs three components")
-            bad = np.flatnonzero(~np.isfinite(forces).all(axis=1))
-            if bad.size:
-                raise ValueError("input force must be finite; it is "
-                                 f"{tuple(forces[bad[0]].tolist())} at "
-                                 f"t = {times[bad[0]]:.6f} s")
-            return forces
-        return called
+        forces = np.array([tuple(inputs(t)) for t in times.tolist()],
+                          dtype=float)
+        if forces.shape != (len(times), 3):
+            raise ValueError("input force needs three components")
+        bad = np.flatnonzero(~np.isfinite(forces).all(axis=1))
+        if bad.size:
+            raise ValueError("input force must be finite; it is "
+                             f"{tuple(forces[bad[0]].tolist())} at "
+                             f"t = {times[bad[0]]:.6f} s")
+        return forces
     const = tuple(float(v) for v in inputs)
     if len(const) != 3:
         raise ValueError("constant input force needs three components")
     if not all(map(math.isfinite, const)):
         raise ValueError(f"constant input force must be finite, not {const}")
-    return lambda times: np.tile(const, (len(times), 1))
+    return np.tile(const, (len(times), 1))
 
 
 @lru_cache(maxsize=SIGNAL_BLOCKS)
@@ -558,18 +571,14 @@ def _signal_block(key: str, spec, k0: int, k1: int, n: int,
     return block
 
 
-def _block_forces(inputs, n: int, dt: float):
-    """None for no input, or forces(k0, k1): the handle forces at the
-    _stage_times of rows k0..k1-1 of an n-row grid of dt. A signal spec's
-    blocks come from _signal_block; a callable is called at every stage
-    time of every run."""
-    if isinstance(inputs, (SineTremor, NoiseTremor, SpasmImpulse)):
-        key = repr(inputs)
-        return lambda k0, k1: _signal_block(key, inputs, k0, k1, n, dt)
-    source = _force_source(inputs)
-    if source is None:
-        return None
-    return lambda k0, k1: source(_stage_times(k0, k1, n, dt))
+def _block_forces(inputs, k0: int, k1: int, n: int, dt: float):
+    """The _handle_forces of `inputs` at the _stage_times of rows
+    k0..k1-1 of an n-row grid of dt. A signal spec's block is the one
+    _signal_block shares; any other input is evaluated afresh, a callable
+    at every stage time of every run."""
+    if isinstance(inputs, _SIGNALS):
+        return _signal_block(repr(inputs), inputs, k0, k1, n, dt)
+    return _handle_forces(inputs, _stage_times(k0, k1, n, dt))
 
 
 def _stage_times(k0: int, k1: int, n: int, dt: float) -> np.ndarray:
@@ -794,22 +803,24 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     `inputs` is a handle force: None / FreeRelease, a constant (fx, fy, fz),
     one of the signal specs, or a callable t -> force evaluated at the RK4
     stage times; a PrescribedTrajectory raises ValueError, as playback
-    runs through run_scenario. `deflections` packs (delta_p, delta_y,
-    rate_p, rate_y) of the compliant mount; a rigid one returns them
-    unchanged. Raises LimitViolationError for a `state` outside the joint
+    runs through run_scenario. `deflections` packs the four (delta_p,
+    delta_y, rate_p, rate_y) of the compliant mount; a rigid one returns
+    them unchanged. Raises LimitViolationError for a `state` outside the joint
     limits, DeflectionExceededError for deflections beyond the mount's
     validity limit, and TimestepTooCoarseError when omega_n*dt >= pi.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
+    mount = tuple(float(v) for v in deflections)
+    if len(mount) != 4:
+        raise ValueError("deflections needs four entries (delta_p, delta_y, "
+                         f"rate_p, rate_y), not {len(mount)}")
     _check_start(params, state)
-    source = _force_source(inputs)
-    stage_forces = (None, None, None)
-    if source is not None:
-        stage_forces = source(np.array([t, t + 0.5 * dt, t + dt])).tolist()
+    forces = _handle_forces(inputs, np.array([t, t + 0.5 * dt, t + dt]))
     step = _arm_stepper(params, springs, dampers, dt)
-    y = step(state.q + state.qdot + (0.0,), t, *stage_forces)
-    dp, dy, vp, vy = (float(v) for v in deflections)
+    y = step(state.q + state.qdot + (0.0,), t,
+             *([None] * 3 if forces is None else forces.tolist()))
+    dp, dy, vp, vy = mount
     if compliance.mode is ComplianceMode.COMPLIANT:
         dp, vp, _ = _mount_rows(compliance, dp, vp, 2, dt, t)[1].tolist()
         dy, vy, _ = _mount_rows(compliance, dy, vy, 2, dt, t)[1].tolist()
@@ -875,25 +886,22 @@ def run_scenario(params: MechanismParams, springs, dampers,
     n = scenario.steps
     dt = scenario.timestep
     t = np.arange(n) * dt
-    row_forces = None    # handle force at each row's own time
+    row_forces = []    # handle force at each row's own time, per block
     _check_start(params, scenario.initial)
     if isinstance(scenario.input, PrescribedTrajectory):
         states = _playback_states(params, scenario.input, t, dt)
     else:
         step = _arm_stepper(params, springs, dampers, dt)
-        source = _block_forces(scenario.input, n, dt)
         states = np.empty((n, 7))
-        if source is not None:
-            row_forces = np.empty((n, 3))
         y = scenario.initial.q + scenario.initial.qdot + (0.0,)
         for k0 in range(0, n, FORCE_BLOCK):
             k1 = min(k0 + FORCE_BLOCK, n)
             # three stage forces per row
-            if source is None:
+            block = _block_forces(scenario.input, k0, k1, n, dt)
+            if block is None:
                 forces = [None] * (3 * (k1 - k0))
             else:
-                block = source(k0, k1)
-                row_forces[k0:k1] = block[::3]
+                row_forces.append(block[::3])
                 forces = block.tolist()
             for k in range(k0, k1):
                 states[k] = y
@@ -904,8 +912,7 @@ def run_scenario(params: MechanismParams, springs, dampers,
 
     mount = np.zeros((n, 4))    # pitch, yaw deflection; pitch, yaw rate
     contact = scenario.spoon_contact
-    compliant = compliance.mode is ComplianceMode.COMPLIANT
-    if contact is not None and compliant:
+    if contact is not None and compliance.mode is ComplianceMode.COMPLIANT:
         k = min(round(contact.time / dt), n - 1)    # the nearest row
         inv_i = 1.0 / compliance.inertia
         impulses = (contact.impulse_pitch, contact.impulse_yaw)
@@ -917,8 +924,8 @@ def run_scenario(params: MechanismParams, springs, dampers,
             mount[k:, axis::2] = rows[:, :2]
             states[k:, 6] += rows[:, 2]
         _check_deflection(compliance, t, mount[:, :2])
-    return _record(params, springs, compliance if compliant else None, t,
-                   states, mount, row_forces)
+    return _record(params, springs, compliance, t, states, mount,
+                   np.concatenate(row_forces) if row_forces else None)
 
 
 def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
@@ -928,7 +935,7 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
 
     One numpy pass computes the positions, the applied torque of
     `row_forces` (the handle force at each row's time, or None) and the
-    energies, including the mount's when `compliance` is not None.
+    energies, the `compliance` mount's included.
     """
     phi1, th2, th3, w1, w2, w3 = states[:, :6].T
     trig = (np.cos(phi1), np.sin(phi1), np.cos(th2), np.sin(th2),
@@ -947,10 +954,9 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
     e_kin = _kinetic(m11, m22, m23, m33, w1, w2, w3)
     e_pot = potential_sum(params, springs, th2, s2t, th3, s3t, np.sqrt,
                           np.maximum)
-    if compliance is not None:
-        pot, kin = compliance.energy(mount[:, :2], mount[:, 2:])
-        e_pot += pot.sum(axis=1)
-        e_kin += kin.sum(axis=1)
+    pot, kin = compliance.energy(mount[:, :2], mount[:, 2:])
+    e_pot += pot.sum(axis=1)
+    e_kin += kin.sum(axis=1)
     return SimResult(t, states[:, 0:3], states[:, 3:6], spoon, handle,
                      mount[:, 0:2], mount[:, 2:4], applied, e_kin, e_pot,
                      states[:, 6])

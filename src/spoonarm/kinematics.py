@@ -64,14 +64,16 @@ def integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
-def as_joint(value) -> Joint:
-    """A Joint, or the integer index of one, as a Joint; anything else
-    raises ValueError naming `joint`."""
+def as_member(enum, value, name: str):
+    """A member of `enum`, or its value (an integer for an IntEnum such as
+    Joint, a string otherwise), as the member; anything else raises
+    ValueError naming the field `name`."""
     try:
-        return Joint(integer(value, "joint"))
-    except ValueError:
-        raise ValueError("joint must be a Joint or one of 0, 1, 2, not "
-                         f"{value!r}") from None
+        return enum(integer(value, name) if issubclass(enum, int) else value)
+    except (ValueError, TypeError):
+        values = ", ".join(repr(member.value) for member in enum)
+        raise ValueError(f"{name} must be a {enum.__name__} or one of "
+                         f"{values}, not {value!r}") from None
 
 
 # The handle can be clamped at five discrete spin angles about its own axis.
@@ -125,6 +127,10 @@ class MechanismParams:
     gravity: float = 9.81
 
     def __post_init__(self):
+        for name, enum in (("handle_variant", HandleVariant),
+                           ("handedness", Handedness)):
+            object.__setattr__(self, name,
+                               as_member(enum, getattr(self, name), name))
         for name in ("bracket_drop", "bracket_lateral", "gravity"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InfeasibleBoundsError
-from .kinematics import (JointState, Joint, MechanismParams, as_joint,
+from .kinematics import (JointState, Joint, MechanismParams, as_member,
                          handle_jacobian)
 
 GRID_SAMPLES = 181          # minimax grid over a joint range
@@ -69,7 +69,10 @@ class SpringSpec:
     torsion_neutral: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "joint", as_joint(self.joint))
+        object.__setattr__(self, "kind", as_member(SpringKind, self.kind,
+                                                   "kind"))
+        object.__setattr__(self, "joint", as_member(Joint, self.joint,
+                                                    "joint"))
         if self.joint not in (Joint.J2, Joint.J3):
             raise ValueError("springs act on J2 or J3 only")
         if not 0.0 <= self.stiffness < math.inf:

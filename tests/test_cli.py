@@ -235,6 +235,28 @@ def test_missing_config_is_usage_error(capsys, tmp_path):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["fk", "--q", "0,0,0"],
+    ["ik", "--target", "0.35,0,0.05"],
+    ["balance"],
+    ["simulate", "--scenario", "SCENARIO", "--out", "OUT"],
+    ["workspace"],
+    ["compare-handles"],
+    ["contact", "--impulse", "0.02"],
+], ids=lambda command: command[0])
+def test_every_command_reports_a_missing_config(capsys, tmp_path, command):
+    scenario, _ = small_scenario(tmp_path)
+    argv = [{"SCENARIO": str(scenario), "OUT": str(tmp_path / "run.csv")}
+            .get(arg, arg) for arg in command]
+    missing = tmp_path / "nope.json"
+    code, out, err = run(capsys, *argv, "--config", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err == f"spoonarm: cannot read {missing}: No such file or " \
+                  "directory\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_invalid_config_content_is_domain_error(capsys, tmp_path):
     path = tmp_path / "weird.json"
     data = json.loads(default_config_path().read_text())

@@ -30,7 +30,14 @@ from spoonarm.dynamics import (
     step_dynamics,
 )
 from spoonarm.errors import InfeasibleBoundsError
-from spoonarm.kinematics import Joint, JointState, MechanismParams
+from spoonarm.kinematics import (
+    Handedness,
+    HandleVariant,
+    Joint,
+    JointState,
+    MechanismParams,
+    forward_kinematics,
+)
 from spoonarm.statics import (
     SpringKind,
     SpringSpec,
@@ -193,3 +200,76 @@ def test_fk_with_non_numeric_angles_is_a_usage_error(capsys):
     assert captured.out == ""
     assert "expected three comma-separated numbers, got 'a,b,c'" in (
         captured.err)
+
+
+# ---------------------------------------------------------------------------
+# enum fields take a member or its value, and nothing else
+
+
+def test_handedness_takes_its_value_string():
+    params = MechanismParams(handedness="right")
+    assert params.handedness is Handedness.RIGHT
+    assert params == MechanismParams()
+    _, handle = forward_kinematics(params, JointState(q=(0.0, 0.7, -0.2)))
+    assert handle.y == pytest.approx(0.06)
+    with pytest.raises(ValueError, match="handedness must be a Handedness"):
+        MechanismParams(handedness="up")
+
+
+def test_handle_variant_takes_its_value_string():
+    params = MechanismParams(handle_variant="old_tip")
+    assert params.handle_variant is HandleVariant.OLD_TIP
+    assert params.handle_distance == params.link2_length == 0.25
+    with pytest.raises(ValueError, match="handle_variant must be a"):
+        MechanismParams(handle_variant=1)
+
+
+def test_damper_model_takes_its_value_string():
+    assert DamperSpec(Joint.J2, "viscous", 0.4).model is DamperModel.VISCOUS
+    with pytest.raises(ValueError, match="disabled damper cannot carry"):
+        DamperSpec(Joint.J2, "none", 0.4)
+    with pytest.raises(ValueError, match="model must be a DamperModel"):
+        DamperSpec(Joint.J2, "sticky", 0.4)
+
+
+def test_compliance_mode_takes_its_value_string():
+    spec = ComplianceSpec(mode="rigid")
+    assert spec == RIGID
+    assert spec.damping_ratio == math.inf
+    with pytest.raises(ValueError, match="mode must be a ComplianceMode"):
+        ComplianceSpec(mode=None)
+
+
+def test_spring_kind_takes_its_value_string():
+    spec = SpringSpec("torsion", Joint.J2, 1.0)
+    assert spec == SpringSpec(SpringKind.TORSION, Joint.J2, 1.0)
+    with pytest.raises(ValueError, match="kind must be a SpringKind"):
+        SpringSpec(["torsion"], Joint.J2, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# numbers a rigid mount keeps, and arguments checked at the call
+
+
+@pytest.mark.parametrize("field", ["stiffness", "damping", "inertia"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_rigid_mount_needs_finite_values_of_at_least_zero(field, value):
+    with pytest.raises(ValueError, match="rigid mode needs finite"):
+        ComplianceSpec(mode=ComplianceMode.RIGID, **{field: value})
+
+
+@pytest.mark.parametrize("band", [math.nan, math.inf, -1.0, 0.0])
+def test_stabilization_band_must_be_finite_and_positive(band):
+    params = nominal_params()
+    still = run_scenario(params, [], [], RIGID,
+                         Scenario(duration=0.01, initial=START))
+    with pytest.raises(ValueError, match="band must be finite and > 0"):
+        stabilization_report(still, still, band=band)
+
+
+@pytest.mark.parametrize("deflections", [(0.0, 0.0), (0.0,) * 5])
+def test_step_dynamics_needs_four_deflections(deflections):
+    message = r"deflections needs four entries \(delta_p, delta_y, rate_p"
+    with pytest.raises(ValueError, match=message):
+        step_dynamics(nominal_params(), [], [], RIGID, START, None, 1e-3,
+                      deflections=deflections)
