@@ -41,18 +41,19 @@ The mount is linear and unforced after a contact, so _mount_rows steps
 each axis with its exact propagator, and the arm's is the only integrator.
 The grid must sample the mount's undamped period twice (omega_n*dt < pi).
 
-One function, _handle_forces, evaluates the handle force of every input
-kind at a 1-D array of times. step_dynamics calls it on its three stage
-times, and a rollout once per block of FORCE_BLOCK steps, so its step
-loop only integrates. Each signal law is written once, in
-_signal_forces. A signal spec's blocks are shared across rollouts: the
-last SIGNAL_BLOCKS of them, about 1.2 MB whatever the rollout length,
-stay in _signal_block, read-only and keyed by the spec's repr and the
-grid, so a study that runs many builds on one tremor evaluates it once.
-A constant or callable force is evaluated in every run. The loop stores
-the packed state of each row; after it, one numpy pass computes the
-positions, applied torques and energies (a rigid mount's are zero), each
-spring's potential on its whole angle column at once.
+One function, _signal_forces, reads every handle input: it decides the
+input's kind and evaluates its force at a 1-D array of times.
+step_dynamics calls it on its three stage times, generate_signal at one
+time, and a rollout once per block of FORCE_BLOCK steps, so its step
+loop only integrates. A signal spec's blocks are shared across
+rollouts: the last SIGNAL_BLOCKS of them, about 1.2 MB whatever the
+rollout length, stay in _signal_block, read-only and keyed by the spec's
+repr and the grid, so a study that runs many builds on one tremor
+evaluates it once. A constant or callable force is evaluated in every
+run. The loop stores the packed state of each row; after it, one numpy
+pass computes the positions, applied torques and energies (a rigid
+mount's are zero), each spring's potential on its whole angle column at
+once.
 
 run_scenario has one tail. The arm states of a rollout, integrated or
 played back from a PrescribedTrajectory by IK, go through the same spoon
@@ -502,45 +503,31 @@ def _noise_table(f_lo: float, f_hi: float, seed: int):
     return 2.0 * math.pi * freqs, phases
 
 
-def _signal_forces(spec, t) -> np.ndarray:
-    """Handle force of a signal spec at time t, a float or a 1-D array of
-    times; the result has shape (3,) or (len(t), 3)."""
-    if isinstance(spec, SineTremor):
-        mag = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t)
-    elif isinstance(spec, NoiseTremor):
-        omega, phases = _noise_table(spec.f_lo, spec.f_hi, spec.seed)
-        amplitude = spec.rms * math.sqrt(2.0 / NOISE_COMPONENTS)
-        mag = amplitude * np.sin(np.multiply.outer(t, omega)
-                                 + phases).sum(axis=-1)
-    elif isinstance(spec, SpasmImpulse):
-        inside = (spec.onset <= t) & (t <= spec.onset + spec.duration)
-        mag = np.where(inside, spec.force, 0.0)
-    else:
-        raise TypeError(f"unknown input signal {type(spec).__name__}")
-    return np.multiply.outer(mag, spec.direction)
-
-
-def generate_signal(spec, t: float) -> np.ndarray:
-    """Handle force vector of an input signal at time t."""
-    if isinstance(spec, FreeRelease) or isinstance(spec, PrescribedTrajectory):
-        return np.zeros(3)
-    return _signal_forces(spec, float(t))
-
-
-def _handle_forces(inputs, times: np.ndarray):
+def _signal_forces(inputs, times: np.ndarray):
     """The (len(times), 3) handle forces of `inputs` at a 1-D array of
     times, or None for no input (None or FreeRelease). `inputs` is one of
     the signal specs, a callable t -> force called once per time in order,
-    or a constant (fx, fy, fz). A force that is not finite raises
-    ValueError, and so does a playback, which has no handle force."""
+    or a constant (fx, fy, fz): a tuple, list or array. A force that is not
+    finite raises ValueError, and so does a playback, which has no handle
+    force; any other input raises TypeError."""
     if inputs is None or isinstance(inputs, FreeRelease):
         return None
-    if isinstance(inputs, PrescribedTrajectory):
+    if isinstance(inputs, SineTremor):
+        mag = inputs.amplitude * np.sin(2.0 * math.pi * inputs.frequency
+                                        * times)
+    elif isinstance(inputs, NoiseTremor):
+        omega, phases = _noise_table(inputs.f_lo, inputs.f_hi, inputs.seed)
+        amplitude = inputs.rms * math.sqrt(2.0 / NOISE_COMPONENTS)
+        mag = amplitude * np.sin(np.multiply.outer(times, omega)
+                                 + phases).sum(axis=-1)
+    elif isinstance(inputs, SpasmImpulse):
+        inside = ((inputs.onset <= times)
+                  & (times <= inputs.onset + inputs.duration))
+        mag = np.where(inside, inputs.force, 0.0)
+    elif isinstance(inputs, PrescribedTrajectory):
         raise ValueError("a PrescribedTrajectory is kinematic playback, not "
                          "a force; run it through run_scenario")
-    if isinstance(inputs, _SIGNALS):
-        return _signal_forces(inputs, times)
-    if callable(inputs):
+    elif callable(inputs):
         forces = np.array([tuple(inputs(t)) for t in times.tolist()],
                           dtype=float)
         if forces.shape != (len(times), 3):
@@ -551,12 +538,26 @@ def _handle_forces(inputs, times: np.ndarray):
                              f"{tuple(forces[bad[0]].tolist())} at "
                              f"t = {times[bad[0]]:.6f} s")
         return forces
-    const = tuple(float(v) for v in inputs)
-    if len(const) != 3:
-        raise ValueError("constant input force needs three components")
-    if not all(map(math.isfinite, const)):
-        raise ValueError(f"constant input force must be finite, not {const}")
-    return np.tile(const, (len(times), 1))
+    elif isinstance(inputs, (tuple, list, np.ndarray)):
+        const = tuple(float(v) for v in inputs)
+        if len(const) != 3:
+            raise ValueError("constant input force needs three components")
+        if not all(map(math.isfinite, const)):
+            raise ValueError(
+                f"constant input force must be finite, not {const}")
+        return np.tile(const, (len(times), 1))
+    else:
+        raise TypeError(f"unknown input signal {type(inputs).__name__}")
+    return np.multiply.outer(mag, inputs.direction)
+
+
+def generate_signal(spec, t: float) -> np.ndarray:
+    """Handle force vector of any rollout input at time t: zeros for no
+    input and for a playback, which has no handle force."""
+    if isinstance(spec, PrescribedTrajectory):
+        return np.zeros(3)
+    forces = _signal_forces(spec, np.array([float(t)]))
+    return np.zeros(3) if forces is None else forces[0]
 
 
 @lru_cache(maxsize=SIGNAL_BLOCKS)
@@ -569,16 +570,6 @@ def _signal_block(key: str, spec, k0: int, k1: int, n: int,
     block = _signal_forces(spec, _stage_times(k0, k1, n, dt))
     block.flags.writeable = False
     return block
-
-
-def _block_forces(inputs, k0: int, k1: int, n: int, dt: float):
-    """The _handle_forces of `inputs` at the _stage_times of rows
-    k0..k1-1 of an n-row grid of dt. A signal spec's block is the one
-    _signal_block shares; any other input is evaluated afresh, a callable
-    at every stage time of every run."""
-    if isinstance(inputs, _SIGNALS):
-        return _signal_block(repr(inputs), inputs, k0, k1, n, dt)
-    return _handle_forces(inputs, _stage_times(k0, k1, n, dt))
 
 
 def _stage_times(k0: int, k1: int, n: int, dt: float) -> np.ndarray:
@@ -816,7 +807,7 @@ def step_dynamics(params: MechanismParams, springs, dampers,
         raise ValueError("deflections needs four entries (delta_p, delta_y, "
                          f"rate_p, rate_y), not {len(mount)}")
     _check_start(params, state)
-    forces = _handle_forces(inputs, np.array([t, t + 0.5 * dt, t + dt]))
+    forces = _signal_forces(inputs, np.array([t, t + 0.5 * dt, t + dt]))
     step = _arm_stepper(params, springs, dampers, dt)
     y = step(state.q + state.qdot + (0.0,), t,
              *([None] * 3 if forces is None else forces.tolist()))
@@ -894,10 +885,17 @@ def run_scenario(params: MechanismParams, springs, dampers,
         step = _arm_stepper(params, springs, dampers, dt)
         states = np.empty((n, 7))
         y = scenario.initial.q + scenario.initial.qdot + (0.0,)
+        inputs = scenario.input
+        # a signal spec's blocks are shared with other rollouts; any other
+        # input is evaluated afresh, a callable at every stage time
+        key = repr(inputs) if isinstance(inputs, _SIGNALS) else None
         for k0 in range(0, n, FORCE_BLOCK):
             k1 = min(k0 + FORCE_BLOCK, n)
             # three stage forces per row
-            block = _block_forces(scenario.input, k0, k1, n, dt)
+            if key is None:
+                block = _signal_forces(inputs, _stage_times(k0, k1, n, dt))
+            else:
+                block = _signal_block(key, inputs, k0, k1, n, dt)
             if block is None:
                 forces = [None] * (3 * (k1 - k0))
             else:
@@ -955,8 +953,9 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
     e_pot = potential_sum(params, springs, th2, s2t, th3, s3t, np.sqrt,
                           np.maximum)
     pot, kin = compliance.energy(mount[:, :2], mount[:, 2:])
-    e_pot += pot.sum(axis=1)
-    e_kin += kin.sum(axis=1)
+    # a column add, not sum(axis=1), which reduces a strided view row by row
+    e_pot += pot[:, 0] + pot[:, 1]
+    e_kin += kin[:, 0] + kin[:, 1]
     return SimResult(t, states[:, 0:3], states[:, 3:6], spoon, handle,
                      mount[:, 0:2], mount[:, 2:4], applied, e_kin, e_pot,
                      states[:, 6])

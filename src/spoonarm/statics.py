@@ -339,12 +339,10 @@ def _synthesize_joint(params: MechanismParams, joint: Joint, kind: SpringKind,
     elif kind is SpringKind.LINEAR_REAL and free_length != 0.0:
         unit = SpringSpec(kind, joint, 1.0, a, b, free_length=free_length)
         k_hi = 4.0 * g_a / (a * b) + 1.0
-    elif kind in (SpringKind.LINEAR_ZERO_FREE_LENGTH, SpringKind.LINEAR_REAL):
+    else:
         # a real spring of free length 0 has the zero-free-length geometry,
         # whose exact optimum is the closed form; skip the search
         return SpringSpec(kind, joint, g_a / (a * b), a, b)
-    else:
-        raise ValueError(f"unknown spring kind {kind!r}")
     # the residual torque at stiffness k is tau_g + k * shape
     tau_g, shape = torque_columns(params, (unit,), joint,
                                   np.linspace(lo, hi, GRID_SAMPLES))
@@ -380,9 +378,11 @@ def synthesize_balancing(params: MechanismParams, kind: SpringKind,
     absolute residual over a 181-point grid of the joint range by
     golden-section search (the objective is unimodal in k).
 
-    Raises InfeasibleBoundsError for an empty or nonpositive anchor box or
-    a degenerate joint range.
+    `kind` is a SpringKind or its value string; anything else raises
+    ValueError naming `kind`. Raises InfeasibleBoundsError for an empty or
+    nonpositive anchor box or a degenerate joint range.
     """
+    kind = as_member(SpringKind, kind, "kind")
     (a_lo, a_hi), (b_lo, b_hi) = anchor_bounds
     if a_lo > a_hi or b_lo > b_hi:
         raise InfeasibleBoundsError("anchor bounds describe an empty box")

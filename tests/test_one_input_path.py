@@ -1,0 +1,92 @@
+"""Every caller reads a handle input through one function: generate_signal
+takes every input a rollout takes and gives the same bits, an input that
+is no kind of handle force raises the same TypeError from every caller,
+and a spring kind's value string synthesizes that kind. tools/digest.py,
+the same-outputs check of refactors, prints the same lines whatever the
+hash seed."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spoonarm.defaults import nominal_params
+from spoonarm.dynamics import (
+    ComplianceMode,
+    ComplianceSpec,
+    Scenario,
+    _signal_forces,
+    generate_signal,
+    run_scenario,
+    step_dynamics,
+)
+from spoonarm.kinematics import JointState
+from spoonarm.statics import SpringKind, synthesize_balancing
+
+RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+START = JointState(q=(0.0, 0.7, -1.4))
+TIMES = np.arange(0, 300) * 1.7e-3
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def wobble(t):
+    return (0.1 * math.sin(5.0 * t), -0.2, 0.3 * math.cos(11.0 * t))
+
+
+@pytest.mark.parametrize("inputs", [(0.3, -0.2, 0.9), wobble],
+                         ids=["constant", "callable"])
+def test_generate_signal_equals_the_rollout_forces(inputs):
+    block = _signal_forces(inputs, TIMES)
+    for t, force in zip(TIMES.tolist(), block):
+        assert np.array_equal(generate_signal(inputs, t), force)
+
+
+NOT_INPUTS = {"object": object(), "str": "001", "float": 3.0}
+
+
+@pytest.mark.parametrize("caller", ["run_scenario", "step_dynamics",
+                                    "generate_signal"])
+@pytest.mark.parametrize("name", sorted(NOT_INPUTS))
+def test_an_input_of_no_kind_is_a_type_error(caller, name):
+    inputs = NOT_INPUTS[name]
+    with pytest.raises(TypeError, match=f"^unknown input signal {name}$"):
+        if caller == "run_scenario":
+            run_scenario(nominal_params(), [], [], RIGID,
+                         Scenario(duration=0.01, initial=START,
+                                  input=inputs))
+        elif caller == "step_dynamics":
+            step_dynamics(nominal_params(), [], [], RIGID, START, inputs,
+                          1e-3)
+        else:
+            generate_signal(inputs, 0.1)
+
+
+def test_balancing_takes_a_spring_kind_value_string():
+    params = nominal_params()
+    assert (synthesize_balancing(params, "torsion").springs
+            == synthesize_balancing(params, SpringKind.TORSION).springs)
+    with pytest.raises(ValueError, match="^kind must be a SpringKind"):
+        synthesize_balancing(params, "bogus")
+
+
+def test_digest_tool_output_is_independent_of_the_hash_seed():
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(ROOT / "src"))
+        runs.append(subprocess.Popen(
+            [sys.executable, str(ROOT / "tools" / "digest.py")], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    outputs = []
+    for run in runs:
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) > 300
+    assert all(len(line.split()) == 2 for line in lines)

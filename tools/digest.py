@@ -1,0 +1,198 @@
+"""Print one `name sha256` line per output of spoonarm, to compare builds.
+
+Run it from any directory, with spoonarm importable (installed, or
+PYTHONPATH=src from a checkout):
+
+    python tools/digest.py > after.txt
+
+and `diff` the output of two commits: a refactor that keeps every output
+prints the same lines. It covers
+
+- the CLI on the shipped config: simulate on the packaged example,
+  workspace, balance of each spring kind, compare-handles, fk, ik and
+  contact; each command's exit code, stdout, stderr and --out file, run
+  with relative --out names in one temporary directory;
+- run_scenario on the shipped build for each input kind, rigid or
+  compliant mount, with or without a spoon contact, each SimResult field
+  on its own (and the times a callable input was called at);
+- step_dynamics for each force input on both mounts;
+- generate_signal of each signal spec, no input and a playback.
+
+An output that raises is digested as its exception's type and message.
+The script uses only the package's public names and takes no options.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import math
+import os
+import tempfile
+from importlib.resources import files
+
+import numpy as np
+
+from spoonarm import (ComplianceMode, FreeRelease, JointState, NoiseTremor,
+                      PrescribedTrajectory, Scenario, SimResult, SineTremor,
+                      SpasmImpulse, SpoonContact, default_config_path,
+                      generate_signal, load_config, run_scenario,
+                      step_dynamics)
+from spoonarm.cli import main
+
+EXAMPLE = files("spoonarm") / "data" / "example_scenario.json"
+START = JointState(q=(0.0, 0.7347863005736404, -1.4323283077414541),
+                   qdot=(0.1, -0.2, 0.3))
+DT = 1e-3
+DURATION = 0.3      # 301 rows: three force blocks, the last one short
+CONTACT = SpoonContact(time=0.1, impulse_pitch=0.01, impulse_yaw=-0.005)
+
+# every kind of handle input a rollout takes; fresh() makes the callable
+# anew for each run, so that its call times can be digested
+INPUTS = {
+    "free": FreeRelease(),
+    "sine": SineTremor(amplitude=0.5, frequency=7.0,
+                       direction=(0.3, -0.2, 0.9)),
+    "noise": NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=11),
+    "spasm": SpasmImpulse(force=0.8, duration=0.05, onset=0.1,
+                          direction=(1.0, 0.0, 1.0)),
+    "constant": (0.1, -0.2, 0.3),
+    "callable": None,
+    "playback": PrescribedTrajectory(((0.0, 0.35, 0.0, 0.02),
+                                      (0.15, 0.33, 0.04, 0.15),
+                                      (0.3, 0.3, 0.02, 0.3))),
+}
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def array_sha(a) -> str:
+    a = np.asarray(a)
+    return sha(f"{a.dtype.str}{a.shape}".encode()
+               + np.ascontiguousarray(a).tobytes())
+
+
+def failure(exc: Exception) -> str:
+    return sha(f"{type(exc).__name__}: {exc}")
+
+
+def fresh(kind):
+    """The input of `kind` (None for "none") and, for the callable, a new
+    one with the list of the times it is called at, else None."""
+    if kind != "callable":
+        return INPUTS.get(kind), None
+    calls = []
+
+    def force(t):
+        calls.append(t)
+        return (0.1 * math.sin(7.0 * t), 0.05, 0.2 * math.cos(3.0 * t))
+    return force, calls
+
+
+def cli_lines():
+    commands = {
+        "simulate": ["simulate", "--scenario", str(EXAMPLE),
+                     "--out", "simulate.csv"],
+        "workspace": ["workspace", "--resolution", "25",
+                      "--out", "workspace.csv"],
+        **{f"balance-{kind}": ["balance", "--kind", kind,
+                               "--out", f"balance-{kind}.csv"]
+           for kind in ("ideal", "real", "torsion")},
+        "compare-handles": ["compare-handles", "--out", "compare.csv"],
+        "fk": ["fk", "--q", "0.1,0.8,-0.3"],
+        "ik": ["ik", "--target", "0.35,0.02,0.1"],
+        "contact": ["contact", "--impulse", "0.02"],
+    }
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for name, argv in commands.items():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv + ["--config", "default"])
+                yield f"cli/{name}/exit", sha(str(code))
+                yield f"cli/{name}/stdout", sha(out.getvalue())
+                yield f"cli/{name}/stderr", sha(err.getvalue())
+                if "--out" in argv:
+                    path = argv[argv.index("--out") + 1]
+                    with open(path, "rb") as fh:
+                        yield f"cli/{name}/{path}", sha(fh.read())
+        finally:
+            os.chdir(cwd)
+
+
+def builds():
+    config = load_config(default_config_path())
+    rigid = dataclasses.replace(config.compliance, mode=ComplianceMode.RIGID)
+    return config, {"compliant": config.compliance, "rigid": rigid}
+
+
+def rollout_lines():
+    config, mounts = builds()
+    for kind in INPUTS:
+        for mount, compliance in mounts.items():
+            for contact in (None, CONTACT):
+                name = (f"run_scenario/{kind}/{mount}/"
+                        f"{'contact' if contact else 'no-contact'}")
+                inputs, calls = fresh(kind)
+                scenario = Scenario(duration=DURATION, timestep=DT,
+                                    initial=START, input=inputs,
+                                    spoon_contact=contact)
+                try:
+                    result = run_scenario(config.mechanism, config.springs,
+                                          config.dampers, compliance,
+                                          scenario)
+                except Exception as exc:
+                    yield f"{name}/error", failure(exc)
+                else:
+                    for f in dataclasses.fields(SimResult):
+                        yield (f"{name}/{f.name}",
+                               array_sha(getattr(result, f.name)))
+                if calls is not None:
+                    yield f"{name}/calls", sha(repr(calls))
+
+
+def step_lines():
+    config, mounts = builds()
+    deflections = (0.01, -0.02, 0.3, 0.1)
+    for kind in ("none", *INPUTS):
+        for mount, compliance in mounts.items():
+            name = f"step_dynamics/{kind}/{mount}"
+            inputs, calls = fresh(kind)
+            try:
+                state, mount_state = step_dynamics(
+                    config.mechanism, config.springs, config.dampers,
+                    compliance, START, inputs, DT, t=0.123,
+                    deflections=deflections)
+            except Exception as exc:
+                yield f"{name}/error", failure(exc)
+            else:
+                yield name, sha(repr((state.q, state.qdot, mount_state)))
+            if calls is not None:
+                yield f"{name}/calls", sha(repr(calls))
+
+
+def signal_lines():
+    times = np.arange(0, 301) * DT
+    for kind in ("free", "sine", "noise", "spasm", "playback"):
+        forces = [generate_signal(INPUTS[kind], t) for t in times.tolist()]
+        yield f"generate_signal/{kind}", array_sha(np.array(forces))
+
+
+def digest_lines():
+    yield from cli_lines()
+    yield from rollout_lines()
+    yield from step_lines()
+    yield from signal_lines()
+
+
+if __name__ == "__main__":
+    os.environ.pop("SPOONARM_OUT_DIR", None)    # --out names stay relative
+    for name, digest in digest_lines():
+        print(name, digest)
