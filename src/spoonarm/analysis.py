@@ -27,10 +27,11 @@ from .kinematics import (
     HandleVariant,
     MechanismParams,
     _trig,
-    handle_position,
+    handle_point,
     integer,
     inverse_kinematics,
-    spoon_position,
+    point_position,
+    spoon_point,
 )
 
 # Not called here any more, but kept as an attribute of this module:
@@ -129,8 +130,8 @@ def _trajectory_trig(params: MechanismParams,
 
 
 def _excursion(params: MechanismParams, trig: np.ndarray) -> Excursion:
-    spoon_z = spoon_position(params, *trig)[2]
-    handle_z = handle_position(params, *trig)[2]
+    spoon_z = point_position(spoon_point(params), *trig)[2]
+    handle_z = point_position(handle_point(params), *trig)[2]
     spoon_rise = float(spoon_z.max() - spoon_z.min())
     handle_rise = float(handle_z.max() - handle_z.min())
     return Excursion(spoon_rise, handle_rise, handle_rise / spoon_rise)
@@ -156,8 +157,9 @@ def calibrate_handle_distance(params: MechanismParams,
     increasing in d_h over that interval (checked on a coarse sweep first,
     since bisection silently returns garbage otherwise).
     """
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be > 0")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be > 0 and finite, not "
+                         f"{tolerance!r}")
     L2 = params.link2_length
     trig = _trajectory_trig(params, trajectory)
 
@@ -235,8 +237,9 @@ def workspace_sample(params: MechanismParams, resolution: int,
     axes = np.ix_(*(np.linspace(lo, hi, resolution)
                     for lo, hi in params.joint_limits))
     pts = np.empty((resolution,) * 3 + (3,))
-    pts[..., 0], pts[..., 1], pts[..., 2] = spoon_position(
-        params, *(f(axis) for axis in axes for f in (np.cos, np.sin)))
+    pts[..., 0], pts[..., 1], pts[..., 2] = point_position(
+        spoon_point(params),
+        *(f(axis) for axis in axes for f in (np.cos, np.sin)))
     pts = _unique_rows(pts.reshape(-1, 3))
 
     radial = np.hypot(pts[:, 0], pts[:, 1])
@@ -260,7 +263,9 @@ def _unique_rows(points: np.ndarray) -> np.ndarray:
     """np.unique(points, axis=0) of an (n, 3) table, by one lexsort
     rather than np.unique's slower generic row compare."""
     s = points[np.lexsort(points.T[::-1])]
-    return s[np.concatenate(([True], np.any(s[1:] != s[:-1], axis=1)))]
+    # three column ors, not np.any(axis=1), which reduces row by row
+    d = s[1:] != s[:-1]
+    return s[np.concatenate(([True], d[:, 0] | d[:, 1] | d[:, 2]))]
 
 
 def _segment_deviation(trajectory: TrajectorySpec,

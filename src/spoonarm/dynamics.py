@@ -30,12 +30,12 @@ bit-identical results.
 Each build gets one RK4 step function, made by _arm_stepper; rollouts and
 single steps (step_dynamics) both step the arm with it. Building it
 computes every per-build constant once: the mass coefficients, gravity,
-the handle-torque geometry, each joint's statics.spring_sum and each
-damper's law. The step then runs its four stages on local floats. Each
-law keeps one body: _mass_terms, kinematics.handle_torques and the
-spring sum serve the stepper's floats and the statics' and recording's
-arrays alike. _equations wraps the same stage evaluation as the
-derivative deriv(y, force) of the packed state.
+the handle's kinematics.handle_point, each joint's statics.spring_sum
+and each damper's law. The step then runs its four stages on local
+floats. Each law keeps one body: _mass_terms, kinematics.point_torques
+and the spring sum serve the stepper's floats and the statics' and
+recording's arrays alike. _equations wraps the same stage evaluation as
+the derivative deriv(y, force) of the packed state.
 
 The mount is linear and unforced after a contact, so _mount_rows steps
 each axis with its exact propagator, and the arm's is the only integrator.
@@ -78,11 +78,12 @@ from .kinematics import (
     JointState,
     MechanismParams,
     as_member,
-    handle_coefficients,
-    handle_position,
-    handle_torques,
+    handle_point,
+    integer,
     inverse_kinematics_path,
-    spoon_position,
+    point_position,
+    point_torques,
+    spoon_point,
 )
 from .statics import gravity_coefficients, potential_sum, spring_sum
 
@@ -238,6 +239,10 @@ class NoiseTremor:
             raise ValueError("rms must be finite and >= 0")
         if not 0.0 < self.f_lo < self.f_hi < math.inf:
             raise ValueError("need 0 < f_lo < f_hi < inf")
+        seed = integer(self.seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, not {seed}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "direction", _unit(self.direction))
 
 
@@ -553,10 +558,12 @@ def _signal_forces(inputs, times: np.ndarray):
 
 def generate_signal(spec, t: float) -> np.ndarray:
     """Handle force vector of any rollout input at time t: zeros for no
-    input and for a playback, which has no handle force."""
+    input and for a playback, which has no handle force. A t that is not
+    finite raises ValueError."""
+    t = _finite_time(t)
     if isinstance(spec, PrescribedTrajectory):
         return np.zeros(3)
-    forces = _signal_forces(spec, np.array([float(t)]))
+    forces = _signal_forces(spec, np.array([t]))
     return np.zeros(3) if forces is None else forces[0]
 
 
@@ -598,7 +605,7 @@ def _arm_law(params: MechanismParams, springs, dampers):
     m22_m33 = m22 * m33
     a2, a3 = gravity_coefficients(params)
     neg_g = -params.gravity
-    handle = handle_coefficients(params)
+    handle = handle_point(params)
     spring2, spring3 = (spring_sum(springs, joint)
                         for joint in (Joint.J2, Joint.J3))
     # the torque laws of the dampers that act, per joint, in the order given
@@ -635,8 +642,8 @@ def _arm_law(params: MechanismParams, springs, dampers):
         tau3 += damp3
 
         if force is not None:
-            h1, h2, h3 = handle_torques(handle, cos(phi1), sin(phi1),
-                                        c2t, s2t, c3t, s3t, *force)
+            h1, h2, h3 = point_torques(handle, cos(phi1), sin(phi1),
+                                       c2t, s2t, c3t, s3t, *force)
             tau1 += h1
             tau2 += h2
             tau3 += h3
@@ -796,12 +803,14 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     stage times; a PrescribedTrajectory raises ValueError, as playback
     runs through run_scenario. `deflections` packs the four (delta_p,
     delta_y, rate_p, rate_y) of the compliant mount; a rigid one returns
-    them unchanged. Raises LimitViolationError for a `state` outside the joint
-    limits, DeflectionExceededError for deflections beyond the mount's
-    validity limit, and TimestepTooCoarseError when omega_n*dt >= pi.
+    them unchanged. Raises ValueError for a t or dt that is not finite,
+    LimitViolationError for a `state` outside the joint limits,
+    DeflectionExceededError for deflections beyond the mount's validity
+    limit, and TimestepTooCoarseError when omega_n*dt >= pi.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be > 0 and finite, not {dt!r}")
+    t = _finite_time(t)
     mount = tuple(float(v) for v in deflections)
     if len(mount) != 4:
         raise ValueError("deflections needs four entries (delta_p, delta_y, "
@@ -817,6 +826,14 @@ def step_dynamics(params: MechanismParams, springs, dampers,
         dy, vy, _ = _mount_rows(compliance, dy, vy, 2, dt, t)[1].tolist()
     _check_deflection(compliance, [t + dt], np.array([[dp, dy]]))
     return JointState(q=y[:3], qdot=y[3:6]), (dp, dy, vp, vy)
+
+
+def _finite_time(t) -> float:
+    """`t` as a float, or ValueError if it is not finite."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, not {t}")
+    return t
 
 
 def _check_start(params: MechanismParams, state: JointState):
@@ -939,13 +956,13 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
     trig = (np.cos(phi1), np.sin(phi1), np.cos(th2), np.sin(th2),
             np.cos(th3), np.sin(th3))
     _, _, c2t, s2t, c3t, s3t = trig
-    spoon = np.column_stack(spoon_position(params, *trig))
-    handle = np.column_stack(handle_position(params, *trig))
+    spoon = np.column_stack(point_position(spoon_point(params), *trig))
+    handle = np.column_stack(point_position(handle_point(params), *trig))
     if row_forces is None:
         applied = np.zeros((len(t), 3))
     else:
-        applied = np.column_stack(handle_torques(handle_coefficients(params),
-                                                 *trig, *row_forces.T))
+        applied = np.column_stack(point_torques(handle_point(params), *trig,
+                                                *row_forces.T))
 
     m22, m33, mass = _mass_constants(params)
     m11, m23, *_ = _mass_terms(mass, c2t, s2t, c3t, s3t)

@@ -22,6 +22,10 @@ handle's vertical travel by roughly d_h/L2 while the utensil still moves
 the full distance. The bracket itself is an L-shaped piece described by a
 signed vertical drop and a signed lateral offset toward the user; the
 lateral offset mirrors with handedness.
+
+Tip and grip are two points of one radial chain (spoon_point and
+handle_point): point_position gives a point's position and point_torques
+the joint torques J^T F of a force there.
 """
 
 from __future__ import annotations
@@ -222,51 +226,46 @@ def _bracket_lateral(params: MechanismParams) -> float:
     return sign * params.bracket_lateral
 
 
-def radial_height(params: MechanismParams, reach, c2t, s2t, c3t, s3t):
-    """Radial distance from the J1 axis and height of the point `reach`
-    out along link 2, from the cosines and sines of theta2 and theta3.
+def spoon_point(params: MechanismParams) -> tuple:
+    """The utensil tip's point_position coefficients: reach L2, the spoon
+    offset in the radial offset, no bracket."""
+    return (params.base_offset + params.spoon_offset, params.link1_length,
+            params.link2_length, 0.0, params.base_height, 0.0)
 
-    Plain arithmetic on its arguments, so they may be floats or numpy
-    arrays; the scalar poses and the vectorised rollout record both use it.
-    """
-    L1 = params.link1_length
-    return (params.base_offset + L1 * c2t + reach * c3t,
-            params.base_height + L1 * s2t + reach * s3t)
+
+def handle_point(params: MechanismParams) -> tuple:
+    """The handle grip's point_position coefficients: reach d_h, then the
+    bracket's lateral offset and drop."""
+    return (params.base_offset, params.link1_length, params.handle_distance,
+            _bracket_lateral(params), params.base_height, params.bracket_drop)
+
+
+def point_position(point, cp, sp, c2t, s2t, c3t, s3t):
+    """(x, y, z) of a point of the radial chain from the cosines and sines
+    of (phi1, theta2, theta3). `point` holds its radial offset, L1, reach
+    along link 2, lateral offset, J2 height and drop. Plain arithmetic,
+    so the trigonometry may be floats or numpy arrays."""
+    a, L1, reach, b, height, drop = point
+    r = a + L1 * c2t + reach * c3t
+    return (r * cp - b * sp, r * sp + b * cp,
+            height + L1 * s2t + reach * s3t + drop)
 
 
 def spoon_position(params: MechanismParams, cp, sp, c2t, s2t, c3t, s3t):
-    """Utensil-tip (x, y, z) from the cosines and sines of (phi1, theta2,
-    theta3); floats or arrays, like radial_height."""
-    r, z = radial_height(params, params.link2_length, c2t, s2t, c3t, s3t)
-    r = r + params.spoon_offset
-    return r * cp, r * sp, z
+    """Utensil-tip (x, y, z), arguments as for point_position."""
+    return point_position(spoon_point(params), cp, sp, c2t, s2t, c3t, s3t)
 
 
-def handle_position(params: MechanismParams, cp, sp, c2t, s2t, c3t, s3t):
-    """Handle grip (x, y, z), arguments as for spoon_position."""
-    r, z = radial_height(params, params.handle_distance, c2t, s2t, c3t, s3t)
-    b = _bracket_lateral(params)
-    return r * cp - b * sp, r * sp + b * cp, z + params.bracket_drop
-
-
-def handle_coefficients(params: MechanismParams) -> tuple:
-    """The per-build constants handle_torques takes."""
-    return (params.base_offset, params.link1_length, params.handle_distance,
-            _bracket_lateral(params))
-
-
-def handle_torques(coefficients, cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
-    """Joint torques J_handle^T F of the handle force (fx, fy, fz).
-
-    Takes the build's handle_coefficients, then the trigonometry as for
-    spoon_position; floats or arrays. This is the one definition of a
-    point's Jacobian: jacobian and handle_jacobian read their rows off it.
-    """
-    a1, L1, dh, b = coefficients
-    r = a1 + L1 * c2t + dh * c3t    # radial_height's radius at reach d_h
-    return ((-r * sp - b * cp) * fx + (r * cp - b * sp) * fy,
+def point_torques(point, cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
+    """Joint torques J^T F of the force (fx, fy, fz) at `point`, arguments
+    as for point_position. This is the one definition of a point's
+    Jacobian: jacobian and handle_jacobian read their rows off it."""
+    # the yaw torque is the force's moment about the vertical J1 axis
+    x, y, _ = point_position(point, cp, sp, c2t, s2t, c3t, s3t)
+    _, L1, reach, _, _, _ = point
+    return (x * fy - y * fx,
             -L1 * s2t * cp * fx - L1 * s2t * sp * fy + L1 * c2t * fz,
-            -dh * s3t * cp * fx - dh * s3t * sp * fy + dh * c3t * fz)
+            -reach * s3t * cp * fx - reach * s3t * sp * fy + reach * c3t * fz)
 
 
 def _trig(q):
@@ -278,7 +277,7 @@ def _trig(q):
 
 def spoon_pose(params: MechanismParams, state: JointState) -> Pose:
     """Pose of the utensil tip."""
-    x, y, z = spoon_position(params, *_trig(state.q))
+    x, y, z = point_position(spoon_point(params), *_trig(state.q))
     return Pose(x=x, y=y, z=z, yaw=state.q[0])
 
 
@@ -291,7 +290,7 @@ def handle_pose(params: MechanismParams, state: JointState) -> Pose:
     and bracket_lateral perpendicular to the arm plane, mirrored for
     left-handed builds. The discrete handle spin shows up in yaw only.
     """
-    x, y, z = handle_position(params, *_trig(state.q))
+    x, y, z = point_position(handle_point(params), *_trig(state.q))
     yaw = state.q[0] + HANDLE_ANGLE_OFFSETS_RAD[params.handle_angle_index]
     return Pose(x=x, y=y, z=z, yaw=yaw)
 
@@ -302,27 +301,24 @@ def forward_kinematics(params: MechanismParams,
     return spoon_pose(params, state), handle_pose(params, state)
 
 
-def _point_jacobian(coefficients, q) -> np.ndarray:
-    """3x3 Jacobian of the point with these handle_coefficients at q."""
+def _point_jacobian(point, q) -> np.ndarray:
+    """3x3 Jacobian at q of the point with these coefficients."""
     trig = _trig(q)
     # row i of J is J^T e_i
-    return np.array([handle_torques(coefficients, *trig, *unit)
+    return np.array([point_torques(point, *trig, *unit)
                      for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                   (0.0, 0.0, 1.0))])
 
 
 def jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
-    """3x3 analytic Jacobian of the spoon position wrt (phi1, theta2, theta3):
-    a point at reach L2 and radial offset base_offset + spoon_offset."""
-    return _point_jacobian((params.base_offset + params.spoon_offset,
-                            params.link1_length, params.link2_length, 0.0),
-                           state.q)
+    """3x3 analytic Jacobian of the spoon position wrt q."""
+    return _point_jacobian(spoon_point(params), state.q)
 
 
 def handle_jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
     """3x3 analytic Jacobian of the handle position; maps handle forces to
     joint torques through its transpose."""
-    return _point_jacobian(handle_coefficients(params), state.q)
+    return _point_jacobian(handle_point(params), state.q)
 
 
 def _wrap_angle(a, fmod=math.fmod):
@@ -355,11 +351,11 @@ def _ik_closure(params: MechanismParams, x, y, z, hypot=math.hypot,
     IK_LIMIT_TOL outside its limits counts as inside and is returned on
     the limit.
     """
-    L1, L2 = params.link1_length, params.link2_length
+    a, L1, L2, _, height, _ = spoon_point(params)
     radial = hypot(x, y)
     phi1 = where(radial > 0.0, atan2(y, x), 0.0)
-    u = radial - params.base_offset - params.spoon_offset
-    w = z - params.base_height
+    u = radial - a
+    w = z - height
     d = hypot(u, w)
     unreachable = (d > L1 + L2 + 1e-12) | (d < abs(L1 - L2) - 1e-12)
     cos_gamma = (d * d + L1 * L1 - L2 * L2) / (2.0 * L1 * maximum(d, 1e-12))

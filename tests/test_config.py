@@ -5,6 +5,7 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from spoonarm import JointState, MechanismParams
@@ -346,6 +347,23 @@ def test_scenario_bad_tremor_band_is_validation_error():
         rms=0.2, f_lo=2.0, f_hi=9.0, seed=0)))
     data["input"]["f_hi_hz"] = 1.0
     with pytest.raises(ValidationError):
+        parse_scenario(data)
+
+
+def test_noise_seed_of_a_numpy_integer_round_trips(tmp_path):
+    noise = NoiseTremor(rms=0.2, f_lo=2.0, f_hi=9.0, seed=np.int64(3))
+    scn = Scenario(duration=1.0, input=noise)
+    path = tmp_path / "scenario.json"
+    save_scenario(scn, path)
+    assert load_scenario(path) == scn
+    assert type(load_scenario(path).input.seed) is int
+
+
+def test_negative_noise_seed_is_validation_error():
+    data = scenario_data(Scenario(duration=1.0, input=NoiseTremor(
+        rms=0.2, f_lo=2.0, f_hi=9.0, seed=0)))
+    data["input"]["seed"] = -1
+    with pytest.raises(ValidationError, match="seed"):
         parse_scenario(data)
 
 

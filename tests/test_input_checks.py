@@ -21,6 +21,7 @@ from spoonarm.dynamics import (
     ComplianceSpec,
     DamperModel,
     DamperSpec,
+    NoiseTremor,
     Scenario,
     SineTremor,
     SpasmImpulse,
@@ -98,6 +99,34 @@ def test_callable_force_without_three_components_is_rejected():
 def test_step_dynamics_needs_a_positive_timestep(dt):
     with pytest.raises(ValueError, match="dt must be > 0"):
         step_dynamics(nominal_params(), [], [], RIGID, START, None, dt)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_step_dynamics_needs_a_finite_timestep(dt):
+    with pytest.raises(ValueError, match="dt must be > 0 and finite"):
+        step_dynamics(nominal_params(), [], [], RIGID, START, None, dt)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_step_dynamics_needs_a_finite_time(t):
+    # not a NonFiniteStateError blaming the timestep
+    with pytest.raises(ValueError, match="^t must be finite"):
+        step_dynamics(nominal_params(), [], [], RIGID, START,
+                      SineTremor(1.0, 1.0), 1e-3, t=t)
+
+
+@pytest.mark.parametrize("spec", [
+    SineTremor(1.0, 1.0), NoiseTremor(1.0, 2.0, 6.0, seed=1), None])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_generate_signal_needs_a_finite_time(spec, t):
+    with pytest.raises(ValueError, match="^t must be finite"):
+        generate_signal(spec, t)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "3", -1])
+def test_noise_seed_must_be_an_integer_of_at_least_zero(seed):
+    with pytest.raises(ValueError, match="^seed must be"):
+        NoiseTremor(1.0, 2.0, 6.0, seed=seed)
 
 
 @pytest.mark.parametrize("impulse", [math.nan, math.inf])
@@ -179,6 +208,13 @@ def test_calibration_that_exhausts_bisection_returns_the_upper_end(
     d_h = calibrate_handle_distance(nominal_params(), TrajectorySpec(), 0.105)
     assert len(calls) == 9 + 200    # the monotonicity sweep, then bisection
     assert d_h == 0.1
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+def test_calibration_needs_a_finite_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be > 0 and finite"):
+        calibrate_handle_distance(nominal_params(), TrajectorySpec(), 0.24,
+                                  tolerance=tolerance)
 
 
 def test_attenuation_is_infinite_against_a_baseline_that_never_deviates():

@@ -311,6 +311,18 @@ def test_spoon_jacobian_is_a_handle_jacobian_at_the_tip():
         np.testing.assert_array_equal(jacobian(p, s), handle_jacobian(tip, s))
 
 
+def test_spoon_position_is_a_handle_position_at_the_tip():
+    # the position twin of the Jacobian test above: a zero bracket, so
+    # no lateral offset and no drop
+    p = MechanismParams()
+    tip = MechanismParams(base_offset=p.base_offset + p.spoon_offset,
+                          handle_variant=HandleVariant.OLD_TIP,
+                          bracket_lateral=0.0, bracket_drop=0.0)
+    for s in random_states(MechanismParams(joint_limits=WIDE_LIMITS), 200, 33):
+        np.testing.assert_array_equal(spoon_pose(p, s).position,
+                                      handle_pose(tip, s).position)
+
+
 def test_spoon_jacobian_matches_the_closed_form():
     p = MechanismParams()
     L1, L2 = p.link1_length, p.link2_length
