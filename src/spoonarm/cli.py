@@ -7,10 +7,11 @@ Each subparser carries its command function; main loads --config once
 and calls that function with the loaded ConfigFile and the arguments.
 
 Exit codes: 0 success; 1 domain error (unreachable target, infeasible
-synthesis, invalid config content, ...); 2 usage error (bad arguments,
-missing input files, output files that cannot be written). Diagnostics
-go to stderr as single lines. A command writes its --out file before it
-prints its report, so a failed write prints no report.
+synthesis, invalid config content, ...) or a run too large for memory;
+2 usage error (bad arguments, missing input files, output files that
+cannot be written). Diagnostics go to stderr as single lines. A command
+writes its --out file before it prints its report, so a failed write
+prints no report.
 """
 
 from __future__ import annotations
@@ -250,6 +251,11 @@ def main(argv=None) -> int:
         return 2
     except (SpoonArmError, ValueError) as exc:
         print(f"spoonarm: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the array size it could not allocate
+        print(f"spoonarm: out of memory: {exc}".removesuffix(": "),
+              file=sys.stderr)
         return 1
 
 

@@ -94,7 +94,8 @@ def _integer(node, path):
     return node
 
 
-_NUMBER = _Type(_number)
+# a bool or a numpy float is written as the float it stands for
+_NUMBER = _Type(_number, float)
 _INTEGER = _Type(_integer)
 
 

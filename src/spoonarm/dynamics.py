@@ -29,10 +29,10 @@ bit-identical results.
 
 Each build gets one RK4 step function, made by _arm_stepper; rollouts and
 single steps (step_dynamics) both step the arm with it. Building it
-computes every per-build constant once: the mass coefficients, gravity,
-the handle's kinematics.handle_point, each joint's statics.spring_sum
-and each damper's law. The step then runs its four stages on local
-floats. Each law keeps one body: _mass_terms, kinematics.point_torques
+computes every per-build constant once: the mass law (_mass_law),
+gravity, the handle's kinematics.handle_point, and each joint's
+statics.spring_sum and damper_sum. The step then runs its four stages on
+local floats. Each law keeps one body: _mass_law, kinematics.point_torques
 and the spring sum serve the stepper's floats and the statics' and
 recording's arrays alike. _equations wraps the same stage evaluation as
 the derivative deriv(y, force) of the packed state.
@@ -393,41 +393,35 @@ class ContactResponse:
 # mass matrix and friends
 
 
-def _mass_constants(params: MechanismParams):
-    """(M22, M33, coefficients): the constant entries M22 and M33 of M(q),
-    and the per-build coefficient tuple _mass_terms takes."""
-    L1, L2 = params.link1_length, params.link2_length
+def _mass_law(params: MechanismParams):
+    """(M22, M33, terms): the constant entries M22 and M33 of M(q), and
+    terms(c2t, s2t, c3t, s3t) of the cosines and sines of theta2 and
+    theta3, floats or numpy arrays, with the build's constants bound. It
+    returns the angle-dependent entries and their angle partials (M11,
+    M23, D2, D3, Bs): D2 = dM11/dtheta2, D3 = dM11/dtheta3, and, for the
+    coupling amplitude B of M23 = B*cos(theta2 - theta3), Bs =
+    B*sin(theta2 - theta3) = -dM23/dtheta2."""
+    a1, L1, L2 = params.base_offset, params.link1_length, params.link2_length
     m1, m2, mp = params.mass_link1, params.mass_link2, params.mass_payload
     c1, c2 = params.com_fraction1, params.com_fraction2
-    m22 = (m1 * c1 * c1 + m2 + mp) * L1 * L1
-    m33 = (m2 * c2 * c2 + mp) * L2 * L2
-    return m22, m33, (params.base_offset, L1, L2, m1, m2, mp, c1 * L1,
-                      c2 * L2, m1 * c1, m2 * c2, -2.0 * L1, -2.0 * L2,
-                      L1 * L2 * (m2 * c2 + mp))
+    c1L1, c2L2, m1c1, m2c2 = c1 * L1, c2 * L2, m1 * c1, m2 * c2
+    n2L1, n2L2, b = -2.0 * L1, -2.0 * L2, L1 * L2 * (m2c2 + mp)
 
+    def terms(c2t, s2t, c3t, s3t):
+        inner = a1 + L1 * c2t
+        r1 = a1 + c1L1 * c2t
+        r2 = inner + c2L2 * c3t
+        r3 = inner + L2 * c3t
 
-def _mass_terms(coefficients, c2t, s2t, c3t, s3t):
-    """Angle-dependent mass-matrix entries and their angle partials.
+        m11 = m1 * r1 * r1 + m2 * r2 * r2 + mp * r3 * r3
+        cos_d = c2t * c3t + s2t * s3t     # cos(th2 - th3)
+        sin_d = s2t * c3t - c2t * s3t
+        d2 = n2L1 * s2t * (m1c1 * r1 + m2 * r2 + mp * r3)
+        d3 = n2L2 * s3t * (m2c2 * r2 + mp * r3)
+        return m11, b * cos_d, d2, d3, b * sin_d
 
-    Takes the coefficients from _mass_constants and the cosines and sines
-    of theta2 and theta3, as floats or numpy arrays. Returns (M11, M23,
-    D2, D3, Bs) with D2 = dM11/dtheta2, D3 = dM11/dtheta3, and, for the
-    coupling amplitude B of M23 = B*cos(theta2 - theta3),
-    Bs = B*sin(theta2 - theta3) = -dM23/dtheta2.
-    """
-    a1, L1, L2, m1, m2, mp, c1L1, c2L2, m1c1, m2c2, n2L1, n2L2, b = \
-        coefficients
-    inner = a1 + L1 * c2t
-    r1 = a1 + c1L1 * c2t
-    r2 = inner + c2L2 * c3t
-    r3 = inner + L2 * c3t
-
-    m11 = m1 * r1 * r1 + m2 * r2 * r2 + mp * r3 * r3
-    cos_d = c2t * c3t + s2t * s3t     # cos(th2 - th3)
-    sin_d = s2t * c3t - c2t * s3t
-    d2 = n2L1 * s2t * (m1c1 * r1 + m2 * r2 + mp * r3)
-    d3 = n2L2 * s3t * (m2c2 * r2 + mp * r3)
-    return m11, b * cos_d, d2, d3, b * sin_d
+    return ((m1 * c1 * c1 + m2 + mp) * L1 * L1,
+            (m2 * c2 * c2 + mp) * L2 * L2, terms)
 
 
 def _kinetic(m11, m22, m23, m33, w1, w2, w3):
@@ -437,11 +431,10 @@ def _kinetic(m11, m22, m23, m33, w1, w2, w3):
 
 def _state_mass(params: MechanismParams, state: JointState):
     """(M11, M22, M23, M33, D2, D3, Bs) at one joint state."""
-    m22, m33, coefficients = _mass_constants(params)
+    m22, m33, terms = _mass_law(params)
     _, th2, th3 = state.q
-    m11, m23, d2, d3, bs = _mass_terms(coefficients, math.cos(th2),
-                                       math.sin(th2), math.cos(th3),
-                                       math.sin(th3))
+    m11, m23, d2, d3, bs = terms(math.cos(th2), math.sin(th2),
+                                 math.cos(th3), math.sin(th3))
     return m11, m22, m23, m33, d2, d3, bs
 
 
@@ -490,6 +483,24 @@ def damper_law(spec: DamperSpec):
             return 0.0
         return neg_c * (omega - copysign(deadzone, omega))
     return dead_zone_viscous
+
+
+def damper_sum(dampers, joint: Joint):
+    """The summed torque law torque(omega) of the dampers that act on
+    `joint`, those with a coefficient > 0, added in the order given, the
+    laws bound once. No acting damper gives +0.0 at every rate; one
+    damper's sum is its own law, with no extra call."""
+    laws = tuple(damper_law(spec) for spec in dampers
+                 if spec.joint == joint and spec.coefficient > 0.0)
+    if len(laws) == 1:
+        return laws[0]
+
+    def torque(omega):
+        tau = 0.0
+        for law in laws:
+            tau = tau + law(omega)
+        return tau
+    return torque
 
 
 def damper_torque(spec: DamperSpec, omega: float) -> float:
@@ -601,45 +612,27 @@ def _arm_law(params: MechanismParams, springs, dampers):
     per build: the mass and handle coefficients, gravity, and each
     spring's and each acting damper's law, bound per joint.
     """
-    m22, m33, mass = _mass_constants(params)
+    m22, m33, mass = _mass_law(params)
     m22_m33 = m22 * m33
     a2, a3 = gravity_coefficients(params)
     neg_g = -params.gravity
     handle = handle_point(params)
     spring2, spring3 = (spring_sum(springs, joint)
                         for joint in (Joint.J2, Joint.J3))
-    # the torque laws of the dampers that act, per joint, in the order given
-    damper_torques = ([], [], [])
-    for spec in dampers:
-        if spec.model is not DamperModel.NONE and spec.coefficient > 0.0:
-            damper_torques[spec.joint].append(damper_law(spec))
-    dampers1, dampers2, dampers3 = map(tuple, damper_torques)
+    dampers = tuple(dampers)    # read once per joint, even an iterator
+    damper1, damper2, damper3 = (damper_sum(dampers, joint)
+                                 for joint in Joint)
     cos, sin = math.cos, math.sin
     tiny = 1e-18
 
     def accel(phi1, th2, th3, w1, w2, w3, force):
         c2t, s2t, c3t, s3t = cos(th2), sin(th2), cos(th3), sin(th3)
-        m11, m23, d2, d3, bs = _mass_terms(mass, c2t, s2t, c3t, s3t)
+        m11, m23, d2, d3, bs = mass(c2t, s2t, c3t, s3t)
 
-        tau2 = neg_g * c2t * a2 + spring2(th2, c2t, s2t)
-        tau3 = neg_g * c3t * a3 + spring3(th3, c3t, s3t)
-
-        # damper torques summed per joint, their power in joint order
-        power = tau1 = damp2 = damp3 = 0.0
-        for torque in dampers1:
-            td = torque(w1)
-            tau1 += td
-            power -= td * w1
-        for torque in dampers2:
-            td = torque(w2)
-            damp2 += td
-            power -= td * w2
-        for torque in dampers3:
-            td = torque(w3)
-            damp3 += td
-            power -= td * w3
-        tau2 += damp2
-        tau3 += damp3
+        tau1, damp2, damp3 = damper1(w1), damper2(w2), damper3(w3)
+        power = 0.0 - tau1 * w1 - damp2 * w2 - damp3 * w3
+        tau2 = neg_g * c2t * a2 + spring2(th2, c2t, s2t) + damp2
+        tau3 = neg_g * c3t * a3 + spring3(th3, c3t, s3t) + damp3
 
         if force is not None:
             h1, h2, h3 = point_torques(handle, cos(phi1), sin(phi1),
@@ -957,15 +950,15 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
             np.cos(th3), np.sin(th3))
     _, _, c2t, s2t, c3t, s3t = trig
     spoon = np.column_stack(point_position(spoon_point(params), *trig))
-    handle = np.column_stack(point_position(handle_point(params), *trig))
+    grip = handle_point(params)
+    handle = np.column_stack(point_position(grip, *trig))
     if row_forces is None:
         applied = np.zeros((len(t), 3))
     else:
-        applied = np.column_stack(point_torques(handle_point(params), *trig,
-                                                *row_forces.T))
+        applied = np.column_stack(point_torques(grip, *trig, *row_forces.T))
 
-    m22, m33, mass = _mass_constants(params)
-    m11, m23, *_ = _mass_terms(mass, c2t, s2t, c3t, s3t)
+    m22, m33, mass = _mass_law(params)
+    m11, m23, *_ = mass(c2t, s2t, c3t, s3t)
     e_kin = _kinetic(m11, m22, m23, m33, w1, w2, w3)
     e_pot = potential_sum(params, springs, th2, s2t, th3, s3t, np.sqrt,
                           np.maximum)

@@ -1,6 +1,7 @@
-"""One-line diagnostics: non-finite IK targets, overflowing mount states
-and output files that cannot be written."""
+"""One-line diagnostics: non-finite IK targets, overflowing mount states,
+output files that cannot be written and runs too large for memory."""
 
+import json
 import math
 import warnings
 
@@ -80,3 +81,25 @@ def test_a_missing_input_is_still_cannot_read(capsys, tmp_path):
                        "--out", str(tmp_path / "run.csv"))
     assert code == 2
     assert err.startswith(f"spoonarm: cannot read {scenario}: ")
+
+
+# Both sizes ask for petabytes (171 PiB of workspace grid, 7.1 PiB of
+# rollout times), beyond any address space, so the first allocation fails.
+# A size that could fit in memory would be allocated, not reported.
+@pytest.mark.parametrize("argv", [
+    ("workspace", "--resolution", "200000"),
+    ("simulate", "--scenario", None),
+])
+def test_a_run_too_large_for_memory_is_one_line(capsys, tmp_path, argv):
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps({
+        "schema_version": 1, "duration_s": 1e12, "timestep_s": 0.001,
+        "initial": {"q_rad": [0.0, 0.7, -0.2]},
+        "input": {"type": "free_release"}}))
+    out_path = tmp_path / "out.csv"
+    argv = [str(scenario) if a is None else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("spoonarm: out of memory: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not out_path.exists()

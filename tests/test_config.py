@@ -359,6 +359,30 @@ def test_noise_seed_of_a_numpy_integer_round_trips(tmp_path):
     assert type(load_scenario(path).input.seed) is int
 
 
+def test_bool_numbers_save_as_floats_and_round_trip(tmp_path):
+    cfg = ConfigFile(MechanismParams(),
+                     dampers=(DamperSpec(Joint.J2, "viscous", True),))
+    scn = Scenario(duration=1.0, input=SineTremor(amplitude=True,
+                                                  frequency=2.0))
+    cfg_path, scn_path = tmp_path / "build.json", tmp_path / "scenario.json"
+    save_config(cfg, cfg_path)
+    save_scenario(scn, scn_path)
+    damper = json.loads(cfg_path.read_text())["dampers"][0]
+    assert damper["coefficient_n_m_s_per_rad"] == 1.0
+    assert type(damper["coefficient_n_m_s_per_rad"]) is float
+    assert load_config(cfg_path) == cfg
+    assert load_scenario(scn_path) == scn
+    assert type(load_scenario(scn_path).input.amplitude) is float
+
+
+def test_numpy_float32_numbers_save_and_round_trip(tmp_path):
+    cfg = ConfigFile(MechanismParams(gravity=np.float32(9.81)))
+    path = tmp_path / "build.json"
+    save_config(cfg, path)
+    gravity = load_config(path).mechanism.gravity
+    assert gravity == float(np.float32(9.81)) and type(gravity) is float
+
+
 def test_negative_noise_seed_is_validation_error():
     data = scenario_data(Scenario(duration=1.0, input=NoiseTremor(
         rms=0.2, f_lo=2.0, f_hi=9.0, seed=0)))

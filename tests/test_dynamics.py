@@ -566,6 +566,17 @@ def test_stepper_equals_textbook_rk4(params, springs, dampers, y, forces):
         assert got[1:3] == (2.0, -1.75) and got[4:6] == (0.0, 0.0)
 
 
+def test_stepper_takes_dampers_on_every_joint_from_an_iterator():
+    dampers = (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),
+               DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4),
+               DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.1))
+    steps = (_arm_stepper(free_params(), ALL_SPRINGS, d, 1e-3)
+             for d in (dampers, iter(dampers), dampers[:1]))
+    got, from_iterator, j1_only = (step(STEP_STATE, 0.0, *STAGE_FORCES)
+                                   for step in steps)
+    assert from_iterator == got != j1_only
+
+
 @pytest.mark.parametrize("inputs", [
     SineTremor(amplitude=0.5, frequency=2.0, direction=(0.3, -0.2, 0.9)),
     NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=3),

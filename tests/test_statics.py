@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from spoonarm.dynamics import (DamperModel, DamperSpec, damper_law,
+                               damper_sum, damper_torque)
 from spoonarm.errors import InfeasibleBoundsError
 from spoonarm.kinematics import Joint, JointState, MechanismParams
 from spoonarm.statics import (
@@ -409,6 +411,30 @@ def test_spring_sum_routes_by_joint_and_adds_in_order():
     both = spring_sum([s2, s3, torsion2], Joint.J2)(t, c, s)
     assert both == (0.0 + spring_torque(s2, t)) + spring_torque(torsion2, t)
     assert spring_sum([s2, s3], Joint.J3)(t, c, s) == spring_torque(s3, t)
+
+
+def test_damper_sum_routes_by_joint_skips_idle_dampers_and_adds_in_order():
+    j1 = DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2)
+    dead = DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.3, 0.05)
+    visc = DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.1)
+    stiff = DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.25)
+    idle = (DamperSpec(Joint.J3, DamperModel.NONE),
+            DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.0),
+            DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.0, 0.1))
+    w = 1.1
+    a, b, c = (damper_torque(spec, w) for spec in (dead, visc, stiff))
+    three = damper_sum([j1, dead, *idle, visc, stiff], Joint.J3)(w)
+    # at this rate the float sum depends on the order of its terms
+    assert three == ((0.0 + a) + b) + c != ((0.0 + c) + b) + a
+    assert damper_sum([j1, dead, visc], Joint.J1)(w) == damper_torque(j1, w)
+    # one acting damper's sum is its own law, not a wrapper around it
+    assert (damper_sum([*idle, dead], Joint.J3).__code__
+            is damper_law(dead).__code__)
+    # a zero-coefficient viscous law gives -0.0 at w > 0; skipped, it adds
+    # nothing, and no acting damper gives +0.0
+    for dampers in ((), (j1,), idle):
+        tau = damper_sum(dampers, Joint.J3)(w)
+        assert tau == 0.0 and math.copysign(1.0, tau) == 1.0
 
 
 def read_balance_csv(path):

@@ -16,6 +16,8 @@ prints the same lines. It covers
   compliant mount, with or without a spoon contact, each SimResult field
   on its own (and the times a callable input was called at);
 - step_dynamics for each force input on both mounts;
+- for each damper and spring build that the shipped config lacks, a
+  rigid-mount noise rollout and one step_dynamics call;
 - generate_signal of each signal spec, no input and a playback.
 
 An output that raises is digested as its exception's type and message.
@@ -33,11 +35,12 @@ from importlib.resources import files
 
 import numpy as np
 
-from spoonarm import (ComplianceMode, FreeRelease, JointState, NoiseTremor,
-                      PrescribedTrajectory, Scenario, SimResult, SineTremor,
-                      SpasmImpulse, SpoonContact, default_config_path,
-                      generate_signal, load_config, run_scenario,
-                      step_dynamics)
+from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
+                      Joint, JointState, NoiseTremor, PrescribedTrajectory,
+                      Scenario, SimResult, SineTremor, SpasmImpulse,
+                      SpoonContact, SpringKind, SpringSpec,
+                      default_config_path, generate_signal, load_config,
+                      run_scenario, step_dynamics)
 from spoonarm.cli import main
 
 EXAMPLE = files("spoonarm") / "data" / "example_scenario.json"
@@ -61,6 +64,25 @@ INPUTS = {
     "playback": PrescribedTrajectory(((0.0, 0.35, 0.0, 0.02),
                                       (0.15, 0.33, 0.04, 0.15),
                                       (0.3, 0.3, 0.02, 0.3))),
+}
+
+# (springs, dampers) the shipped config lacks; None keeps its own
+DEAD_ZONE = DamperModel.DEAD_ZONE_VISCOUS
+VARIANTS = {
+    "no-damper": (None, ()),
+    "damper-none": (None, (DamperSpec(Joint.J3, DamperModel.NONE),)),
+    # far inside RK4's stability bound on the yaw joint
+    "viscous-j1": (None, (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.05),)),
+    # J2 starts inside its dead zone, J3 outside
+    "dead-zone-j2-j3": (None, (DamperSpec(Joint.J2, DEAD_ZONE, 0.4, 0.25),
+                               DamperSpec(Joint.J3, DEAD_ZONE, 0.4, 0.25))),
+    "two-dampers-on-j3": (None, (
+        DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.1),
+        DamperSpec(Joint.J3, DEAD_ZONE, 0.3, 0.05))),
+    "real-j2-torsion-j3": ((SpringSpec(SpringKind.LINEAR_REAL, Joint.J2, 282.0,
+                                       0.1, 0.05, free_length=0.02),
+                            SpringSpec(SpringKind.TORSION, Joint.J3, 0.8,
+                                       torsion_neutral=0.3)), None),
 }
 
 
@@ -178,6 +200,33 @@ def step_lines():
                 yield f"{name}/calls", sha(repr(calls))
 
 
+def variant_lines():
+    config, mounts = builds()
+    inputs = INPUTS["noise"]
+    scenario = Scenario(duration=DURATION, timestep=DT, initial=START,
+                        input=inputs)
+    for variant, (springs, dampers) in VARIANTS.items():
+        build = (config.mechanism,
+                 config.springs if springs is None else springs,
+                 config.dampers if dampers is None else dampers,
+                 mounts["rigid"])
+        name = f"run_scenario/{variant}/noise/rigid/no-contact"
+        try:
+            result = run_scenario(*build, scenario)
+        except Exception as exc:
+            yield f"{name}/error", failure(exc)
+        else:
+            for f in dataclasses.fields(SimResult):
+                yield f"{name}/{f.name}", array_sha(getattr(result, f.name))
+        name = f"step_dynamics/{variant}/noise/rigid"
+        try:
+            state, _ = step_dynamics(*build, START, inputs, DT, t=0.123)
+        except Exception as exc:
+            yield f"{name}/error", failure(exc)
+        else:
+            yield name, sha(repr((state.q, state.qdot)))
+
+
 def signal_lines():
     times = np.arange(0, 301) * DT
     for kind in ("free", "sine", "noise", "spasm", "playback"):
@@ -189,6 +238,7 @@ def digest_lines():
     yield from cli_lines()
     yield from rollout_lines()
     yield from step_lines()
+    yield from variant_lines()
     yield from signal_lines()
 
 
