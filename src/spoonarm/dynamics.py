@@ -30,10 +30,10 @@ bit-identical results.
 Each build gets one RK4 step function, made by _arm_stepper; rollouts and
 single steps (step_dynamics) both step the arm with it. Building it
 computes every per-build constant once: the mass law (_mass_law),
-gravity, the handle's kinematics.handle_point, and each joint's
+gravity, the handle's kinematics.point_torque_law, and each joint's
 statics.spring_sum and damper_sum. The step then runs its four stages on
-local floats. Each law keeps one body: _mass_law, kinematics.point_torques
-and the spring sum serve the stepper's floats and the statics' and
+local floats. Each law keeps one body: _mass_law, point_torque_law and
+the spring sum serve the stepper's floats and the statics' and
 recording's arrays alike. _equations wraps the same stage evaluation as
 the derivative deriv(y, force) of the packed state.
 
@@ -50,8 +50,9 @@ rollouts: the last SIGNAL_BLOCKS of them, about 1.2 MB whatever the
 rollout length, stay in _signal_block, read-only and keyed by the spec's
 repr and the grid, so a study that runs many builds on one tremor
 evaluates it once. A constant or callable force is evaluated in every
-run. The loop stores the packed state of each row; after it, one numpy
-pass computes the positions, applied torques and energies (a rigid
+run. The loop keeps the packed states of a block in a list and writes
+them to the state array once per block; after it, one numpy pass
+computes the positions, applied torques and energies (a rigid
 mount's are zero), each spring's potential on its whole angle column at
 once.
 
@@ -68,6 +69,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -82,7 +84,7 @@ from .kinematics import (
     integer,
     inverse_kinematics_path,
     point_position,
-    point_torques,
+    point_torque_law,
     spoon_point,
 )
 from .statics import gravity_coefficients, potential_sum, spring_sum
@@ -488,10 +490,12 @@ def damper_law(spec: DamperSpec):
 def damper_sum(dampers, joint: Joint):
     """The summed torque law torque(omega) of the dampers that act on
     `joint`, those with a coefficient > 0, added in the order given, the
-    laws bound once. No acting damper gives +0.0 at every rate; one
+    laws bound once. No acting damper gives the constant law +0.0; one
     damper's sum is its own law, with no extra call."""
     laws = tuple(damper_law(spec) for spec in dampers
                  if spec.joint == joint and spec.coefficient > 0.0)
+    if not laws:
+        return lambda omega: 0.0
     if len(laws) == 1:
         return laws[0]
 
@@ -609,17 +613,18 @@ def _arm_law(params: MechanismParams, springs, dampers):
     one state under the handle force (fx, fy, fz), or None for no input.
 
     Every term that does not depend on the state is computed here, once
-    per build: the mass and handle coefficients, gravity, and each
+    per build: the mass law, gravity, the handle's torque law, and each
     spring's and each acting damper's law, bound per joint.
     """
     m22, m33, mass = _mass_law(params)
     m22_m33 = m22 * m33
     a2, a3 = gravity_coefficients(params)
     neg_g = -params.gravity
-    handle = handle_point(params)
+    handle_torques = point_torque_law(handle_point(params))
+    # read once per joint, even an iterator
+    springs, dampers = tuple(springs), tuple(dampers)
     spring2, spring3 = (spring_sum(springs, joint)
                         for joint in (Joint.J2, Joint.J3))
-    dampers = tuple(dampers)    # read once per joint, even an iterator
     damper1, damper2, damper3 = (damper_sum(dampers, joint)
                                  for joint in Joint)
     cos, sin = math.cos, math.sin
@@ -635,8 +640,8 @@ def _arm_law(params: MechanismParams, springs, dampers):
         tau3 = neg_g * c3t * a3 + spring3(th3, c3t, s3t) + damp3
 
         if force is not None:
-            h1, h2, h3 = point_torques(handle, cos(phi1), sin(phi1),
-                                       c2t, s2t, c3t, s3t, *force)
+            h1, h2, h3 = handle_torques(cos(phi1), sin(phi1),
+                                        c2t, s2t, c3t, s3t, *force)
             tau1 += h1
             tau2 += h2
             tau3 += h3
@@ -888,6 +893,7 @@ def run_scenario(params: MechanismParams, springs, dampers,
     dt = scenario.timestep
     t = np.arange(n) * dt
     row_forces = []    # handle force at each row's own time, per block
+    springs = tuple(springs)    # the stage and the recording both read it
     _check_start(params, scenario.initial)
     if isinstance(scenario.input, PrescribedTrajectory):
         states = _playback_states(params, scenario.input, t, dt)
@@ -907,16 +913,21 @@ def run_scenario(params: MechanismParams, springs, dampers,
             else:
                 block = _signal_block(key, inputs, k0, k1, n, dt)
             if block is None:
-                forces = [None] * (3 * (k1 - k0))
+                triples = repeat((None, None, None))
             else:
                 row_forces.append(block[::3])
-                forces = block.tolist()
-            for k in range(k0, k1):
-                states[k] = y
-                if k < n - 1:
-                    i = 3 * (k - k0)
-                    y = step(y, k * dt, forces[i], forces[i + 1],
-                             forces[i + 2])
+                forces = iter(block.tolist())
+                triples = zip(forces, forces, forces)
+            # the rows of one block, written to `states` at once; the last
+            # row of the run is not stepped from
+            rows = []
+            for k, (f0, f_half, f1) in zip(range(k0, min(k1, n - 1)),
+                                           triples):
+                rows.append(y)
+                y = step(y, k * dt, f0, f_half, f1)
+            if k1 == n:
+                rows.append(y)
+            states[k0:k1] = rows
 
     mount = np.zeros((n, 4))    # pitch, yaw deflection; pitch, yaw rate
     contact = scenario.spoon_contact
@@ -955,7 +966,8 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
     if row_forces is None:
         applied = np.zeros((len(t), 3))
     else:
-        applied = np.column_stack(point_torques(grip, *trig, *row_forces.T))
+        applied = np.column_stack(point_torque_law(grip)(*trig,
+                                                         *row_forces.T))
 
     m22, m33, mass = _mass_law(params)
     m11, m23, *_ = mass(c2t, s2t, c3t, s3t)

@@ -24,8 +24,10 @@ signed vertical drop and a signed lateral offset toward the user; the
 lateral offset mirrors with handedness.
 
 Tip and grip are two points of one radial chain (spoon_point and
-handle_point): point_position gives a point's position and point_torques
-the joint torques J^T F of a force there.
+handle_point): point_position gives a point's position, and
+point_torque_law binds a point's coefficients once into the law of the
+joint torques J^T F of a force there, whose yaw row is the force's moment
+at that same position.
 """
 
 from __future__ import annotations
@@ -256,16 +258,25 @@ def spoon_position(params: MechanismParams, cp, sp, c2t, s2t, c3t, s3t):
     return point_position(spoon_point(params), cp, sp, c2t, s2t, c3t, s3t)
 
 
-def point_torques(point, cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
-    """Joint torques J^T F of the force (fx, fy, fz) at `point`, arguments
-    as for point_position. This is the one definition of a point's
-    Jacobian: jacobian and handle_jacobian read their rows off it."""
-    # the yaw torque is the force's moment about the vertical J1 axis
-    x, y, _ = point_position(point, cp, sp, c2t, s2t, c3t, s3t)
-    _, L1, reach, _, _, _ = point
-    return (x * fy - y * fx,
-            -L1 * s2t * cp * fx - L1 * s2t * sp * fy + L1 * c2t * fz,
-            -reach * s3t * cp * fx - reach * s3t * sp * fy + reach * c3t * fz)
+def point_torque_law(point):
+    """The joint-torque law torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz)
+    of `point`, its coefficients bound: J^T F of the force (fx, fy, fz)
+    there, the trigonometry as for point_position, floats or numpy arrays.
+    This is the one definition of a point's Jacobian: jacobian and
+    handle_jacobian read their rows off it."""
+    a, L1, reach, b, _, _ = point
+
+    def torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
+        # the yaw torque is the force's moment about the vertical J1 axis,
+        # at point_position's x and y, computed with its operations; each
+        # link product is shared, as (-L)*s == -(L*s) exactly
+        u2, u3, v2, v3 = L1 * c2t, reach * c3t, L1 * s2t, reach * s3t
+        r = a + u2 + u3
+        x, y = r * cp - b * sp, r * sp + b * cp
+        return (x * fy - y * fx,
+                -v2 * cp * fx - v2 * sp * fy + u2 * fz,
+                -v3 * cp * fx - v3 * sp * fy + u3 * fz)
+    return torques
 
 
 def _trig(q):
@@ -303,9 +314,9 @@ def forward_kinematics(params: MechanismParams,
 
 def _point_jacobian(point, q) -> np.ndarray:
     """3x3 Jacobian at q of the point with these coefficients."""
-    trig = _trig(q)
+    trig, torques = _trig(q), point_torque_law(point)
     # row i of J is J^T e_i
-    return np.array([point_torques(point, *trig, *unit)
+    return np.array([torques(*trig, *unit)
                      for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                   (0.0, 0.0, 1.0))])
 

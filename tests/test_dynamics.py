@@ -1,12 +1,14 @@
 """Dynamics tests: mass matrix structure, energy bookkeeping, dampers,
 input signals, integration accuracy, and the compliant mount."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from spoonarm import JointState, MechanismParams, dynamics
+from spoonarm import (JointState, MechanismParams, default_config_path,
+                      dynamics, load_config)
 from spoonarm.dynamics import (
     FORCE_BLOCK,
     ComplianceMode,
@@ -577,15 +579,25 @@ def test_stepper_takes_dampers_on_every_joint_from_an_iterator():
     assert from_iterator == got != j1_only
 
 
-@pytest.mark.parametrize("inputs", [
-    SineTremor(amplitude=0.5, frequency=2.0, direction=(0.3, -0.2, 0.9)),
-    NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=3),
-    SpasmImpulse(force=0.8, duration=0.05, onset=0.1,
-                 direction=(1.0, 0.0, 1.0)),
-    (0.1, -0.2, 0.3),
-    wobble_force,
-], ids=["sine", "noise", "spasm", "constant", "callable"])
-def test_run_scenario_rows_equal_repeated_steps(inputs):
+ROLLOUT_INPUTS = {
+    "sine": SineTremor(amplitude=0.5, frequency=2.0,
+                       direction=(0.3, -0.2, 0.9)),
+    "noise": NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=3),
+    "spasm": SpasmImpulse(force=0.8, duration=0.05, onset=0.1,
+                          direction=(1.0, 0.0, 1.0)),
+    "constant": (0.1, -0.2, 0.3),
+    "callable": wobble_force,
+}
+# rollout lengths at the force-block edges: one step, one full block, a
+# one-row last block, two full blocks, and a short last block
+BLOCK_EDGE_ROWS = (2, FORCE_BLOCK, FORCE_BLOCK + 1, 2 * FORCE_BLOCK)
+
+
+@pytest.mark.parametrize("inputs, n", [
+    pytest.param(inputs, n, id=name if n is None else f"{name}-{n}")
+    for name, inputs in ROLLOUT_INPUTS.items()
+    for n in (None, *BLOCK_EDGE_ROWS)])
+def test_run_scenario_rows_equal_repeated_steps(inputs, n):
     # longer than one force block, on the compliant mount with springs
     # and dampers, so every term of the equations takes part
     p = free_params()
@@ -594,7 +606,7 @@ def test_run_scenario_rows_equal_repeated_steps(inputs):
                DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.4, 0.05)]
     comp = ComplianceSpec()
     dt = 1e-3
-    n = 2 * FORCE_BLOCK + 30
+    n = 2 * FORCE_BLOCK + 30 if n is None else n
     sc = Scenario(duration=(n - 1) * dt, timestep=dt,
                   initial=JointState(q=(0.1, 0.8, -0.3),
                                      qdot=(0.2, -0.1, 0.3)),
@@ -608,6 +620,28 @@ def test_run_scenario_rows_equal_repeated_steps(inputs):
         assert tuple(res.q[k]) == state.q
         assert tuple(res.qdot[k]) == state.qdot
         assert tuple(res.deflection[k]) + tuple(res.deflection_rate[k]) == defl
+
+
+def test_springs_from_an_iterator_act_on_every_joint():
+    # the stage sums the springs per joint and the recording reads them
+    # again: an iterator must give the bits of the tuple it yields
+    config = load_config(default_config_path())
+    p, springs, dampers = config.mechanism, config.springs, config.dampers
+    start = JointState(q=(0.0, 0.7, -0.5), qdot=(0.1, -0.2, 0.3))
+    sc = Scenario(duration=0.2, timestep=1e-3, initial=start,
+                  input=NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=5))
+    results = [run_scenario(p, given, dampers, config.compliance, sc)
+               for given in (springs, iter(springs))]
+    for f in dataclasses.fields(SimResult):
+        got, from_iterator = (getattr(res, f.name) for res in results)
+        assert got.tobytes() == from_iterator.tobytes(), f.name
+    (state, defl), (state_it, defl_it) = (
+        step_dynamics(p, given, dampers, config.compliance, start,
+                      (0.1, -0.2, 0.3), 1e-3, t=0.05,
+                      deflections=(0.01, -0.02, 0.3, 0.1))
+        for given in (springs, iter(springs)))
+    assert (repr((state.q, state.qdot, defl))
+            == repr((state_it.q, state_it.qdot, defl_it)))
 
 
 def test_callable_input_called_once_per_stage_time():

@@ -15,7 +15,11 @@ from spoonarm.kinematics import (
     handle_pose,
     inverse_kinematics,
     inverse_kinematics_path,
+    handle_point,
     jacobian,
+    point_position,
+    point_torque_law,
+    spoon_point,
     spoon_pose,
 )
 
@@ -321,6 +325,40 @@ def test_spoon_position_is_a_handle_position_at_the_tip():
     for s in random_states(MechanismParams(joint_limits=WIDE_LIMITS), 200, 33):
         np.testing.assert_array_equal(spoon_pose(p, s).position,
                                       handle_pose(tip, s).position)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("point", [spoon_point, handle_point])
+def test_point_torque_law_yaw_row_is_the_moment_at_point_position(point):
+    # the torque law repeats point_position's radius instead of calling
+    # it; both must give the same x and y, bit for bit
+    p = MechanismParams(handedness=Handedness.LEFT, bracket_drop=0.03)
+    coefficients = point(p)
+    torques = point_torque_law(coefficients)
+    _, L1, reach, _, _, _ = coefficients
+    rng = np.random.default_rng(41)
+    states = random_states(MechanismParams(joint_limits=WIDE_LIMITS), 300, 43)
+    forces = rng.uniform(-2.0, 2.0, (len(states), 3))
+    for s, (fx, fy, fz) in zip(states, forces.tolist()):
+        phi1, th2, th3 = s.q
+        trig = (math.cos(phi1), math.sin(phi1), math.cos(th2), math.sin(th2),
+                math.cos(th3), math.sin(th3))
+        cp, sp, c2t, s2t, c3t, s3t = trig
+        x, y, _ = point_position(coefficients, *trig)
+        assert bits(torques(*trig, fx, fy, fz)) == bits((
+            x * fy - y * fx,
+            -L1 * s2t * cp * fx - L1 * s2t * sp * fy + L1 * c2t * fz,
+            -reach * s3t * cp * fx - reach * s3t * sp * fy + reach * c3t * fz))
+    # and on arrays, one whole column per argument
+    q = np.array([s.q for s in states])
+    trig = (np.cos(q[:, 0]), np.sin(q[:, 0]), np.cos(q[:, 1]),
+            np.sin(q[:, 1]), np.cos(q[:, 2]), np.sin(q[:, 2]))
+    fx, fy, fz = forces.T
+    x, y, _ = point_position(coefficients, *trig)
+    assert bits(torques(*trig, fx, fy, fz)[0]) == bits(x * fy - y * fx)
 
 
 def test_spoon_jacobian_matches_the_closed_form():

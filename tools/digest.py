@@ -18,6 +18,8 @@ prints the same lines. It covers
 - step_dynamics for each force input on both mounts;
 - for each damper and spring build that the shipped config lacks, a
   rigid-mount noise rollout and one step_dynamics call;
+- rigid-mount noise rollouts on the shipped build whose row counts end
+  on a force-block edge (one full block, and one row more);
 - generate_signal of each signal spec, no input and a playback.
 
 An output that raises is digested as its exception's type and message.
@@ -48,6 +50,7 @@ START = JointState(q=(0.0, 0.7347863005736404, -1.4323283077414541),
                    qdot=(0.1, -0.2, 0.3))
 DT = 1e-3
 DURATION = 0.3      # 301 rows: three force blocks, the last one short
+EDGE_ROWS = (128, 129)    # one whole force block; a one-row last block
 CONTACT = SpoonContact(time=0.1, impulse_pitch=0.01, impulse_yaw=-0.005)
 
 # every kind of handle input a rollout takes; fresh() makes the callable
@@ -227,6 +230,23 @@ def variant_lines():
             yield name, sha(repr((state.q, state.qdot)))
 
 
+def edge_lines():
+    config, mounts = builds()
+    build = (config.mechanism, config.springs, config.dampers,
+             mounts["rigid"])
+    for rows in EDGE_ROWS:
+        scenario = Scenario(duration=(rows - 1) * DT, timestep=DT,
+                            initial=START, input=INPUTS["noise"])
+        name = f"run_scenario/rows-{rows}/noise/rigid/no-contact"
+        try:
+            result = run_scenario(*build, scenario)
+        except Exception as exc:
+            yield f"{name}/error", failure(exc)
+        else:
+            for f in dataclasses.fields(SimResult):
+                yield f"{name}/{f.name}", array_sha(getattr(result, f.name))
+
+
 def signal_lines():
     times = np.arange(0, 301) * DT
     for kind in ("free", "sine", "noise", "spasm", "playback"):
@@ -239,6 +259,7 @@ def digest_lines():
     yield from rollout_lines()
     yield from step_lines()
     yield from variant_lines()
+    yield from edge_lines()
     yield from signal_lines()
 
 
