@@ -271,6 +271,7 @@ def spring_sum(springs, joint: Joint):
 
 def spring_joint_torques(springs, state: JointState) -> tuple[float, float, float]:
     """Summed spring torque per joint as a (0, tau2, tau3) triple."""
+    springs = tuple(springs)    # read once per joint, even an iterator
     return tuple(spring_sum(springs, joint)(q, math.cos(q), math.sin(q))
                  for joint, q in zip(Joint, state.q))
 
@@ -401,6 +402,7 @@ def synthesize_balancing(params: MechanismParams, kind: SpringKind,
 def residual_torque_profile(params: MechanismParams, springs,
                             ) -> tuple[TorqueProfile, TorqueProfile]:
     """Gravity plus summed spring torque over each lifted joint's range."""
+    springs = tuple(springs)    # read once per joint, even an iterator
     profiles = []
     for joint in (Joint.J2, Joint.J3):
         lo, hi = params.joint_limits[joint]

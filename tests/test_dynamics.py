@@ -223,6 +223,29 @@ def test_damper_torque_examples():
     assert damper_torque(off, 5.0) == 0.0
 
 
+def textbook_dead_zone(coefficient, deadzone, omega):
+    """The dead-zone law as first written, with abs and copysign."""
+    if abs(omega) <= deadzone:
+        return 0.0
+    return -coefficient * (omega - math.copysign(deadzone, omega))
+
+
+@pytest.mark.parametrize("deadzone", [0.3, 0.0, -0.0])
+def test_dead_zone_law_equals_the_abs_copysign_form_bit_for_bit(deadzone):
+    spec = DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.4, deadzone)
+    rates = [math.nan]
+    for sign in (1.0, -1.0):
+        edge = math.copysign(deadzone, sign)
+        rates += [sign * 0.0, edge, math.nextafter(edge, 0.0),
+                  math.nextafter(edge, sign * math.inf), sign * 1e300,
+                  sign * math.inf]
+    for omega in rates:
+        got = damper_torque(spec, omega)
+        # repr tells the signs of zero and of inf apart; NaN stays NaN
+        assert repr(got) == repr(textbook_dead_zone(0.4, deadzone, omega)), \
+            omega
+
+
 def test_damper_spec_validation():
     with pytest.raises(ValueError):
         DamperSpec(Joint.J2, DamperModel.VISCOUS, coefficient=-0.1)
@@ -1100,6 +1123,30 @@ def test_stage_angle_overflow_is_named_by_the_step():
     with pytest.raises(NonFiniteStateError,
                        match=r"t = 0\.251000 s; reduce the timestep"):
         step(y, 0.25, None, None, None)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", range(7))
+def test_step_names_a_non_finite_entry_of_the_state(entry, bad):
+    dampers = (DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4),
+               DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.3, 0.05))
+    step = _arm_stepper(free_params(), ALL_SPRINGS, dampers, 1e-3)
+    y = list(STEP_STATE)
+    y[entry] = bad
+    with pytest.raises(NonFiniteStateError,
+                       match=r"^state diverged at t = 0\.251000 s; "
+                             r"reduce the timestep$"):
+        step(tuple(y), 0.25, *STAGE_FORCES)
+
+
+def test_step_takes_a_finite_state_near_the_largest_float():
+    # e = 1.7e308 is finite: the finiteness check must not overflow on it
+    step = _arm_stepper(free_params(), ALL_SPRINGS, (), 1e-3)
+    y = STEP_STATE[:6] + (1.7e308,)
+    got = step(y, 0.25, *STAGE_FORCES)
+    assert got[:6] == step(STEP_STATE, 0.25, *STAGE_FORCES)[:6]
+    assert got[6] == 1.7e308
 
 
 START_OUTSIDE = JointState(q=(0.0, 2.3, -1.0))    # theta2 above its 2.0 cap

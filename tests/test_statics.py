@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spoonarm import default_config_path, load_config
 from spoonarm.dynamics import (DamperModel, DamperSpec, damper_law,
                                damper_sum, damper_torque)
 from spoonarm.errors import InfeasibleBoundsError
@@ -334,6 +335,39 @@ def test_spring_joint_torques_routing():
     assert t[0] == 0.0
     assert t[1] == pytest.approx(spring_torque(s2, 0.2), abs=1e-15)
     assert t[2] == pytest.approx(spring_torque(s3, -0.5), abs=1e-15)
+
+
+def shipped_build():
+    config = load_config(default_config_path())
+    return config.mechanism, config.springs
+
+
+SHIPPED_POSE = JointState(q=(0.0, 0.7, -0.5))
+
+
+def test_spring_joint_torques_read_springs_from_an_iterator():
+    _, springs = shipped_build()
+    got = spring_joint_torques(springs, SHIPPED_POSE)
+    assert got[1] != 0.0 and got[2] != 0.0
+    from_iterator = spring_joint_torques(iter(springs), SHIPPED_POSE)
+    assert (bits(from_iterator) == bits(got)).all()
+
+
+def test_residual_torque_profile_reads_springs_from_an_iterator():
+    p, springs = shipped_build()
+    got = residual_torque_profile(p, springs)
+    for profile, from_iterator in zip(got, residual_torque_profile(
+            p, iter(springs))):
+        assert profile.joint == from_iterator.joint
+        assert (bits(profile.angles) == bits(from_iterator.angles)).all()
+        assert (bits(profile.torques) == bits(from_iterator.torques)).all()
+
+
+def test_holding_force_reads_springs_from_an_iterator():
+    p, springs = shipped_build()
+    got = holding_force(p, springs, SHIPPED_POSE)
+    from_iterator = holding_force(p, iter(springs), SHIPPED_POSE)
+    assert (bits(from_iterator) == bits(got)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ prints the same lines. It covers
   rigid-mount noise rollout and one step_dynamics call;
 - rigid-mount noise rollouts on the shipped build whose row counts end
   on a force-block edge (one full block, and one row more);
+- the packaged example with one stiff viscous J3 damper, a rollout that
+  diverges: at c = 30 a stage leaves the floats (t = 0.023 s), at c = 40
+  the stepped state does (t = 0.034 s);
 - generate_signal of each signal spec, no input and a playback.
 
 An output that raises is digested as its exception's type and message.
@@ -42,7 +45,7 @@ from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
                       Scenario, SimResult, SineTremor, SpasmImpulse,
                       SpoonContact, SpringKind, SpringSpec,
                       default_config_path, generate_signal, load_config,
-                      run_scenario, step_dynamics)
+                      load_scenario, run_scenario, step_dynamics)
 from spoonarm.cli import main
 
 EXAMPLE = files("spoonarm") / "data" / "example_scenario.json"
@@ -51,6 +54,7 @@ START = JointState(q=(0.0, 0.7347863005736404, -1.4323283077414541),
 DT = 1e-3
 DURATION = 0.3      # 301 rows: three force blocks, the last one short
 EDGE_ROWS = (128, 129)    # one whole force block; a one-row last block
+DIVERGING_J3_DAMPING = (30.0, 40.0)
 CONTACT = SpoonContact(time=0.1, impulse_pitch=0.01, impulse_yaw=-0.005)
 
 # every kind of handle input a rollout takes; fresh() makes the callable
@@ -247,6 +251,21 @@ def edge_lines():
                 yield f"{name}/{f.name}", array_sha(getattr(result, f.name))
 
 
+def divergence_lines():
+    config, _ = builds()
+    scenario = load_scenario(EXAMPLE)
+    for coefficient in DIVERGING_J3_DAMPING:
+        damper = DamperSpec(Joint.J3, DamperModel.VISCOUS, coefficient)
+        name = f"run_scenario/example-viscous-j3-c{coefficient:g}"
+        try:
+            run_scenario(config.mechanism, config.springs, (damper,),
+                         config.compliance, scenario)
+        except Exception as exc:
+            yield f"{name}/error", failure(exc)
+        else:
+            yield f"{name}/error", sha("none")
+
+
 def signal_lines():
     times = np.arange(0, 301) * DT
     for kind in ("free", "sine", "noise", "spasm", "playback"):
@@ -260,6 +279,7 @@ def digest_lines():
     yield from step_lines()
     yield from variant_lines()
     yield from edge_lines()
+    yield from divergence_lines()
     yield from signal_lines()
 
 
