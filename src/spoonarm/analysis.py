@@ -52,9 +52,12 @@ class TrajectorySpec:
     waypoints: int = 50
 
     def __post_init__(self):
-        plate = (float(self.plate[0]), float(self.plate[1]))
-        mouth = (float(self.mouth[0]), float(self.mouth[1]))
+        plate = tuple(map(float, self.plate))
+        mouth = tuple(map(float, self.mouth))
         for name, point in (("plate", plate), ("mouth", mouth)):
+            if len(point) != 2:
+                raise ValueError(f"{name} must be two numbers (r, z), "
+                                 f"not {point}")
             if not all(map(math.isfinite, point)):
                 raise ValueError(f"{name} must be finite, not {point}")
         object.__setattr__(self, "plate", plate)

@@ -38,7 +38,8 @@ from .dynamics import (
     SpoonContact,
 )
 from .errors import ParseError, ValidationError, VersionMismatchError
-from .kinematics import Handedness, HandleVariant, Joint, JointState, MechanismParams
+from .kinematics import (Handedness, HandleVariant, Joint, JointState,
+                         MechanismParams, instance, spec_tuple)
 from .statics import SpringKind, SpringSpec
 
 SCHEMA_VERSION = 1
@@ -54,9 +55,12 @@ class ConfigFile:
     compliance: ComplianceSpec = ComplianceSpec()
 
     def __post_init__(self):
+        instance(self.mechanism, MechanismParams, "mechanism")
+        instance(self.compliance, ComplianceSpec, "compliance")
         # frozen: write the normalised tuples past __setattr__
-        vars(self).update(springs=tuple(self.springs),
-                          dampers=tuple(self.dampers))
+        vars(self).update(
+            springs=spec_tuple(self.springs, SpringSpec, "springs"),
+            dampers=spec_tuple(self.dampers, DamperSpec, "dampers"))
 
 
 def default_config_path():

@@ -29,10 +29,12 @@ bit-identical results.
 
 Each build gets one RK4 step function, made by _arm_stepper; rollouts and
 single steps (step_dynamics) both step the arm with it. Building it
-computes every per-build constant once: the mass law (_mass_law),
-gravity, the handle's kinematics.point_torque_law, and each joint's
-statics.spring_sum and damper_sum. The step then runs its four stages on
-local floats. Each law keeps one body: _mass_law, point_torque_law and
+reads the springs and the dampers once each with kinematics.spec_tuple,
+which takes any iterable and names a bad entry, and computes every
+per-build constant once: the mass law (_mass_law), gravity, the handle's
+kinematics.point_torque_law, and each joint's statics.spring_sum and
+damper_sum, both one statics.law_sum. The step then runs its four stages
+on local floats. Each law keeps one body: _mass_law, point_torque_law and
 the spring sum serve the stepper's floats and the statics' and
 recording's arrays alike. _equations wraps the same stage evaluation as
 the derivative deriv(y, force) of the packed state.
@@ -81,13 +83,16 @@ from .kinematics import (
     MechanismParams,
     as_member,
     handle_point,
+    instance,
     integer,
     inverse_kinematics_path,
     point_position,
     point_torque_law,
+    spec_tuple,
     spoon_point,
 )
-from .statics import gravity_coefficients, potential_sum, spring_sum
+from .statics import (SpringSpec, gravity_coefficients, law_sum,
+                      potential_sum, spring_sum)
 
 # Not called here any more, but kept as attributes of this module: callers
 # such as perfbench/tracer.py reach these functions through it.
@@ -319,9 +324,12 @@ class Scenario:
 
     def __post_init__(self):
         _grid_steps(self.duration, self.timestep)    # checks the grid
+        instance(self.initial, JointState, "initial")
         contact = self.spoon_contact
-        if contact is not None and not 0.0 <= contact.time <= self.duration:
-            raise ValueError("spoon_contact time must lie in [0, duration]")
+        if contact is not None:
+            instance(contact, SpoonContact, "spoon_contact")
+            if not 0.0 <= contact.time <= self.duration:
+                raise ValueError("spoon_contact time must lie in [0, duration]")
 
     @property
     def steps(self) -> int:
@@ -491,21 +499,11 @@ def damper_law(spec: DamperSpec):
 def damper_sum(dampers, joint: Joint):
     """The summed torque law torque(omega) of the dampers that act on
     `joint`, those with a coefficient > 0, added in the order given, the
-    laws bound once. No acting damper gives the constant law +0.0; one
-    damper's sum is its own law, with no extra call."""
-    laws = tuple(damper_law(spec) for spec in dampers
-                 if spec.joint == joint and spec.coefficient > 0.0)
-    if not laws:
-        return lambda omega: 0.0
-    if len(laws) == 1:
-        return laws[0]
-
-    def torque(omega):
-        tau = 0.0
-        for law in laws:
-            tau = tau + law(omega)
-        return tau
-    return torque
+    laws bound once: the constant law +0.0 for no acting damper.
+    `dampers` is a tuple or a list, as each joint's sum reads it again."""
+    return law_sum((damper_law(spec) for spec in dampers
+                    if spec.joint == joint and spec.coefficient > 0.0),
+                   lambda omega: 0.0)
 
 
 def damper_torque(spec: DamperSpec, omega: float) -> float:
@@ -624,8 +622,8 @@ def _arm_law(params: MechanismParams, springs, dampers):
     a2, a3 = gravity_coefficients(params)
     neg_g = -params.gravity
     handle_torques = point_torque_law(handle_point(params))
-    # read once per joint, even an iterator
-    springs, dampers = tuple(springs), tuple(dampers)
+    springs = spec_tuple(springs, SpringSpec, "springs")
+    dampers = spec_tuple(dampers, DamperSpec, "dampers")
     spring2, spring3 = (spring_sum(springs, joint)
                         for joint in (Joint.J2, Joint.J3))
     damper1, damper2, damper3 = (damper_sum(dampers, joint)
@@ -900,7 +898,8 @@ def run_scenario(params: MechanismParams, springs, dampers,
     dt = scenario.timestep
     t = np.arange(n) * dt
     row_forces = []    # handle force at each row's own time, per block
-    springs = tuple(springs)    # the stage and the recording both read it
+    springs = spec_tuple(springs, SpringSpec, "springs")
+    dampers = spec_tuple(dampers, DamperSpec, "dampers")
     _check_start(params, scenario.initial)
     if isinstance(scenario.input, PrescribedTrajectory):
         states = _playback_states(params, scenario.input, t, dt)

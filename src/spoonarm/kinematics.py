@@ -82,6 +82,25 @@ def as_member(enum, value, name: str):
                          f"{values}, not {value!r}") from None
 
 
+def instance(value, kind, name: str):
+    """`value` if it is a `kind`, else ValueError naming the field `name`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, not {value!r}")
+    return value
+
+
+def spec_tuple(values, spec, name: str) -> tuple:
+    """Any iterable `values` read once into a tuple of `spec`s, a build's
+    springs or dampers; else ValueError naming `name` or `name[i]`."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, not {values!r}") from None
+    for i, value in enumerate(values):
+        instance(value, spec, f"{name}[{i}]")
+    return values
+
+
 # The handle can be clamped at five discrete spin angles about its own axis.
 # Spinning the handle has no effect on any position, only on the handle
 # frame's yaw, so these are plain yaw offsets.

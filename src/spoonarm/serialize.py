@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._shortest import csv_rows
-from .statics import torque_columns
+from .kinematics import spec_tuple
+from .statics import SpringSpec, torque_columns
 
 SIM_HEADER = ("t,phi1,theta2,theta3,dphi1,dtheta2,dtheta3,"
               "spoon_x,spoon_y,spoon_z,handle_x,handle_y,handle_z,"
@@ -79,6 +80,7 @@ def write_balance_csv(params, springs, profiles, path):
     gives over the profile's angles, so the file is self-checking
     (residual = gravity + spring).
     """
+    springs = spec_tuple(springs, SpringSpec, "springs")
     blocks = [np.column_stack([
         profile.angles,
         *torque_columns(params, springs, profile.joint, profile.angles),

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InfeasibleBoundsError
 from .kinematics import (JointState, Joint, MechanismParams, as_member,
-                         handle_jacobian)
+                         handle_jacobian, spec_tuple)
 
 GRID_SAMPLES = 181          # minimax grid over a joint range
 GOLDEN_REL_TOL = 1e-10      # relative bracket convergence for stiffness fits
@@ -252,26 +252,37 @@ def spring_potential(spec: SpringSpec, angle: float) -> float:
     return potential(angle, math.sin(angle))
 
 
+def law_sum(laws, zero):
+    """`laws` added in order onto the value of the law `zero`, as one law:
+    `zero` itself for no law, and a lone law itself, with no extra call."""
+    laws = tuple(laws)
+    if len(laws) < 2:
+        return laws[0] if laws else zero
+
+    def total(*args):
+        value = zero(*args)
+        for law in laws:
+            value = value + law(*args)
+        return value
+    return total
+
+
+def _no_spring(angle, c, s, sqrt=math.sqrt, maximum=max):
+    return 0.0 * abs(angle)     # +0.0, a float or a column like angle
+
+
 def spring_sum(springs, joint: Joint):
     """The summed torque law of the springs on `joint`, called as a
-    spring_laws torque, the laws bound once. No spring gives +0.0 at every
-    angle; one spring's sum is its own law, with no extra call."""
-    laws = tuple(spring_laws(spec)[0] for spec in springs
-                 if spec.joint == joint)
-    if len(laws) == 1:
-        return laws[0]
-
-    def torque(angle, c, s, sqrt=math.sqrt, maximum=max):
-        tau = 0.0 * abs(angle)      # +0.0, a float or a column like angle
-        for law in laws:
-            tau = tau + law(angle, c, s, sqrt, maximum)
-        return tau
-    return torque
+    spring_laws torque, the laws bound once: +0.0 at every angle for no
+    spring. `springs` is a tuple or a list, as each joint's sum reads it
+    again."""
+    return law_sum((spring_laws(spec)[0] for spec in springs
+                    if spec.joint == joint), _no_spring)
 
 
 def spring_joint_torques(springs, state: JointState) -> tuple[float, float, float]:
     """Summed spring torque per joint as a (0, tau2, tau3) triple."""
-    springs = tuple(springs)    # read once per joint, even an iterator
+    springs = spec_tuple(springs, SpringSpec, "springs")
     return tuple(spring_sum(springs, joint)(q, math.cos(q), math.sin(q))
                  for joint, q in zip(Joint, state.q))
 
@@ -279,7 +290,8 @@ def spring_joint_torques(springs, state: JointState) -> tuple[float, float, floa
 def potential_sum(params: MechanismParams, springs, th2, s2t, th3, s3t,
                   sqrt=math.sqrt, maximum=max):
     """Gravity's plus each spring's potential at the lifted joints' angles
-    th2, th3 and sines: floats, or arrays with numpy's sqrt and maximum."""
+    th2, th3 and sines: floats, or arrays with numpy's sqrt and maximum.
+    `springs` is a tuple or a list, as a rollout's stage read it before."""
     at = {Joint.J2: (th2, s2t), Joint.J3: (th3, s3t)}
     v = params.gravity * params.base_height * (
         params.mass_link1 + params.mass_link2 + params.mass_payload)
@@ -294,13 +306,15 @@ def potential_energy(params: MechanismParams, springs,
                      state: JointState) -> float:
     """Gravitational plus spring elastic energy."""
     _, th2, th3 = state.q
+    springs = spec_tuple(springs, SpringSpec, "springs")
     return potential_sum(params, springs, th2, math.sin(th2), th3,
                          math.sin(th3))
 
 
 def torque_columns(params: MechanismParams, springs, joint: Joint, angles):
     """(tau_gravity, tau_spring): gravity's torque and the springs' summed
-    torque on `joint` over the numpy array `angles` of its angle."""
+    torque on `joint` over the numpy array `angles` of its angle.
+    `springs` is a tuple or a list, as each joint's columns read it again."""
     cos = np.cos(angles)
     return (gravity_laws(params, joint)[0](cos),
             spring_sum(springs, joint)(angles, cos, np.sin(angles), np.sqrt,
@@ -402,7 +416,7 @@ def synthesize_balancing(params: MechanismParams, kind: SpringKind,
 def residual_torque_profile(params: MechanismParams, springs,
                             ) -> tuple[TorqueProfile, TorqueProfile]:
     """Gravity plus summed spring torque over each lifted joint's range."""
-    springs = tuple(springs)    # read once per joint, even an iterator
+    springs = spec_tuple(springs, SpringSpec, "springs")
     profiles = []
     for joint in (Joint.J2, Joint.J3):
         lo, hi = params.joint_limits[joint]

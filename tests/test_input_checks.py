@@ -13,8 +13,9 @@ from spoonarm.analysis import (
     calibrate_handle_distance,
     stabilization_report,
 )
+from spoonarm import default_config_path, load_config
 from spoonarm.cli import main
-from spoonarm.config import scenario_data
+from spoonarm.config import ConfigFile, scenario_data
 from spoonarm.defaults import nominal_params
 from spoonarm.dynamics import (
     ComplianceMode,
@@ -22,6 +23,7 @@ from spoonarm.dynamics import (
     DamperModel,
     DamperSpec,
     NoiseTremor,
+    PrescribedTrajectory,
     Scenario,
     SineTremor,
     SpasmImpulse,
@@ -44,10 +46,14 @@ from spoonarm.statics import (
     SpringSpec,
     TorqueProfile,
     gravity_torque,
+    holding_force,
+    potential_energy,
     residual_torque_profile,
+    spring_joint_torques,
     spring_torque,
     synthesize_balancing,
 )
+from spoonarm.serialize import write_balance_csv
 
 RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
 START = JointState(q=(0.0, 0.7, -1.4))
@@ -309,3 +315,84 @@ def test_step_dynamics_needs_four_deflections(deflections):
     with pytest.raises(ValueError, match=message):
         step_dynamics(nominal_params(), [], [], RIGID, START, None, 1e-3,
                       deflections=deflections)
+
+
+# ---------------------------------------------------------------------------
+# a build's spring and damper sets, read at every public entry point
+
+SHIPPED = load_config(default_config_path())
+BUILD = SHIPPED.mechanism
+PROFILES = residual_torque_profile(BUILD, SHIPPED.springs)
+RUN = Scenario(0.01, initial=START)
+PLAYBACK = Scenario(0.01, initial=START, input=PrescribedTrajectory(
+    ((0.0, 0.35, 0.0, 0.02), (0.01, 0.34, 0.01, 0.05))))
+BOTH = ("springs", "dampers")
+# name -> (the sets it takes, a call with springs, dampers and a CSV path);
+# a playback steps nothing, but its dampers are checked all the same
+ELEMENT_ENTRY_POINTS = {
+    "run_scenario": (BOTH, lambda s, d, _: run_scenario(
+        BUILD, s, d, RIGID, RUN)),
+    "run_scenario-playback": (BOTH, lambda s, d, _: run_scenario(
+        BUILD, s, d, RIGID, PLAYBACK)),
+    "step_dynamics": (BOTH, lambda s, d, _: step_dynamics(
+        BUILD, s, d, RIGID, START, None, 1e-3)),
+    "ConfigFile": (BOTH, lambda s, d, _: ConfigFile(BUILD, s, d)),
+    "potential_energy": (("springs",), lambda s, _, __: potential_energy(
+        BUILD, s, START)),
+    "spring_joint_torques": (("springs",), lambda s, _, __:
+                             spring_joint_torques(s, START)),
+    "residual_torque_profile": (("springs",), lambda s, _, __:
+                                residual_torque_profile(BUILD, s)),
+    "holding_force": (("springs",), lambda s, _, __: holding_force(
+        BUILD, s, START)),
+    "write_balance_csv": (("springs",), lambda s, _, path: write_balance_csv(
+        BUILD, s, PROFILES, path)),
+}
+SPEC_OF = {"springs": "SpringSpec", "dampers": "DamperSpec"}
+# the other field's set stands in for this one's
+SWAPPED = {"springs": SHIPPED.dampers, "dampers": SHIPPED.springs}
+
+
+@pytest.mark.parametrize("entry, field, bad", [
+    pytest.param(entry, field, bad, id=f"{entry}-{field}-{bad_id}")
+    for entry, (fields, _) in ELEMENT_ENTRY_POINTS.items()
+    for field in fields
+    for bad_id, bad in (("int", [1]), ("str", "ab"), ("none", None),
+                        ("swapped", SWAPPED[field]))])
+def test_spring_and_damper_sets_are_checked_at_every_entry_point(
+        entry, field, bad, tmp_path):
+    _, call = ELEMENT_ENTRY_POINTS[entry]
+    given = {"springs": SHIPPED.springs, "dampers": SHIPPED.dampers,
+             field: bad}
+    if bad is None:
+        message = rf"^{field} must be iterable, not None"
+    else:
+        message = rf"^{field}\[0\] must be a {SPEC_OF[field]}, not "
+    with pytest.raises(ValueError, match=message):
+        call(given["springs"], given["dampers"], tmp_path / "balance.csv")
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(initial=(0.0, 0.7, -0.5)), r"^initial must be a JointState"),
+    (dict(spoon_contact=(0.0, 0.1)), r"^spoon_contact must be a SpoonContact"),
+])
+def test_scenario_checks_the_types_of_its_state_and_contact(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario(0.01, **fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(mechanism=(0.1, 0.05)), r"^mechanism must be a MechanismParams"),
+    (dict(compliance="rigid"), r"^compliance must be a ComplianceSpec"),
+])
+def test_config_file_checks_the_types_of_its_mechanism_and_mount(fields,
+                                                                 message):
+    with pytest.raises(ValueError, match=message):
+        ConfigFile(**{"mechanism": SHIPPED.mechanism, **fields})
+
+
+@pytest.mark.parametrize("field", ["plate", "mouth"])
+@pytest.mark.parametrize("point", [(0.35,), (0.35, 0.02, 9.0)])
+def test_trajectory_endpoints_need_two_entries(field, point):
+    with pytest.raises(ValueError, match=rf"^{field} must be two numbers"):
+        TrajectorySpec(**{field: point})

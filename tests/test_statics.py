@@ -370,6 +370,20 @@ def test_holding_force_reads_springs_from_an_iterator():
     assert (bits(from_iterator) == bits(got)).all()
 
 
+def test_balance_csv_reads_springs_from_a_list_or_an_iterator(tmp_path):
+    # the spring column is summed per joint: an iterator read without a
+    # copy leaves J3 with no spring, 0.613 N*m off
+    p, springs = shipped_build()
+    profiles = residual_torque_profile(p, springs)
+    tables = []
+    for name, given in (("tuple", springs), ("list", list(springs)),
+                        ("iterator", iter(springs))):
+        path = tmp_path / f"{name}.csv"
+        write_balance_csv(p, given, profiles, path)
+        tables.append(path.read_bytes())
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
 # ---------------------------------------------------------------------------
 # one spring sum, on floats and on arrays
 

@@ -23,7 +23,10 @@ prints the same lines. It covers
 - the packaged example with one stiff viscous J3 damper, a rollout that
   diverges: at c = 30 a stage leaves the floats (t = 0.023 s), at c = 40
   the stepped state does (t = 0.034 s);
-- generate_signal of each signal spec, no input and a playback.
+- generate_signal of each signal spec, no input and a playback;
+- the balance table write_balance_csv writes for the shipped springs
+  given as a tuple, a list and an iterator, and the error of a rollout
+  given a spring that is not a SpringSpec.
 
 An output that raises is digested as its exception's type and message.
 The script uses only the package's public names and takes no options.
@@ -45,8 +48,10 @@ from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
                       Scenario, SimResult, SineTremor, SpasmImpulse,
                       SpoonContact, SpringKind, SpringSpec,
                       default_config_path, generate_signal, load_config,
-                      load_scenario, run_scenario, step_dynamics)
+                      load_scenario, residual_torque_profile, run_scenario,
+                      step_dynamics)
 from spoonarm.cli import main
+from spoonarm.serialize import write_balance_csv
 
 EXAMPLE = files("spoonarm") / "data" / "example_scenario.json"
 START = JointState(q=(0.0, 0.7347863005736404, -1.4323283077414541),
@@ -273,6 +278,26 @@ def signal_lines():
         yield f"generate_signal/{kind}", array_sha(np.array(forces))
 
 
+def spring_set_lines():
+    config, mounts = builds()
+    p, springs = config.mechanism, config.springs
+    profiles = residual_torque_profile(p, springs)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "balance.csv")
+        for form, given in (("tuple", springs), ("list", list(springs)),
+                            ("iterator", iter(springs))):
+            write_balance_csv(p, given, profiles, path)
+            with open(path, "rb") as fh:
+                yield f"write_balance_csv/{form}", sha(fh.read())
+    scenario = Scenario(duration=DURATION, timestep=DT, initial=START)
+    try:
+        run_scenario(p, [1], config.dampers, mounts["rigid"], scenario)
+    except Exception as exc:
+        yield "run_scenario/springs-int/error", failure(exc)
+    else:
+        yield "run_scenario/springs-int/error", sha("none")
+
+
 def digest_lines():
     yield from cli_lines()
     yield from rollout_lines()
@@ -281,6 +306,7 @@ def digest_lines():
     yield from edge_lines()
     yield from divergence_lines()
     yield from signal_lines()
+    yield from spring_set_lines()
 
 
 if __name__ == "__main__":
