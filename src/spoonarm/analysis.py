@@ -30,6 +30,8 @@ from .kinematics import (
     handle_point,
     integer,
     inverse_kinematics,
+    number,
+    numbers,
     point_position,
     spoon_point,
 )
@@ -45,24 +47,20 @@ TARGET_RISE_M = 0.33
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """Plate-to-mouth path: straight in (radial, height) at yaw 0."""
+    """Plate-to-mouth path: straight in (r, z) at yaw 0, as float pairs."""
 
     plate: tuple = (PLATE_RADIUS_M, 0.02)   # (r, z), utensil over the plate
     mouth: tuple = (PLATE_RADIUS_M, PLATE_RADIUS_M)  # (r, z) at mouth height
     waypoints: int = 50
 
     def __post_init__(self):
-        plate = tuple(map(float, self.plate))
-        mouth = tuple(map(float, self.mouth))
-        for name, point in (("plate", plate), ("mouth", mouth)):
+        for name in ("plate", "mouth"):
+            point = numbers(getattr(self, name), name)
             if len(point) != 2:
                 raise ValueError(f"{name} must be two numbers (r, z), "
                                  f"not {point}")
-            if not all(map(math.isfinite, point)):
-                raise ValueError(f"{name} must be finite, not {point}")
-        object.__setattr__(self, "plate", plate)
-        object.__setattr__(self, "mouth", mouth)
-        if not mouth[1] - plate[1] > 0.0:
+            object.__setattr__(self, name, point)
+        if not self.rise > 0.0:
             raise ValueError("mouth must sit above the plate")
         waypoints = integer(self.waypoints, "waypoints")
         if waypoints < 2:
@@ -160,9 +158,7 @@ def calibrate_handle_distance(params: MechanismParams,
     increasing in d_h over that interval (checked on a coarse sweep first,
     since bisection silently returns garbage otherwise).
     """
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be > 0 and finite, not "
-                         f"{tolerance!r}")
+    tolerance = number(tolerance, "tolerance", "> 0")
     L2 = params.link2_length
     trig = _trajectory_trig(params, trajectory)
 
@@ -230,11 +226,9 @@ def workspace_sample(params: MechanismParams, resolution: int,
     resolution = integer(resolution, "resolution")
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per joint")
-    if not 0.0 <= radial_band < math.inf:
-        raise ValueError(f"radial_band must be finite and >= 0, "
-                         f"not {radial_band}")
-    if not (math.isfinite(plate_radius) and math.isfinite(target_rise)):
-        raise ValueError("plate_radius and target_rise must be finite")
+    radial_band = number(radial_band, "radial_band", ">= 0")
+    plate_radius = number(plate_radius, "plate_radius")
+    target_rise = number(target_rise, "target_rise")
     # the trig on the three 1-D axes of an open grid; broadcasting then
     # does per node the same arithmetic a meshgrid would, bit for bit
     axes = np.ix_(*(np.linspace(lo, hi, resolution)

@@ -184,9 +184,9 @@ def _object(build, *fields, tag=None) -> _Type:
     `build(**attributes)`. The value of the `tag` field, which precedes
     the tagged fields, selects which of them the object carries.
 
-    A ValueError from `build` becomes a ValidationError. The constraint
-    messages start with the offending attribute's name when there is a
-    single offender; it sharpens the error path.
+    A ValueError from `build` becomes a ValidationError. A message that
+    starts with an attribute's name, or an entry of it such as q[1],
+    sharpens the error path to that field.
     """
     known = {f.attr for f in fields}
 
@@ -204,7 +204,7 @@ def _object(build, *fields, tag=None) -> _Type:
         except ValueError as exc:
             message = str(exc)
             first = message.split()[0] if message else ""
-            if first in known:
+            if first.partition("[")[0] in known:
                 path = f"{path}.{first}" if path else first
             raise ValidationError(path, message) from None
 

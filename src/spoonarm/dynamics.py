@@ -86,8 +86,12 @@ from .kinematics import (
     instance,
     integer,
     inverse_kinematics_path,
+    number,
+    number_fields,
+    numbers,
     point_position,
     point_torque_law,
+    sequence,
     spec_tuple,
     spoon_point,
 )
@@ -123,6 +127,7 @@ class DamperSpec:
     The dead-zone model produces no torque below the velocity threshold
     and a shifted viscous torque above it (continuous at the threshold),
     mimicking dampers that leave small movements completely undamped.
+    Like every spec here, it stores each numeric field as a float.
     """
 
     joint: Joint
@@ -135,10 +140,7 @@ class DamperSpec:
                                                     "joint"))
         object.__setattr__(self, "model", as_member(DamperModel, self.model,
                                                     "model"))
-        if not 0.0 <= self.coefficient < math.inf:
-            raise ValueError("damper coefficient must be finite and >= 0")
-        if not 0.0 <= self.deadzone < math.inf:
-            raise ValueError("damper deadzone must be finite and >= 0")
+        number_fields(self, ">= 0", "coefficient", "deadzone")
         # fields that the model cannot use must stay zero, so every spec
         # round-trips losslessly through the per-model config schema
         if self.model is not DamperModel.DEAD_ZONE_VISCOUS and self.deadzone:
@@ -166,19 +168,14 @@ class ComplianceSpec:
     def __post_init__(self):
         object.__setattr__(self, "mode", as_member(ComplianceMode, self.mode,
                                                    "mode"))
-        if not 0.0 < self.deflection_limit < math.inf:
-            raise ValueError("deflection_limit must be finite and > 0")
-        if not 0.0 < self.recenter_tolerance < math.inf:
-            raise ValueError("recenter_tolerance must be finite and > 0")
-        constants = (self.stiffness, self.damping, self.inertia)
-        if self.mode is ComplianceMode.COMPLIANT:
-            if not all(0.0 < v < math.inf for v in constants):
-                raise ValueError("compliant mode needs finite stiffness, "
-                                 "damping, inertia > 0")
-        elif not all(0.0 <= v < math.inf for v in constants):
-            # a rigid mount's energy is k*0*0/2 and I*0*0/2: finite, not NaN
-            raise ValueError("rigid mode needs finite stiffness, damping, "
-                             "inertia >= 0")
+        number_fields(self, "> 0", "deflection_limit", "recenter_tolerance")
+        # a rigid mount's energy is k*0*0/2 and I*0*0/2: finite, not NaN
+        rule = "> 0" if self.mode is ComplianceMode.COMPLIANT else ">= 0"
+        try:
+            number_fields(self, rule, "stiffness", "damping", "inertia")
+        except ValueError as exc:
+            raise ValueError(f"{exc}; {self.mode.value} mode needs finite "
+                             "stiffness, damping and inertia") from None
 
     @property
     def damping_ratio(self) -> float:
@@ -193,12 +190,11 @@ class ComplianceSpec:
 
 
 def _unit(direction):
-    d = tuple(float(v) for v in direction)
+    d = numbers(direction, "direction")
     if len(d) != 3:
         raise ValueError("direction needs three components")
-    n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-    if not 0.0 < n < math.inf:
-        raise ValueError("direction must be nonzero and finite")
+    n = number(math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2),
+               "direction length", "> 0")
     if abs(n - 1.0) < 1e-12:
         # already unit; dividing again would wobble the last bit and
         # break exact save/load round trips
@@ -220,9 +216,8 @@ class SineTremor:
     direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if not (0.0 <= self.amplitude < math.inf
-                and 0.0 < self.frequency < math.inf):
-            raise ValueError("need finite amplitude >= 0 and frequency > 0")
+        number_fields(self, ">= 0", "amplitude")
+        number_fields(self, "> 0", "frequency")
         object.__setattr__(self, "direction", _unit(self.direction))
 
 
@@ -242,10 +237,10 @@ class NoiseTremor:
     direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.rms < math.inf:
-            raise ValueError("rms must be finite and >= 0")
-        if not 0.0 < self.f_lo < self.f_hi < math.inf:
-            raise ValueError("need 0 < f_lo < f_hi < inf")
+        number_fields(self, ">= 0", "rms")
+        number_fields(self, "> 0", "f_lo", "f_hi")
+        if not self.f_lo < self.f_hi:
+            raise ValueError("f_hi must be above f_lo")
         seed = integer(self.seed, "seed")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, not {seed}")
@@ -263,13 +258,8 @@ class SpasmImpulse:
     direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.force, self.duration,
-                                       self.onset))):
-            raise ValueError("spasm force, duration and onset must be finite")
-        if self.onset < 0.0:
-            raise ValueError("onset must be >= 0")
-        if self.duration < 0.0:
-            raise ValueError("duration must be >= 0")
+        number_fields(self, "finite", "force")
+        number_fields(self, ">= 0", "duration", "onset")
         object.__setattr__(self, "direction", _unit(self.direction))
 
 
@@ -283,17 +273,16 @@ class PrescribedTrajectory:
 
     The user is position-controlling the handle here, so the rollout is
     kinematic (IK of every step's linearly interpolated waypoint, in one
-    pass over whole arrays) rather than force-driven.
+    pass over whole arrays) rather than force-driven. Waypoints are
+    stored as tuples of floats.
     """
 
     waypoints: tuple    # ((t, x, y, z), ...)
 
     def __post_init__(self):
-        wps = tuple(tuple(float(v) for v in wp) for wp in self.waypoints)
+        wps = sequence(self.waypoints, "waypoints", numbers)
         if len(wps) < 2 or any(len(wp) != 4 for wp in wps):
             raise ValueError("need at least two (t, x, y, z) waypoints")
-        if not all(math.isfinite(v) for wp in wps for v in wp):
-            raise ValueError("waypoints must be finite")
         times = [wp[0] for wp in wps]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("waypoint times must be strictly increasing")
@@ -309,9 +298,7 @@ class SpoonContact:
     impulse_yaw: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.time, self.impulse_pitch,
-                                       self.impulse_yaw))):
-            raise ValueError("contact time and impulses must be finite")
+        number_fields(self, "finite", "time", "impulse_pitch", "impulse_yaw")
 
 
 @dataclass(frozen=True)
@@ -323,6 +310,7 @@ class Scenario:
     spoon_contact: SpoonContact | None = None
 
     def __post_init__(self):
+        number_fields(self, "> 0", "duration", "timestep")
         _grid_steps(self.duration, self.timestep)    # checks the grid
         instance(self.initial, JointState, "initial")
         contact = self.spoon_contact
@@ -339,13 +327,11 @@ class Scenario:
 def _grid_steps(duration: float, dt: float) -> int:
     """Rows of a uniform grid from 0 to `duration` inclusive.
 
-    The grid needs dt > 0, duration >= dt and a finite ratio
-    duration/dt; otherwise this raises ValueError. A ratio within
+    Given floats duration, dt > 0, the grid needs duration >= dt and a finite
+    ratio duration/dt; otherwise this raises ValueError. A ratio within
     GRID_REL_TOL of a whole number counts as whole, so decimal pairs such
     as 0.7 s / 0.1 s (6.999999999999999 in floats) keep their last row.
     """
-    if not dt > 0.0:
-        raise ValueError("timestep must be > 0")
     ratio = duration / dt
     if not (dt <= duration and ratio < math.inf):
         raise ValueError("duration must be >= timestep, with a finite "
@@ -558,12 +544,9 @@ def _signal_forces(inputs, times: np.ndarray):
                              f"t = {times[bad[0]]:.6f} s")
         return forces
     elif isinstance(inputs, (tuple, list, np.ndarray)):
-        const = tuple(float(v) for v in inputs)
+        const = numbers(inputs, "constant input force")
         if len(const) != 3:
             raise ValueError("constant input force needs three components")
-        if not all(map(math.isfinite, const)):
-            raise ValueError(
-                f"constant input force must be finite, not {const}")
         return np.tile(const, (len(times), 1))
     else:
         raise TypeError(f"unknown input signal {type(inputs).__name__}")
@@ -574,7 +557,7 @@ def generate_signal(spec, t: float) -> np.ndarray:
     """Handle force vector of any rollout input at time t: zeros for no
     input and for a playback, which has no handle force. A t that is not
     finite raises ValueError."""
-    t = _finite_time(t)
+    t = number(t, "t")
     if isinstance(spec, PrescribedTrajectory):
         return np.zeros(3)
     forces = _signal_forces(spec, np.array([t]))
@@ -811,9 +794,7 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     DeflectionExceededError for deflections beyond the mount's validity
     limit, and TimestepTooCoarseError when omega_n*dt >= pi.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be > 0 and finite, not {dt!r}")
-    t = _finite_time(t)
+    dt, t = number(dt, "dt", "> 0"), number(t, "t")
     mount = tuple(float(v) for v in deflections)
     if len(mount) != 4:
         raise ValueError("deflections needs four entries (delta_p, delta_y, "
@@ -829,14 +810,6 @@ def step_dynamics(params: MechanismParams, springs, dampers,
         dy, vy, _ = _mount_rows(compliance, dy, vy, 2, dt, t)[1].tolist()
     _check_deflection(compliance, [t + dt], np.array([[dp, dy]]))
     return JointState(q=y[:3], qdot=y[3:6]), (dp, dy, vp, vy)
-
-
-def _finite_time(t) -> float:
-    """`t` as a float, or ValueError if it is not finite."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, not {t}")
-    return t
 
 
 def _check_start(params: MechanismParams, state: JointState):
@@ -1026,8 +999,7 @@ def spoon_contact_response(params: MechanismParams,
     raises TimestepTooCoarseError. A deflection beyond the validity limit
     raises DeflectionExceededError naming the time of the first breach.
     """
-    if not math.isfinite(impulse):
-        raise ValueError("impulse must be finite")
+    impulse, dt = number(impulse, "impulse"), number(dt, "timestep", "> 0")
     n = _grid_steps(duration, dt)
     if compliance.mode is ComplianceMode.RIGID:
         return ContactResponse(peak_torque=abs(impulse) / dt,

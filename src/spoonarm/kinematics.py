@@ -36,6 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from numbers import Real
 
 import numpy as np
 
@@ -89,16 +90,61 @@ def instance(value, kind, name: str):
     return value
 
 
-def spec_tuple(values, spec, name: str) -> tuple:
-    """Any iterable `values` read once into a tuple of `spec`s, a build's
-    springs or dampers; else ValueError naming `name` or `name[i]`."""
+def sequence(values, name: str, read) -> tuple:
+    """Any iterable `values` read once into a tuple, entry i read as
+    read(value, "name[i]"); else ValueError naming `name`."""
     try:
         values = tuple(values)
     except TypeError:
         raise ValueError(f"{name} must be iterable, not {values!r}") from None
-    for i, value in enumerate(values):
-        instance(value, spec, f"{name}[{i}]")
-    return values
+    return tuple([read(value, f"{name}[{i}]")
+                  for i, value in enumerate(values)])
+
+
+def spec_tuple(values, spec, name: str) -> tuple:
+    """The sequence of `spec`s `values`: a build's springs or dampers."""
+    return sequence(values, name, lambda value, at: instance(value, spec, at))
+
+
+def _real(value, name: str) -> float:
+    """`value`, any real number, as a float: a bool as 0 or 1, a numpy
+    float32 at its own value; else ValueError naming `name`."""
+    if value.__class__ is float:
+        return value
+    if not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:    # an integer beyond the floats
+        return math.inf if value > 0 else -math.inf
+
+
+def number(value, name: str, rule: str = "finite") -> float:
+    """`value`, any real number, as a float that is finite and meets `rule`,
+    "finite", ">= 0" or "> 0"; else ValueError starting with `name`."""
+    value = _real(value, name)
+    if math.isfinite(value) and (value > 0.0 or rule == "finite"
+                                 or rule == ">= 0" and value == 0.0):
+        return value
+    text = rule if rule == "finite" else f"{rule} and finite"
+    raise ValueError(f"{name} must be {text}, not {value!r}")
+
+
+def numbers(values, name: str) -> tuple:
+    """Any iterable `values` read once into a tuple of finite floats; an
+    entry that is not a real number raises ValueError naming `name[i]`,
+    one that is not finite names `name` and shows the tuple."""
+    values = sequence(values, name, _real)
+    if all(map(math.isfinite, values)):
+        return values
+    raise ValueError(f"{name} must be finite, not {values!r}")
+
+
+def number_fields(spec, rule: str, *names: str):
+    """Read the fields `names` of the frozen dataclass `spec` with number
+    under `rule`, each stored as the float read."""
+    fields = vars(spec)
+    fields.update({name: number(fields[name], name, rule) for name in names})
 
 
 # The handle can be clamped at five discrete spin angles about its own axis.
@@ -123,9 +169,10 @@ class Handedness(Enum):
 class MechanismParams:
     """Full geometric and inertial description of one arm build.
 
-    Lengths in m, masses in kg, angles in rad. Joint limits are (min, max)
-    pairs for (phi1, theta2, theta3); a degenerate pair (min == max) pins
-    the joint, which is occasionally useful for workspace slices.
+    Lengths in m, masses in kg, angles in rad, each number stored as the
+    float number reads. Joint limits are (min, max) pairs for (phi1,
+    theta2, theta3); a degenerate pair (min == max) pins the joint, which
+    is occasionally useful for workspace slices.
     """
 
     base_height: float = 0.10       # height of J2 above the table
@@ -156,34 +203,30 @@ class MechanismParams:
                            ("handedness", Handedness)):
             object.__setattr__(self, name,
                                as_member(enum, getattr(self, name), name))
-        for name in ("bracket_drop", "bracket_lateral", "gravity"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("base_height", "base_offset", "link1_length",
-                     "link2_length", "spoon_offset"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
         if self.handle_variant is HandleVariant.OLD_TIP:
             # the old design rides the outer end of link 2, always
             object.__setattr__(self, "handle_distance", self.link2_length)
-        if not 0.0 < self.handle_distance <= self.link2_length:
+        number_fields(self, "finite", "bracket_drop", "bracket_lateral",
+                      "gravity")
+        number_fields(self, "> 0", "base_height", "base_offset",
+                      "link1_length", "link2_length", "spoon_offset",
+                      "handle_distance", "com_fraction1", "com_fraction2")
+        number_fields(self, ">= 0", "mass_link1", "mass_link2",
+                      "mass_payload")
+        if not self.handle_distance <= self.link2_length:
             raise ValueError("handle_distance must satisfy 0 < d_h <= L2")
         for name in ("com_fraction1", "com_fraction2"):
-            if not 0.0 < getattr(self, name) <= 1.0:
+            if not getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        for name in ("mass_link1", "mass_link2", "mass_payload"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
         index = integer(self.handle_angle_index, "handle_angle_index")
         if index not in range(5):
             raise ValueError("handle_angle_index must be one of 0..4")
         object.__setattr__(self, "handle_angle_index", index)
-        limits = tuple((float(lo), float(hi)) for lo, hi in self.joint_limits)
-        if len(limits) != 3:
-            raise ValueError("joint_limits needs one (min, max) pair per joint")
-        for lo, hi in limits:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValueError("joint limits must be finite with min <= max")
+        limits = sequence(self.joint_limits, "joint_limits", numbers)
+        if len(limits) != 3 or any(len(pair) != 2 or not pair[0] <= pair[1]
+                                   for pair in limits):
+            raise ValueError("joint_limits needs one (min, max) pair per "
+                             f"joint, min <= max, not {limits}")
         object.__setattr__(self, "joint_limits", limits)
 
     @property
@@ -198,18 +241,15 @@ class MechanismParams:
 
 @dataclass(frozen=True)
 class JointState:
-    """Generalized coordinates (phi1, theta2, theta3) and their rates."""
+    """Coordinates (phi1, theta2, theta3) and their rates, as floats."""
 
     q: tuple = (0.0, 0.0, 0.0)
     qdot: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        q = tuple(float(v) for v in self.q)
-        qdot = tuple(float(v) for v in self.qdot)
+        q, qdot = numbers(self.q, "q"), numbers(self.qdot, "qdot")
         if len(q) != 3 or len(qdot) != 3:
             raise ValueError("JointState needs exactly three coordinates")
-        if not all(math.isfinite(v) for v in q + qdot):
-            raise ValueError("JointState entries must be finite")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "qdot", qdot)
 
@@ -442,9 +482,7 @@ def inverse_kinematics(params: MechanismParams, target) -> JointState:
     the target is reachable but both branches violate joint limits, and
     ValueError for a coordinate that is not finite.
     """
-    x, y, z = point = tuple(map(float, target))
-    if not all(map(math.isfinite, point)):
-        raise ValueError(f"target must be finite, not {point}")
+    x, y, z = numbers(target, "target")
     phi1, th2, th3, d, unreachable, inside = _ik_closure(params, x, y, z)
     if unreachable or not inside:
         raise _ik_error(params, d, unreachable)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InfeasibleBoundsError
 from .kinematics import (JointState, Joint, MechanismParams, as_member,
-                         handle_jacobian, spec_tuple)
+                         handle_jacobian, number_fields, spec_tuple)
 
 GRID_SAMPLES = 181          # minimax grid over a joint range
 GOLDEN_REL_TOL = 1e-10      # relative bracket convergence for stiffness fits
@@ -57,7 +57,7 @@ class SpringSpec:
     anchor_radius is the base anchor's distance above the joint axis,
     bar_radius the attachment radius on the rotating bar; both apply to
     the linear kinds only. free_length applies to the real linear kind,
-    torsion_neutral to the torsion kind.
+    torsion_neutral to the torsion kind. Each number is stored as a float.
     """
 
     kind: SpringKind
@@ -75,24 +75,19 @@ class SpringSpec:
                                                     "joint"))
         if self.joint not in (Joint.J2, Joint.J3):
             raise ValueError("springs act on J2 or J3 only")
-        if not 0.0 <= self.stiffness < math.inf:
-            raise ValueError("stiffness must be finite and >= 0")
-        if not 0.0 <= self.free_length < math.inf:
-            raise ValueError("free_length must be finite and >= 0")
-        if self.kind is SpringKind.TORSION:
+        torsion = self.kind is SpringKind.TORSION
+        number_fields(self, ">= 0", "stiffness", "free_length")
+        number_fields(self, "finite" if torsion else "> 0", "anchor_radius",
+                      "bar_radius")
+        number_fields(self, "finite", "torsion_neutral")
+        if torsion:
             # torsion springs have no geometry fields; keeping them zeroed
             # lets the config format store each kind losslessly
             if (self.anchor_radius != 0.0 or self.bar_radius != 0.0
                     or self.free_length != 0.0):
                 raise ValueError(
                     "torsion springs take no anchor/bar/free-length geometry")
-            if not math.isfinite(self.torsion_neutral):
-                raise ValueError("torsion_neutral must be finite")
         else:
-            if not (0.0 < self.anchor_radius < math.inf
-                    and 0.0 < self.bar_radius < math.inf):
-                raise ValueError("linear springs need finite anchor_radius "
-                                 "> 0 and bar_radius > 0")
             if self.torsion_neutral != 0.0:
                 raise ValueError(
                     "torsion_neutral applies to torsion springs only")

@@ -267,6 +267,21 @@ def test_invalid_config_content_is_domain_error(capsys, tmp_path):
     assert "frobnicator" in err
 
 
+def test_simulate_names_the_field_of_a_bad_number(capsys, tmp_path):
+    scenario, _ = small_scenario(tmp_path)
+    path = tmp_path / "build.json"
+    data = json.loads(default_config_path().read_text())
+    data["dampers"][0]["coefficient_n_m_s_per_rad"] = -0.4
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "simulate", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "run.csv"),
+                         "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("spoonarm: dampers[0].coefficient: coefficient must be "
+                   ">= 0 and finite, not -0.4\n")
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_custom_config_is_used(capsys, tmp_path):
     cfg = load_config(default_config_path())
     taller = replace(cfg.mechanism, base_height=0.5)

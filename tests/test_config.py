@@ -1,6 +1,7 @@
 """Config and scenario files: strict parsing, exact round trips."""
 
 import copy
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -8,7 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from spoonarm import JointState, MechanismParams
+from spoonarm import JointState, MechanismParams, SimResult, run_scenario
 from spoonarm.config import (
     SCHEMA_VERSION,
     ConfigFile,
@@ -381,6 +382,42 @@ def test_numpy_float32_numbers_save_and_round_trip(tmp_path):
     save_config(cfg, path)
     gravity = load_config(path).mechanism.gravity
     assert gravity == float(np.float32(9.81)) and type(gravity) is float
+
+
+@pytest.mark.parametrize("field", ["gravity", "timestep"])
+def test_float32_numbers_roll_out_as_their_saved_files_do(field):
+    # a float32 field is read as the float the file stores, so the build
+    # and its round trip step with the same doubles
+    config, scenario = default_config(), example_scenario()
+    if field == "gravity":
+        config = ConfigFile(MechanismParams(gravity=np.float32(9.81)),
+                            config.springs, config.dampers, config.compliance)
+    else:
+        scenario = dataclasses.replace(scenario, timestep=np.float32(1e-3))
+    saved = (parse_config(config_data(config)),
+             parse_scenario(scenario_data(scenario)))
+    runs = [run_scenario(c.mechanism, c.springs, c.dampers, c.compliance, s)
+            for c, s in ((config, scenario), saved)]
+    for f in dataclasses.fields(SimResult):
+        given, read = (getattr(run, f.name) for run in runs)
+        assert given.dtype == read.dtype == np.float64, f.name
+        assert given.tobytes() == read.tobytes(), f.name
+
+
+@pytest.mark.parametrize("section, key, value, path", [
+    ("dampers", "coefficient_n_m_s_per_rad", -0.4, "dampers[0].coefficient"),
+    ("compliance", "stiffness_n_m_per_rad", 0.0, "compliance.stiffness"),
+    ("mechanism", "joint_limits_rad", [[0, 1], [1, 0], [0, 1]],
+     "mechanism.joint_limits"),
+])
+def test_a_bad_number_names_its_field(section, key, value, path):
+    data = good_data()
+    node = data[section]
+    (node[0] if section == "dampers" else node)[key] = value
+    with pytest.raises(ValidationError) as err:
+        parse_config(data)
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: {path.split('.')[-1]}")
 
 
 def test_negative_noise_seed_is_validation_error():

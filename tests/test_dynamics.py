@@ -3,6 +3,7 @@ input signals, integration accuracy, and the compliant mount."""
 
 import dataclasses
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -1182,7 +1183,8 @@ NON_FINITE_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "1", None,
+                                 Decimal("0.4")])
 @pytest.mark.parametrize("make, kw, field", NON_FINITE_SPECS,
                          ids=[field for *_, field in NON_FINITE_SPECS])
 def test_specs_reject_non_finite_numbers(make, kw, field, bad):

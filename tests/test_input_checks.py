@@ -27,6 +27,7 @@ from spoonarm.dynamics import (
     Scenario,
     SineTremor,
     SpasmImpulse,
+    SpoonContact,
     generate_signal,
     run_scenario,
     spoon_contact_response,
@@ -396,3 +397,25 @@ def test_config_file_checks_the_types_of_its_mechanism_and_mount(fields,
 def test_trajectory_endpoints_need_two_entries(field, point):
     with pytest.raises(ValueError, match=rf"^{field} must be two numbers"):
         TrajectorySpec(**{field: point})
+
+
+# values of the wrong type, each a ValueError that names its field
+WRONG_TYPES = {
+    "plate-none": (lambda: TrajectorySpec(plate=None),
+                   r"^plate must be iterable, not None$"),
+    "plate-str": (lambda: TrajectorySpec(plate=("a", 0.1)),
+                  r"^plate\[0\] must be a real number, not 'a'$"),
+    "contact-time-str": (lambda: SpoonContact(time="0.1",
+                                              impulse_pitch=0.01),
+                         r"^time must be a real number, not '0.1'$"),
+    "duration-str": (lambda: Scenario(duration="1"),
+                     r"^duration must be a real number, not '1'$"),
+    "q-none": (lambda: JointState(q=None), r"^q must be iterable, not None$"),
+}
+
+
+@pytest.mark.parametrize("make, message", WRONG_TYPES.values(),
+                         ids=WRONG_TYPES.keys())
+def test_a_value_of_the_wrong_type_is_a_named_error(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

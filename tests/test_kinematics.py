@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -382,7 +383,8 @@ def test_spoon_jacobian_matches_the_closed_form():
     "base_height", "base_offset", "link1_length", "link2_length",
     "spoon_offset", "bracket_drop", "bracket_lateral", "mass_link1",
     "mass_link2", "mass_payload", "gravity"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", None,
+                                 Decimal("0.4")])
 def test_mechanism_params_reject_non_finite_numbers(field, bad):
     with pytest.raises(ValueError, match=field):
         MechanismParams(**{field: bad})

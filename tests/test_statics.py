@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -538,7 +539,7 @@ def test_balance_csv_joint_without_springs_has_a_zero_column(tmp_path):
 
 def test_spring_spec_rejects_non_finite_numbers():
     geometry = dict(anchor_radius=0.1, bar_radius=0.05)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, "1", None, Decimal("0.4")):
         for kind, field, extra in (
                 (SpringKind.LINEAR_REAL, "stiffness", geometry),
                 (SpringKind.LINEAR_REAL, "free_length", geometry),

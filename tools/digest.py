@@ -26,19 +26,25 @@ prints the same lines. It covers
 - generate_signal of each signal spec, no input and a playback;
 - the balance table write_balance_csv writes for the shipped springs
   given as a tuple, a list and an iterator, and the error of a rollout
-  given a spring that is not a SpringSpec.
+  given a spring that is not a SpringSpec;
+- the errors of numbers of the wrong type or out of range, given to a
+  spec, a rollout or the config reader, and the simulate CSV of the
+  packaged example on a build whose gravity, and with a timestep, given
+  as numpy float32.
 
 An output that raises is digested as its exception's type and message.
 The script uses only the package's public names and takes no options.
 """
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
 import math
 import os
 import tempfile
+from decimal import Decimal
 from importlib.resources import files
 
 import numpy as np
@@ -46,12 +52,13 @@ import numpy as np
 from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
                       Joint, JointState, NoiseTremor, PrescribedTrajectory,
                       Scenario, SimResult, SineTremor, SpasmImpulse,
-                      SpoonContact, SpringKind, SpringSpec,
+                      SpoonContact, SpringKind, SpringSpec, TrajectorySpec,
                       default_config_path, generate_signal, load_config,
                       load_scenario, residual_torque_profile, run_scenario,
                       step_dynamics)
 from spoonarm.cli import main
-from spoonarm.serialize import write_balance_csv
+from spoonarm.config import config_data, parse_config
+from spoonarm.serialize import write_balance_csv, write_sim_csv
 
 EXAMPLE = files("spoonarm") / "data" / "example_scenario.json"
 START = JointState(q=(0.0, 0.7347863005736404, -1.4323283077414541),
@@ -298,6 +305,60 @@ def spring_set_lines():
         yield "run_scenario/springs-int/error", sha("none")
 
 
+def error_line(name, call):
+    try:
+        call()
+    except Exception as exc:
+        return f"{name}/error", failure(exc)
+    return f"{name}/error", sha("none")
+
+
+def edited(data, section, key, value):
+    """A copy of the config `data` with `key` of its `section` (the first
+    entry of a list) set to `value`."""
+    data = copy.deepcopy(data)
+    node = data[section]
+    (node[0] if isinstance(node, list) else node)[key] = value
+    return data
+
+
+def number_lines():
+    config, _ = builds()
+    data = config_data(config)
+    scenario = Scenario(duration=DURATION, timestep=DT, initial=START)
+    calls = {
+        "TrajectorySpec/plate-none": lambda: TrajectorySpec(plate=None),
+        "TrajectorySpec/plate-str": lambda: TrajectorySpec(plate=("a", 0.1)),
+        "SpoonContact/time-str": lambda: SpoonContact(time="0.1",
+                                                      impulse_pitch=0.01),
+        "Scenario/duration-str": lambda: Scenario(duration="1"),
+        "JointState/q-none": lambda: JointState(q=None),
+        "run_scenario/damper-decimal": lambda: run_scenario(
+            config.mechanism, config.springs,
+            (DamperSpec(Joint.J2, coefficient=Decimal("0.4")),),
+            config.compliance, scenario),
+        "parse_config/damper-coefficient": lambda: parse_config(edited(
+            data, "dampers", "coefficient_n_m_s_per_rad", -0.4)),
+        "parse_config/compliant-stiffness": lambda: parse_config(edited(
+            data, "compliance", "stiffness_n_m_per_rad", 0.0)),
+    }
+    for name, call in calls.items():
+        yield error_line(name, call)
+    build = dataclasses.replace(config.mechanism, gravity=np.float32(9.81))
+    example = dataclasses.replace(load_scenario(EXAMPLE),
+                                  timestep=np.float32(1e-3))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "float32.csv")
+        try:
+            write_sim_csv(run_scenario(build, config.springs, config.dampers,
+                                       config.compliance, example), path)
+        except Exception as exc:
+            yield "simulate/example-float32/error", failure(exc)
+        else:
+            with open(path, "rb") as fh:
+                yield "simulate/example-float32", sha(fh.read())
+
+
 def digest_lines():
     yield from cli_lines()
     yield from rollout_lines()
@@ -307,6 +368,7 @@ def digest_lines():
     yield from divergence_lines()
     yield from signal_lines()
     yield from spring_set_lines()
+    yield from number_lines()
 
 
 if __name__ == "__main__":
