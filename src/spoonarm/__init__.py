@@ -6,6 +6,8 @@ damped rigid-body dynamics with a compliant utensil mount, and the design
 studies built on top of them. See the README for the CLI.
 """
 
+from types import ModuleType as _Module
+
 from .analysis import (
     Excursion,
     StabilizationReport,
@@ -94,78 +96,6 @@ from .statics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BalanceResult",
-    "ComplianceMode",
-    "ComplianceSpec",
-    "ConfigError",
-    "ConfigFile",
-    "ContactResponse",
-    "DamperModel",
-    "DamperSpec",
-    "DeflectionExceededError",
-    "Excursion",
-    "FreeRelease",
-    "GridMismatchError",
-    "Handedness",
-    "HandleVariant",
-    "InfeasibleBoundsError",
-    "Joint",
-    "JointState",
-    "LimitViolationError",
-    "MechanismParams",
-    "NoiseTremor",
-    "NonFiniteStateError",
-    "NotBracketedError",
-    "ParseError",
-    "Pose",
-    "PrescribedTrajectory",
-    "Scenario",
-    "SimResult",
-    "SineTremor",
-    "SpasmImpulse",
-    "SpoonArmError",
-    "SpoonContact",
-    "SpringKind",
-    "SpringSpec",
-    "StabilizationReport",
-    "TimestepTooCoarseError",
-    "TorqueProfile",
-    "TrajectorySpec",
-    "UnreachableError",
-    "ValidationError",
-    "VersionMismatchError",
-    "WorkspaceSample",
-    "WorkspaceSummary",
-    "calibrate_handle_distance",
-    "compare_handle_variants",
-    "coriolis_matrix",
-    "damper_torque",
-    "default_config_path",
-    "forward_kinematics",
-    "generate_signal",
-    "gravity_torque",
-    "handle_excursion",
-    "handle_jacobian",
-    "handle_pose",
-    "holding_force",
-    "inverse_kinematics",
-    "jacobian",
-    "kinetic_energy",
-    "load_config",
-    "load_scenario",
-    "mass_matrix",
-    "potential_energy",
-    "residual_torque_profile",
-    "run_scenario",
-    "save_config",
-    "save_scenario",
-    "spoon_contact_response",
-    "spoon_pose",
-    "spring_torque",
-    "stabilization_report",
-    "step_dynamics",
-    "synthesize_balancing",
-    "trajectory_states",
-    "workspace_sample",
-]
+# every name imported above; the submodules are attributes, not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _Module)))

@@ -33,6 +33,7 @@ from .kinematics import (
     number,
     numbers,
     point_position,
+    real,
     spoon_point,
 )
 
@@ -62,10 +63,8 @@ class TrajectorySpec:
             object.__setattr__(self, name, point)
         if not self.rise > 0.0:
             raise ValueError("mouth must sit above the plate")
-        waypoints = integer(self.waypoints, "waypoints")
-        if waypoints < 2:
-            raise ValueError("need at least two waypoints")
-        object.__setattr__(self, "waypoints", waypoints)
+        object.__setattr__(self, "waypoints",
+                           integer(self.waypoints, "waypoints", 2))
 
     @property
     def rise(self) -> float:
@@ -158,6 +157,7 @@ def calibrate_handle_distance(params: MechanismParams,
     increasing in d_h over that interval (checked on a coarse sweep first,
     since bisection silently returns garbage otherwise).
     """
+    target_handle_rise = number(target_handle_rise, "target_handle_rise")
     tolerance = number(tolerance, "tolerance", "> 0")
     L2 = params.link2_length
     trig = _trajectory_trig(params, trajectory)
@@ -223,9 +223,7 @@ def workspace_sample(params: MechanismParams, resolution: int,
     whose horizontal radius falls within radial_band of plate_radius; it
     answers whether the feeding rise fits the workspace at that radius.
     """
-    resolution = integer(resolution, "resolution")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2 per joint")
+    resolution = integer(resolution, "resolution", 2)
     radial_band = number(radial_band, "radial_band", ">= 0")
     plate_radius = number(plate_radius, "plate_radius")
     target_rise = number(target_rise, "target_rise")
@@ -297,6 +295,7 @@ def stabilization_report(reference, result, baseline=None,
     without one, the result serves as its own baseline (attenuation 1.0,
     or 0.0 for a perfect track). `band` (m) must be finite and > 0.
     """
+    band = real(band, "band")
     if not 0.0 < band < math.inf:
         raise ValueError(f"band must be finite and > 0, not {band!r}")
     dev = _deviation_series(reference, result)

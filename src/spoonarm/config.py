@@ -98,8 +98,7 @@ def _integer(node, path):
     return node
 
 
-# a bool or a numpy float is written as the float it stands for
-_NUMBER = _Type(_number, float)
+_NUMBER = _Type(_number)
 _INTEGER = _Type(_integer)
 
 

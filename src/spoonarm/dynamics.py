@@ -91,6 +91,7 @@ from .kinematics import (
     numbers,
     point_position,
     point_torque_law,
+    real,
     sequence,
     spec_tuple,
     spoon_point,
@@ -193,8 +194,7 @@ def _unit(direction):
     d = numbers(direction, "direction")
     if len(d) != 3:
         raise ValueError("direction needs three components")
-    n = number(math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2),
-               "direction length", "> 0")
+    n = number(math.hypot(*d), "direction length", "> 0")
     if abs(n - 1.0) < 1e-12:
         # already unit; dividing again would wobble the last bit and
         # break exact save/load round trips
@@ -241,10 +241,7 @@ class NoiseTremor:
         number_fields(self, "> 0", "f_lo", "f_hi")
         if not self.f_lo < self.f_hi:
             raise ValueError("f_hi must be above f_lo")
-        seed = integer(self.seed, "seed")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, not {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         object.__setattr__(self, "direction", _unit(self.direction))
 
 
@@ -795,7 +792,7 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     limit, and TimestepTooCoarseError when omega_n*dt >= pi.
     """
     dt, t = number(dt, "dt", "> 0"), number(t, "t")
-    mount = tuple(float(v) for v in deflections)
+    mount = sequence(deflections, "deflections", real)
     if len(mount) != 4:
         raise ValueError("deflections needs four entries (delta_p, delta_y, "
                          f"rate_p, rate_y), not {len(mount)}")
@@ -1000,7 +997,7 @@ def spoon_contact_response(params: MechanismParams,
     raises DeflectionExceededError naming the time of the first breach.
     """
     impulse, dt = number(impulse, "impulse"), number(dt, "timestep", "> 0")
-    n = _grid_steps(duration, dt)
+    n = _grid_steps(real(duration, "duration"), dt)
     if compliance.mode is ComplianceMode.RIGID:
         return ContactResponse(peak_torque=abs(impulse) / dt,
                                settling_time=0.0, recentered=True,

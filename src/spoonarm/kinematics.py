@@ -60,15 +60,18 @@ class Joint(IntEnum):
         return self.name.lower()
 
 
-def integer(value, name: str) -> int:
-    """`value` as a plain int: any integer, numpy integers included, but
-    not a bool; anything else raises ValueError naming `name`."""
+def integer(value, name: str, least: int = 0) -> int:
+    """`value` as a plain int of at least `least`: any integer, numpy
+    integers included, but not a bool; else ValueError naming `name`."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, not {value!r}")
+        else:
+            if value >= least:
+                return value
+    raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
 def as_member(enum, value, name: str):
@@ -106,7 +109,7 @@ def spec_tuple(values, spec, name: str) -> tuple:
     return sequence(values, name, lambda value, at: instance(value, spec, at))
 
 
-def _real(value, name: str) -> float:
+def real(value, name: str) -> float:
     """`value`, any real number, as a float: a bool as 0 or 1, a numpy
     float32 at its own value; else ValueError naming `name`."""
     if value.__class__ is float:
@@ -122,7 +125,7 @@ def _real(value, name: str) -> float:
 def number(value, name: str, rule: str = "finite") -> float:
     """`value`, any real number, as a float that is finite and meets `rule`,
     "finite", ">= 0" or "> 0"; else ValueError starting with `name`."""
-    value = _real(value, name)
+    value = real(value, name)
     if math.isfinite(value) and (value > 0.0 or rule == "finite"
                                  or rule == ">= 0" and value == 0.0):
         return value
@@ -134,7 +137,7 @@ def numbers(values, name: str) -> tuple:
     """Any iterable `values` read once into a tuple of finite floats; an
     entry that is not a real number raises ValueError naming `name[i]`,
     one that is not finite names `name` and shows the tuple."""
-    values = sequence(values, name, _real)
+    values = sequence(values, name, real)
     if all(map(math.isfinite, values)):
         return values
     raise ValueError(f"{name} must be finite, not {values!r}")
@@ -480,9 +483,12 @@ def inverse_kinematics(params: MechanismParams, target) -> JointState:
 
     Raises UnreachableError outside the annulus, LimitViolationError when
     the target is reachable but both branches violate joint limits, and
-    ValueError for a coordinate that is not finite.
+    ValueError for a target that is not three finite numbers.
     """
-    x, y, z = numbers(target, "target")
+    target = numbers(target, "target")
+    if len(target) != 3:
+        raise ValueError(f"target needs three components, not {target}")
+    x, y, z = target
     phi1, th2, th3, d, unreachable, inside = _ik_closure(params, x, y, z)
     if unreachable or not inside:
         raise _ik_error(params, d, unreachable)

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import InfeasibleBoundsError
 from .kinematics import (JointState, Joint, MechanismParams, as_member,
-                         handle_jacobian, number_fields, spec_tuple)
+                         handle_jacobian, number, number_fields, numbers,
+                         sequence, spec_tuple)
 
 GRID_SAMPLES = 181          # minimax grid over a joint range
 GOLDEN_REL_TOL = 1e-10      # relative bracket convergence for stiffness fits
@@ -389,17 +390,24 @@ def synthesize_balancing(params: MechanismParams, kind: SpringKind,
     golden-section search (the objective is unimodal in k).
 
     `kind` is a SpringKind or its value string; anything else raises
-    ValueError naming `kind`. Raises InfeasibleBoundsError for an empty or
-    nonpositive anchor box or a degenerate joint range.
+    ValueError naming `kind`, as do anchor_bounds not two pairs of finite
+    numbers and a free_length not finite. Raises InfeasibleBoundsError for
+    an empty or nonpositive anchor box, a negative free_length or a
+    degenerate joint range.
     """
     kind = as_member(SpringKind, kind, "kind")
-    (a_lo, a_hi), (b_lo, b_hi) = anchor_bounds
+    bounds = sequence(anchor_bounds, "anchor_bounds", numbers)
+    if [len(pair) for pair in bounds] != [2, 2]:
+        raise ValueError(f"anchor_bounds needs two (min, max) pairs, not "
+                         f"{bounds}")
+    (a_lo, a_hi), (b_lo, b_hi) = bounds
     if a_lo > a_hi or b_lo > b_hi:
         raise InfeasibleBoundsError("anchor bounds describe an empty box")
     a = 0.5 * (a_lo + a_hi)
     b = 0.5 * (b_lo + b_hi)
     if not (a > 0.0 and b > 0.0):
         raise InfeasibleBoundsError("anchor bounds must give positive radii")
+    free_length = number(free_length, "free_length")
     if free_length < 0.0:
         raise InfeasibleBoundsError("free_length must be >= 0")
 

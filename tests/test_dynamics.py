@@ -298,6 +298,11 @@ def test_signal_validation():
         SineTremor(amplitude=1.0, frequency=1.0, direction=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         NoiseTremor(rms=0.5, f_lo=3.0, f_hi=3.0, seed=1)
+
+
+def test_a_direction_too_large_to_square_is_made_unit():
+    direction = SineTremor(1.0, 1.0, direction=(1e200, 0.0, 1e200)).direction
+    assert abs(math.hypot(*direction) - 1.0) <= 1e-15
     with pytest.raises(ValueError):
         NoiseTremor(rms=-0.5, f_lo=1.0, f_hi=3.0, seed=1)
     with pytest.raises(ValueError):

@@ -41,6 +41,7 @@ from spoonarm.kinematics import (
     JointState,
     MechanismParams,
     forward_kinematics,
+    inverse_kinematics,
 )
 from spoonarm.statics import (
     SpringKind,
@@ -411,6 +412,32 @@ WRONG_TYPES = {
     "duration-str": (lambda: Scenario(duration="1"),
                      r"^duration must be a real number, not '1'$"),
     "q-none": (lambda: JointState(q=None), r"^q must be iterable, not None$"),
+    "band-str": (lambda: stabilization_report(
+        TrajectorySpec(), run_scenario(BUILD, (), (), RIGID, RUN), band="1"),
+        r"^band must be a real number, not '1'$"),
+    "contact-duration-str": (lambda: spoon_contact_response(
+        BUILD, ComplianceSpec(), 0.02, duration="1"),
+        r"^duration must be a real number, not '1'$"),
+    "deflections-none": (lambda: step_dynamics(
+        BUILD, (), (), RIGID, START, None, 1e-3, deflections=None),
+        r"^deflections must be iterable, not None$"),
+    "deflections-str": (lambda: step_dynamics(
+        BUILD, (), (), RIGID, START, None, 1e-3, deflections=("a", 0, 0, 0)),
+        r"^deflections\[0\] must be a real number, not 'a'$"),
+    "free-length-str": (lambda: synthesize_balancing(
+        BUILD, "linear_real", free_length="x"),
+        r"^free_length must be a real number, not 'x'$"),
+    "anchor-bounds-none": (lambda: synthesize_balancing(
+        BUILD, "linear_real", anchor_bounds=None),
+        r"^anchor_bounds must be iterable, not None$"),
+    "anchor-bounds-short": (lambda: synthesize_balancing(
+        BUILD, "linear_real", anchor_bounds=((0.1,), (0.2, 0.3))),
+        r"^anchor_bounds needs two \(min, max\) pairs"),
+    "rise-str": (lambda: calibrate_handle_distance(
+        BUILD, TrajectorySpec(), "0.2"),
+        r"^target_handle_rise must be a real number, not '0.2'$"),
+    "ik-target-short": (lambda: inverse_kinematics(BUILD, (0.3, 0.1)),
+                        r"^target needs three components"),
 }
 
 

@@ -384,7 +384,7 @@ def test_spoon_jacobian_matches_the_closed_form():
     "spoon_offset", "bracket_drop", "bracket_lateral", "mass_link1",
     "mass_link2", "mass_payload", "gravity"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", None,
-                                 Decimal("0.4")])
+                                 Decimal("0.4"), 10 ** 400])
 def test_mechanism_params_reject_non_finite_numbers(field, bad):
     with pytest.raises(ValueError, match=field):
         MechanismParams(**{field: bad})

@@ -30,7 +30,11 @@ prints the same lines. It covers
 - the errors of numbers of the wrong type or out of range, given to a
   spec, a rollout or the config reader, and the simulate CSV of the
   packaged example on a build whose gravity, and with a timestep, given
-  as numpy float32.
+  as numpy float32;
+- the sorted list of the package's public names, the errors of the
+  arguments read at the package boundary (a value of the wrong type, an
+  entry count or an integer below its bound), and a direction too large
+  to square, which is made unit.
 
 An output that raises is digested as its exception's type and message.
 The script uses only the package's public names and takes no options.
@@ -49,13 +53,16 @@ from importlib.resources import files
 
 import numpy as np
 
+import spoonarm
 from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
                       Joint, JointState, NoiseTremor, PrescribedTrajectory,
                       Scenario, SimResult, SineTremor, SpasmImpulse,
                       SpoonContact, SpringKind, SpringSpec, TrajectorySpec,
-                      default_config_path, generate_signal, load_config,
+                      calibrate_handle_distance, default_config_path,
+                      generate_signal, inverse_kinematics, load_config,
                       load_scenario, residual_torque_profile, run_scenario,
-                      step_dynamics)
+                      spoon_contact_response, stabilization_report,
+                      step_dynamics, synthesize_balancing, workspace_sample)
 from spoonarm.cli import main
 from spoonarm.config import config_data, parse_config
 from spoonarm.serialize import write_balance_csv, write_sim_csv
@@ -359,6 +366,52 @@ def number_lines():
                 yield "simulate/example-float32", sha(fh.read())
 
 
+def boundary_lines():
+    yield "spoonarm.__all__", sha(repr(sorted(spoonarm.__all__)))
+    config, mounts = builds()
+    p, rigid = config.mechanism, mounts["rigid"]
+    still = run_scenario(p, (), (), rigid, Scenario(duration=DURATION,
+                                                    timestep=DT, initial=START))
+
+    def step(deflections):
+        return step_dynamics(p, config.springs, config.dampers, rigid, START,
+                             None, DT, deflections=deflections)
+
+    def balance(**kw):
+        return synthesize_balancing(p, "linear_real", **kw)
+
+    calls = {
+        "stabilization_report/band-str": lambda: stabilization_report(
+            still, still, band="1"),
+        "spoon_contact_response/duration-str": lambda: spoon_contact_response(
+            p, config.compliance, 0.02, duration="1"),
+        "step_dynamics/deflections-none": lambda: step(None),
+        "step_dynamics/deflections-str": lambda: step(("a", 0, 0, 0)),
+        "synthesize_balancing/free-length-str": lambda: balance(
+            free_length="x"),
+        "synthesize_balancing/anchor-bounds-none": lambda: balance(
+            anchor_bounds=None),
+        "synthesize_balancing/anchor-bounds-short": lambda: balance(
+            anchor_bounds=((0.1,), (0.2, 0.3))),
+        "calibrate_handle_distance/rise-str": lambda: (
+            calibrate_handle_distance(p, TrajectorySpec(), "0.2")),
+        "inverse_kinematics/target-short": lambda: inverse_kinematics(
+            p, (0.3, 0.1)),
+        "NoiseTremor/seed-negative": lambda: NoiseTremor(0.4, 2.0, 9.0,
+                                                         seed=-1),
+        "TrajectorySpec/waypoints-one": lambda: TrajectorySpec(waypoints=1),
+        "workspace_sample/resolution-one": lambda: workspace_sample(p, 1),
+    }
+    for name, call in calls.items():
+        yield error_line(name, call)
+    try:
+        direction = SineTremor(1.0, 1.0, direction=(1e200, 0.0, 1e200))
+    except Exception as exc:
+        yield "SineTremor/direction-1e200/error", failure(exc)
+    else:
+        yield "SineTremor/direction-1e200", sha(repr(direction.direction))
+
+
 def digest_lines():
     yield from cli_lines()
     yield from rollout_lines()
@@ -369,6 +422,7 @@ def digest_lines():
     yield from signal_lines()
     yield from spring_set_lines()
     yield from number_lines()
+    yield from boundary_lines()
 
 
 if __name__ == "__main__":
