@@ -24,6 +24,8 @@ import sys
 from . import analysis, serialize
 from .config import default_config_path, load_config, load_scenario
 from .dynamics import (
+    CONTACT_HORIZON,
+    DEFAULT_TIMESTEP,
     ComplianceMode,
     ComplianceSpec,
     run_scenario,
@@ -129,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_contact)
     p.add_argument("--impulse", type=float, required=True,
                    help="impulse torque in N*m*s")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--duration", type=float, default=5.0)
+    p.add_argument("--dt", type=float, default=DEFAULT_TIMESTEP)
+    p.add_argument("--duration", type=float, default=CONTACT_HORIZON)
 
     return parser
 

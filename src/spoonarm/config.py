@@ -7,13 +7,14 @@ optional contact event. Field names carry SI units as suffixes so a file
 is readable without this docstring.
 
 Each JSON object is described by one table of fields, and one reader and
-one writer walk every table. Loading is strict: unknown keys, missing
-keys, wrong JSON types and non-finite numbers (array entries included)
-are ParseError with the offending field path; values that parse but
-violate a domain constraint are ValidationError; a schema_version other
-than SCHEMA_VERSION is VersionMismatchError. Saving writes the shortest
-round-tripping decimal for every float, so save-then-load reproduces the
-exact domain objects and repeated saves are byte-identical.
+one writer walk every table. Loading is strict: unknown, missing or
+repeated keys, wrong JSON types and non-finite numbers (array entries
+included) are ParseError with the offending field path; values that
+parse but violate a domain constraint are ValidationError; a
+schema_version other than SCHEMA_VERSION is VersionMismatchError.
+Saving writes the shortest round-tripping decimal for every float, so
+save-then-load reproduces the exact domain objects and repeated saves
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -77,9 +78,33 @@ class _Type(NamedTuple):
     write: Callable = lambda value: value   # domain value -> JSON value
 
 
+def _child(path, key):
+    return f"{path}.{key}" if path else key
+
+
+class _Repeated(dict):
+    """A decoded JSON object that names `key` more than once."""
+
+    key = ""
+
+
+def _pairs(pairs):
+    """The object_pairs_hook of the reader: a dict, or a _Repeated one
+    that _mapping rejects at the path of its repeated key."""
+    node = dict(pairs)
+    if len(node) == len(pairs):
+        return node
+    keys = [key for key, _ in pairs]
+    node = _Repeated(node)
+    node.key = next(k for i, k in enumerate(keys) if k in keys[:i])
+    return node
+
+
 def _mapping(node, path):
     if not isinstance(node, dict):
         raise ParseError(path, f"expected an object, got {type(node).__name__}")
+    if type(node) is _Repeated:
+        raise ParseError(_child(path, node.key), "repeated key")
     return node
 
 
@@ -171,7 +196,7 @@ class _Field:
 
     def take(self, node: dict, path: str):
         """Pop this key off `node`, the object at `path`, and read it."""
-        child = f"{path}.{self.key}" if path else self.key
+        child = _child(path, self.key)
         value = node.pop(self.key, self.default)
         if value is _REQUIRED:
             raise ParseError(child, "missing required key")
@@ -197,14 +222,14 @@ def _object(build, *fields, tag=None) -> _Type:
                 values[f.attr] = f.take(node, path)
         if node:
             key = sorted(node)[0]
-            raise ParseError(f"{path}.{key}" if path else key, "unknown key")
+            raise ParseError(_child(path, key), "unknown key")
         try:
             return build(**values)
         except ValueError as exc:
             message = str(exc)
             first = message.split()[0] if message else ""
             if first.partition("[")[0] in known:
-                path = f"{path}.{first}" if path else first
+                path = _child(path, first)
             raise ValidationError(path, message) from None
 
     def write(value):
@@ -356,7 +381,7 @@ def _parse_file(data, table: _Type):
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_pairs)
         except json.JSONDecodeError as exc:
             raise ParseError("<file>", f"invalid JSON: {exc}") from None
 

@@ -107,6 +107,7 @@ from .statics import (gravity_potential, potential_energy,  # noqa: F401
                       spring_potential, spring_torque)
 
 DEFAULT_TIMESTEP = 1e-3
+CONTACT_HORIZON = 5.0       # s, the contact study's default duration
 NOISE_COMPONENTS = 64
 FORCE_BLOCK = 128           # steps whose stage forces are evaluated at once
 # stage-force blocks kept for reuse by later rollouts: at most
@@ -300,6 +301,8 @@ class SpoonContact:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One rollout. `input=None`, no input, is stored as FreeRelease()."""
+
     duration: float
     timestep: float = DEFAULT_TIMESTEP
     initial: JointState = JointState()
@@ -308,6 +311,8 @@ class Scenario:
 
     def __post_init__(self):
         number_fields(self, "> 0", "duration", "timestep")
+        if self.input is None:
+            object.__setattr__(self, "input", FreeRelease())
         _grid_steps(self.duration, self.timestep)    # checks the grid
         instance(self.initial, JointState, "initial")
         contact = self.spoon_contact
@@ -980,7 +985,8 @@ def _playback_states(params: MechanismParams,
 def spoon_contact_response(params: MechanismParams,
                            compliance: ComplianceSpec, impulse: float,
                            dt: float = DEFAULT_TIMESTEP,
-                           duration: float = 5.0) -> ContactResponse:
+                           duration: float = CONTACT_HORIZON
+                           ) -> ContactResponse:
     """Response of the utensil mount to an impulse torque (N*m*s).
 
     Compliant mode solves one deflection axis exactly on the grid of dt

@@ -46,7 +46,8 @@ class ConfigError(SpoonArmError):
 
 
 class ParseError(ConfigError):
-    """Structurally invalid file: bad JSON, wrong type, unknown or missing key.
+    """Structurally invalid file: bad JSON, wrong type, unknown, missing or
+    repeated key.
 
     `path` names the offending field, e.g. "mechanism.link1_length_m".
     """

@@ -1,12 +1,15 @@
 """CLI behaviour: output contracts, exit codes, file emission."""
 
+import inspect
 import json
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
 from spoonarm import JointState
-from spoonarm.cli import main
+from spoonarm.cli import build_parser, main
 from spoonarm.config import (
     default_config_path,
     load_config,
@@ -14,11 +17,14 @@ from spoonarm.config import (
     save_scenario,
 )
 from spoonarm.dynamics import (
+    CONTACT_HORIZON,
+    DEFAULT_TIMESTEP,
     ComplianceMode,
     ComplianceSpec,
     NoiseTremor,
     Scenario,
     run_scenario,
+    spoon_contact_response,
 )
 from spoonarm.kinematics import forward_kinematics
 from spoonarm.serialize import (
@@ -411,3 +417,20 @@ def test_compare_handles_out_writes_what_it_prints(capsys, tmp_path):
     assert code == 0
     assert path.read_bytes() == out.encode("utf-8")
     assert out.count("\n") == 3
+
+
+def test_python_m_spoonarm_prints_what_main_prints(capsys):
+    argv = ["fk", "--q", "0.1,0.8,-0.3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    child = subprocess.run([sys.executable, "-m", "spoonarm", *argv],
+                           capture_output=True, text=True)
+    assert child.returncode == 0
+    assert (child.stdout, child.stderr) == (out, err)
+
+
+def test_contact_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["contact", "--impulse", "0.02"])
+    defaults = inspect.signature(spoon_contact_response).parameters
+    assert args.dt == defaults["dt"].default == DEFAULT_TIMESTEP
+    assert args.duration == defaults["duration"].default == CONTACT_HORIZON

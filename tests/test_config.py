@@ -632,3 +632,48 @@ def test_config_data_writes_the_tool_schema_version():
     # the version belongs to the file format, not to a build
     with pytest.raises(TypeError):
         ConfigFile(mechanism=MechanismParams(), schema_version=SCHEMA_VERSION)
+
+
+# ---------------------------------------------------------------------------
+# a key repeated in one JSON object
+
+
+def repeated_key_file(tmp_path, data, node, key, first, second):
+    """`data` as a JSON file whose object `node` names `key` twice."""
+    node[key] = "@"
+    pair = f'"{key}": {json.dumps(first)}, "{key}": {json.dumps(second)}'
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data).replace(f'"{key}": "@"', pair),
+                    encoding="utf-8")
+    return path
+
+
+def test_scenario_repeated_key_rejected(tmp_path):
+    data = scenario_data(scenario_with_everything())
+    path = repeated_key_file(tmp_path, data, data, "duration_s", 0.5, 0.01)
+    with pytest.raises(ParseError, match="repeated key") as err:
+        load_scenario(path)
+    assert err.value.path == "duration_s"
+
+
+@pytest.mark.parametrize("section, key, path", [
+    ("mechanism", "link1_length_m", "mechanism.link1_length_m"),
+    ("compliance", "mode", "compliance.mode"),
+    ("dampers", "joint", "dampers[0].joint"),
+])
+def test_config_repeated_key_rejected(tmp_path, section, key, path):
+    data = good_data()
+    node = data[section][0] if section == "dampers" else data[section]
+    value = node[key]
+    file = repeated_key_file(tmp_path, data, node, key, value, value)
+    with pytest.raises(ParseError, match="repeated key") as err:
+        load_config(file)
+    assert err.value.path == path
+
+
+def test_scenario_without_input_round_trips(tmp_path):
+    scn = Scenario(duration=0.5, input=None)
+    assert scn == Scenario(duration=0.5, input=FreeRelease())
+    path = tmp_path / "scenario.json"
+    save_scenario(scn, path)
+    assert load_scenario(path) == scn

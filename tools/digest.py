@@ -37,7 +37,10 @@ prints the same lines. It covers
   to square, which is made unit.
 
 An output that raises is digested as its exception's type and message.
-The script uses only the package's public names and takes no options.
+The script takes no options. Besides the package's public names it
+imports spoonarm.cli.main, spoonarm.config's config_data and
+parse_config, and spoonarm.serialize's write_balance_csv and
+write_sim_csv.
 """
 
 import contextlib
@@ -111,6 +114,14 @@ VARIANTS = {
                                        torsion_neutral=0.3)), None),
 }
 
+# the shipped build, on its compliant mount and on a rigid one
+CONFIG = load_config(default_config_path())
+P = CONFIG.mechanism
+MOUNTS = {"compliant": CONFIG.compliance,
+          "rigid": dataclasses.replace(CONFIG.compliance,
+                                       mode=ComplianceMode.RIGID)}
+RIGID = (P, CONFIG.springs, CONFIG.dampers, MOUNTS["rigid"])
+
 
 def sha(data) -> str:
     if isinstance(data, str):
@@ -124,8 +135,36 @@ def array_sha(a) -> str:
                + np.ascontiguousarray(a).tobytes())
 
 
-def failure(exc: Exception) -> str:
-    return sha(f"{type(exc).__name__}: {exc}")
+def file_sha(path) -> str:
+    with open(path, "rb") as fh:
+        return sha(fh.read())
+
+
+def outcome(name, call, lines):
+    """`lines(result)` for the result of `call()`, or else the one
+    `name/error` line of the exception that it raised."""
+    try:
+        result = call()
+    except Exception as exc:
+        return [(f"{name}/error", sha(f"{type(exc).__name__}: {exc}"))]
+    return lines(result)
+
+
+def value_line(name, call, digest):
+    """The line `name` with `digest(call())`, or else its error line."""
+    return outcome(name, call, lambda result: [(name, digest(result))])
+
+
+def error_line(name, call):
+    """The error line of `call()`, which is "none" if it returns."""
+    return outcome(name, call, lambda _: [(f"{name}/error", sha("none"))])
+
+
+def rollout(name, *args):
+    """One line per SimResult field of run_scenario(*args)."""
+    return outcome(name, lambda: run_scenario(*args), lambda result: [
+        (f"{name}/{f.name}", array_sha(getattr(result, f.name)))
+        for f in dataclasses.fields(SimResult)])
 
 
 def fresh(kind):
@@ -169,22 +208,14 @@ def cli_lines():
                 yield f"cli/{name}/stderr", sha(err.getvalue())
                 if "--out" in argv:
                     path = argv[argv.index("--out") + 1]
-                    with open(path, "rb") as fh:
-                        yield f"cli/{name}/{path}", sha(fh.read())
+                    yield f"cli/{name}/{path}", file_sha(path)
         finally:
             os.chdir(cwd)
 
 
-def builds():
-    config = load_config(default_config_path())
-    rigid = dataclasses.replace(config.compliance, mode=ComplianceMode.RIGID)
-    return config, {"compliant": config.compliance, "rigid": rigid}
-
-
 def rollout_lines():
-    config, mounts = builds()
     for kind in INPUTS:
-        for mount, compliance in mounts.items():
+        for mount, compliance in MOUNTS.items():
             for contact in (None, CONTACT):
                 name = (f"run_scenario/{kind}/{mount}/"
                         f"{'contact' if contact else 'no-contact'}")
@@ -192,97 +223,59 @@ def rollout_lines():
                 scenario = Scenario(duration=DURATION, timestep=DT,
                                     initial=START, input=inputs,
                                     spoon_contact=contact)
-                try:
-                    result = run_scenario(config.mechanism, config.springs,
-                                          config.dampers, compliance,
-                                          scenario)
-                except Exception as exc:
-                    yield f"{name}/error", failure(exc)
-                else:
-                    for f in dataclasses.fields(SimResult):
-                        yield (f"{name}/{f.name}",
-                               array_sha(getattr(result, f.name)))
+                yield from rollout(name, P, CONFIG.springs, CONFIG.dampers,
+                                   compliance, scenario)
                 if calls is not None:
                     yield f"{name}/calls", sha(repr(calls))
 
 
 def step_lines():
-    config, mounts = builds()
     deflections = (0.01, -0.02, 0.3, 0.1)
     for kind in ("none", *INPUTS):
-        for mount, compliance in mounts.items():
+        for mount, compliance in MOUNTS.items():
             name = f"step_dynamics/{kind}/{mount}"
             inputs, calls = fresh(kind)
-            try:
-                state, mount_state = step_dynamics(
-                    config.mechanism, config.springs, config.dampers,
-                    compliance, START, inputs, DT, t=0.123,
-                    deflections=deflections)
-            except Exception as exc:
-                yield f"{name}/error", failure(exc)
-            else:
-                yield name, sha(repr((state.q, state.qdot, mount_state)))
+            yield from value_line(
+                name, lambda: step_dynamics(
+                    P, CONFIG.springs, CONFIG.dampers, compliance, START,
+                    inputs, DT, t=0.123, deflections=deflections),
+                lambda step: sha(repr((step[0].q, step[0].qdot, step[1]))))
             if calls is not None:
                 yield f"{name}/calls", sha(repr(calls))
 
 
 def variant_lines():
-    config, mounts = builds()
     inputs = INPUTS["noise"]
     scenario = Scenario(duration=DURATION, timestep=DT, initial=START,
                         input=inputs)
     for variant, (springs, dampers) in VARIANTS.items():
-        build = (config.mechanism,
-                 config.springs if springs is None else springs,
-                 config.dampers if dampers is None else dampers,
-                 mounts["rigid"])
-        name = f"run_scenario/{variant}/noise/rigid/no-contact"
-        try:
-            result = run_scenario(*build, scenario)
-        except Exception as exc:
-            yield f"{name}/error", failure(exc)
-        else:
-            for f in dataclasses.fields(SimResult):
-                yield f"{name}/{f.name}", array_sha(getattr(result, f.name))
-        name = f"step_dynamics/{variant}/noise/rigid"
-        try:
-            state, _ = step_dynamics(*build, START, inputs, DT, t=0.123)
-        except Exception as exc:
-            yield f"{name}/error", failure(exc)
-        else:
-            yield name, sha(repr((state.q, state.qdot)))
+        build = (P, CONFIG.springs if springs is None else springs,
+                 CONFIG.dampers if dampers is None else dampers,
+                 MOUNTS["rigid"])
+        yield from rollout(f"run_scenario/{variant}/noise/rigid/no-contact",
+                           *build, scenario)
+        yield from value_line(
+            f"step_dynamics/{variant}/noise/rigid",
+            lambda: step_dynamics(*build, START, inputs, DT, t=0.123),
+            lambda step: sha(repr((step[0].q, step[0].qdot))))
 
 
 def edge_lines():
-    config, mounts = builds()
-    build = (config.mechanism, config.springs, config.dampers,
-             mounts["rigid"])
     for rows in EDGE_ROWS:
         scenario = Scenario(duration=(rows - 1) * DT, timestep=DT,
                             initial=START, input=INPUTS["noise"])
-        name = f"run_scenario/rows-{rows}/noise/rigid/no-contact"
-        try:
-            result = run_scenario(*build, scenario)
-        except Exception as exc:
-            yield f"{name}/error", failure(exc)
-        else:
-            for f in dataclasses.fields(SimResult):
-                yield f"{name}/{f.name}", array_sha(getattr(result, f.name))
+        yield from rollout(f"run_scenario/rows-{rows}/noise/rigid/no-contact",
+                           *RIGID, scenario)
 
 
 def divergence_lines():
-    config, _ = builds()
     scenario = load_scenario(EXAMPLE)
     for coefficient in DIVERGING_J3_DAMPING:
         damper = DamperSpec(Joint.J3, DamperModel.VISCOUS, coefficient)
-        name = f"run_scenario/example-viscous-j3-c{coefficient:g}"
-        try:
-            run_scenario(config.mechanism, config.springs, (damper,),
-                         config.compliance, scenario)
-        except Exception as exc:
-            yield f"{name}/error", failure(exc)
-        else:
-            yield f"{name}/error", sha("none")
+        yield from error_line(
+            f"run_scenario/example-viscous-j3-c{coefficient:g}",
+            lambda: run_scenario(P, CONFIG.springs, (damper,),
+                                 CONFIG.compliance, scenario))
 
 
 def signal_lines():
@@ -293,31 +286,17 @@ def signal_lines():
 
 
 def spring_set_lines():
-    config, mounts = builds()
-    p, springs = config.mechanism, config.springs
-    profiles = residual_torque_profile(p, springs)
+    springs = CONFIG.springs
+    profiles = residual_torque_profile(P, springs)
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "balance.csv")
         for form, given in (("tuple", springs), ("list", list(springs)),
                             ("iterator", iter(springs))):
-            write_balance_csv(p, given, profiles, path)
-            with open(path, "rb") as fh:
-                yield f"write_balance_csv/{form}", sha(fh.read())
+            write_balance_csv(P, given, profiles, path)
+            yield f"write_balance_csv/{form}", file_sha(path)
     scenario = Scenario(duration=DURATION, timestep=DT, initial=START)
-    try:
-        run_scenario(p, [1], config.dampers, mounts["rigid"], scenario)
-    except Exception as exc:
-        yield "run_scenario/springs-int/error", failure(exc)
-    else:
-        yield "run_scenario/springs-int/error", sha("none")
-
-
-def error_line(name, call):
-    try:
-        call()
-    except Exception as exc:
-        return f"{name}/error", failure(exc)
-    return f"{name}/error", sha("none")
+    yield from error_line("run_scenario/springs-int", lambda: run_scenario(
+        P, [1], CONFIG.dampers, MOUNTS["rigid"], scenario))
 
 
 def edited(data, section, key, value):
@@ -330,8 +309,7 @@ def edited(data, section, key, value):
 
 
 def number_lines():
-    config, _ = builds()
-    data = config_data(config)
+    data = config_data(CONFIG)
     scenario = Scenario(duration=DURATION, timestep=DT, initial=START)
     calls = {
         "TrajectorySpec/plate-none": lambda: TrajectorySpec(plate=None),
@@ -341,50 +319,46 @@ def number_lines():
         "Scenario/duration-str": lambda: Scenario(duration="1"),
         "JointState/q-none": lambda: JointState(q=None),
         "run_scenario/damper-decimal": lambda: run_scenario(
-            config.mechanism, config.springs,
+            P, CONFIG.springs,
             (DamperSpec(Joint.J2, coefficient=Decimal("0.4")),),
-            config.compliance, scenario),
+            CONFIG.compliance, scenario),
         "parse_config/damper-coefficient": lambda: parse_config(edited(
             data, "dampers", "coefficient_n_m_s_per_rad", -0.4)),
         "parse_config/compliant-stiffness": lambda: parse_config(edited(
             data, "compliance", "stiffness_n_m_per_rad", 0.0)),
     }
     for name, call in calls.items():
-        yield error_line(name, call)
-    build = dataclasses.replace(config.mechanism, gravity=np.float32(9.81))
+        yield from error_line(name, call)
+    build = dataclasses.replace(P, gravity=np.float32(9.81))
     example = dataclasses.replace(load_scenario(EXAMPLE),
                                   timestep=np.float32(1e-3))
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "float32.csv")
-        try:
-            write_sim_csv(run_scenario(build, config.springs, config.dampers,
-                                       config.compliance, example), path)
-        except Exception as exc:
-            yield "simulate/example-float32/error", failure(exc)
-        else:
-            with open(path, "rb") as fh:
-                yield "simulate/example-float32", sha(fh.read())
+        yield from value_line(
+            "simulate/example-float32",
+            lambda: write_sim_csv(run_scenario(
+                build, CONFIG.springs, CONFIG.dampers, CONFIG.compliance,
+                example), path),
+            lambda _: file_sha(path))
 
 
 def boundary_lines():
     yield "spoonarm.__all__", sha(repr(sorted(spoonarm.__all__)))
-    config, mounts = builds()
-    p, rigid = config.mechanism, mounts["rigid"]
-    still = run_scenario(p, (), (), rigid, Scenario(duration=DURATION,
+    rigid = MOUNTS["rigid"]
+    still = run_scenario(P, (), (), rigid, Scenario(duration=DURATION,
                                                     timestep=DT, initial=START))
 
     def step(deflections):
-        return step_dynamics(p, config.springs, config.dampers, rigid, START,
-                             None, DT, deflections=deflections)
+        return step_dynamics(*RIGID, START, None, DT, deflections=deflections)
 
     def balance(**kw):
-        return synthesize_balancing(p, "linear_real", **kw)
+        return synthesize_balancing(P, "linear_real", **kw)
 
     calls = {
         "stabilization_report/band-str": lambda: stabilization_report(
             still, still, band="1"),
         "spoon_contact_response/duration-str": lambda: spoon_contact_response(
-            p, config.compliance, 0.02, duration="1"),
+            P, CONFIG.compliance, 0.02, duration="1"),
         "step_dynamics/deflections-none": lambda: step(None),
         "step_dynamics/deflections-str": lambda: step(("a", 0, 0, 0)),
         "synthesize_balancing/free-length-str": lambda: balance(
@@ -394,22 +368,20 @@ def boundary_lines():
         "synthesize_balancing/anchor-bounds-short": lambda: balance(
             anchor_bounds=((0.1,), (0.2, 0.3))),
         "calibrate_handle_distance/rise-str": lambda: (
-            calibrate_handle_distance(p, TrajectorySpec(), "0.2")),
+            calibrate_handle_distance(P, TrajectorySpec(), "0.2")),
         "inverse_kinematics/target-short": lambda: inverse_kinematics(
-            p, (0.3, 0.1)),
+            P, (0.3, 0.1)),
         "NoiseTremor/seed-negative": lambda: NoiseTremor(0.4, 2.0, 9.0,
                                                          seed=-1),
         "TrajectorySpec/waypoints-one": lambda: TrajectorySpec(waypoints=1),
-        "workspace_sample/resolution-one": lambda: workspace_sample(p, 1),
+        "workspace_sample/resolution-one": lambda: workspace_sample(P, 1),
     }
     for name, call in calls.items():
-        yield error_line(name, call)
-    try:
-        direction = SineTremor(1.0, 1.0, direction=(1e200, 0.0, 1e200))
-    except Exception as exc:
-        yield "SineTremor/direction-1e200/error", failure(exc)
-    else:
-        yield "SineTremor/direction-1e200", sha(repr(direction.direction))
+        yield from error_line(name, call)
+    yield from value_line(
+        "SineTremor/direction-1e200",
+        lambda: SineTremor(1.0, 1.0, direction=(1e200, 0.0, 1e200)),
+        lambda sine: sha(repr(sine.direction)))
 
 
 def digest_lines():
