@@ -382,7 +382,7 @@ def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_pairs)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError("<file>", f"invalid JSON: {exc}") from None
 
 

@@ -36,8 +36,7 @@ kinematics.point_torque_law, and each joint's statics.spring_sum and
 damper_sum, both one statics.law_sum. The step then runs its four stages
 on local floats. Each law keeps one body: _mass_law, point_torque_law and
 the spring sum serve the stepper's floats and the statics' and
-recording's arrays alike. _equations wraps the same stage evaluation as
-the derivative deriv(y, force) of the packed state.
+recording's arrays alike.
 
 The mount is linear and unforced after a contact, so _mount_rows steps
 each axis with its exact propagator, and the arm's is the only integrator.
@@ -654,26 +653,11 @@ def _arm_law(params: MechanismParams, springs, dampers):
     return accel
 
 
-def _equations(params: MechanismParams, springs, dampers):
-    """The time derivative deriv(y, force) of one build's packed arm state
-
-    y = (phi1, th2, th3, w1, w2, w3, e_diss)
-
-    under the handle force (fx, fy, fz), or None for no input.
-    """
-    accel = _arm_law(params, springs, dampers)
-
-    def deriv(y, force):
-        phi1, th2, th3, w1, w2, w3, _ = y
-        return (w1, w2, w3, *accel(phi1, th2, th3, w1, w2, w3, force))
-
-    return deriv
-
-
 def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
     """The RK4 step of dt of one build's arm: step(y, t, f0, f_half, f1)
-    takes the packed state y of _equations at time t as a 7-tuple, with
-    the handle force at t, t + dt/2 and t + dt, and returns the next one.
+    takes the packed state y = (phi1, th2, th3, w1, w2, w3, e_diss) at
+    time t, with the handle force at t, t + dt/2 and t + dt, and returns
+    the next one.
 
     The joint limits clamp the position and zero the outgoing velocity;
     a state or stage that leaves the floats raises NonFiniteStateError.

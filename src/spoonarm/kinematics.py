@@ -315,11 +315,6 @@ def point_position(point, cp, sp, c2t, s2t, c3t, s3t):
             height + L1 * s2t + reach * s3t + drop)
 
 
-def spoon_position(params: MechanismParams, cp, sp, c2t, s2t, c3t, s3t):
-    """Utensil-tip (x, y, z), arguments as for point_position."""
-    return point_position(spoon_point(params), cp, sp, c2t, s2t, c3t, s3t)
-
-
 def point_torque_law(point):
     """The joint-torque law torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz)
     of `point`, its coefficients bound: J^T F of the force (fx, fy, fz)

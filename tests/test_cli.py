@@ -1,10 +1,13 @@
 """CLI behaviour: output contracts, exit codes, file emission."""
 
+import argparse
+import importlib.util
 import inspect
 import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +233,17 @@ def test_simulate_invalid_scenario_is_domain_error(capsys, tmp_path):
     assert "timestep_s" in err
 
 
+def test_simulate_scenario_that_is_not_utf8_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "latin-1.json"
+    path.write_bytes(b'{"schema_version": 1, "duration_s": "\xff"}')
+    code, out, err = run(capsys, "simulate", "--scenario", str(path),
+                         "--out", str(tmp_path / "run.csv"))
+    assert (code, out) == (1, "")
+    assert err == ("spoonarm: <file>: invalid JSON: 'utf-8' codec can't "
+                   "decode byte 0xff in position 37: invalid start byte\n")
+    assert not (tmp_path / "run.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -434,3 +448,16 @@ def test_contact_defaults_are_the_library_defaults():
     defaults = inspect.signature(spoon_contact_response).parameters
     assert args.dt == defaults["dt"].default == DEFAULT_TIMESTEP
     assert args.duration == defaults["duration"].default == CONTACT_HORIZON
+
+
+def test_the_digest_runs_every_subcommand():
+    # CI compares the installed package's outputs with the checkout's
+    # only through tools/digest.py, so every subcommand needs a COMMANDS
+    # entry there
+    tool = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
+    spec = importlib.util.spec_from_file_location("digest", tool)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    (subcommands,) = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert {argv[0] for argv in digest.COMMANDS.values()} == set(subcommands)

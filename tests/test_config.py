@@ -281,6 +281,15 @@ def test_invalid_json_file(tmp_path):
     assert err.value.path == "<file>"
 
 
+@pytest.mark.parametrize("load", [load_config, load_scenario])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, load):
+    path = tmp_path / "latin-1.json"
+    path.write_bytes(b'{"schema_version": 1, "duration_s": "\xff"}')
+    with pytest.raises(ParseError, match="can't decode byte 0xff") as err:
+        load(path)
+    assert err.value.path == "<file>"
+
+
 def test_scenario_unknown_input_type():
     data = scenario_data(scenario_with_everything())
     data["input"] = {"type": "earthquake"}

@@ -27,7 +27,8 @@ from spoonarm.kinematics import (
     Handedness,
     HandleVariant,
     forward_kinematics,
-    spoon_position,
+    point_position,
+    spoon_point,
 )
 from spoonarm.serialize import _write_table, block_rows
 from spoonarm.serialize import fmt
@@ -50,8 +51,8 @@ def _grid_points(params, resolution):
     grids = [np.linspace(lo, hi, resolution)
              for lo, hi in params.joint_limits]
     phi, th2, th3 = np.meshgrid(*grids, indexing="ij")
-    return np.stack(spoon_position(params, np.cos(phi), np.sin(phi),
-                                   np.cos(th2), np.sin(th2),
+    return np.stack(point_position(spoon_point(params), np.cos(phi),
+                                   np.sin(phi), np.cos(th2), np.sin(th2),
                                    np.cos(th3), np.sin(th3)),
                     axis=-1).reshape(-1, 3)
 

@@ -37,8 +37,8 @@ from spoonarm.dynamics import (
     step_dynamics,
 )
 from spoonarm.dynamics import (
+    _arm_law,
     _arm_stepper,
-    _equations,
     _mount_rows,
     _signal_forces,
     _stage_times,
@@ -174,19 +174,18 @@ def test_equations_satisfy_the_manipulator_equation():
     dampers = (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),
                DamperSpec(Joint.J2, DamperModel.DEAD_ZONE_VISCOUS, 0.4, 0.3),
                DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.1))
-    deriv = _equations(p, springs, dampers)
+    accel = _arm_law(p, springs, dampers)
     for state in random_states(100, seed=41):
-        out = deriv(list(state.q + state.qdot) + [0.0], None)
-        assert out[:3] == state.qdot
+        *qdd, power = accel(*state.q, *state.qdot, None)
         qdot = np.array(state.qdot)
         tau_d = np.array([damper_torque(spec, qdot[spec.joint])
                           for spec in dampers])
         tau = (np.array(spring_joint_torques(springs, state))
                + [0.0, *gravity_torque(p, state)] + tau_d)
-        lhs = (mass_matrix(p, state) @ out[3:6]
+        lhs = (mass_matrix(p, state) @ qdd
                + coriolis_matrix(p, state) @ qdot)
         assert np.allclose(lhs, tau, rtol=1e-10, atol=1e-10)
-        assert out[6] == pytest.approx(-tau_d @ qdot, rel=1e-12, abs=1e-15)
+        assert power == pytest.approx(-tau_d @ qdot, rel=1e-12, abs=1e-15)
 
 
 def test_potential_energy_includes_springs():
@@ -512,8 +511,12 @@ def wobble_force(t):
     return (0.2 * math.sin(3.0 * t), -0.1, 0.3 * math.cos(5.0 * t))
 
 
-def textbook_rk4(deriv, limits, y, dt, forces):
-    """Classical RK4 over deriv(y, force), then the joint-limit clamp."""
+def textbook_rk4(accel, limits, y, dt, forces):
+    """Classical RK4 over the packed state's derivative, the rates then
+    accel's accelerations and power, then the joint-limit clamp."""
+    def deriv(y, force):
+        return (*y[3:6], *accel(*y[:6], force))
+
     f0, f_half, f1 = forces
     k1 = deriv(y, f0)
     k2 = deriv([a + dt / 2 * k for a, k in zip(y, k1)], f_half)
@@ -588,7 +591,7 @@ def test_stepper_equals_textbook_rk4(params, springs, dampers, y, forces):
     dt = 1e-3
     step = _arm_stepper(params, springs, dampers, dt)
     got = step(y, 0.0, *forces)
-    expected = textbook_rk4(_equations(params, springs, dampers),
+    expected = textbook_rk4(_arm_law(params, springs, dampers),
                             params.joint_limits, list(y), dt, forces)
     assert isinstance(got, tuple)
     assert np.array(got).tobytes() == np.array(expected).tobytes()

@@ -6,12 +6,17 @@ PYTHONPATH=src from a checkout):
     python tools/digest.py > after.txt
 
 and `diff` the output of two commits: a refactor that keeps every output
-prints the same lines. It covers
+prints the same lines. CI compares the installed package with the
+checkout only through this script: it runs it on both and `cmp`s the two
+outputs. It covers
 
-- the CLI on the shipped config: simulate on the packaged example,
-  workspace, balance of each spring kind, compare-handles, fk, ik and
-  contact; each command's exit code, stdout, stderr and --out file, run
-  with relative --out names in one temporary directory;
+- the CLI on the shipped config, every command of COMMANDS: simulate on
+  the packaged example and on a three-waypoint playback file that the
+  script writes with save_scenario, workspace at resolution 25 and at 40
+  (64,000 rows, twelve CSV blocks), balance of each spring kind,
+  compare-handles, fk, ik and contact; each command's exit code, stdout,
+  stderr and --out file, run with relative --out names in one temporary
+  directory;
 - run_scenario on the shipped build for each input kind, rigid or
   compliant mount, with or without a spoon contact, each SimResult field
   on its own (and the times a callable input was called at);
@@ -33,8 +38,9 @@ prints the same lines. It covers
   as numpy float32;
 - the sorted list of the package's public names, the errors of the
   arguments read at the package boundary (a value of the wrong type, an
-  entry count or an integer below its bound), and a direction too large
-  to square, which is made unit.
+  entry count or an integer below its bound), a direction too large
+  to square, which is made unit, and the error of a scenario file that
+  is not valid UTF-8.
 
 An output that raises is digested as its exception's type and message.
 The script takes no options. Besides the package's public names it
@@ -64,8 +70,9 @@ from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
                       calibrate_handle_distance, default_config_path,
                       generate_signal, inverse_kinematics, load_config,
                       load_scenario, residual_torque_profile, run_scenario,
-                      spoon_contact_response, stabilization_report,
-                      step_dynamics, synthesize_balancing, workspace_sample)
+                      save_scenario, spoon_contact_response,
+                      stabilization_report, step_dynamics,
+                      synthesize_balancing, workspace_sample)
 from spoonarm.cli import main
 from spoonarm.config import config_data, parse_config
 from spoonarm.serialize import write_balance_csv, write_sim_csv
@@ -113,6 +120,34 @@ VARIANTS = {
                             SpringSpec(SpringKind.TORSION, Joint.J3, 0.8,
                                        torsion_neutral=0.3)), None),
 }
+
+# the CLI commands cli_lines runs on the shipped config, by digest name;
+# every subcommand of cli.build_parser() has an entry (tests/test_cli.py
+# checks it), and every --out name is relative
+COMMANDS = {
+    "simulate": ["simulate", "--scenario", str(EXAMPLE),
+                 "--out", "simulate.csv"],
+    "workspace": ["workspace", "--resolution", "25", "--out", "workspace.csv"],
+    **{f"balance-{kind}": ["balance", "--kind", kind,
+                           "--out", f"balance-{kind}.csv"]
+       for kind in ("ideal", "real", "torsion")},
+    "compare-handles": ["compare-handles", "--out", "compare.csv"],
+    "fk": ["fk", "--q", "0.1,0.8,-0.3"],
+    "ik": ["ik", "--target", "0.35,0.02,0.1"],
+    "contact": ["contact", "--impulse", "0.02"],
+    # 64,000 rows: twelve CSV blocks
+    "workspace-40": ["workspace", "--resolution", "40",
+                     "--out", "workspace-40.csv"],
+    # IK over whole arrays, and CSV columns of few values; cli_lines
+    # writes PLAYBACK to playback.json first
+    "simulate-playback": ["simulate", "--scenario", "playback.json",
+                          "--out", "playback.csv"],
+}
+PLAYBACK = Scenario(duration=0.5, timestep=DT,
+                    initial=JointState(q=(0.0, 0.7, -0.2)),
+                    input=PrescribedTrajectory(((0.0, 0.35, 0.0, 0.02),
+                                                (0.25, 0.33, 0.04, 0.15),
+                                                (0.5, 0.3, 0.02, 0.3))))
 
 # the shipped build, on its compliant mount and on a rigid one
 CONFIG = load_config(default_config_path())
@@ -181,24 +216,12 @@ def fresh(kind):
 
 
 def cli_lines():
-    commands = {
-        "simulate": ["simulate", "--scenario", str(EXAMPLE),
-                     "--out", "simulate.csv"],
-        "workspace": ["workspace", "--resolution", "25",
-                      "--out", "workspace.csv"],
-        **{f"balance-{kind}": ["balance", "--kind", kind,
-                               "--out", f"balance-{kind}.csv"]
-           for kind in ("ideal", "real", "torsion")},
-        "compare-handles": ["compare-handles", "--out", "compare.csv"],
-        "fk": ["fk", "--q", "0.1,0.8,-0.3"],
-        "ik": ["ik", "--target", "0.35,0.02,0.1"],
-        "contact": ["contact", "--impulse", "0.02"],
-    }
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            for name, argv in commands.items():
+            save_scenario(PLAYBACK, "playback.json")
+            for name, argv in COMMANDS.items():
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), \
                         contextlib.redirect_stderr(err):
@@ -382,6 +405,12 @@ def boundary_lines():
         "SineTremor/direction-1e200",
         lambda: SineTremor(1.0, 1.0, direction=(1e200, 0.0, 1e200)),
         lambda sine: sha(repr(sine.direction)))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "not-utf-8.json")
+        with open(path, "wb") as fh:
+            fh.write(b'{"schema_version": 1, "duration_s": "\xff"}')
+        yield from error_line("load_scenario/not-utf-8",
+                              lambda: load_scenario(path))
 
 
 def digest_lines():
