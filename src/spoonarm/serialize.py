@@ -102,5 +102,10 @@ def write_compare_csv(rows, path):
 
 
 def write_workspace_csv(points, path):
-    """Utensil point cloud, one x,y,z row per unique sample."""
-    _write_table(path, WORKSPACE_HEADER, (np.asarray(points, dtype=float),))
+    """Utensil point cloud, one x,y,z row per unique sample; `points` must
+    be an (n, 3) table, else ValueError naming it."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must be an (n, 3) table, not an array of "
+                         f"shape {points.shape}")
+    _write_table(path, WORKSPACE_HEADER, (points,))

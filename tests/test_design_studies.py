@@ -31,7 +31,7 @@ from spoonarm.kinematics import (
     spoon_point,
 )
 from spoonarm.serialize import _write_table, block_rows
-from spoonarm.serialize import fmt
+from spoonarm.serialize import fmt, write_workspace_csv
 
 
 def _bits(a):
@@ -98,6 +98,60 @@ def test_unique_rows_with_duplicates_and_ties():
     _same_rows(_unique_rows(table[::-1]), want)
 
 
+def _unique_both_ways(table, want):
+    """_unique_rows of `table` equals np.unique's rows and `want`, bit for
+    bit."""
+    table, want = np.array(table), np.array(want)
+    _same_rows(np.unique(table, axis=0), want)
+    _same_rows(_unique_rows(table), want)
+
+
+def test_unique_rows_sorts_ties_at_the_first_and_last_rows():
+    # the rows that sort first and last tie in (x, y) and are given with
+    # z descending, so only the sort by z puts them in order
+    _unique_both_ways([[-1.0, 4.0, 2.0],
+                       [0.5, 0.5, 0.0],
+                       [-1.0, 4.0, -2.0],
+                       [3.0, -1.0, 7.0],
+                       [3.0, -1.0, 7.0],
+                       [-1.0, 4.0, 2.0],
+                       [3.0, -1.0, 6.0]],
+                      [[-1.0, 4.0, -2.0],
+                       [-1.0, 4.0, 2.0],
+                       [0.5, 0.5, 0.0],
+                       [3.0, -1.0, 6.0],
+                       [3.0, -1.0, 7.0]])
+
+
+def test_unique_rows_keeps_the_first_of_signed_zeros():
+    # every row ties in (x, y); of rows equal but for the sign of a zero,
+    # the first given is kept
+    _unique_both_ways([[0.0, -0.0, 1.0],
+                       [-0.0, 0.0, 0.0],
+                       [0.0, 0.0, -0.0],
+                       [-0.0, -0.0, -1.0],
+                       [0.0, 0.0, 1.0],
+                       [-0.0, 0.0, -0.0]],
+                      [[-0.0, -0.0, -1.0],
+                       [-0.0, 0.0, 0.0],
+                       [0.0, -0.0, 1.0]])
+
+
+def test_unique_rows_orders_subnormals():
+    tiny = 5e-324
+    _unique_both_ways([[tiny, -tiny, 3 * tiny],
+                       [tiny, -tiny, -tiny],
+                       [-tiny, tiny, 2.2e-308],
+                       [tiny, -tiny, 1e-310],
+                       [tiny, -tiny, -tiny],
+                       [-tiny, tiny, 1e-320]],
+                      [[-tiny, tiny, 1e-320],
+                       [-tiny, tiny, 2.2e-308],
+                       [tiny, -tiny, -tiny],
+                       [tiny, -tiny, 3 * tiny],
+                       [tiny, -tiny, 1e-310]])
+
+
 # ---------------------------------------------------------------------------
 # CSV writer
 
@@ -135,6 +189,22 @@ def _nan(bits):
 
 
 N_EDGE = 2 * block_rows(4) + 8     # a multiple of 4, and not of a block
+
+
+@pytest.mark.parametrize("points", [
+    np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3), np.zeros((1, 2, 3)),
+], ids=["2-wide", "4-wide", "1-D", "3-D"])
+def test_workspace_csv_needs_an_n_by_3_table(tmp_path, points):
+    path = tmp_path / "cloud.csv"
+    with pytest.raises(ValueError, match=r"points must be an \(n, 3\) "):
+        write_workspace_csv(points, path)
+    assert not path.exists()
+
+
+def test_workspace_csv_of_no_points_is_the_header(tmp_path):
+    path = tmp_path / "cloud.csv"
+    write_workspace_csv(np.empty((0, 3)), path)
+    assert path.read_bytes() == b"x,y,z\n"
 
 
 @pytest.mark.parametrize("values", [
@@ -284,6 +354,8 @@ def test_trajectory_endpoints_must_be_finite(kwargs, name):
     ({"radial_band": math.inf}, "radial_band"),
     ({"plate_radius": math.nan}, "plate_radius"),
     ({"target_rise": math.inf}, "target_rise"),
+    ({"plate_radius": -1.0}, "plate_radius must be >= 0"),
+    ({"target_rise": -1.0}, "target_rise must be >= 0"),
 ])
 def test_workspace_summary_inputs_checked(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -293,3 +365,9 @@ def test_workspace_summary_inputs_checked(kwargs, match):
 def test_workspace_zero_band_is_valid():
     sample = workspace_sample(nominal_params(), 3, radial_band=0.0)
     assert sample.summary.plate_vertical_span >= 0.0
+
+
+def test_workspace_zero_radius_and_rise_are_valid():
+    sample = workspace_sample(nominal_params(), 3, plate_radius=0.0,
+                              target_rise=0.0)
+    assert sample.summary.covers_target_rise
