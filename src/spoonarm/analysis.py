@@ -25,11 +25,12 @@ from .dynamics import settling_time
 from .errors import GridMismatchError, NotBracketedError, SpoonArmError
 from .kinematics import (
     HandleVariant,
+    JointState,
     MechanismParams,
+    _solve_ik,
     _trig,
     handle_point,
     integer,
-    inverse_kinematics,
     number,
     numbers,
     point_position,
@@ -37,9 +38,9 @@ from .kinematics import (
     spoon_point,
 )
 
-# Not called here any more, but kept as an attribute of this module:
-# perfbench/tracer.py patches it here.
-from .kinematics import forward_kinematics  # noqa: F401
+# Not called here any more, but kept as attributes of this module:
+# perfbench/tracer.py patches them here.
+from .kinematics import forward_kinematics, inverse_kinematics  # noqa: F401
 
 SETTLING_BAND_M = 0.005
 PLATE_RADIUS_M = 0.35
@@ -112,11 +113,20 @@ class WorkspaceSample:
     summary: WorkspaceSummary
 
 
+def _trajectory_q(params: MechanismParams,
+                  trajectory: TrajectorySpec) -> list:
+    """The rows (phi1, theta2, theta3) of IK along the trajectory, in one
+    solve; the first waypoint k that IK rejects raises its error, ending
+    " at waypoint k"."""
+    x, y, z = np.array(trajectory.points()).T
+    return _solve_ik(params, x, y, z, lambda k: f" at waypoint {k}").tolist()
+
+
 def trajectory_states(params: MechanismParams,
                       trajectory: TrajectorySpec) -> tuple:
-    """IK solutions along the trajectory; unreachable points propagate."""
-    return tuple(inverse_kinematics(params, pt)
-                 for pt in trajectory.points())
+    """IK solutions along the trajectory; unreachable points propagate,
+    naming the first one's waypoint."""
+    return tuple(JointState(q=q) for q in _trajectory_q(params, trajectory))
 
 
 def _trajectory_trig(params: MechanismParams,
@@ -125,8 +135,7 @@ def _trajectory_trig(params: MechanismParams,
     with math as forward_kinematics does, so heights from them match its
     poses bit for bit. IK never reads the handle: builds that differ
     only in their handle share these rows."""
-    return np.array([_trig(state.q)
-                     for state in trajectory_states(params, trajectory)]).T
+    return np.array([_trig(q) for q in _trajectory_q(params, trajectory)]).T
 
 
 def _excursion(params: MechanismParams, trig: np.ndarray) -> Excursion:

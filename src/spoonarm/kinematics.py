@@ -389,46 +389,39 @@ def handle_jacobian(params: MechanismParams, state: JointState) -> np.ndarray:
     return _point_jacobian(handle_point(params), state.q)
 
 
-def _wrap_angle(a, fmod=math.fmod):
-    """Wrap to (-pi, pi]; a float, or an array with numpy's fmod."""
-    a = fmod(a + math.pi, TWO_PI)
+def _libm(f, *arrays):
+    """The math function f over 1-D arrays, entry by entry: libm's bits
+    on any CPU, where numpy's own functions round by their SIMD dispatch."""
+    return np.fromiter(map(f, *(a.tolist() for a in arrays)), float)
+
+
+def _wrap_angle(a):
+    """Wrap an array of angles to (-pi, pi]."""
+    a = np.fmod(a + math.pi, TWO_PI)
     return a + TWO_PI * (a <= 0.0) - math.pi
 
 
-def _select(condition, a, b):
-    """np.where for one float."""
-    return a if condition else b
+def _solve_ik(params: MechanismParams, x, y, z, at) -> np.ndarray:
+    """(n, 3) joint angles of inverse_kinematics for the 1-D arrays of
+    target coordinates (x, y, z): the branch the joint limits admit,
+    elbow-up first. An angle within IK_LIMIT_TOL outside its limits
+    counts as inside and is returned on the limit.
 
-
-# the functions _ik_closure takes to run on numpy arrays of targets
-_ARRAY_IK = dict(hypot=np.hypot, atan2=np.arctan2, acos=np.arccos,
-                 sin=np.sin, cos=np.cos, fmod=np.fmod, minimum=np.minimum,
-                 maximum=np.maximum, where=np.where)
-
-
-def _ik_closure(params: MechanismParams, x, y, z, hypot=math.hypot,
-                atan2=math.atan2, acos=math.acos, sin=math.sin, cos=math.cos,
-                fmod=math.fmod, minimum=min, maximum=max, where=_select):
-    """The closed-form IK of inverse_kinematics, on floats or, with the
-    _ARRAY_IK functions, on numpy arrays of target coordinates.
-
-    Returns (phi1, theta2, theta3, d, unreachable, inside): the branch
-    the joint limits admit, elbow-up first, the planar distance d, and
-    whether the target lies outside the annulus, and whether the angles
-    lie inside the limits; _ik_error names what is wrong. An angle within
-    IK_LIMIT_TOL outside its limits counts as inside and is returned on
-    the limit.
+    hypot, atan2, acos, sin and cos are math's, so every row has the
+    bits of a one-target solve on any CPU. The first row k outside the
+    annulus or inside no joint limits raises UnreachableError or
+    LimitViolationError, the message ended by at(k).
     """
     a, L1, L2, _, height, _ = spoon_point(params)
-    radial = hypot(x, y)
-    phi1 = where(radial > 0.0, atan2(y, x), 0.0)
+    radial = _libm(math.hypot, x, y)
+    phi1 = np.where(radial > 0.0, _libm(math.atan2, y, x), 0.0)
     u = radial - a
     w = z - height
-    d = hypot(u, w)
+    d = _libm(math.hypot, u, w)
     unreachable = (d > L1 + L2 + 1e-12) | (d < abs(L1 - L2) - 1e-12)
-    cos_gamma = (d * d + L1 * L1 - L2 * L2) / (2.0 * L1 * maximum(d, 1e-12))
-    gamma = acos(minimum(1.0, maximum(-1.0, cos_gamma)))
-    psi = atan2(w, u)
+    cos_gamma = (d * d + L1 * L1 - L2 * L2) / (2.0 * L1 * np.maximum(d, 1e-12))
+    gamma = _libm(math.acos, np.minimum(1.0, np.maximum(-1.0, cos_gamma)))
+    psi = _libm(math.atan2, w, u)
     (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
 
     def within(angle, lo, hi):
@@ -436,35 +429,33 @@ def _ik_closure(params: MechanismParams, x, y, z, hypot=math.hypot,
 
     branches = []
     for th2 in (psi + gamma, psi - gamma):  # elbow-up first
-        th3 = _wrap_angle(atan2(w - L1 * sin(th2), u - L1 * cos(th2)), fmod)
-        th2 = _wrap_angle(th2, fmod)
+        th3 = _wrap_angle(_libm(math.atan2, w - L1 * _libm(math.sin, th2),
+                                u - L1 * _libm(math.cos, th2)))
+        th2 = _wrap_angle(th2)
         branches.append((th2, th3, within(th2, lo2, hi2)
                          & within(th3, lo3, hi3)))
     (th2_up, th3_up, up), (th2_down, th3_down, down) = branches
-    th2 = minimum(maximum(where(up, th2_up, th2_down), lo2), hi2)
-    th3 = minimum(maximum(where(up, th3_up, th3_down), lo3), hi3)
+    th2 = np.minimum(np.maximum(np.where(up, th2_up, th2_down), lo2), hi2)
+    th3 = np.minimum(np.maximum(np.where(up, th3_up, th3_down), lo3), hi3)
     inside = up | down
     # below 1e-12 the fold-back singularity (only possible when L1 == L2):
     # every theta2 works; take the straight-down fold
     fold = d < 1e-12
-    th2 = where(fold, 0.0, th2)
-    th3 = where(fold, math.pi, th3)
-    inside = where(fold, (lo2 <= 0.0 <= hi2) & (lo3 <= math.pi <= hi3),
-                   inside)
-    return (minimum(maximum(phi1, lo1), hi1), th2, th3, d, unreachable,
-            within(phi1, lo1, hi1) & inside)
-
-
-def _ik_error(params: MechanismParams, d, unreachable, at=""):
-    """The error for an IK target _ik_closure found `unreachable`, or
-    else inside no joint limits; `at` ends the message."""
-    if unreachable:
-        L1, L2 = params.link1_length, params.link2_length
-        return UnreachableError(
-            f"target at planar distance {d:.6f} m is outside the reachable "
-            f"annulus [{abs(L1 - L2):.6f}, {L1 + L2:.6f}]{at}")
-    return LimitViolationError(
-        f"target reachable only outside the joint limits{at}")
+    th2 = np.where(fold, 0.0, th2)
+    th3 = np.where(fold, math.pi, th3)
+    inside = np.where(fold, (lo2 <= 0.0 <= hi2) & (lo3 <= math.pi <= hi3),
+                      inside)
+    bad = np.flatnonzero(unreachable | ~(within(phi1, lo1, hi1) & inside))
+    if bad.size:
+        k = bad[0]
+        if unreachable[k]:
+            raise UnreachableError(
+                f"target at planar distance {d[k]:.6f} m is outside the "
+                f"reachable annulus [{abs(L1 - L2):.6f}, {L1 + L2:.6f}]"
+                f"{at(k)}")
+        raise LimitViolationError(
+            f"target reachable only outside the joint limits{at(k)}")
+    return np.column_stack((np.minimum(np.maximum(phi1, lo1), hi1), th2, th3))
 
 
 def inverse_kinematics(params: MechanismParams, target) -> JointState:
@@ -483,27 +474,16 @@ def inverse_kinematics(params: MechanismParams, target) -> JointState:
     target = numbers(target, "target")
     if len(target) != 3:
         raise ValueError(f"target needs three components, not {target}")
-    x, y, z = target
-    phi1, th2, th3, d, unreachable, inside = _ik_closure(params, x, y, z)
-    if unreachable or not inside:
-        raise _ik_error(params, d, unreachable)
-    return JointState(q=(phi1, th2, th3))
+    q = _solve_ik(params, *np.array(target)[:, None], lambda k: "")
+    return JointState(q=q[0].tolist())
 
 
 def inverse_kinematics_path(params: MechanismParams, t, x, y,
                             z) -> np.ndarray:
     """(n, 3) joint angles of inverse_kinematics for the targets (x, y, z),
-    numpy arrays reached at times `t`, in one pass over whole arrays.
-
-    numpy's hypot, atan2 and acos may differ from math's in the last
-    bit, and so may the angles. The first row that is unreachable or
-    inside no joint limits raises inverse_kinematics's error for it,
-    naming the row's time.
+    1-D numpy arrays reached at times `t`, in one solve: each row has the
+    bits inverse_kinematics gives for its target. The first row that is
+    unreachable or inside no joint limits raises inverse_kinematics's
+    error for it, naming the row's time.
     """
-    phi1, th2, th3, d, unreachable, inside = _ik_closure(params, x, y, z,
-                                                         **_ARRAY_IK)
-    bad = np.flatnonzero(unreachable | ~inside)
-    if bad.size:
-        k = bad[0]
-        raise _ik_error(params, d[k], unreachable[k], f" at t = {t[k]:.6f} s")
-    return np.column_stack((phi1, th2, th3))
+    return _solve_ik(params, x, y, z, lambda k: f" at t = {t[k]:.6f} s")

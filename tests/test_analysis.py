@@ -75,9 +75,19 @@ def test_trajectory_states_track_waypoints():
 
 def test_trajectory_states_unreachable_propagates():
     params = nominal_params()
-    with pytest.raises(UnreachableError):
+    with pytest.raises(UnreachableError, match=" at waypoint 0$"):
         trajectory_states(params, TrajectorySpec(plate=(0.9, 0.02),
                                                  mouth=(0.9, 0.35)))
+
+
+@pytest.mark.parametrize("study", [
+    trajectory_states, handle_excursion, compare_handle_variants,
+    lambda params, trajectory: calibrate_handle_distance(params, trajectory,
+                                                         0.1)])
+def test_trajectory_ik_error_names_the_first_rejected_waypoint(study):
+    # the path leaves the arm's reach between waypoints 29 and 30
+    with pytest.raises(UnreachableError, match=" at waypoint 30$"):
+        study(nominal_params(), TrajectorySpec(mouth=(0.35, 0.9)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from spoonarm.analysis import workspace_sample
+from spoonarm.defaults import nominal_params
 from spoonarm.errors import LimitViolationError, UnreachableError
 from spoonarm.kinematics import (
     HANDLE_ANGLE_OFFSETS_RAD,
@@ -427,15 +429,8 @@ def test_ik_path_equals_scalar_ik_over_the_workspace(seed, limits):
     targets = [tuple(spoon_pose(p, s).position)
                for s in random_states(p, 400, seed=seed, margin=1e-6)]
     got, want = _ik_both(p, targets)
-    # math.hypot and np.hypot may differ in the last bit of the planar
-    # distance, and acos magnifies that by 1/sin(theta2 - theta3) as the
-    # arm straightens or folds
-    bent = np.abs(np.sin(want[:, 1] - want[:, 2]))
-    bound = 4e-15 * np.maximum(1.0, 0.1 / bent)
-    assert np.all(np.abs(got - want).max(axis=1) <= bound)
-    # the same branch on every row
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     elbow_up = want[:, 1] >= want[:, 2]
-    assert np.array_equal(got[:, 1] >= got[:, 2], elbow_up)
     if limits[1][1] == 0.5:
         assert 0 < np.count_nonzero(~elbow_up) < len(targets)
 
@@ -446,6 +441,43 @@ def test_ik_path_on_the_j1_axis_and_at_the_fold():
     # x = y = 0, of either zero sign: phi1 is +0.0, not atan2's +-pi
     axis = [(x, y, 0.3) for x in (0.0, -0.0) for y in (0.0, -0.0)]
     got, want = _ik_both(p, axis + [folded])
-    assert np.abs(got - want).max() <= 4e-15
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(got[:, 0].view(np.int64), np.zeros(5, np.int64))
     assert tuple(got[4]) == tuple(want[4]) == (0.0, 0.0, math.pi)
+
+
+def _wrap(a):
+    a = math.fmod(a + math.pi, 2.0 * math.pi)
+    return a + 2.0 * math.pi * (a <= 0.0) - math.pi
+
+
+def _ik_reference(p, x, y, z):
+    """The closed form of inverse_kinematics in plain floats with math,
+    for a reachable target with a branch inside the joint limits."""
+    a, L1, L2 = p.base_offset + p.spoon_offset, p.link1_length, p.link2_length
+    radial = math.hypot(x, y)
+    phi1 = math.atan2(y, x) if radial > 0.0 else 0.0
+    u, w = radial - a, z - p.base_height
+    d = math.hypot(u, w)
+    cos_gamma = (d * d + L1 * L1 - L2 * L2) / (2.0 * L1 * max(d, 1e-12))
+    gamma = math.acos(min(1.0, max(-1.0, cos_gamma)))
+    psi = math.atan2(w, u)
+    for th2 in (psi + gamma, psi - gamma):  # elbow-up first
+        q = (phi1, _wrap(th2), _wrap(math.atan2(w - L1 * math.sin(th2),
+                                                u - L1 * math.cos(th2))))
+        if all(lo - 1e-12 <= qi <= hi + 1e-12
+               for qi, (lo, hi) in zip(q, p.joint_limits)):
+            return [min(max(qi, lo), hi)
+                    for qi, (lo, hi) in zip(q, p.joint_limits)]
+    raise AssertionError(f"no branch inside the limits for {(x, y, z)}")
+
+
+def test_ik_path_has_libm_bits_over_the_workspace_grid():
+    # numpy's own hypot, atan2 and acos may round differently from libm,
+    # and differently again under another SIMD dispatch
+    p = nominal_params()
+    points = workspace_sample(p, 20).points
+    assert len(points) == 8000
+    got = inverse_kinematics_path(p, np.arange(len(points)), *points.T)
+    want = np.array([_ik_reference(p, *target) for target in points.tolist()])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
