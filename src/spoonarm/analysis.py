@@ -34,7 +34,6 @@ from .kinematics import (
     number,
     numbers,
     point_position,
-    real,
     spoon_point,
 )
 
@@ -319,9 +318,7 @@ def stabilization_report(reference, result, baseline=None,
     without one, the result serves as its own baseline (attenuation 1.0,
     or 0.0 for a perfect track). `band` (m) must be finite and > 0.
     """
-    band = real(band, "band")
-    if not 0.0 < band < math.inf:
-        raise ValueError(f"band must be finite and > 0, not {band!r}")
+    band = number(band, "band", "> 0")
     dev = _deviation_series(reference, result)
     rms = float(math.sqrt(np.mean(dev ** 2)))
     peak = float(dev.max())

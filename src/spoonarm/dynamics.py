@@ -509,13 +509,21 @@ def _noise_table(f_lo: float, f_hi: float, seed: int):
     return 2.0 * math.pi * freqs, phases
 
 
+def _is_force(value) -> bool:
+    """Whether a callable input's `value` reads as three floats."""
+    try:
+        return np.array(tuple(value), dtype=float).shape == (3,)
+    except (TypeError, ValueError):
+        return False
+
+
 def _signal_forces(inputs, times: np.ndarray):
     """The (len(times), 3) handle forces of `inputs` at a 1-D array of
     times, or None for no input (None or FreeRelease). `inputs` is one of
     the signal specs, a callable t -> force called once per time in order,
     or a constant (fx, fy, fz): a tuple, list or array. A force that is not
-    finite raises ValueError, and so does a playback, which has no handle
-    force; any other input raises TypeError."""
+    three finite real numbers raises ValueError, and so does a playback,
+    which has no handle force; any other input raises TypeError."""
     if inputs is None or isinstance(inputs, FreeRelease):
         return None
     if isinstance(inputs, SineTremor):
@@ -534,8 +542,15 @@ def _signal_forces(inputs, times: np.ndarray):
         raise ValueError("a PrescribedTrajectory is kinematic playback, not "
                          "a force; run it through run_scenario")
     elif callable(inputs):
-        forces = np.array([tuple(inputs(t)) for t in times.tolist()],
-                          dtype=float)
+        forces = [inputs(t) for t in times.tolist()]
+        try:
+            forces = np.array([tuple(force) for force in forces], dtype=float)
+        except (TypeError, ValueError):
+            k = next(k for k, force in enumerate(forces)
+                     if not _is_force(force))
+            raise ValueError("input force must be three real numbers; it is "
+                             f"{forces[k]!r} at t = {times[k]:.6f} s"
+                             ) from None
         if forces.shape != (len(times), 3):
             raise ValueError("input force needs three components")
         bad = np.flatnonzero(~np.isfinite(forces).all(axis=1))

@@ -103,6 +103,22 @@ def test_callable_force_without_three_components_is_rejected():
                       lambda t: (0.0, 1.0), 1e-3)
 
 
+# each returned from the stage time t = 0.0025 s on, after good forces
+MALFORMED_FORCES = {"ragged": (0.0, (1.0, 2.0), 0.0), "str": ("a", 0, 0),
+                    "none": None, "float": 5.0}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FORCES))
+def test_malformed_callable_force_names_its_first_time(name):
+    def force(t):
+        return MALFORMED_FORCES[name] if t >= 0.0025 else (0.0, 0.0, 0.1)
+
+    scenario = Scenario(duration=0.01, initial=START, input=force)
+    with pytest.raises(ValueError, match=r"^input force must be three real "
+                       r"numbers; it is .* at t = 0\.002500 s$"):
+        run_scenario(nominal_params(), [], [], RIGID, scenario)
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-3])
 def test_step_dynamics_needs_a_positive_timestep(dt):
     with pytest.raises(ValueError, match="dt must be > 0"):
@@ -307,7 +323,7 @@ def test_stabilization_band_must_be_finite_and_positive(band):
     params = nominal_params()
     still = run_scenario(params, [], [], RIGID,
                          Scenario(duration=0.01, initial=START))
-    with pytest.raises(ValueError, match="band must be finite and > 0"):
+    with pytest.raises(ValueError, match="^band must be > 0 and finite, not "):
         stabilization_report(still, still, band=band)
 
 

@@ -1,14 +1,16 @@
-"""Print one `name sha256` line per output of spoonarm, to compare builds.
+"""Print one `name sha256` line per output of spoonarm.
 
-Run it from any directory, with spoonarm importable (installed, or
-PYTHONPATH=src from a checkout):
+tools/digest.txt, committed next to this script, is what it prints: the
+one record of every output that the tests and CI compare against. Run it
+from any directory, with spoonarm importable (installed, or PYTHONPATH=src
+from a checkout). A change that keeps every output prints the file's
+lines; one that changes an output on purpose regenerates the file,
 
-    python tools/digest.py > after.txt
+    PYTHONPATH=src python tools/digest.py > tools/digest.txt
 
-and `diff` the output of two commits: a refactor that keeps every output
-prints the same lines. CI compares the installed package with the
-checkout only through this script: it runs it on both and `cmp`s the two
-outputs. It covers
+so that the changed lines show in its diff. A tier-1 test checks that the
+checkout prints the file under two hash seeds, and each CI leg `diff`s the
+installed package's lines against it. It covers
 
 - the CLI on the shipped config, every command of COMMANDS: simulate on
   the packaged example and on a three-waypoint playback file that the
@@ -40,7 +42,19 @@ outputs. It covers
   arguments read at the package boundary (a value of the wrong type, an
   entry count or an integer below its bound), a direction too large
   to square, which is made unit, and the error of a scenario file that
-  is not valid UTF-8.
+  is not valid UTF-8;
+- the paper's studies on the shipped build: stabilization_report of a
+  damped and an undamped rigid-mount noise rollout, against the
+  tremor-free rollout and against TrajectorySpec(), the bracket
+  calibrate_handle_distance to a 0.24 m handle rise, and the
+  handle_excursion and trajectory_states of TrajectorySpec();
+- holding_force, mass_matrix, coriolis_matrix, kinetic_energy,
+  potential_energy, jacobian, handle_jacobian and gravity_torque at
+  START, and spring_torque and damper_torque of each spring and damper
+  of the shipped config and of VARIANTS;
+- the bytes of the package's data files, default_config.json and
+  example_scenario.json, and of the file save_config writes for the
+  shipped build.
 
 An output that raises is digested as its exception's type and message.
 The script takes no options. Besides the package's public names it
@@ -67,12 +81,17 @@ from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
                       Joint, JointState, NoiseTremor, PrescribedTrajectory,
                       Scenario, SimResult, SineTremor, SpasmImpulse,
                       SpoonContact, SpringKind, SpringSpec, TrajectorySpec,
-                      calibrate_handle_distance, default_config_path,
-                      generate_signal, inverse_kinematics, load_config,
-                      load_scenario, residual_torque_profile, run_scenario,
-                      save_scenario, spoon_contact_response,
+                      calibrate_handle_distance, coriolis_matrix,
+                      damper_torque, default_config_path, generate_signal,
+                      gravity_torque, handle_excursion, handle_jacobian,
+                      holding_force, inverse_kinematics, jacobian,
+                      kinetic_energy, load_config, load_scenario,
+                      mass_matrix, potential_energy, residual_torque_profile,
+                      run_scenario, save_config, save_scenario,
+                      spoon_contact_response, spring_torque,
                       stabilization_report, step_dynamics,
-                      synthesize_balancing, workspace_sample)
+                      synthesize_balancing, trajectory_states,
+                      workspace_sample)
 from spoonarm.cli import main
 from spoonarm.config import config_data, parse_config
 from spoonarm.serialize import write_balance_csv, write_sim_csv
@@ -413,6 +432,76 @@ def boundary_lines():
                               lambda: load_scenario(path))
 
 
+def study_lines():
+    """The paper's studies on the shipped build: the damping score of a
+    damped and an undamped rigid-mount noise rollout, against the
+    tremor-free rollout and against the feeding motion, the bracket
+    calibration and the handle travel of that motion."""
+    def rigid(dampers, inputs):
+        return run_scenario(P, CONFIG.springs, dampers, MOUNTS["rigid"],
+                            Scenario(duration=DURATION, timestep=DT,
+                                     initial=START, input=inputs))
+
+    trajectory = TrajectorySpec()
+    still = rigid(CONFIG.dampers, None)
+    damped = rigid(CONFIG.dampers, INPUTS["noise"])
+    undamped = rigid((), INPUTS["noise"])
+    for name, reference in (("tremor-free", still),
+                            ("trajectory", trajectory)):
+        yield from value_line(
+            f"stabilization_report/noise-damped-vs-undamped/{name}",
+            lambda: stabilization_report(reference, damped, undamped),
+            lambda report: array_sha(dataclasses.astuple(report)))
+    yield from value_line(
+        "calibrate_handle_distance/rise-0.24",
+        lambda: calibrate_handle_distance(P, trajectory, 0.24), array_sha)
+    yield from value_line("handle_excursion",
+                          lambda: handle_excursion(P, trajectory), array_sha)
+    yield from value_line(
+        "trajectory_states", lambda: trajectory_states(P, trajectory),
+        lambda states: array_sha([dataclasses.astuple(s) for s in states]))
+
+
+def law_lines():
+    """The mechanics of the shipped build at START, and the torque of
+    each spring and damper of the shipped config and of VARIANTS at
+    START's angles and rates."""
+    springs = (*CONFIG.springs, *VARIANTS["real-j2-torsion-j3"][0])
+    dampers = (*CONFIG.dampers, *(damper for _, variant in VARIANTS.values()
+                                  for damper in variant or ()))
+    calls = {
+        "holding_force": lambda: holding_force(P, CONFIG.springs, START),
+        "mass_matrix": lambda: mass_matrix(P, START),
+        "coriolis_matrix": lambda: coriolis_matrix(P, START),
+        "kinetic_energy": lambda: kinetic_energy(P, START),
+        "potential_energy": lambda: potential_energy(P, CONFIG.springs,
+                                                     START),
+        "jacobian": lambda: jacobian(P, START),
+        "handle_jacobian": lambda: handle_jacobian(P, START),
+        "gravity_torque": lambda: gravity_torque(P, START),
+        "spring_torque": lambda: [spring_torque(spring, START.q[spring.joint])
+                                  for spring in springs],
+        "damper_torque": lambda: [
+            damper_torque(damper, START.qdot[damper.joint])
+            for damper in dampers],
+    }
+    for name, call in calls.items():
+        yield from value_line(f"{name}/start", call, array_sha)
+
+
+def data_lines():
+    """The package's data files, and the config file save_config writes
+    for the shipped build."""
+    for name in ("default_config.json", "example_scenario.json"):
+        yield f"data/{name}", sha((files("spoonarm") / "data" / name)
+                                  .read_bytes())
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "config.json")
+        yield from value_line("save_config/default",
+                              lambda: save_config(CONFIG, path),
+                              lambda _: file_sha(path))
+
+
 def digest_lines():
     yield from cli_lines()
     yield from rollout_lines()
@@ -424,6 +513,9 @@ def digest_lines():
     yield from spring_set_lines()
     yield from number_lines()
     yield from boundary_lines()
+    yield from study_lines()
+    yield from law_lines()
+    yield from data_lines()
 
 
 if __name__ == "__main__":
