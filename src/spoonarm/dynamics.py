@@ -509,12 +509,13 @@ def _noise_table(f_lo: float, f_hi: float, seed: int):
     return 2.0 * math.pi * freqs, phases
 
 
-def _is_force(value) -> bool:
-    """Whether a callable input's `value` reads as three floats."""
-    try:
-        return np.array(tuple(value), dtype=float).shape == (3,)
-    except (TypeError, ValueError):
-        return False
+def _force(values, name: str) -> tuple:
+    """A handle force `values` read with numbers: three finite floats;
+    else ValueError starting with `name`."""
+    force = numbers(values, name)
+    if len(force) != 3:
+        raise ValueError(f"{name} needs three components")
+    return force
 
 
 def _signal_forces(inputs, times: np.ndarray):
@@ -522,8 +523,9 @@ def _signal_forces(inputs, times: np.ndarray):
     times, or None for no input (None or FreeRelease). `inputs` is one of
     the signal specs, a callable t -> force called once per time in order,
     or a constant (fx, fy, fz): a tuple, list or array. A force that is not
-    three finite real numbers raises ValueError, and so does a playback,
-    which has no handle force; any other input raises TypeError."""
+    three finite real numbers raises ValueError, a callable's naming the
+    first time it returned one, and so does a playback, which has no handle
+    force; any other input raises TypeError."""
     if inputs is None or isinstance(inputs, FreeRelease):
         return None
     if isinstance(inputs, SineTremor):
@@ -542,28 +544,19 @@ def _signal_forces(inputs, times: np.ndarray):
         raise ValueError("a PrescribedTrajectory is kinematic playback, not "
                          "a force; run it through run_scenario")
     elif callable(inputs):
-        forces = [inputs(t) for t in times.tolist()]
-        try:
-            forces = np.array([tuple(force) for force in forces], dtype=float)
-        except (TypeError, ValueError):
-            k = next(k for k, force in enumerate(forces)
-                     if not _is_force(force))
-            raise ValueError("input force must be three real numbers; it is "
-                             f"{forces[k]!r} at t = {times[k]:.6f} s"
-                             ) from None
-        if forces.shape != (len(times), 3):
-            raise ValueError("input force needs three components")
-        bad = np.flatnonzero(~np.isfinite(forces).all(axis=1))
-        if bad.size:
-            raise ValueError("input force must be finite; it is "
-                             f"{tuple(forces[bad[0]].tolist())} at "
-                             f"t = {times[bad[0]]:.6f} s")
+        # each force is read as it is returned, so a callable may hand back
+        # one array that it updates in place
+        forces = np.empty((len(times), 3))
+        for k, t in enumerate(times.tolist()):
+            force = inputs(t)
+            try:
+                forces[k] = _force(force, "input force")
+            except ValueError as error:
+                raise ValueError(f"{error} at t = {t:.6f} s") from None
         return forces
     elif isinstance(inputs, (tuple, list, np.ndarray)):
-        const = numbers(inputs, "constant input force")
-        if len(const) != 3:
-            raise ValueError("constant input force needs three components")
-        return np.tile(const, (len(times), 1))
+        return np.tile(_force(inputs, "constant input force"),
+                       (len(times), 1))
     else:
         raise TypeError(f"unknown input signal {type(inputs).__name__}")
     return np.multiply.outer(mag, inputs.direction)

@@ -103,20 +103,31 @@ def test_callable_force_without_three_components_is_rejected():
                       lambda t: (0.0, 1.0), 1e-3)
 
 
-# each returned from the stage time t = 0.0025 s on, after good forces
-MALFORMED_FORCES = {"ragged": (0.0, (1.0, 2.0), 0.0), "str": ("a", 0, 0),
-                    "none": None, "float": 5.0}
+# each returned from the stage time t = 0.0025 s on, after good forces;
+# a callable's force is read by the constant force's rule, so text that
+# parses as a number is rejected too
+MALFORMED_FORCES = {
+    "ragged": ("input force[1] must be a real number, not (1.0, 2.0)",
+               (0.0, (1.0, 2.0), 0.0)),
+    "str": ("input force[0] must be a real number, not 'a'", ("a", 0, 0)),
+    "text": ("input force[0] must be a real number, not '1.0'",
+             ("1.0", 0, 0)),
+    "none": ("input force must be iterable, not None", None),
+    "float": ("input force must be iterable, not 5.0", 5.0),
+}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_FORCES))
 def test_malformed_callable_force_names_its_first_time(name):
+    message, bad = MALFORMED_FORCES[name]
+
     def force(t):
-        return MALFORMED_FORCES[name] if t >= 0.0025 else (0.0, 0.0, 0.1)
+        return bad if t >= 0.0025 else (0.0, 0.0, 0.1)
 
     scenario = Scenario(duration=0.01, initial=START, input=force)
-    with pytest.raises(ValueError, match=r"^input force must be three real "
-                       r"numbers; it is .* at t = 0\.002500 s$"):
+    with pytest.raises(ValueError) as error:
         run_scenario(nominal_params(), [], [], RIGID, scenario)
+    assert str(error.value) == f"{message} at t = 0.002500 s"
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3])

@@ -185,6 +185,20 @@ def test_callable_called_once_per_stage_time_on_every_run():
     assert _signal_block.cache_info().currsize == 0
 
 
+def test_callable_may_return_one_array_it_updates_in_place():
+    class Controller:
+        def __init__(self):
+            self.f = np.zeros(3)
+
+        def __call__(self, t):
+            self.f[:] = (0.2 * math.sin(3.0 * t), -0.1, 0.3 * t)
+            return self.f
+
+    n = FORCE_BLOCK + 10
+    fresh = rollout(lambda t: (0.2 * math.sin(3.0 * t), -0.1, 0.3 * t), n)
+    assert result_bytes(rollout(Controller(), n)) == result_bytes(fresh)
+
+
 @pytest.mark.parametrize("force", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.inf)],
                          ids=["nan", "inf"])
 def test_non_finite_constant_force_is_named(force):
