@@ -159,7 +159,6 @@ def _cmd_balance(config, args) -> int:
     if args.out:
         with _writing(args.out) as path:
             serialize.write_balance_csv(
-                config.mechanism, result.springs,
                 (result.residual_j2, result.residual_j3), path)
     for spring, profile in ((result.spring_j2, result.residual_j2),
                             (result.spring_j3, result.residual_j3)):

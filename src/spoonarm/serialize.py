@@ -1,16 +1,16 @@
 """CSV emitters for time series and comparison tables.
 
-Every float is written as repr() produces it: the shortest decimal string
-that round-trips to the same double. Identical inputs therefore yield
-byte-identical files, which is what the golden tests pin. Float tables
-are written in blocks of about CSV_BLOCK_CELLS cells (block_rows gives
-5,461 rows of the 3-column workspace cloud and 910 of the 18-column sim
-table); _shortest.csv_rows computes repr's text for a whole block with
-numpy integer arithmetic (Ryu's shortest digits), and takes repr itself
-only for zeros, non-finite and subnormal cells and the values Ryu may
-send down its trailing-zero path, such as 0.5 or any magnitude from
-2**49 to 2**131. fmt is the scalar path, for stdout and the compare
-table.
+The writers only format: each writes the values it is given and computes
+none of them. Every float is written as repr() produces it: the shortest
+decimal string that round-trips to the same double, so identical inputs
+yield byte-identical files. Float tables are written in blocks of about
+CSV_BLOCK_CELLS cells (block_rows gives 5,461 rows of the 3-column
+workspace cloud and 910 of the 18-column sim table); _shortest.csv_rows
+computes repr's text for a whole block with numpy integer arithmetic
+(Ryu's shortest digits), and takes repr itself only for zeros, non-finite
+and subnormal cells and the values Ryu may send down its trailing-zero
+path, such as 0.5 or any magnitude from 2**49 to 2**131. fmt is the
+scalar path, for stdout and the compare table.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._shortest import csv_rows
-from .kinematics import spec_tuple
-from .statics import SpringSpec, torque_columns
 
 SIM_HEADER = ("t,phi1,theta2,theta3,dphi1,dtheta2,dtheta3,"
               "spoon_x,spoon_y,spoon_z,handle_x,handle_y,handle_z,"
@@ -72,20 +70,14 @@ def write_sim_csv(result, path):
         result.e_kin, result.e_pot, result.e_diss))
 
 
-def write_balance_csv(params, springs, profiles, path):
-    """Residual torque table for both lifted joints, stacked.
-
-    `profiles` are the per-joint residual TorqueProfiles; beside each
-    residual go the gravity and spring columns statics.torque_columns
-    gives over the profile's angles, so the file is self-checking
-    (residual = gravity + spring).
-    """
-    springs = spec_tuple(springs, SpringSpec, "springs")
-    blocks = [np.column_stack([
-        profile.angles,
-        *torque_columns(params, springs, profile.joint, profile.angles),
-        profile.torques]) for profile in profiles]
-    _write_table(path, BALANCE_HEADER, (np.concatenate(blocks),))
+def write_balance_csv(profiles, path):
+    """The residual TorqueProfiles of the lifted joints as one table, each
+    profile's angles, gravity, spring and torques stacked below the last's;
+    every row's residual is its gravity plus its spring, as the profile
+    added them."""
+    _write_table(path, BALANCE_HEADER, (np.concatenate([np.column_stack((
+        profile.angles, profile.gravity, profile.spring, profile.torques))
+        for profile in profiles]),))
 
 
 def compare_table(rows) -> str:

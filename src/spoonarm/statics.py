@@ -28,7 +28,7 @@ exerts on the joint (negative potential gradient).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -100,19 +100,25 @@ class SpringSpec:
 
 @dataclass(eq=False)
 class TorqueProfile:
-    """Torque sampled over one joint's angle range."""
+    """Torques on one joint over its angle range: gravity's, the springs'
+    summed, and their sum `torques`, the residual, computed once here."""
 
     joint: Joint
     angles: np.ndarray
-    torques: np.ndarray
+    gravity: np.ndarray
+    spring: np.ndarray
+    torques: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.angles = np.asarray(self.angles, dtype=float)
-        self.torques = np.asarray(self.torques, dtype=float)
-        if self.angles.shape != self.torques.shape:
-            raise ValueError("angles and torques must have the same length")
+        self.angles, self.gravity, self.spring = (
+            np.asarray(column, dtype=float)
+            for column in (self.angles, self.gravity, self.spring))
+        if not self.angles.shape == self.gravity.shape == self.spring.shape:
+            raise ValueError("angles, gravity and spring must have the same "
+                             "length")
         if np.any(np.diff(self.angles) <= 0.0):
             raise ValueError("angles must be strictly increasing")
+        self.torques = self.gravity + self.spring
 
     @property
     def max_abs(self) -> float:
@@ -418,14 +424,15 @@ def synthesize_balancing(params: MechanismParams, kind: SpringKind,
 
 def residual_torque_profile(params: MechanismParams, springs,
                             ) -> tuple[TorqueProfile, TorqueProfile]:
-    """Gravity plus summed spring torque over each lifted joint's range."""
+    """Gravity's and the summed springs' torque columns over each lifted
+    joint's range, with their sum, the residual."""
     springs = spec_tuple(springs, SpringSpec, "springs")
     profiles = []
     for joint in (Joint.J2, Joint.J3):
         lo, hi = params.joint_limits[joint]
         grid = np.linspace(lo, hi, GRID_SAMPLES if hi > lo else 1)
-        tau_g, tau_s = torque_columns(params, springs, joint, grid)
-        profiles.append(TorqueProfile(joint, grid, tau_g + tau_s))
+        profiles.append(TorqueProfile(
+            joint, grid, *torque_columns(params, springs, joint, grid)))
     return tuple(profiles)
 
 

@@ -1,0 +1,121 @@
+"""A closed-form oracle for the damping study.
+
+The shipped build is balanced exactly, so near the example pose a small
+handle force F moves the arm as the mass-damper M*dq'' + C*dq' = J_h^T*F,
+with M the lumped-mass matrix at the pose and C the viscous dampers'
+coefficients. M^-1*C is similar to the symmetric S = M^-1/2*C*M^-1/2,
+whose eigenvectors decouple the system into modes z'' + lam*z' = b(t);
+for a sine force each mode has an exact solution. The rollout's spoon
+deviation from the tremor-free rollout must approach J_s*dq with an error
+of first order in the amplitude: Coriolis, and M and J varying with the
+pose, are what the linearisation leaves out.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spoonarm import default_config_path, load_config
+from spoonarm.defaults import example_scenario
+from spoonarm.dynamics import (ComplianceMode, ComplianceSpec, DamperModel,
+                               Scenario, SineTremor, mass_matrix, run_scenario)
+from spoonarm.kinematics import handle_jacobian, jacobian
+
+SHIPPED = load_config(default_config_path())
+EXAMPLE = example_scenario()
+START = EXAMPLE.initial
+RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+FREQUENCY = 2.0     # Hz
+DURATION = 4.0      # s
+AMPLITUDES = (0.15, 0.015, 0.0015)      # N, vertical
+
+
+def lumped_mass_matrix(params, th2, th3):
+    """M(q) of the three point masses, written out on its own: each mass
+    sits at radius a1 + alpha*L1*cos(th2) + beta*L2*cos(th3) from the yaw
+    axis and height h + alpha*L1*sin(th2) + beta*L2*sin(th3)."""
+    p = params
+    l1, l2 = p.link1_length, p.link2_length
+    masses = ((p.mass_link1, p.com_fraction1, 0.0),
+              (p.mass_link2, 1.0, p.com_fraction2),
+              (p.mass_payload, 1.0, 1.0))
+    m = np.zeros((3, 3))
+    for mass, alpha, beta in masses:
+        radius = (p.base_offset + alpha * l1 * math.cos(th2)
+                  + beta * l2 * math.cos(th3))
+        m[0, 0] += mass * radius * radius
+        m[1, 1] += mass * (alpha * l1) ** 2
+        m[2, 2] += mass * (beta * l2) ** 2
+        m[1, 2] += mass * alpha * beta * l1 * l2 * math.cos(th2 - th3)
+    m[2, 1] = m[1, 2]
+    return m
+
+
+def damping_matrix(dampers):
+    c = np.zeros(3)
+    for spec in dampers:
+        assert spec.model is DamperModel.VISCOUS
+        c[spec.joint] += spec.coefficient
+    return np.diag(c)
+
+
+def linear_spoon_deviation(params, dampers, state, force, t):
+    """J_s*dq(t) of M*dq'' + C*dq' = J_h^T*force*sin(2*pi*f*t), starting
+    at rest: (len(t), 3) rows."""
+    m = lumped_mass_matrix(params, *state.q[1:])
+    mass_values, mass_vectors = np.linalg.eigh(m)
+    m_inv_sqrt = mass_vectors @ np.diag(mass_values ** -0.5) @ mass_vectors.T
+    lam, modes = np.linalg.eigh(m_inv_sqrt @ damping_matrix(dampers)
+                                @ m_inv_sqrt)
+    lam = np.maximum(lam, 0.0)      # J1 has no damper: lam is 0 up to ulps
+    b = modes.T @ m_inv_sqrt @ handle_jacobian(params, state).T @ force
+    w = 2.0 * math.pi * FREQUENCY
+    tt, lam = t[:, None], lam[None, :]
+    # (1 - exp(-lam*t))/lam, and its limit t for an undamped mode
+    damped = lam > 0.0
+    settle = np.where(damped, -np.expm1(-lam * tt)
+                      / np.where(damped, lam, 1.0), tt)
+    # z of z'' + lam*z' = b*sin(w*t), z(0) = z'(0) = 0
+    z = b * (lam * (1.0 - np.cos(w * tt)) / w - np.sin(w * tt)
+             + w * settle) / (lam * lam + w * w)
+    dq = z @ (m_inv_sqrt @ modes).T
+    return dq @ jacobian(params, state).T
+
+
+def rollout_spoon(amplitude):
+    scenario = Scenario(duration=DURATION, timestep=EXAMPLE.timestep,
+                        initial=START,
+                        input=SineTremor(amplitude, FREQUENCY)
+                        if amplitude else None)
+    result = run_scenario(SHIPPED.mechanism, SHIPPED.springs,
+                          SHIPPED.dampers, RIGID, scenario)
+    return result.t, result.spoon_pos
+
+
+def relative_rms_error(amplitude, still):
+    t, spoon = rollout_spoon(amplitude)
+    expected = linear_spoon_deviation(
+        SHIPPED.mechanism, SHIPPED.dampers, START,
+        np.array([0.0, 0.0, amplitude]), t)
+    error = (spoon - still) - expected
+    return math.sqrt(np.mean(error * error) / np.mean(expected * expected))
+
+
+def test_lumped_mass_matrix_is_the_mass_matrix():
+    np.testing.assert_allclose(
+        mass_matrix(SHIPPED.mechanism, START),
+        lumped_mass_matrix(SHIPPED.mechanism, *START.q[1:]),
+        rtol=1e-14, atol=1e-17)
+
+
+def test_sine_tremor_rollout_converges_to_the_linear_closed_form():
+    _, still = rollout_spoon(0.0)
+    # balanced exactly: without tremor the spoon does not move
+    assert np.max(np.abs(still - still[0])) < 1e-12
+    errors = [relative_rms_error(amplitude, still)
+              for amplitude in AMPLITUDES]
+    # first order in the amplitude: 2.05e-2, 2.05e-3 and 2.05e-4 here
+    assert errors[0] < 0.03
+    for larger, smaller in zip(errors, errors[1:]):
+        assert larger / smaller == pytest.approx(10.0, rel=0.2)

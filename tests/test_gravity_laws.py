@@ -108,7 +108,7 @@ def test_balance_csv_writes_the_torque_columns(tmp_path, kind):
     result = synthesize_balancing(p, kind)
     profiles = (result.residual_j2, result.residual_j3)
     path = tmp_path / "balance.csv"
-    write_balance_csv(p, result.springs, profiles, path)
+    write_balance_csv(profiles, path)
     expected = np.concatenate([np.column_stack([
         profile.angles,
         *torque_columns(p, result.springs, profile.joint, profile.angles),

@@ -55,7 +55,6 @@ from spoonarm.statics import (
     spring_torque,
     synthesize_balancing,
 )
-from spoonarm.serialize import write_balance_csv
 
 RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
 START = JointState(q=(0.0, 0.7, -1.4))
@@ -191,7 +190,9 @@ def test_spring_kind_and_geometry_must_match(kind, fields, message):
 
 def test_torque_profile_shapes_must_match():
     with pytest.raises(ValueError, match="same length"):
-        TorqueProfile(Joint.J2, [0.0, 0.1, 0.2], [1.0, 2.0])
+        TorqueProfile(Joint.J2, [0.0, 0.1, 0.2], [1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="same length"):
+        TorqueProfile(Joint.J2, [0.0, 0.1, 0.2], [1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 def test_synthesis_rejects_a_negative_free_length():
@@ -351,31 +352,28 @@ def test_step_dynamics_needs_four_deflections(deflections):
 
 SHIPPED = load_config(default_config_path())
 BUILD = SHIPPED.mechanism
-PROFILES = residual_torque_profile(BUILD, SHIPPED.springs)
 RUN = Scenario(0.01, initial=START)
 PLAYBACK = Scenario(0.01, initial=START, input=PrescribedTrajectory(
     ((0.0, 0.35, 0.0, 0.02), (0.01, 0.34, 0.01, 0.05))))
 BOTH = ("springs", "dampers")
-# name -> (the sets it takes, a call with springs, dampers and a CSV path);
+# name -> (the sets it takes, a call with springs and dampers);
 # a playback steps nothing, but its dampers are checked all the same
 ELEMENT_ENTRY_POINTS = {
-    "run_scenario": (BOTH, lambda s, d, _: run_scenario(
+    "run_scenario": (BOTH, lambda s, d: run_scenario(
         BUILD, s, d, RIGID, RUN)),
-    "run_scenario-playback": (BOTH, lambda s, d, _: run_scenario(
+    "run_scenario-playback": (BOTH, lambda s, d: run_scenario(
         BUILD, s, d, RIGID, PLAYBACK)),
-    "step_dynamics": (BOTH, lambda s, d, _: step_dynamics(
+    "step_dynamics": (BOTH, lambda s, d: step_dynamics(
         BUILD, s, d, RIGID, START, None, 1e-3)),
-    "ConfigFile": (BOTH, lambda s, d, _: ConfigFile(BUILD, s, d)),
-    "potential_energy": (("springs",), lambda s, _, __: potential_energy(
+    "ConfigFile": (BOTH, lambda s, d: ConfigFile(BUILD, s, d)),
+    "potential_energy": (("springs",), lambda s, _: potential_energy(
         BUILD, s, START)),
-    "spring_joint_torques": (("springs",), lambda s, _, __:
+    "spring_joint_torques": (("springs",), lambda s, _:
                              spring_joint_torques(s, START)),
-    "residual_torque_profile": (("springs",), lambda s, _, __:
+    "residual_torque_profile": (("springs",), lambda s, _:
                                 residual_torque_profile(BUILD, s)),
-    "holding_force": (("springs",), lambda s, _, __: holding_force(
+    "holding_force": (("springs",), lambda s, _: holding_force(
         BUILD, s, START)),
-    "write_balance_csv": (("springs",), lambda s, _, path: write_balance_csv(
-        BUILD, s, PROFILES, path)),
 }
 SPEC_OF = {"springs": "SpringSpec", "dampers": "DamperSpec"}
 # the other field's set stands in for this one's
@@ -389,7 +387,7 @@ SWAPPED = {"springs": SHIPPED.dampers, "dampers": SHIPPED.springs}
     for bad_id, bad in (("int", [1]), ("str", "ab"), ("none", None),
                         ("swapped", SWAPPED[field]))])
 def test_spring_and_damper_sets_are_checked_at_every_entry_point(
-        entry, field, bad, tmp_path):
+        entry, field, bad):
     _, call = ELEMENT_ENTRY_POINTS[entry]
     given = {"springs": SHIPPED.springs, "dampers": SHIPPED.dampers,
              field: bad}
@@ -398,7 +396,7 @@ def test_spring_and_damper_sets_are_checked_at_every_entry_point(
     else:
         message = rf"^{field}\[0\] must be a {SPEC_OF[field]}, not "
     with pytest.raises(ValueError, match=message):
-        call(given["springs"], given["dampers"], tmp_path / "balance.csv")
+        call(given["springs"], given["dampers"])
 
 
 @pytest.mark.parametrize("fields, message", [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spoonarm import default_config_path, load_config
+from spoonarm.cli import main
 from spoonarm.dynamics import (DamperModel, DamperSpec, damper_law,
                                damper_sum, damper_torque)
 from spoonarm.errors import InfeasibleBoundsError
@@ -198,7 +199,8 @@ def test_spring_spec_validation():
 
 def test_torque_profile_requires_increasing_angles():
     with pytest.raises(ValueError):
-        TorqueProfile(Joint.J2, np.array([0.0, 0.0, 0.1]), np.zeros(3))
+        TorqueProfile(Joint.J2, np.array([0.0, 0.0, 0.1]), np.zeros(3),
+                      np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +362,11 @@ def test_residual_torque_profile_reads_springs_from_an_iterator():
     for profile, from_iterator in zip(got, residual_torque_profile(
             p, iter(springs))):
         assert profile.joint == from_iterator.joint
-        assert (bits(profile.angles) == bits(from_iterator.angles)).all()
-        assert (bits(profile.torques) == bits(from_iterator.torques)).all()
+        # an iterator read without a copy once left J3 with no spring
+        assert (profile.spring != 0.0).all()
+        for column in ("angles", "gravity", "spring", "torques"):
+            assert (bits(getattr(profile, column))
+                    == bits(getattr(from_iterator, column))).all()
 
 
 def test_holding_force_reads_springs_from_an_iterator():
@@ -369,20 +374,6 @@ def test_holding_force_reads_springs_from_an_iterator():
     got = holding_force(p, springs, SHIPPED_POSE)
     from_iterator = holding_force(p, iter(springs), SHIPPED_POSE)
     assert (bits(from_iterator) == bits(got)).all()
-
-
-def test_balance_csv_reads_springs_from_a_list_or_an_iterator(tmp_path):
-    # the spring column is summed per joint: an iterator read without a
-    # copy leaves J3 with no spring, 0.613 N*m off
-    p, springs = shipped_build()
-    profiles = residual_torque_profile(p, springs)
-    tables = []
-    for name, given in (("tuple", springs), ("list", list(springs)),
-                        ("iterator", iter(springs))):
-        path = tmp_path / f"{name}.csv"
-        write_balance_csv(p, given, profiles, path)
-        tables.append(path.read_bytes())
-    assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +489,7 @@ def test_balance_csv_columns_match_the_reference_helpers(tmp_path, kind):
     result = synthesize_balancing(p, kind)
     profiles = (result.residual_j2, result.residual_j3)
     path = tmp_path / "balance.csv"
-    write_balance_csv(p, result.springs, profiles, path)
+    write_balance_csv(profiles, path)
     rows = read_balance_csv(path)
     assert len(rows) == sum(len(profile.angles) for profile in profiles)
     i = 0
@@ -527,7 +518,7 @@ def test_balance_csv_joint_without_springs_has_a_zero_column(tmp_path):
     only_j2 = (ideal_spring(Joint.J2, G2),)
     profiles = residual_torque_profile(p, only_j2)
     path = tmp_path / "balance.csv"
-    write_balance_csv(p, only_j2, profiles, path)
+    write_balance_csv(profiles, path)
     rows = read_balance_csv(path)
     j3_rows = rows[len(profiles[0].angles):]
     assert len(j3_rows) == len(profiles[1].angles)
@@ -535,6 +526,32 @@ def test_balance_csv_joint_without_springs_has_a_zero_column(tmp_path):
                for r in j3_rows)
     np.testing.assert_array_equal([r[3] for r in j3_rows],
                                   [r[1] for r in j3_rows])
+    # given no spring beside the ideal fit's residuals, the writer once
+    # wrote a zero spring column and rows 1.41 N*m off
+    table = np.array(rows)
+    assert (bits(table[:, 3]) == bits(table[:, 1] + table[:, 2])).all()
+
+
+@pytest.mark.parametrize("kind, name", [
+    (SpringKind.LINEAR_ZERO_FREE_LENGTH, "ideal"),
+    (SpringKind.LINEAR_REAL, "real"),
+    (SpringKind.TORSION, "torsion"),
+], ids=["ideal", "real", "torsion"])
+def test_balance_table_is_the_cli_table_and_adds_up(tmp_path, capsys, kind,
+                                                    name):
+    # the writer once summed its own spring column from a separate spring
+    # set, so the shipped springs beside the real fit's residuals gave rows
+    # whose residual was 0.020 N*m off their gravity plus spring
+    p, _ = shipped_build()
+    springs = synthesize_balancing(p, kind).springs
+    path = tmp_path / "balance.csv"
+    write_balance_csv(residual_torque_profile(p, springs), path)
+    cli_path = tmp_path / "cli.csv"
+    assert main(["balance", "--kind", name, "--out", str(cli_path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == cli_path.read_bytes()
+    rows = np.array(read_balance_csv(path))
+    assert (bits(rows[:, 3]) == bits(rows[:, 1] + rows[:, 2])).all()
 
 
 def test_spring_spec_rejects_non_finite_numbers():

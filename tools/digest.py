@@ -31,9 +31,10 @@ installed package's lines against it. It covers
   diverges: at c = 30 a stage leaves the floats (t = 0.023 s), at c = 40
   the stepped state does (t = 0.034 s);
 - generate_signal of each signal spec, no input and a playback;
-- the balance table write_balance_csv writes for the shipped springs
-  given as a tuple, a list and an iterator, and the error of a rollout
-  given a spring that is not a SpringSpec;
+- the balance table write_balance_csv writes of the residual profiles
+  residual_torque_profile gives for the shipped springs as a tuple, a
+  list and an iterator, and the error of a rollout given a spring that
+  is not a SpringSpec;
 - the errors of numbers of the wrong type or out of range, given to a
   spec, a rollout or the config reader, and the simulate CSV of the
   packaged example on a build whose gravity, and with a timestep, given
@@ -329,12 +330,11 @@ def signal_lines():
 
 def spring_set_lines():
     springs = CONFIG.springs
-    profiles = residual_torque_profile(P, springs)
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "balance.csv")
         for form, given in (("tuple", springs), ("list", list(springs)),
                             ("iterator", iter(springs))):
-            write_balance_csv(P, given, profiles, path)
+            write_balance_csv(residual_torque_profile(P, given), path)
             yield f"write_balance_csv/{form}", file_sha(path)
     scenario = Scenario(duration=DURATION, timestep=DT, initial=START)
     yield from error_line("run_scenario/springs-int", lambda: run_scenario(
