@@ -31,12 +31,21 @@ Each build gets one RK4 step function, made by _arm_stepper; rollouts and
 single steps (step_dynamics) both step the arm with it. Building it
 reads the springs and the dampers once each with kinematics.spec_tuple,
 which takes any iterable and names a bad entry, and computes every
-per-build constant once: the mass law (_mass_law), gravity, the handle's
-kinematics.point_torque_law, and each joint's statics.spring_sum and
-damper_sum, both one statics.law_sum. The step then runs its four stages
-on local floats. Each law keeps one body: _mass_law, point_torque_law and
-the spring sum serve the stepper's floats and the statics' and
-recording's arrays alike.
+per-build constant once: the mass law (_mass_law), each lifted joint's
+statics.gravity_laws torque, the handle's kinematics.point_torque_law,
+and each joint's statics.spring_sum and damper_sum, both one
+statics.law_sum. The step then runs its four stages on local floats.
+Each law keeps one body: _mass_law, gravity's and the springs' laws and
+point_torque_law serve the stepper's floats and the statics' and
+recording's arrays alike, so gravity plus an ideal spring cancels in the
+stage as in the synthesis, and a balanced build at rest stays at rest.
+
+RK4 is stable on a damped mode only while dt*lambda <= 2.785 (Hairer &
+Wanner, Solving ODEs II, IV.2), lambda an eigenvalue of M^-1*C, C the
+diagonal of each joint's summed damper coefficients (a dead zone's at
+full c). Each stage guards it with the m11 and planar determinant it
+solves with: past STIFF_BOUND the step raises TimestepTooCoarseError
+naming the joints, the time and the largest stable dt.
 
 The mount is linear and unforced after a contact, so _mount_rows steps
 each axis with its exact propagator, and the arm's is the only integrator.
@@ -95,8 +104,8 @@ from .kinematics import (
     spec_tuple,
     spoon_point,
 )
-from .statics import (SpringSpec, gravity_coefficients, law_sum,
-                      potential_sum, spring_sum)
+from .statics import (SpringSpec, gravity_laws, law_sum, potential_sum,
+                      spring_sum)
 
 # Not called here any more, but kept as attributes of this module: callers
 # such as perfbench/tracer.py reach these functions through it.
@@ -113,6 +122,10 @@ FORCE_BLOCK = 128           # steps whose stage forces are evaluated at once
 # SIGNAL_BLOCKS * 3*FORCE_BLOCK rows * 3 * 8 B, about 1.2 MB
 SIGNAL_BLOCKS = 128
 GRID_REL_TOL = 1e-9         # duration/timestep this close to whole is whole
+# the largest dt*lambda of M^-1*C a rollout may reach: below RK4's 2.785 on
+# the negative real axis, above the 2.511 a J3 damper of c = 15 peaks at on
+# the packaged example, which keeps its energy
+STIFF_BOUND = 2.6
 
 
 class DamperModel(Enum):
@@ -598,21 +611,36 @@ def _stage_times(k0: int, k1: int, n: int, dt: float) -> np.ndarray:
 # equations of motion
 
 
-def _arm_law(params: MechanismParams, springs, dampers):
+class _StiffStage(Exception):
+    """A stage's dampers are too stiff for dt: args (joints, dt*lambda)."""
+
+
+def _arm_law(params: MechanismParams, springs, dampers, dt: float):
     """accel(phi1, th2, th3, w1, w2, w3, force) of one build: the joint
     accelerations and the dissipated power (acc1, acc2, acc3, power) at
     one state under the handle force (fx, fy, fz), or None for no input.
 
     Every term that does not depend on the state is computed here, once
-    per build: the mass law, gravity, the handle's torque law, and each
-    spring's and each acting damper's law, bound per joint. accel calls
-    each law with positional arguments only: a *args call takes CPython's
-    generic call path and cost about 7% of a rollout.
+    per build: the mass law, each lifted joint's statics.gravity_laws
+    torque, the handle's torque law, and each spring's and each acting
+    damper's law, bound per joint. accel calls each law with positional
+    arguments only: a *args call takes CPython's generic call path and
+    cost about 7% of a rollout.
+
+    For a step of dt, accel raises _StiffStage(joints, dt*lambda) where
+    dt*lambda of M^-1*C, C the diagonal of each joint's summed
+    damper coefficients (a dead zone's at full c), exceeds STIFF_BOUND.
+    The build's floors replace the solve's own tests against tiny, so the
+    common path makes no extra compare: m11 is tested against
+    dt*c1/STIFF_BOUND, and det = M22*M33 - M23^2 against
+    dt*(c2*M33 + c3*M22)/STIFF_BOUND, a trace bound on the larger root
+    that is exact when one of c2, c3 is 0. Only a det below its floor
+    solves the 2x2 root.
     """
     m22, m33, mass = _mass_law(params)
     m22_m33 = m22 * m33
-    a2, a3 = gravity_coefficients(params)
-    neg_g = -params.gravity
+    gravity2, gravity3 = (gravity_laws(params, joint)[0]
+                          for joint in (Joint.J2, Joint.J3))
     handle_torques = point_torque_law(handle_point(params))
     springs = spec_tuple(springs, SpringSpec, "springs")
     dampers = spec_tuple(dampers, DamperSpec, "dampers")
@@ -623,14 +651,46 @@ def _arm_law(params: MechanismParams, springs, dampers):
     cos, sin = math.cos, math.sin
     tiny = 1e-18
 
+    # dt*c of each joint's dampers, and the floors of the guard
+    dc1, dc2, dc3 = (dt * sum(spec.coefficient for spec in dampers
+                              if spec.joint == joint)
+                     for joint in Joint)
+    floor1 = max(tiny, dc1 / STIFF_BOUND)
+    floor23 = max(tiny, (dc2 * m33 + dc3 * m22) / STIFF_BOUND)
+    planar = " and ".join(joint.name for joint, dc
+                          in ((Joint.J2, dc2), (Joint.J3, dc3)) if dc)
+    # a singular block's per-joint solves: dt*c/M of each damped joint
+    singular_rate = max((dc / m if m > tiny else math.inf) if dc else 0.0
+                        for dc, m in ((dc2, m22), (dc3, m33)))
+
+    def yaw(m11, rhs1):
+        """acc1 at m11 <= floor1, unless dt*c1/m11 exceeds STIFF_BOUND: a
+        joint with no inertia holds its rate."""
+        if dc1 > STIFF_BOUND * m11:
+            raise _StiffStage(Joint.J1.name, dc1 / m11 if m11 else math.inf)
+        return rhs1 / m11 if m11 > tiny else 0.0
+
+    def solvable(det):
+        """Whether a planar block at det <= floor23 takes the block solve,
+        det > tiny: dt*lambda is the larger root of
+        x^2 - dt*trace*x + dt^2*c2*c3/det."""
+        if det > tiny:
+            half = 0.5 * (dc2 * m33 + dc3 * m22) / det
+            rate = half + math.sqrt(max(half * half - dc2 * dc3 / det, 0.0))
+        else:
+            rate = singular_rate
+        if rate > STIFF_BOUND:
+            raise _StiffStage(planar, rate)
+        return det > tiny
+
     def accel(phi1, th2, th3, w1, w2, w3, force):
         c2t, s2t, c3t, s3t = cos(th2), sin(th2), cos(th3), sin(th3)
         m11, m23, d2, d3, bs = mass(c2t, s2t, c3t, s3t)
 
         tau1, damp2, damp3 = damper1(w1), damper2(w2), damper3(w3)
         power = 0.0 - tau1 * w1 - damp2 * w2 - damp3 * w3
-        tau2 = neg_g * c2t * a2 + spring2(th2, c2t, s2t) + damp2
-        tau3 = neg_g * c3t * a3 + spring3(th3, c3t, s3t) + damp3
+        tau2 = gravity2(c2t) + spring2(th2, c2t, s2t) + damp2
+        tau3 = gravity3(c3t) + spring3(th3, c3t, s3t) + damp3
 
         if force is not None:
             fx, fy, fz = force
@@ -645,12 +705,12 @@ def _arm_law(params: MechanismParams, springs, dampers):
         rhs2 = tau2 - (-0.5 * d2 * w1 * w1 + bs * w3 * w3)
         rhs3 = tau3 - (-0.5 * d3 * w1 * w1 - bs * w2 * w2)
 
-        # block solve; joints with no inertia (massless limit) hold their
-        # rate, and a singular planar block degrades to independent
-        # per-joint solves
-        acc1 = rhs1 / m11 if m11 > tiny else 0.0
+        # block solve, behind the guard; joints with no inertia (massless
+        # limit) hold their rate, and a singular planar block degrades to
+        # independent per-joint solves
+        acc1 = rhs1 / m11 if m11 > floor1 else yaw(m11, rhs1)
         det = m22_m33 - m23 * m23
-        if det > tiny:
+        if det > floor23 or solvable(det):
             acc2 = (rhs2 * m33 - rhs3 * m23) / det
             acc3 = (rhs3 * m22 - rhs2 * m23) / det
         else:
@@ -668,12 +728,14 @@ def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
     the next one.
 
     The joint limits clamp the position and zero the outgoing velocity;
-    a state or stage that leaves the floats raises NonFiniteStateError.
+    a state or stage that leaves the floats raises NonFiniteStateError,
+    and a stage whose dampers are too stiff for dt its subclass
+    TimestepTooCoarseError.
     The stages call accel with positional arguments only, and the step
     tests the new state's finiteness with one float expression, exact
     for any finite state, with no call per entry.
     """
-    accel = _arm_law(params, springs, dampers)
+    accel = _arm_law(params, springs, dampers, dt)
     (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -696,6 +758,13 @@ def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
         except (ValueError, OverflowError):
             # a stage left the floats, as math.cos of an infinite angle
             raise NonFiniteStateError(diverged(t + dt)) from None
+        except _StiffStage as stiff:
+            joints, rate = stiff.args
+            raise TimestepTooCoarseError(
+                f"{joints} damping dt*lambda = {rate:.6g} exceeds "
+                f"{STIFF_BOUND} at t = {t:.6f} s; the largest stable dt is "
+                f"{dt * STIFF_BOUND / rate:.6g} s; reduce the timestep"
+            ) from None
         q1 += sixth * (w1 + 2.0 * u1 + 2.0 * v1 + x1)
         q2 += sixth * (w2 + 2.0 * u2 + 2.0 * v2 + x2)
         q3 += sixth * (w3 + 2.0 * u3 + 2.0 * v3 + x3)
@@ -786,7 +855,8 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     them unchanged. Raises ValueError for a t or dt that is not finite,
     LimitViolationError for a `state` outside the joint limits,
     DeflectionExceededError for deflections beyond the mount's validity
-    limit, and TimestepTooCoarseError when omega_n*dt >= pi.
+    limit, and TimestepTooCoarseError when omega_n*dt >= pi or the
+    dampers are too stiff for dt (dt*lambda of M^-1*C above STIFF_BOUND).
     """
     dt, t = number(dt, "dt", "> 0"), number(t, "t")
     mount = sequence(deflections, "deflections", real)
@@ -857,7 +927,8 @@ def run_scenario(params: MechanismParams, springs, dampers,
     Raises LimitViolationError for a start outside the joint limits;
     UnreachableError or LimitViolationError, naming the time, for the
     first playback row that IK rejects; TimestepTooCoarseError for a
-    contact when omega_n*dt >= pi; and DeflectionExceededError, naming
+    contact when omega_n*dt >= pi, or, naming the time, for dampers too
+    stiff for the timestep; and DeflectionExceededError, naming
     the time of the first breach, when the mount deflects beyond its
     validity limit.
     """

@@ -9,6 +9,11 @@ for a sine force each mode has an exact solution. The rollout's spoon
 deviation from the tremor-free rollout must approach J_s*dq with an error
 of first order in the amplitude: Coriolis, and M and J varying with the
 pose, are what the linearisation leaves out.
+
+The shipped build is the benchmark damper sweep's viscous build of c =
+0.4 on J2 and J3; its builds of c = 0.1 and 1.0 are checked too, and a
+horizontal force whose lateral part drives J1's yaw, an undamped mode of
+pure mass.
 """
 
 import math
@@ -19,8 +24,9 @@ import pytest
 from spoonarm import default_config_path, load_config
 from spoonarm.defaults import example_scenario
 from spoonarm.dynamics import (ComplianceMode, ComplianceSpec, DamperModel,
-                               Scenario, SineTremor, mass_matrix, run_scenario)
-from spoonarm.kinematics import handle_jacobian, jacobian
+                               DamperSpec, Scenario, SineTremor, mass_matrix,
+                               run_scenario)
+from spoonarm.kinematics import Joint, handle_jacobian, jacobian
 
 SHIPPED = load_config(default_config_path())
 EXAMPLE = example_scenario()
@@ -28,7 +34,10 @@ START = EXAMPLE.initial
 RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
 FREQUENCY = 2.0     # Hz
 DURATION = 4.0      # s
-AMPLITUDES = (0.15, 0.015, 0.0015)      # N, vertical
+AMPLITUDES = (0.15, 0.015, 0.0015)      # N
+VERTICAL = (0.0, 0.0, 1.0)
+# horizontal: its y part turns the arm about J1, its x part lifts it
+HORIZONTAL = (0.8, 0.6, 0.0)
 
 
 def lumped_mass_matrix(params, th2, th3):
@@ -83,21 +92,21 @@ def linear_spoon_deviation(params, dampers, state, force, t):
     return dq @ jacobian(params, state).T
 
 
-def rollout_spoon(amplitude):
+def rollout_spoon(amplitude, dampers=SHIPPED.dampers, direction=VERTICAL):
     scenario = Scenario(duration=DURATION, timestep=EXAMPLE.timestep,
                         initial=START,
-                        input=SineTremor(amplitude, FREQUENCY)
+                        input=SineTremor(amplitude, FREQUENCY, direction)
                         if amplitude else None)
-    result = run_scenario(SHIPPED.mechanism, SHIPPED.springs,
-                          SHIPPED.dampers, RIGID, scenario)
+    result = run_scenario(SHIPPED.mechanism, SHIPPED.springs, dampers, RIGID,
+                          scenario)
     return result.t, result.spoon_pos
 
 
-def relative_rms_error(amplitude, still):
-    t, spoon = rollout_spoon(amplitude)
+def relative_rms_error(amplitude, still, dampers=SHIPPED.dampers,
+                       direction=VERTICAL):
+    t, spoon = rollout_spoon(amplitude, dampers, direction)
     expected = linear_spoon_deviation(
-        SHIPPED.mechanism, SHIPPED.dampers, START,
-        np.array([0.0, 0.0, amplitude]), t)
+        SHIPPED.mechanism, dampers, START, amplitude * np.array(direction), t)
     error = (spoon - still) - expected
     return math.sqrt(np.mean(error * error) / np.mean(expected * expected))
 
@@ -117,5 +126,23 @@ def test_sine_tremor_rollout_converges_to_the_linear_closed_form():
               for amplitude in AMPLITUDES]
     # first order in the amplitude: 2.05e-2, 2.05e-3 and 2.05e-4 here
     assert errors[0] < 0.03
+    for larger, smaller in zip(errors, errors[1:]):
+        assert larger / smaller == pytest.approx(10.0, rel=0.2)
+
+
+@pytest.mark.parametrize("coefficient, direction, largest", [
+    (0.1, VERTICAL, 0.06),      # errors 4.09e-2, 4.01e-3, 4.00e-4
+    (1.0, VERTICAL, 0.008),     # 5.40e-3, 5.40e-4, 5.40e-5
+    (0.4, HORIZONTAL, 0.1),     # 6.54e-2, 6.58e-3, 6.58e-4
+], ids=["viscous-0.1-vertical", "viscous-1.0-vertical",
+        "viscous-0.4-horizontal"])
+def test_damper_sweep_builds_and_a_lateral_force_converge_too(
+        coefficient, direction, largest):
+    dampers = tuple(DamperSpec(joint, DamperModel.VISCOUS, coefficient)
+                    for joint in (Joint.J2, Joint.J3))
+    _, still = rollout_spoon(0.0, dampers)
+    errors = [relative_rms_error(amplitude, still, dampers, direction)
+              for amplitude in AMPLITUDES]
+    assert errors[0] < largest
     for larger, smaller in zip(errors, errors[1:]):
         assert larger / smaller == pytest.approx(10.0, rel=0.2)

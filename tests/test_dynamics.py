@@ -3,6 +3,7 @@ input signals, integration accuracy, and the compliant mount."""
 
 import dataclasses
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -174,7 +175,7 @@ def test_equations_satisfy_the_manipulator_equation():
     dampers = (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),
                DamperSpec(Joint.J2, DamperModel.DEAD_ZONE_VISCOUS, 0.4, 0.3),
                DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.1))
-    accel = _arm_law(p, springs, dampers)
+    accel = _arm_law(p, springs, dampers, 1e-3)
     for state in random_states(100, seed=41):
         *qdd, power = accel(*state.q, *state.qdot, None)
         qdot = np.array(state.qdot)
@@ -591,7 +592,7 @@ def test_stepper_equals_textbook_rk4(params, springs, dampers, y, forces):
     dt = 1e-3
     step = _arm_stepper(params, springs, dampers, dt)
     got = step(y, 0.0, *forces)
-    expected = textbook_rk4(_arm_law(params, springs, dampers),
+    expected = textbook_rk4(_arm_law(params, springs, dampers, dt),
                             params.joint_limits, list(y), dt, forces)
     assert isinstance(got, tuple)
     assert np.array(got).tobytes() == np.array(expected).tobytes()
@@ -1115,13 +1116,129 @@ def example_build():
 
 @pytest.mark.parametrize("coefficient", [30.0, 40.0])
 def test_stiff_damper_divergence_is_named_even_inside_a_stage(coefficient):
-    # at c = 30 a stage angle overflows before the state does, and
-    # math.cos of it raised a bare ValueError
+    # dt*lambda is 3.57 and 4.76 at the start, so the stiff-damper guard
+    # stops both runs at t = 0; without it, at c = 30 a stage angle
+    # overflowed before the state did, and math.cos of it raised a bare
+    # ValueError
     config, scenario = example_build()
     damper = DamperSpec(Joint.J3, DamperModel.VISCOUS, coefficient)
     with pytest.raises(NonFiniteStateError, match="reduce the timestep"):
         run_scenario(config.mechanism, config.springs, [damper],
                      config.compliance, scenario)
+
+
+def stiffest_rate(params, dampers, state):
+    """The largest eigenvalue of M^-1*C at `state`, from numpy: C is the
+    diagonal of each joint's summed damper coefficients."""
+    c = np.zeros(3)
+    for spec in dampers:
+        c[spec.joint] += spec.coefficient
+    m = mass_matrix(params, state)
+    return np.linalg.eigvals(np.linalg.solve(m, np.diag(c))).real.max()
+
+
+def named_stable_dt(error):
+    """The largest stable dt a stiff-damper error's message names."""
+    return float(re.search(r"the largest stable dt is (\S+) s;",
+                           str(error.value)).group(1))
+
+
+@pytest.mark.parametrize("dampers, joints", [
+    ((DamperSpec(Joint.J1, DamperModel.VISCOUS, 30.0),), "J1"),
+    ((DamperSpec(Joint.J2, DamperModel.VISCOUS, 40.0),), "J2"),
+    # a dead zone counts at its full coefficient
+    ((DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 30.0, 0.05),),
+     "J3"),
+    ((DamperSpec(Joint.J3, DamperModel.VISCOUS, 10.0),
+      DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 30.0, 0.05)), "J3"),
+    # both planar joints damped: the trace test fails at 0.999 of the
+    # bound, so the 2x2 root decides
+    ((DamperSpec(Joint.J2, DamperModel.VISCOUS, 40.0),
+      DamperSpec(Joint.J3, DamperModel.VISCOUS, 10.0)), "J2 and J3"),
+], ids=["j1", "j2", "j3-dead-zone", "two-on-j3", "j2-and-j3"])
+@pytest.mark.parametrize("margin", [0.999, 1.001])
+def test_stiff_damper_guard_trips_where_dt_lambda_passes_the_bound(
+        dampers, joints, margin):
+    # dampers this stiff need a dt near 1e-3 s, so that, from rest, the
+    # stage poses stay close to the state's
+    params = free_params()
+    state = JointState(q=STEP_STATE[:3])
+    stable_dt = dynamics.STIFF_BOUND / stiffest_rate(params, dampers, state)
+    step = _arm_stepper(params, ALL_SPRINGS, dampers, margin * stable_dt)
+    y = state.q + state.qdot + (0.0,)
+    if margin < 1.0:
+        assert math.isfinite(step(y, 0.25, None, None, None)[0])
+        return
+    with pytest.raises(TimestepTooCoarseError,
+                       match=rf"^{joints} damping dt\*lambda = 2\.6\d* "
+                             r"exceeds 2\.6 at t = 0\.250000 s; the largest "
+                             r"stable dt is \S+ s; reduce the timestep$"
+                       ) as error:
+        step(y, 0.25, None, None, None)
+    assert named_stable_dt(error) == pytest.approx(stable_dt, rel=1e-5)
+
+
+# least yaw inertia within the default joint limits: a J1 damper of c =
+# 0.2 starts at dt*lambda = 2.78 there, and drifts 9.27e-3 J in 1 s
+# without the guard
+LEAST_YAW_INERTIA = JointState(q=(0.0, 1.91, -1.38), qdot=(0.5, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("coefficient, trips", [
+    (0.1, False), (0.15, False), (0.2, True), (0.25, True), (0.4, True)])
+def test_stiff_j1_damper_at_least_yaw_inertia_is_named(coefficient, trips):
+    params = MechanismParams()
+    springs = synthesize_balancing(
+        params, SpringKind.LINEAR_ZERO_FREE_LENGTH).springs
+    dampers = (DamperSpec(Joint.J1, DamperModel.VISCOUS, coefficient),)
+    scenario = Scenario(duration=1.0, initial=LEAST_YAW_INERTIA)
+    if not trips:
+        assert len(run_scenario(params, springs, dampers, RIGID,
+                                scenario)) == 1001
+        return
+    with pytest.raises(TimestepTooCoarseError,
+                       match=r"^J1 damping .* at t = 0\.000000 s; .*"
+                             r"reduce the timestep$") as error:
+        run_scenario(params, springs, dampers, RIGID, scenario)
+    # just below the largest stable dt it names, to six digits, the run
+    # returns: the start is its stiffest pose
+    scenario = dataclasses.replace(scenario,
+                                   timestep=0.99999 * named_stable_dt(error))
+    assert len(run_scenario(params, springs, dampers, RIGID,
+                            scenario)) == scenario.steps
+
+
+@pytest.mark.parametrize("coefficient, trips", [
+    (10.0, False), (15.0, False), (17.5, True), (20.0, True), (25.0, True),
+    (30.0, True), (40.0, True)])
+def test_stiff_j3_damper_on_the_example_is_named(coefficient, trips):
+    # c = 15 peaks at dt*lambda = 2.511 and keeps its energy; c = 17.5 and
+    # 20 start at 2.08 and 2.38 and, without the guard, gain energy once
+    # they pass about 2.85
+    config, scenario = example_build()
+    damper = DamperSpec(Joint.J3, DamperModel.VISCOUS, coefficient)
+    run = lambda: run_scenario(config.mechanism, config.springs, [damper],
+                               config.compliance, scenario)
+    if not trips:
+        assert len(run()) == scenario.steps
+        return
+    with pytest.raises(TimestepTooCoarseError, match=r"^J3 damping "):
+        run()
+
+
+@pytest.mark.parametrize("band", [(2.0, 6.0), (6.0, 12.0)])
+def test_damper_sweep_builds_stay_inside_the_guard(band):
+    # the benchmark's stiffest damper build, c = 1.0 on J2 and J3, over
+    # its twelve noise seeds: dt*lambda peaks at 0.133; a dead zone counts
+    # at its full coefficient, so its builds have the same floors
+    config, scenario = example_build()
+    dampers = (DamperSpec(Joint.J2, DamperModel.VISCOUS, 1.0),
+               DamperSpec(Joint.J3, DamperModel.VISCOUS, 1.0))
+    for seed in range(12):
+        tremor = NoiseTremor(rms=0.3, f_lo=band[0], f_hi=band[1], seed=seed)
+        run = dataclasses.replace(scenario, duration=1.0, input=tremor)
+        assert len(run_scenario(config.mechanism, config.springs, dampers,
+                                RIGID, run)) == 1001
 
 
 def test_stage_angle_overflow_is_named_by_the_step():

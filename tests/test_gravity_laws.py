@@ -1,12 +1,15 @@
 """Gravity's torque and potential laws, the potential sum and the torque
 columns: each is written once in statics and serves floats and arrays,
-the stepper's recording and the balance table alike."""
+the stepper's stages, its recording and the balance table alike. The
+stages add gravity and the springs in the float order the synthesis
+fits, so a balanced build released at rest stays at rest bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
 
+from spoonarm import default_config_path, load_config
 from spoonarm.defaults import balanced_springs, nominal_params
 from spoonarm.dynamics import (
     ComplianceSpec,
@@ -136,3 +139,14 @@ def test_contact_rollout_books_the_mount_energy():
     np.testing.assert_allclose(
         result.e_kin - arm_kin, 0.5 * mount.inertia * (vp ** 2 + vy ** 2),
         rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("th2", np.linspace(-0.35, 2.0, 41).tolist())
+def test_balanced_build_released_at_rest_holds_every_pose(th2):
+    config = load_config(default_config_path())
+    start = JointState(q=(0.0, th2, 0.3))
+    result = run_scenario(config.mechanism, config.springs, config.dampers,
+                          config.compliance,
+                          Scenario(duration=0.1, initial=start))
+    assert not result.qdot.any()
+    assert (result.q == start.q).all()

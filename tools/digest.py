@@ -27,9 +27,11 @@ installed package's lines against it. It covers
   rigid-mount noise rollout and one step_dynamics call;
 - rigid-mount noise rollouts on the shipped build whose row counts end
   on a force-block edge (one full block, and one row more);
-- the packaged example with one stiff viscous J3 damper, a rollout that
-  diverges: at c = 30 a stage leaves the floats (t = 0.023 s), at c = 40
-  the stepped state does (t = 0.034 s);
+- rollouts whose dampers are too stiff for their timestep, each of which
+  raises the stiff-damper guard: the packaged example with one viscous
+  J3 damper of c = 20 (at t = 1.256 s), 30 and 40 (at t = 0), and, on a
+  rigid mount, one viscous J1 damper of c = 0.2 from the pose of least
+  yaw inertia;
 - generate_signal of each signal spec, no input and a playback;
 - the balance table write_balance_csv writes of the residual profiles
   residual_torque_profile gives for the shipped springs as a tuple, a
@@ -103,7 +105,13 @@ START = JointState(q=(0.0, 0.7347863005736404, -1.4323283077414541),
 DT = 1e-3
 DURATION = 0.3      # 301 rows: three force blocks, the last one short
 EDGE_ROWS = (128, 129)    # one whole force block; a one-row last block
-DIVERGING_J3_DAMPING = (30.0, 40.0)
+# J3 dampers that the guard stops on the packaged example: c = 20 once its
+# dt*lambda reaches the bound, c = 30 and 40 at the start, where without
+# the guard they diverged at 0.023 s and 0.034 s
+STIFF_J3_DAMPING = (20.0, 30.0, 40.0)
+# least yaw inertia in the joint limits, where a J1 damper of c = 0.2
+# has dt*lambda = 2.78
+STIFF_J1_START = JointState(q=(0.0, 1.91, -1.38), qdot=(0.5, 0.0, 0.0))
 CONTACT = SpoonContact(time=0.1, impulse_pitch=0.01, impulse_yaw=-0.005)
 
 # every kind of handle input a rollout takes; fresh() makes the callable
@@ -313,12 +321,17 @@ def edge_lines():
 
 def divergence_lines():
     scenario = load_scenario(EXAMPLE)
-    for coefficient in DIVERGING_J3_DAMPING:
+    for coefficient in STIFF_J3_DAMPING:
         damper = DamperSpec(Joint.J3, DamperModel.VISCOUS, coefficient)
         yield from error_line(
             f"run_scenario/example-viscous-j3-c{coefficient:g}",
             lambda: run_scenario(P, CONFIG.springs, (damper,),
                                  CONFIG.compliance, scenario))
+    damper = DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2)
+    yield from error_line(
+        "run_scenario/least-yaw-inertia-viscous-j1-c0.2",
+        lambda: run_scenario(P, CONFIG.springs, (damper,), MOUNTS["rigid"],
+                             Scenario(duration=1.0, initial=STIFF_J1_START)))
 
 
 def signal_lines():
