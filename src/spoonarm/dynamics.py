@@ -30,15 +30,19 @@ bit-identical results.
 Each build gets one RK4 step function, made by _arm_stepper; rollouts and
 single steps (step_dynamics) both step the arm with it. Building it
 reads the springs and the dampers once each with kinematics.spec_tuple,
-which takes any iterable and names a bad entry, and computes every
-per-build constant once: the mass law (_mass_law), each lifted joint's
-statics.gravity_laws torque, the handle's kinematics.point_torque_law,
-and each joint's statics.spring_sum and damper_sum, both one
-statics.law_sum. The step then runs its four stages on local floats.
-Each law keeps one body: _mass_law, gravity's and the springs' laws and
-point_torque_law serve the stepper's floats and the statics' and
-recording's arrays alike, so gravity plus an ideal spring cancels in the
-stage as in the synthesis, and a balanced build at rest stays at rest.
+which takes any iterable and names a bad entry (springs[i], dampers[i]),
+as every public entry point that takes a build's sets does; the sums
+that read a set again per joint (spring_sum, damper_sum,
+statics.torque_columns, potential_sum) take a tuple or a list. It
+computes every per-build constant once: the mass law (_mass_law), each
+lifted joint's statics.gravity_laws torque, the handle's
+kinematics.point_torque_law, and each joint's statics.spring_sum and
+damper_sum, both one statics.law_sum. The step then runs its four
+stages on local floats. Each law keeps one body: _mass_law, gravity's
+and the springs' laws and point_torque_law serve the stepper's floats
+and the statics' and recording's arrays alike, so gravity plus an ideal
+spring cancels in the stage as in the synthesis, and a balanced build
+at rest stays at rest.
 
 RK4 is stable on a damped mode only while dt*lambda <= 2.785 (Hairer &
 Wanner, Solving ODEs II, IV.2), lambda an eigenvalue of M^-1*C, C the
@@ -48,29 +52,37 @@ solves with: past STIFF_BOUND the step raises TimestepTooCoarseError
 naming the joints, the time and the largest stable dt.
 
 The mount is linear and unforced after a contact, so _mount_rows steps
-each axis with its exact propagator, and the arm's is the only integrator.
+each axis with its exact propagator, exp(A*dt) in closed form, for
+rollouts, single steps and the contact study alike; the arm's is the
+only integrator. An axis's energy is ComplianceSpec.energy, which the
+recording shares, and its dissipation the exact drop in that energy.
 The grid must sample the mount's undamped period twice (omega_n*dt < pi).
 
 One function, _signal_forces, reads every handle input: it decides the
-input's kind and evaluates its force at a 1-D array of times.
-step_dynamics calls it on its three stage times, generate_signal at one
-time, and a rollout once per block of FORCE_BLOCK steps, so its step
-loop only integrates. A signal spec's blocks are shared across
+input's kind and evaluates its force at a 1-D array of times, or answers
+None for no handle force (no input or a playback). step_dynamics calls
+it on its three stage times, after rejecting a playback, generate_signal
+at one time, and a rollout once per block of FORCE_BLOCK steps, so its
+step loop only integrates. A noise tremor draws its tones once per
+instance (NoiseTremor.tones). A signal spec's blocks are shared across
 rollouts: the last SIGNAL_BLOCKS of them, about 1.2 MB whatever the
-rollout length, stay in _signal_block, read-only and keyed by the spec's
-repr and the grid, so a study that runs many builds on one tremor
-evaluates it once. A constant or callable force is evaluated in every
-run. The loop keeps the packed states of a block in a list and writes
-them to the state array once per block; after it, one numpy pass
-computes the positions, applied torques and energies (a rigid
-mount's are zero), each spring's potential on its whole angle column at
-once.
+rollout length, stay in _signal_block, the signal layer's only module
+state, read-only and keyed by the spec's repr and the grid, so a study
+that runs many builds on one tremor evaluates it once, and specs equal
+but for the sign of a zero never share one. A constant or callable
+force is evaluated in every run. The loop keeps the packed states of a
+block in a list and writes them to the state array once per block;
+after it, one numpy pass computes the positions, applied torques and
+energies (a rigid mount's are zero), each spring's potential on its
+whole angle column at once.
 
 run_scenario has one tail. The arm states of a rollout, integrated or
 played back from a PrescribedTrajectory by IK, go through the same spoon
-contact, mount, deflection check and recording. A playback is only a
-rollout: step_dynamics rejects one. Its IK runs once over the whole
-interpolated path (kinematics.inverse_kinematics_path).
+contact, mount, deflection check and recording, which books the mount's
+energy in every rollout. A playback is only a rollout. Its IK runs once
+over the whole interpolated path (kinematics.inverse_kinematics_path,
+each row with inverse_kinematics' bits); the first row IK rejects
+raises, naming its time.
 """
 
 from __future__ import annotations
@@ -78,7 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -256,6 +268,17 @@ class NoiseTremor:
             raise ValueError("f_hi must be above f_lo")
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
         object.__setattr__(self, "direction", _unit(self.direction))
+
+    @cached_property
+    def tones(self):
+        """(omega, phases) of the tones, read-only, drawn once per
+        instance; not a field, so ==, hash and repr ignore it."""
+        omega = 2.0 * math.pi * np.linspace(self.f_lo, self.f_hi,
+                                            NOISE_COMPONENTS)
+        phases = np.random.default_rng(self.seed).uniform(
+            0.0, 2.0 * math.pi, NOISE_COMPONENTS)
+        omega.flags.writeable = phases.flags.writeable = False
+        return omega, phases
 
 
 @dataclass(frozen=True)
@@ -511,17 +534,6 @@ def damper_torque(spec: DamperSpec, omega: float) -> float:
     return damper_law(spec)(omega)
 
 
-@lru_cache(maxsize=64)
-def _noise_table(f_lo: float, f_hi: float, seed: int):
-    """Angular frequencies and seeded phases of a noise tremor's tones. The
-    amplitude stays out: a cache that took rms = -0.0 and 0.0 as one key
-    would hand one sign of zero to both."""
-    freqs = np.linspace(f_lo, f_hi, NOISE_COMPONENTS)
-    phases = np.random.default_rng(seed).uniform(
-        0.0, 2.0 * math.pi, NOISE_COMPONENTS)
-    return 2.0 * math.pi * freqs, phases
-
-
 def _force(values, name: str) -> tuple:
     """A handle force `values` read with numbers: three finite floats;
     else ValueError starting with `name`."""
@@ -533,19 +545,20 @@ def _force(values, name: str) -> tuple:
 
 def _signal_forces(inputs, times: np.ndarray):
     """The (len(times), 3) handle forces of `inputs` at a 1-D array of
-    times, or None for no input (None or FreeRelease). `inputs` is one of
-    the signal specs, a callable t -> force called once per time in order,
-    or a constant (fx, fy, fz): a tuple, list or array. A force that is not
-    three finite real numbers raises ValueError, a callable's naming the
-    first time it returned one, and so does a playback, which has no handle
-    force; any other input raises TypeError."""
-    if inputs is None or isinstance(inputs, FreeRelease):
+    times, or None for no handle force: no input (None or FreeRelease) or
+    a playback. `inputs` is one of the signal specs, a callable t -> force
+    called once per time in order, or a constant (fx, fy, fz): a tuple,
+    list or array. A force that is not three finite real numbers raises
+    ValueError, a callable's naming the first time it returned one; any
+    other input raises TypeError."""
+    if inputs is None or isinstance(inputs,
+                                    (FreeRelease, PrescribedTrajectory)):
         return None
     if isinstance(inputs, SineTremor):
         mag = inputs.amplitude * np.sin(2.0 * math.pi * inputs.frequency
                                         * times)
     elif isinstance(inputs, NoiseTremor):
-        omega, phases = _noise_table(inputs.f_lo, inputs.f_hi, inputs.seed)
+        omega, phases = inputs.tones
         amplitude = inputs.rms * math.sqrt(2.0 / NOISE_COMPONENTS)
         mag = amplitude * np.sin(np.multiply.outer(times, omega)
                                  + phases).sum(axis=-1)
@@ -553,9 +566,6 @@ def _signal_forces(inputs, times: np.ndarray):
         inside = ((inputs.onset <= times)
                   & (times <= inputs.onset + inputs.duration))
         mag = np.where(inside, inputs.force, 0.0)
-    elif isinstance(inputs, PrescribedTrajectory):
-        raise ValueError("a PrescribedTrajectory is kinematic playback, not "
-                         "a force; run it through run_scenario")
     elif callable(inputs):
         # each force is read as it is returned, so a callable may hand back
         # one array that it updates in place
@@ -579,10 +589,7 @@ def generate_signal(spec, t: float) -> np.ndarray:
     """Handle force vector of any rollout input at time t: zeros for no
     input and for a playback, which has no handle force. A t that is not
     finite raises ValueError."""
-    t = number(t, "t")
-    if isinstance(spec, PrescribedTrajectory):
-        return np.zeros(3)
-    forces = _signal_forces(spec, np.array([t]))
+    forces = _signal_forces(spec, np.array([number(t, "t")]))
     return np.zeros(3) if forces is None else forces[0]
 
 
@@ -852,18 +859,23 @@ def step_dynamics(params: MechanismParams, springs, dampers,
     stage times; a PrescribedTrajectory raises ValueError, as playback
     runs through run_scenario. `deflections` packs the four (delta_p,
     delta_y, rate_p, rate_y) of the compliant mount; a rigid one returns
-    them unchanged. Raises ValueError for a t or dt that is not finite,
-    LimitViolationError for a `state` outside the joint limits,
-    DeflectionExceededError for deflections beyond the mount's validity
-    limit, and TimestepTooCoarseError when omega_n*dt >= pi or the
-    dampers are too stiff for dt (dt*lambda of M^-1*C above STIFF_BOUND).
+    them unchanged. Raises ValueError for a t or dt that is not finite
+    or an argument of the wrong type, LimitViolationError for a `state`
+    outside the joint limits, DeflectionExceededError for deflections
+    beyond the mount's validity limit, and TimestepTooCoarseError when
+    omega_n*dt >= pi or the dampers are too stiff for dt (dt*lambda of
+    M^-1*C above STIFF_BOUND).
     """
+    instance(compliance, ComplianceSpec, "compliance")
     dt, t = number(dt, "dt", "> 0"), number(t, "t")
     mount = sequence(deflections, "deflections", real)
     if len(mount) != 4:
         raise ValueError("deflections needs four entries (delta_p, delta_y, "
                          f"rate_p, rate_y), not {len(mount)}")
     _check_start(params, state)
+    if isinstance(inputs, PrescribedTrajectory):
+        raise ValueError("a PrescribedTrajectory is kinematic playback, not "
+                         "a force; run it through run_scenario")
     forces = _signal_forces(inputs, np.array([t, t + 0.5 * dt, t + dt]))
     step = _arm_stepper(params, springs, dampers, dt)
     y = step(state.q + state.qdot + (0.0,), t,
@@ -877,7 +889,10 @@ def step_dynamics(params: MechanismParams, springs, dampers,
 
 
 def _check_start(params: MechanismParams, state: JointState):
-    """The limit clamp would snap a start outside the limits, adding energy."""
+    """Read `params` and the start `state`, which must lie within the
+    limits: the limit clamp would snap it inside, adding energy."""
+    instance(params, MechanismParams, "params")
+    instance(state, JointState, "state")
     if not params.within_limits(state.q):
         raise LimitViolationError(
             f"initial joint angles {state.q} lie outside the joint limits")
@@ -930,9 +945,10 @@ def run_scenario(params: MechanismParams, springs, dampers,
     contact when omega_n*dt >= pi, or, naming the time, for dampers too
     stiff for the timestep; and DeflectionExceededError, naming
     the time of the first breach, when the mount deflects beyond its
-    validity limit.
+    validity limit. An argument of the wrong type raises ValueError.
     """
-    n = scenario.steps
+    instance(compliance, ComplianceSpec, "compliance")
+    n = instance(scenario, Scenario, "scenario").steps
     dt = scenario.timestep
     t = np.arange(n) * dt
     row_forces = []    # handle force at each row's own time, per block
@@ -1060,11 +1076,13 @@ def spoon_contact_response(params: MechanismParams,
     the impulse spread over one timestep, model-dependent as it scales
     with 1/dt.
 
-    dt and duration follow a scenario's grid rule, or this raises
-    ValueError, and a compliant mount needs omega_n*dt < pi, or this
-    raises TimestepTooCoarseError. A deflection beyond the validity limit
-    raises DeflectionExceededError naming the time of the first breach.
+    dt and duration follow a scenario's grid rule, and `compliance` is a
+    ComplianceSpec, or this raises ValueError, and a compliant mount needs
+    omega_n*dt < pi, or this raises TimestepTooCoarseError. A deflection
+    beyond the validity limit raises DeflectionExceededError naming the
+    time of the first breach.
     """
+    instance(compliance, ComplianceSpec, "compliance")
     impulse, dt = number(impulse, "impulse"), number(dt, "timestep", "> 0")
     n = _grid_steps(real(duration, "duration"), dt)
     if compliance.mode is ComplianceMode.RIGID:

@@ -463,6 +463,27 @@ WRONG_TYPES = {
         r"^target_handle_rise must be a real number, not '0.2'$"),
     "ik-target-short": (lambda: inverse_kinematics(BUILD, (0.3, 0.1)),
                         r"^target needs three components"),
+    # the typed arguments of a rollout, read before any work
+    "run-params-none": (lambda: run_scenario(None, (), (), RIGID, RUN),
+                        r"^params must be a MechanismParams, not None$"),
+    "run-compliance-none": (lambda: run_scenario(
+        BUILD, (), (), None, RUN),
+        r"^compliance must be a ComplianceSpec, not None$"),
+    "run-scenario-dict": (lambda: run_scenario(
+        BUILD, (), (), RIGID, {"duration": 0.01}),
+        r"^scenario must be a Scenario, not \{'duration': 0.01\}$"),
+    "step-params-none": (lambda: step_dynamics(
+        None, (), (), RIGID, START, None, 1e-3),
+        r"^params must be a MechanismParams, not None$"),
+    "step-compliance-none": (lambda: step_dynamics(
+        BUILD, (), (), None, START, None, 1e-3),
+        r"^compliance must be a ComplianceSpec, not None$"),
+    "step-state-tuple": (lambda: step_dynamics(
+        BUILD, (), (), RIGID, (0.0, 0.7, -1.4), None, 1e-3),
+        r"^state must be a JointState, not \(0.0, 0.7, -1.4\)$"),
+    "contact-compliance-none": (lambda: spoon_contact_response(
+        BUILD, None, 0.02),
+        r"^compliance must be a ComplianceSpec, not None$"),
 }
 
 

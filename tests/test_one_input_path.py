@@ -1,6 +1,7 @@
 """Every caller reads a handle input through one function: generate_signal
-takes every input a rollout takes and gives the same bits, an input that
-is no kind of handle force raises the same TypeError from every caller,
+takes every input a rollout takes and gives the same bits, a playback has
+no handle force and only step_dynamics rejects it, an input that is no
+kind of handle force raises the same TypeError from every caller,
 and a spring kind's value string synthesizes that kind. tools/digest.py
 prints the committed record of every output, tools/digest.txt, whatever
 the hash seed."""
@@ -18,12 +19,14 @@ from spoonarm.defaults import nominal_params
 from spoonarm.dynamics import (
     ComplianceMode,
     ComplianceSpec,
+    PrescribedTrajectory,
     Scenario,
     _signal_forces,
     generate_signal,
     run_scenario,
     step_dynamics,
 )
+from spoonarm.errors import LimitViolationError
 from spoonarm.kinematics import JointState
 from spoonarm.statics import SpringKind, synthesize_balancing
 
@@ -43,6 +46,22 @@ def test_generate_signal_equals_the_rollout_forces(inputs):
     block = _signal_forces(inputs, TIMES)
     for t, force in zip(TIMES.tolist(), block):
         assert np.array_equal(generate_signal(inputs, t), force)
+
+
+def test_a_playback_has_no_handle_force_and_steps_nothing():
+    playback = PrescribedTrajectory(((0.0, 0.35, 0.0, 0.02),
+                                     (1.0, 0.34, 0.01, 0.05)))
+    assert _signal_forces(playback, TIMES) is None
+    for t in (0.0, 0.5, 2.0):
+        assert generate_signal(playback, t).tobytes() == bytes(24)
+    message = ("^a PrescribedTrajectory is kinematic playback, not a force; "
+               "run it through run_scenario$")
+    with pytest.raises(ValueError, match=message):
+        step_dynamics(nominal_params(), [], [], RIGID, START, playback, 1e-3)
+    # the start is checked first, as before
+    with pytest.raises(LimitViolationError):
+        step_dynamics(nominal_params(), [], [], RIGID,
+                      JointState(q=(0.0, 9.0, 0.0)), playback, 1e-3)
 
 
 NOT_INPUTS = {"object": object(), "str": "001", "float": 3.0}

@@ -1,7 +1,8 @@
 """Shared signal blocks: a rollout that reuses the stage forces of an
 earlier one writes the same bytes as a cold rollout, specs that compare
 equal but differ in the sign of a zero never share a block, the cache
-stays within its memory bound, and non-finite handle forces are named."""
+stays within its memory bound, a noise tremor draws its tones once per
+instance, and non-finite handle forces are named."""
 
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from spoonarm import JointState, MechanismParams
+from spoonarm.config import scenario_data
 from spoonarm.dynamics import (
     FORCE_BLOCK,
     ComplianceMode,
@@ -20,7 +22,6 @@ from spoonarm.dynamics import (
     SimResult,
     SineTremor,
     SpasmImpulse,
-    _noise_table,
     _signal_block,
     _signal_forces,
     _stage_times,
@@ -63,7 +64,6 @@ FIELDS = ("t", "q", "qdot", "spoon_pos", "handle_pos", "deflection",
 @pytest.fixture(autouse=True)
 def cold_caches():
     _signal_block.cache_clear()
-    _noise_table.cache_clear()
 
 
 def result_bytes(res: SimResult):
@@ -80,7 +80,6 @@ def rollout(inputs, n, compliance=RIGID):
 
 def cold(inputs, n, compliance=RIGID):
     _signal_block.cache_clear()
-    _noise_table.cache_clear()
     return result_bytes(rollout(inputs, n, compliance))
 
 
@@ -128,7 +127,7 @@ def test_signed_zero_specs_do_not_share_blocks(pair):
 
 def test_noise_sign_of_zero_does_not_depend_on_call_order():
     # an rms of -0.0 gives forces of signed zeros; a cache that took it
-    # for 0.0 reused the table or blocks of an earlier 0.0 run
+    # for 0.0 reused the blocks of an earlier 0.0 run
     minus = Scenario(duration=0.2, initial=EXAMPLE_START,
                      input=NoiseTremor(-0.0, 2.0, 6.0, 3))
     plus = Scenario(duration=0.2, initial=EXAMPLE_START,
@@ -136,11 +135,34 @@ def test_noise_sign_of_zero_does_not_depend_on_call_order():
     p, comp = MechanismParams(), ComplianceSpec()
     first = run_scenario(p, [], [], comp, minus)
     _signal_block.cache_clear()
-    _noise_table.cache_clear()
     run_scenario(p, [], [], comp, plus)
     second = run_scenario(p, [], [], comp, minus)
     assert result_bytes(second) == result_bytes(first)
     assert np.signbit(first.applied_torque).any()
+
+
+def test_noise_tones_are_drawn_once_per_instance_and_are_no_field():
+    spec = SIGNALS["noise"]
+    omega, phases = spec.tones
+    assert all(a is b for a, b in zip(spec.tones, (omega, phases)))
+    assert not omega.flags.writeable and not phases.flags.writeable
+    assert omega.shape == phases.shape == (64,)
+    assert (omega[0], omega[-1]) == (2.0 * math.pi * 2.0, 2.0 * math.pi * 9.0)
+    # an equal spec draws equal tones of its own; another seed, others
+    twin = NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=11,
+                       direction=(-0.0, 0.0, 1.0))
+    assert "tones" not in vars(twin)
+    assert all(a is not b and np.array_equal(a, b)
+               for a, b in zip(twin.tones, spec.tones))
+    reseeded = NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=12)
+    assert not np.array_equal(reseeded.tones[1], phases)
+    # tones once read change neither repr, ==, hash nor the saved scenario
+    fresh = NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=12)
+    assert "tones" in vars(reseeded) and "tones" not in vars(fresh)
+    assert repr(reseeded) == repr(fresh)
+    assert reseeded == fresh and hash(reseeded) == hash(fresh)
+    assert (scenario_data(Scenario(duration=0.1, input=reseeded))
+            == scenario_data(Scenario(duration=0.1, input=fresh)))
 
 
 def test_cached_block_is_read_only():

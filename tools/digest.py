@@ -42,7 +42,8 @@ installed package's lines against it. It covers
   packaged example on a build whose gravity, and with a timestep, given
   as numpy float32;
 - the sorted list of the package's public names, the errors of the
-  arguments read at the package boundary (a value of the wrong type, an
+  arguments read at the package boundary (a value of the wrong type,
+  a rollout's params, state, compliance or scenario among them, an
   entry count or an integer below its bound), a direction too large
   to square, which is made unit, and the error of a scenario file that
   is not valid UTF-8;
@@ -400,6 +401,7 @@ def number_lines():
 def boundary_lines():
     yield "spoonarm.__all__", sha(repr(sorted(spoonarm.__all__)))
     rigid = MOUNTS["rigid"]
+    short = Scenario(duration=DT, timestep=DT, initial=START)
     still = run_scenario(P, (), (), rigid, Scenario(duration=DURATION,
                                                     timestep=DT, initial=START))
 
@@ -430,6 +432,20 @@ def boundary_lines():
                                                          seed=-1),
         "TrajectorySpec/waypoints-one": lambda: TrajectorySpec(waypoints=1),
         "workspace_sample/resolution-one": lambda: workspace_sample(P, 1),
+        "run_scenario/params-none": lambda: run_scenario(
+            None, (), (), rigid, short),
+        "run_scenario/compliance-none": lambda: run_scenario(
+            P, (), (), None, short),
+        "run_scenario/scenario-dict": lambda: run_scenario(
+            P, (), (), rigid, {"duration": DT}),
+        "step_dynamics/params-none": lambda: step_dynamics(
+            None, (), (), rigid, START, None, DT),
+        "step_dynamics/compliance-none": lambda: step_dynamics(
+            P, (), (), None, START, None, DT),
+        "step_dynamics/state-tuple": lambda: step_dynamics(
+            P, (), (), rigid, START.q, None, DT),
+        "spoon_contact_response/compliance-none": lambda: (
+            spoon_contact_response(P, None, 0.02)),
     }
     for name, call in calls.items():
         yield from error_line(name, call)
