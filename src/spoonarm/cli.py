@@ -216,9 +216,8 @@ def _cmd_compare_handles(config, args) -> int:
 
 
 def _cmd_contact(config, args) -> int:
-    response = spoon_contact_response(config.mechanism, config.compliance,
-                                      args.impulse, dt=args.dt,
-                                      duration=args.duration)
+    response = spoon_contact_response(config.compliance, args.impulse,
+                                      dt=args.dt, duration=args.duration)
     _emit("mode", config.compliance.mode.value)
     _emit("peak_torque_n_m", response.peak_torque)
     _emit("settling_time_s", response.settling_time)
@@ -226,8 +225,8 @@ def _cmd_contact(config, args) -> int:
     _emit("model_dependent", response.model_dependent)
     if config.compliance.mode is not ComplianceMode.RIGID:
         rigid = spoon_contact_response(
-            config.mechanism, ComplianceSpec(mode=ComplianceMode.RIGID),
-            args.impulse, dt=args.dt, duration=args.duration)
+            ComplianceSpec(mode=ComplianceMode.RIGID), args.impulse,
+            dt=args.dt, duration=args.duration)
         _emit("rigid_comparison_peak_n_m", rigid.peak_torque)
         _emit("rigid_comparison_model_dependent", rigid.model_dependent)
     return 0

@@ -119,12 +119,12 @@ from .kinematics import (
 from .statics import (SpringSpec, gravity_laws, law_sum, potential_sum,
                       spring_sum)
 
-# Not called here any more, but kept as attributes of this module: callers
-# such as perfbench/tracer.py reach these functions through it.
+# Not called here any more, but kept as attributes of this module:
+# perfbench/tracer.py patches these seven names on it.
 from .kinematics import (handle_jacobian, handle_pose,  # noqa: F401
                          inverse_kinematics, spoon_pose)
-from .statics import (gravity_potential, potential_energy,  # noqa: F401
-                      spring_potential, spring_torque)
+from .statics import (gravity_potential, spring_potential,  # noqa: F401
+                      spring_torque)
 
 DEFAULT_TIMESTEP = 1e-3
 CONTACT_HORIZON = 5.0       # s, the contact study's default duration
@@ -1061,8 +1061,7 @@ def _playback_states(params: MechanismParams,
 # compliant-mount contact study
 
 
-def spoon_contact_response(params: MechanismParams,
-                           compliance: ComplianceSpec, impulse: float,
+def spoon_contact_response(compliance: ComplianceSpec, impulse: float,
                            dt: float = DEFAULT_TIMESTEP,
                            duration: float = CONTACT_HORIZON
                            ) -> ContactResponse:

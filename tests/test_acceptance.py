@@ -20,10 +20,7 @@ from spoonarm.config import (
     save_config,
     save_scenario,
 )
-from spoonarm.defaults import default_compliance, nominal_params
 from spoonarm.dynamics import (
-    ComplianceMode,
-    ComplianceSpec,
     DamperModel,
     DamperSpec,
     NoiseTremor,
@@ -47,8 +44,8 @@ from spoonarm.kinematics import (
 from spoonarm.serialize import write_sim_csv
 from spoonarm.statics import SpringKind, SpringSpec, holding_force, synthesize_balancing
 
-FREE_LIMITS = ((-1e6, 1e6), (-1e6, 1e6), (-1e6, 1e6))
-RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+from shipped import FREE_LIMITS, NOMINAL, RIGID, SHIPPED
+
 HANG = -math.pi / 2.0
 
 
@@ -79,7 +76,7 @@ def test_criterion_1_handle_excursion(capsys):
 
 
 def test_criterion_2_bracket_sign():
-    params = nominal_params()
+    params = NOMINAL
     traj = TrajectorySpec()
     states = trajectory_states(params, traj)
     plate_gap = (handle_pose(params, states[0]).z
@@ -93,7 +90,7 @@ def test_criterion_2_bracket_sign():
 
 def test_criterion_3_ideal_balance():
     t0 = time.perf_counter()
-    params = nominal_params()
+    params = NOMINAL
     result = synthesize_balancing(params, SpringKind.LINEAR_ZERO_FREE_LENGTH)
     rng = np.random.default_rng(3)
     worst_force = 0.0
@@ -111,7 +108,7 @@ def test_criterion_3_ideal_balance():
 def test_criterion_4_balancing_quality_ordering():
     deg = math.pi / 180.0
     lifted = (-20.0 * deg, 80.0 * deg)
-    params = replace(nominal_params(),
+    params = replace(NOMINAL,
                      joint_limits=((-math.pi, math.pi), lifted, lifted))
     residuals = {
         kind: synthesize_balancing(params, kind).max_residual
@@ -185,12 +182,12 @@ def test_criterion_6_dead_zone_signature():
 
 
 def test_criterion_7_compliance_recentering():
-    params = nominal_params()
-    compliance = default_compliance()
+    params = NOMINAL
+    compliance = SHIPPED.compliance
     impulse = 0.02
 
-    compliant = spoon_contact_response(params, compliance, impulse)
-    rigid = spoon_contact_response(params, RIGID, impulse)
+    compliant = spoon_contact_response(compliance, impulse)
+    rigid = spoon_contact_response(RIGID, impulse)
 
     pinned = replace(params, joint_limits=((0.0, 0.0), (HANG, HANG),
                                            (HANG, HANG)))
@@ -231,7 +228,7 @@ def test_criterion_7_compliance_recentering():
 
 
 def test_criterion_8_numerical_bedrock():
-    params = nominal_params()
+    params = NOMINAL
     rng = np.random.default_rng(8)
 
     # Jacobians against central differences
@@ -320,14 +317,14 @@ def test_criterion_8_numerical_bedrock():
 
 
 def test_criterion_9_determinism(tmp_path):
-    params = nominal_params()
+    params = NOMINAL
     scenario = Scenario(duration=0.5, timestep=1e-3,
                         initial=JointState(q=(0.0, 0.7, -1.4)),
                         input=NoiseTremor(rms=0.3, f_lo=2.0, f_hi=9.0,
                                           seed=42))
     paths = []
     for name in ("a.csv", "b.csv"):
-        result = run_scenario(params, [], [], default_compliance(), scenario)
+        result = run_scenario(params, [], [], SHIPPED.compliance, scenario)
         path = tmp_path / name
         write_sim_csv(result, path)
         paths.append(path)
@@ -342,7 +339,7 @@ def test_criterion_9_determinism(tmp_path):
                             torsion_neutral=0.8)),
         dampers=(DamperSpec(Joint.J2, DamperModel.DEAD_ZONE_VISCOUS,
                             0.55, 0.3),),
-        compliance=default_compliance())
+        compliance=SHIPPED.compliance)
     cfg_path = tmp_path / "roundtrip.json"
     save_config(config, cfg_path)
     round_trip = load_config(cfg_path) == config

@@ -17,10 +17,7 @@ from spoonarm.analysis import (
     trajectory_states,
     workspace_sample,
 )
-from spoonarm.defaults import CALIBRATED_HANDLE_DISTANCE_M, nominal_params
 from spoonarm.dynamics import (
-    ComplianceMode,
-    ComplianceSpec,
     DamperModel,
     DamperSpec,
     PrescribedTrajectory,
@@ -36,7 +33,8 @@ from spoonarm.errors import (
 )
 from spoonarm.kinematics import HandleVariant, Joint, spoon_pose
 
-RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+from shipped import NOMINAL, RIGID
+
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +61,7 @@ def test_trajectory_validation():
 
 
 def test_trajectory_states_track_waypoints():
-    params = nominal_params()
+    params = NOMINAL
     traj = TrajectorySpec()
     states = trajectory_states(params, traj)
     assert len(states) == traj.waypoints
@@ -74,7 +72,7 @@ def test_trajectory_states_track_waypoints():
 
 
 def test_trajectory_states_unreachable_propagates():
-    params = nominal_params()
+    params = NOMINAL
     with pytest.raises(UnreachableError, match=" at waypoint 0$"):
         trajectory_states(params, TrajectorySpec(plate=(0.9, 0.02),
                                                  mouth=(0.9, 0.35)))
@@ -87,7 +85,7 @@ def test_trajectory_states_unreachable_propagates():
 def test_trajectory_ik_error_names_the_first_rejected_waypoint(study):
     # the path leaves the arm's reach between waypoints 29 and 30
     with pytest.raises(UnreachableError, match=" at waypoint 30$"):
-        study(nominal_params(), TrajectorySpec(mouth=(0.35, 0.9)))
+        study(NOMINAL, TrajectorySpec(mouth=(0.35, 0.9)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,7 @@ def test_trajectory_ik_error_names_the_first_rejected_waypoint(study):
 
 
 def test_old_tip_ratio_is_exactly_one():
-    params = replace(nominal_params(), handle_variant=HandleVariant.OLD_TIP,
+    params = replace(NOMINAL, handle_variant=HandleVariant.OLD_TIP,
                      bracket_drop=0.0, bracket_lateral=0.0)
     exc = handle_excursion(params, TrajectorySpec())
     assert exc.spoon_rise == pytest.approx(0.33, abs=1e-12)
@@ -104,7 +102,7 @@ def test_old_tip_ratio_is_exactly_one():
 
 def test_constant_bracket_drop_does_not_change_rise():
     # the drop shifts every handle height identically, the travel is the same
-    base = replace(nominal_params(), handle_variant=HandleVariant.OLD_TIP,
+    base = replace(NOMINAL, handle_variant=HandleVariant.OLD_TIP,
                    bracket_drop=0.0)
     dropped = replace(base, bracket_drop=-0.07)
     traj = TrajectorySpec()
@@ -113,21 +111,21 @@ def test_constant_bracket_drop_does_not_change_rise():
 
 
 def test_calibrated_handle_rise():
-    exc = handle_excursion(nominal_params(), TrajectorySpec())
+    exc = handle_excursion(NOMINAL, TrajectorySpec())
     assert exc.spoon_rise == pytest.approx(0.33, abs=1e-12)
     assert exc.handle_rise == pytest.approx(0.24, abs=1e-9)
     assert exc.ratio == pytest.approx(0.24 / 0.33, abs=1e-8)
 
 
 def test_ratio_tends_to_one_as_bracket_approaches_tip():
-    params = replace(nominal_params(), bracket_drop=0.0,
+    params = replace(NOMINAL, bracket_drop=0.0,
                      handle_distance=0.25 * (1.0 - 1e-9))
     exc = handle_excursion(params, TrajectorySpec())
     assert exc.ratio == pytest.approx(1.0, abs=1e-6)
 
 
 def test_handle_rise_monotonic_in_bracket_radius():
-    params = nominal_params()
+    params = NOMINAL
     traj = TrajectorySpec()
     rises = []
     for d in np.linspace(0.01, 0.25, 13):
@@ -137,7 +135,7 @@ def test_handle_rise_monotonic_in_bracket_radius():
 
 
 def test_inboard_travels_less_than_tip_mount():
-    params = nominal_params()
+    params = NOMINAL
     traj = TrajectorySpec()
     new = handle_excursion(params, traj).handle_rise
     old = handle_excursion(
@@ -146,11 +144,11 @@ def test_inboard_travels_less_than_tip_mount():
 
 
 def test_compare_handle_variants_rows():
-    rows = compare_handle_variants(nominal_params(), TrajectorySpec())
+    rows = compare_handle_variants(NOMINAL, TrajectorySpec())
     assert [r[0] for r in rows] == ["old_tip", "new_inboard"]
     old, new = rows
     assert old[1] == 0.25 and old[4] == 1.0
-    assert new[1] == CALIBRATED_HANDLE_DISTANCE_M
+    assert new[1] == NOMINAL.handle_distance
     assert new[3] == pytest.approx(0.24, abs=1e-9)
     assert new[3] < old[3]
 
@@ -162,7 +160,7 @@ def test_compare_handle_variants_rows():
 def test_calibration_reproduces_shipped_constant():
     d = calibrate_handle_distance(MechanismParams(), TrajectorySpec(), 0.24,
                                   tolerance=1e-12)
-    assert d == pytest.approx(CALIBRATED_HANDLE_DISTANCE_M, abs=1e-12)
+    assert d == pytest.approx(NOMINAL.handle_distance, abs=1e-12)
 
 
 def test_calibration_meets_default_tolerance():
@@ -313,7 +311,7 @@ def test_report_grid_mismatch():
 
 
 def test_report_against_trajectory_segment():
-    params = nominal_params()
+    params = NOMINAL
     traj = TrajectorySpec()
     wps = tuple((t, *pt) for t, pt in zip(
         np.linspace(0.0, 1.0, traj.waypoints), traj.points()))
@@ -369,12 +367,12 @@ def test_trajectory_waypoints_must_be_an_integer(bad):
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, "25"])
 def test_workspace_resolution_must_be_an_integer(bad):
     with pytest.raises(ValueError, match="resolution"):
-        workspace_sample(nominal_params(), bad)
+        workspace_sample(NOMINAL, bad)
 
 
 def test_counts_take_numpy_integers():
     assert TrajectorySpec(waypoints=np.int64(7)) == TrajectorySpec(
         waypoints=7)
-    sample = workspace_sample(nominal_params(), np.int32(4))
+    sample = workspace_sample(NOMINAL, np.int32(4))
     assert np.array_equal(sample.points,
-                          workspace_sample(nominal_params(), 4).points)
+                          workspace_sample(NOMINAL, 4).points)

@@ -13,17 +13,10 @@ import pytest
 
 from spoonarm import JointState
 from spoonarm.cli import build_parser, main
-from spoonarm.config import (
-    default_config_path,
-    load_config,
-    save_config,
-    save_scenario,
-)
+from spoonarm.config import default_config_path, save_config, save_scenario
 from spoonarm.dynamics import (
     CONTACT_HORIZON,
     DEFAULT_TIMESTEP,
-    ComplianceMode,
-    ComplianceSpec,
     NoiseTremor,
     Scenario,
     run_scenario,
@@ -40,6 +33,8 @@ from spoonarm.serialize import (
     write_sim_csv,
     write_workspace_csv,
 )
+
+from shipped import NOMINAL, RIGID, SHIPPED
 
 
 def run(capsys, *argv):
@@ -73,8 +68,7 @@ def test_fk_matches_library(capsys):
     code, out, err = run(capsys, "fk", "--q", "0.3,0.6,-0.9")
     assert code == 0 and err == ""
     got = values(out)
-    params = load_config(default_config_path()).mechanism
-    spoon, handle = forward_kinematics(params, JointState(q=(0.3, 0.6, -0.9)))
+    spoon, handle = forward_kinematics(NOMINAL, JointState(q=(0.3, 0.6, -0.9)))
     for name, pose in (("spoon", spoon), ("handle", handle)):
         for field in ("x", "y", "z", "yaw"):
             assert float(got[f"{name}_{field}"]) == getattr(pose, field)
@@ -193,12 +187,11 @@ def test_csv_tables_match_per_cell_formatting(tmp_path):
     # the block writers against the plain one-row-at-a-time formatting,
     # on tables longer than one block: 2 * block_rows(3) + 1 rows, so the
     # 3-column cloud ends one row into its third block
-    config = load_config(default_config_path())
     scn = Scenario(duration=2 * block_rows(3) * 1e-3, timestep=1e-3,
                    initial=JointState(q=(0.0, 0.7, -1.4)),
                    input=NoiseTremor(rms=0.25, f_lo=2.0, f_hi=9.0, seed=7))
-    res = run_scenario(config.mechanism, config.springs, config.dampers,
-                       config.compliance, scn)
+    res = run_scenario(SHIPPED.mechanism, SHIPPED.springs, SHIPPED.dampers,
+                       SHIPPED.compliance, scn)
     assert len(res) == 2 * block_rows(3) + 1 > 2 * block_rows(18)
     want = [SIM_HEADER]
     for k in range(len(res)):
@@ -303,10 +296,9 @@ def test_simulate_names_the_field_of_a_bad_number(capsys, tmp_path):
 
 
 def test_custom_config_is_used(capsys, tmp_path):
-    cfg = load_config(default_config_path())
-    taller = replace(cfg.mechanism, base_height=0.5)
+    taller = replace(NOMINAL, base_height=0.5)
     path = tmp_path / "tall.json"
-    save_config(replace(cfg, mechanism=taller), path)
+    save_config(replace(SHIPPED, mechanism=taller), path)
     _, out_default, _ = run(capsys, "fk", "--q", "0,0.4,-0.2")
     _, out_tall, _ = run(capsys, "fk", "--q", "0,0.4,-0.2",
                          "--config", str(path))
@@ -364,10 +356,8 @@ def test_contact_compliant_reports_rigid_comparison(capsys):
 
 
 def test_contact_rigid_config_has_no_comparison(capsys, tmp_path):
-    cfg = load_config(default_config_path())
-    rigid = replace(cfg, compliance=ComplianceSpec(mode=ComplianceMode.RIGID))
     path = tmp_path / "rigid.json"
-    save_config(rigid, path)
+    save_config(replace(SHIPPED, compliance=RIGID), path)
     code, out, _ = run(capsys, "contact", "--impulse", "0.02",
                        "--config", str(path))
     assert code == 0

@@ -8,10 +8,11 @@ import warnings
 import pytest
 
 from spoonarm.cli import main
-from spoonarm.config import default_config_path, load_config
 from spoonarm.kinematics import inverse_kinematics
 
-SCENARIO = str(default_config_path().parent / "example_scenario.json")
+from shipped import EXAMPLE_PATH, NOMINAL
+
+SCENARIO = str(EXAMPLE_PATH)
 
 
 def run(capsys, *argv):
@@ -25,9 +26,8 @@ def run(capsys, *argv):
                                     (math.inf, 0.0, 0.0),
                                     (0.3, 0.0, -math.inf)])
 def test_ik_rejects_a_non_finite_target(target):
-    params = load_config(default_config_path()).mechanism
     with pytest.raises(ValueError, match=r"^target must be finite, not \("):
-        inverse_kinematics(params, target)
+        inverse_kinematics(NOMINAL, target)
 
 
 @pytest.mark.parametrize("target, shown", [("nan,0,0", "(nan, 0.0, 0.0)"),

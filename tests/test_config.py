@@ -4,12 +4,12 @@ import copy
 import dataclasses
 import json
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
 
 from spoonarm import JointState, MechanismParams, SimResult, run_scenario
+from spoonarm.analysis import TrajectorySpec, calibrate_handle_distance
 from spoonarm.config import (
     SCHEMA_VERSION,
     ConfigFile,
@@ -23,7 +23,6 @@ from spoonarm.config import (
     save_scenario,
     scenario_data,
 )
-from spoonarm.defaults import default_config, example_scenario
 from spoonarm.dynamics import (
     ComplianceMode,
     ComplianceSpec,
@@ -38,8 +37,11 @@ from spoonarm.dynamics import (
     SpoonContact,
 )
 from spoonarm.errors import ParseError, ValidationError, VersionMismatchError
-from spoonarm.kinematics import Handedness, HandleVariant, Joint
-from spoonarm.statics import SpringKind, SpringSpec
+from spoonarm.kinematics import (Handedness, HandleVariant, Joint,
+                                 inverse_kinematics)
+from spoonarm.statics import SpringKind, SpringSpec, synthesize_balancing
+
+from shipped import EXAMPLE, EXAMPLE_PATH, SHIPPED
 
 
 def full_config() -> ConfigFile:
@@ -90,16 +92,38 @@ def scenario_with_everything() -> Scenario:
 
 
 # ---------------------------------------------------------------------------
+# the shipped build: the packaged files state it once, and each value in
+# them that is derived from another is checked here exactly, so an edit
+# that breaks a derivation prints the value the derivation gives
+
+
+def test_shipped_springs_balance_the_shipped_arm_exactly():
+    springs = synthesize_balancing(SHIPPED.mechanism,
+                                   "linear_zero_free_length").springs
+    assert springs == SHIPPED.springs
+
+
+def test_shipped_arm_is_the_default_arm_but_for_its_bracket():
+    mechanism = SHIPPED.mechanism
+    assert mechanism == MechanismParams(
+        handle_distance=mechanism.handle_distance)
+
+
+def test_shipped_bracket_radius_is_calibrated():
+    # the radius at which the nominal 33 cm feeding rise costs 24 cm of
+    # handle rise
+    radius = calibrate_handle_distance(MechanismParams(), TrajectorySpec(),
+                                       0.24, tolerance=1e-12)
+    assert radius == SHIPPED.mechanism.handle_distance
+
+
+def test_example_scenario_starts_at_the_plate():
+    plate = TrajectorySpec().points()[0]
+    assert EXAMPLE.initial == inverse_kinematics(SHIPPED.mechanism, plate)
+
+
+# ---------------------------------------------------------------------------
 # round trips
-
-
-def test_shipped_default_matches_builder():
-    assert load_config(default_config_path()) == default_config()
-
-
-def test_shipped_example_scenario_matches_builder():
-    path = resources.files("spoonarm").joinpath("data/example_scenario.json")
-    assert load_scenario(path) == example_scenario()
 
 
 def test_config_round_trip_is_exact(tmp_path):
@@ -185,7 +209,7 @@ def test_contact_outside_scenario_in_file_rejected(tmp_path, time, error,
 
 
 def good_data():
-    return config_data(default_config())
+    return config_data(SHIPPED)
 
 
 def test_unknown_key_rejected():
@@ -397,7 +421,7 @@ def test_numpy_float32_numbers_save_and_round_trip(tmp_path):
 def test_float32_numbers_roll_out_as_their_saved_files_do(field):
     # a float32 field is read as the float the file stores, so the build
     # and its round trip step with the same doubles
-    config, scenario = default_config(), example_scenario()
+    config, scenario = SHIPPED, EXAMPLE
     if field == "gravity":
         config = ConfigFile(MechanismParams(gravity=np.float32(9.81)),
                             config.springs, config.dampers, config.compliance)
@@ -462,7 +486,13 @@ def test_version_must_be_integer():
 def test_shipped_config_is_canonical():
     # the JSON in the package must be exactly what save_config writes
     shipped = default_config_path().read_bytes()
-    regenerated = json.dumps(config_data(default_config()), indent=2) + "\n"
+    regenerated = json.dumps(config_data(SHIPPED), indent=2) + "\n"
+    assert shipped == regenerated.encode("utf-8")
+
+
+def test_shipped_example_scenario_is_canonical():
+    shipped = EXAMPLE_PATH.read_bytes()
+    regenerated = json.dumps(scenario_data(EXAMPLE), indent=2) + "\n"
     assert shipped == regenerated.encode("utf-8")
 
 

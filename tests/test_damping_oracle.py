@@ -21,17 +21,13 @@ import math
 import numpy as np
 import pytest
 
-from spoonarm import default_config_path, load_config
-from spoonarm.defaults import example_scenario
-from spoonarm.dynamics import (ComplianceMode, ComplianceSpec, DamperModel,
-                               DamperSpec, Scenario, SineTremor, mass_matrix,
-                               run_scenario)
+from spoonarm.dynamics import (DamperModel, DamperSpec, Scenario, SineTremor,
+                               mass_matrix, run_scenario)
 from spoonarm.kinematics import Joint, handle_jacobian, jacobian
 
-SHIPPED = load_config(default_config_path())
-EXAMPLE = example_scenario()
+from shipped import EXAMPLE, RIGID, SHIPPED
+
 START = EXAMPLE.initial
-RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
 FREQUENCY = 2.0     # Hz
 DURATION = 4.0      # s
 AMPLITUDES = (0.15, 0.015, 0.0015)      # N

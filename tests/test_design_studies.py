@@ -21,7 +21,6 @@ from spoonarm.analysis import (
     trajectory_states,
     workspace_sample,
 )
-from spoonarm.defaults import nominal_params
 from spoonarm.errors import NotBracketedError, SpoonArmError
 from spoonarm.kinematics import (
     Handedness,
@@ -32,6 +31,8 @@ from spoonarm.kinematics import (
 )
 from spoonarm.serialize import _write_table, block_rows
 from spoonarm.serialize import fmt, write_workspace_csv
+
+from shipped import NOMINAL
 
 
 def _bits(a):
@@ -59,7 +60,7 @@ def _grid_points(params, resolution):
 
 @pytest.mark.parametrize("resolution", [2, 3, 5, 10, 25, 40, 41])
 def test_workspace_points_equal_np_unique(resolution):
-    params = nominal_params()
+    params = NOMINAL
     sample = workspace_sample(params, resolution)
     _same_rows(sample.points,
                np.unique(_grid_points(params, resolution), axis=0))
@@ -76,8 +77,8 @@ def test_workspace_points_equal_np_unique_with_pinned_joints(limits):
 
 
 @pytest.mark.parametrize("params", [
-    replace(nominal_params(), handedness=Handedness.LEFT),
-    replace(nominal_params(), joint_limits=(
+    replace(NOMINAL, handedness=Handedness.LEFT),
+    replace(NOMINAL, joint_limits=(
         (-2.3, 0.9), (-0.2, 1.7), (-1.1, 0.35))),
 ], ids=["left-handed", "asymmetric-limits"])
 def test_workspace_points_equal_np_unique_off_the_default_build(params):
@@ -277,11 +278,11 @@ NON_MONOTONIC = (
     TrajectorySpec(plate=(0.2, 0.1), mouth=(0.25, 0.2), waypoints=25))
 
 BUILDS = {
-    "default": (nominal_params(), TrajectorySpec()),
-    "left_dropped": (replace(nominal_params(), handedness=Handedness.LEFT,
+    "default": (NOMINAL, TrajectorySpec()),
+    "left_dropped": (replace(NOMINAL, handedness=Handedness.LEFT,
                              bracket_drop=-0.07, bracket_lateral=0.03),
                      TrajectorySpec()),
-    "old_tip": (replace(nominal_params(),
+    "old_tip": (replace(NOMINAL,
                         handle_variant=HandleVariant.OLD_TIP),
                 TrajectorySpec()),
     "non_monotonic": NON_MONOTONIC,
@@ -330,7 +331,7 @@ def test_calibration_errors_unchanged():
     with pytest.raises(SpoonArmError, match="not monotonic"):
         calibrate_handle_distance(params, trajectory, 0.05)
     with pytest.raises(NotBracketedError, match="outside the achievable"):
-        calibrate_handle_distance(nominal_params(), TrajectorySpec(), 0.4)
+        calibrate_handle_distance(NOMINAL, TrajectorySpec(), 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +360,15 @@ def test_trajectory_endpoints_must_be_finite(kwargs, name):
 ])
 def test_workspace_summary_inputs_checked(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        workspace_sample(nominal_params(), 3, **kwargs)
+        workspace_sample(NOMINAL, 3, **kwargs)
 
 
 def test_workspace_zero_band_is_valid():
-    sample = workspace_sample(nominal_params(), 3, radial_band=0.0)
+    sample = workspace_sample(NOMINAL, 3, radial_band=0.0)
     assert sample.summary.plate_vertical_span >= 0.0
 
 
 def test_workspace_zero_radius_and_rise_are_valid():
-    sample = workspace_sample(nominal_params(), 3, plate_radius=0.0,
+    sample = workspace_sample(NOMINAL, 3, plate_radius=0.0,
                               target_rise=0.0)
     assert sample.summary.covers_target_rise

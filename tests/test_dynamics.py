@@ -9,8 +9,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from spoonarm import (JointState, MechanismParams, default_config_path,
-                      dynamics, load_config)
+from spoonarm import JointState, MechanismParams, dynamics
 from spoonarm.dynamics import (
     FORCE_BLOCK,
     ComplianceMode,
@@ -31,7 +30,6 @@ from spoonarm.dynamics import (
     generate_signal,
     kinetic_energy,
     mass_matrix,
-    potential_energy,
     run_scenario,
     settling_time,
     spoon_contact_response,
@@ -53,14 +51,12 @@ from spoonarm.statics import (
     SpringKind,
     SpringSpec,
     gravity_torque,
+    potential_energy,
     spring_joint_torques,
     synthesize_balancing,
 )
 
-# limits so wide that free swings never clamp; clamping is tested on its own
-FREE_LIMITS = ((-1e6, 1e6), (-1e6, 1e6), (-1e6, 1e6))
-
-RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+from shipped import EXAMPLE, FREE_LIMITS, RIGID, SHIPPED
 
 # closed forms for the nominal build: M22 = (m1*c1^2 + m2 + mp)*L1^2,
 # M33 = (m2*c2^2 + mp)*L2^2, and the coupling amplitude L1*L2*(m2*c2 + mp)
@@ -658,18 +654,17 @@ def test_run_scenario_rows_equal_repeated_steps(inputs, n):
 def test_springs_from_an_iterator_act_on_every_joint():
     # the stage sums the springs per joint and the recording reads them
     # again: an iterator must give the bits of the tuple it yields
-    config = load_config(default_config_path())
-    p, springs, dampers = config.mechanism, config.springs, config.dampers
+    p, springs, dampers = SHIPPED.mechanism, SHIPPED.springs, SHIPPED.dampers
     start = JointState(q=(0.0, 0.7, -0.5), qdot=(0.1, -0.2, 0.3))
     sc = Scenario(duration=0.2, timestep=1e-3, initial=start,
                   input=NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=5))
-    results = [run_scenario(p, given, dampers, config.compliance, sc)
+    results = [run_scenario(p, given, dampers, SHIPPED.compliance, sc)
                for given in (springs, iter(springs))]
     for f in dataclasses.fields(SimResult):
         got, from_iterator = (getattr(res, f.name) for res in results)
         assert got.tobytes() == from_iterator.tobytes(), f.name
     (state, defl), (state_it, defl_it) = (
-        step_dynamics(p, given, dampers, config.compliance, start,
+        step_dynamics(p, given, dampers, SHIPPED.compliance, start,
                       (0.1, -0.2, 0.3), 1e-3, t=0.05,
                       deflections=(0.01, -0.02, 0.3, 0.1))
         for given in (springs, iter(springs)))
@@ -916,10 +911,9 @@ def test_settling_time_rule(outside, settled):
 
 
 def test_contact_response_compliant_vs_rigid():
-    p = free_params()
     comp = ComplianceSpec()
-    soft = spoon_contact_response(p, comp, 0.02)
-    hard = spoon_contact_response(p, RIGID, 0.02)
+    soft = spoon_contact_response(comp, 0.02)
+    hard = spoon_contact_response(RIGID, 0.02)
     assert isinstance(soft, ContactResponse)
     assert not soft.model_dependent
     assert hard.model_dependent
@@ -930,24 +924,21 @@ def test_contact_response_compliant_vs_rigid():
 
 
 def test_contact_response_zero_impulse():
-    p = free_params()
-    res = spoon_contact_response(p, ComplianceSpec(), 0.0)
+    res = spoon_contact_response(ComplianceSpec(), 0.0)
     assert res.peak_torque == 0.0
     assert res.settling_time == 0.0
     assert res.recentered
 
 
 def test_contact_deflection_limit_enforced():
-    p = free_params()
     with pytest.raises(DeflectionExceededError):
-        spoon_contact_response(p, ComplianceSpec(), 1.0)
+        spoon_contact_response(ComplianceSpec(), 1.0)
 
 
 def test_contact_never_settling_reports_inf():
     # undamped-ish mount: damping so small the horizon ends mid-ring
-    p = free_params()
     comp = ComplianceSpec(damping=1e-6, deflection_limit=50.0)
-    res = spoon_contact_response(p, comp, 0.02, duration=1.0)
+    res = spoon_contact_response(comp, 0.02, duration=1.0)
     assert not res.recentered
     assert math.isinf(res.settling_time)
 
@@ -959,8 +950,7 @@ def test_contact_never_settling_reports_inf():
 @pytest.mark.parametrize("mount", [ComplianceSpec(), RIGID])
 def test_contact_response_rejects_bad_grid(dt, duration, mount):
     with pytest.raises(ValueError):
-        spoon_contact_response(free_params(), mount, 0.02, dt=dt,
-                               duration=duration)
+        spoon_contact_response(mount, 0.02, dt=dt, duration=duration)
     # the same rule as a scenario's
     with pytest.raises(ValueError):
         Scenario(duration=duration, timestep=dt)
@@ -970,8 +960,7 @@ def test_contact_divergence_is_named():
     # omega_n*dt = 6.3 is above the mount's bound of pi (fewer than two
     # rows per undamped period), so the study refuses the grid and says so
     with pytest.raises(NonFiniteStateError, match="reduce the timestep"):
-        spoon_contact_response(free_params(),
-                               ComplianceSpec(deflection_limit=1e300),
+        spoon_contact_response(ComplianceSpec(deflection_limit=1e300),
                                0.001, dt=0.1, duration=100.0)
 
 
@@ -1106,21 +1095,13 @@ def test_playback_ik_error_names_the_first_rejected_row(end, error):
 # non-finite spec numbers
 
 
-def example_build():
-    from spoonarm.config import default_config_path, load_config, load_scenario
-    config = load_config(default_config_path())
-    scenario = load_scenario(default_config_path().with_name(
-        "example_scenario.json"))
-    return config, scenario
-
-
 @pytest.mark.parametrize("coefficient", [30.0, 40.0])
 def test_stiff_damper_divergence_is_named_even_inside_a_stage(coefficient):
     # dt*lambda is 3.57 and 4.76 at the start, so the stiff-damper guard
     # stops both runs at t = 0; without it, at c = 30 a stage angle
     # overflowed before the state did, and math.cos of it raised a bare
     # ValueError
-    config, scenario = example_build()
+    config, scenario = SHIPPED, EXAMPLE
     damper = DamperSpec(Joint.J3, DamperModel.VISCOUS, coefficient)
     with pytest.raises(NonFiniteStateError, match="reduce the timestep"):
         run_scenario(config.mechanism, config.springs, [damper],
@@ -1215,7 +1196,7 @@ def test_stiff_j3_damper_on_the_example_is_named(coefficient, trips):
     # c = 15 peaks at dt*lambda = 2.511 and keeps its energy; c = 17.5 and
     # 20 start at 2.08 and 2.38 and, without the guard, gain energy once
     # they pass about 2.85
-    config, scenario = example_build()
+    config, scenario = SHIPPED, EXAMPLE
     damper = DamperSpec(Joint.J3, DamperModel.VISCOUS, coefficient)
     run = lambda: run_scenario(config.mechanism, config.springs, [damper],
                                config.compliance, scenario)
@@ -1231,7 +1212,7 @@ def test_damper_sweep_builds_stay_inside_the_guard(band):
     # the benchmark's stiffest damper build, c = 1.0 on J2 and J3, over
     # its twelve noise seeds: dt*lambda peaks at 0.133; a dead zone counts
     # at its full coefficient, so its builds have the same floors
-    config, scenario = example_build()
+    config, scenario = SHIPPED, EXAMPLE
     dampers = (DamperSpec(Joint.J2, DamperModel.VISCOUS, 1.0),
                DamperSpec(Joint.J3, DamperModel.VISCOUS, 1.0))
     for seed in range(12):

@@ -9,8 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from spoonarm import default_config_path, load_config
-from spoonarm.defaults import balanced_springs, nominal_params
 from spoonarm.dynamics import (
     ComplianceSpec,
     Scenario,
@@ -34,6 +32,8 @@ from spoonarm.statics import (
     torque_columns,
 )
 
+from shipped import NOMINAL, SHIPPED
+
 ANGLES = np.linspace(-1.75, 2.0, 97)
 SPRINGS = (
     SpringSpec(SpringKind.LINEAR_REAL, Joint.J2, 280.0, 0.1, 0.05, 0.005),
@@ -55,7 +55,7 @@ def lumped_heights_potential(p: MechanismParams, th2: float, th3: float):
 
 @pytest.mark.parametrize("joint", [Joint.J2, Joint.J3])
 def test_gravity_laws_are_minus_g_a_cos_and_g_a_sin_bit_for_bit(joint):
-    p = nominal_params()
+    p = NOMINAL
     a = gravity_coefficients(p)[joint - 1]
     torque, potential = gravity_laws(p, joint)
     cos, sin = np.cos(ANGLES), np.sin(ANGLES)
@@ -65,7 +65,7 @@ def test_gravity_laws_are_minus_g_a_cos_and_g_a_sin_bit_for_bit(joint):
 
 
 def test_gravity_torque_reads_the_gravity_law():
-    p = nominal_params()
+    p = NOMINAL
     state = JointState(q=(0.3, 0.7, -1.1))
     assert gravity_torque(p, state) == (
         gravity_laws(p, Joint.J2)[0](math.cos(0.7)),
@@ -75,14 +75,14 @@ def test_gravity_torque_reads_the_gravity_law():
 @pytest.mark.parametrize("q", [(0.0, 0.0, 0.0), (0.2, 0.7, -1.4),
                                (-1.0, 2.0, 1.4), (3.0, -0.35, -1.75)])
 def test_gravity_potential_is_the_lumped_height_sum(q):
-    p = nominal_params()
+    p = NOMINAL
     expected = lumped_heights_potential(p, q[1], q[2])
     got = gravity_potential(p, JointState(q=q))
     assert got == pytest.approx(expected, rel=0.0, abs=4e-15)
 
 
 def test_potential_sum_on_arrays_equals_potential_energy_per_row():
-    p = nominal_params()
+    p = NOMINAL
     th2, th3 = ANGLES, ANGLES[::-1].copy()
     # the same sines for both paths: math's, as potential_energy takes
     s2t = np.array([math.sin(a) for a in th2.tolist()])
@@ -96,7 +96,7 @@ def test_potential_sum_on_arrays_equals_potential_energy_per_row():
 
 @pytest.mark.parametrize("joint", [Joint.J2, Joint.J3])
 def test_torque_columns_add_up_to_the_residual_profile(joint):
-    p = nominal_params()
+    p = NOMINAL
     profile = residual_torque_profile(p, SPRINGS)[joint - 1]
     tau_g, tau_s = torque_columns(p, SPRINGS, joint, profile.angles)
     np.testing.assert_array_equal(tau_g + tau_s, profile.torques)
@@ -107,7 +107,7 @@ def test_torque_columns_add_up_to_the_residual_profile(joint):
 
 @pytest.mark.parametrize("kind", list(SpringKind))
 def test_balance_csv_writes_the_torque_columns(tmp_path, kind):
-    p = nominal_params()
+    p = NOMINAL
     result = synthesize_balancing(p, kind)
     profiles = (result.residual_j2, result.residual_j3)
     path = tmp_path / "balance.csv"
@@ -121,12 +121,12 @@ def test_balance_csv_writes_the_torque_columns(tmp_path, kind):
 
 
 def test_contact_rollout_books_the_mount_energy():
-    p = nominal_params()
+    p = NOMINAL
     mount = ComplianceSpec()
     start = JointState(q=(0.0, 0.7347863005736404, -1.4323283077414541))
     scenario = Scenario(duration=0.2, initial=start,
                         spoon_contact=SpoonContact(0.05, 0.02, 0.01))
-    springs = balanced_springs(p)
+    springs = SHIPPED.springs
     result = run_scenario(p, springs, [], mount, scenario)
     (dp, dy), (vp, vy) = result.deflection.T, result.deflection_rate.T
     assert np.abs(dp).max() > 0.0 and np.abs(dy).max() > 0.0
@@ -143,10 +143,9 @@ def test_contact_rollout_books_the_mount_energy():
 
 @pytest.mark.parametrize("th2", np.linspace(-0.35, 2.0, 41).tolist())
 def test_balanced_build_released_at_rest_holds_every_pose(th2):
-    config = load_config(default_config_path())
     start = JointState(q=(0.0, th2, 0.3))
-    result = run_scenario(config.mechanism, config.springs, config.dampers,
-                          config.compliance,
+    result = run_scenario(SHIPPED.mechanism, SHIPPED.springs, SHIPPED.dampers,
+                          SHIPPED.compliance,
                           Scenario(duration=0.1, initial=start))
     assert not result.qdot.any()
     assert (result.q == start.q).all()

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from spoonarm.analysis import workspace_sample
-from spoonarm.defaults import nominal_params
-from spoonarm.dynamics import (ComplianceMode, ComplianceSpec, Scenario,
-                               run_scenario)
+from spoonarm.dynamics import Scenario, run_scenario
 from spoonarm.errors import LimitViolationError
 from spoonarm.kinematics import (
     IK_LIMIT_TOL,
@@ -17,12 +15,13 @@ from spoonarm.kinematics import (
     spoon_pose,
 )
 
-RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+from shipped import NOMINAL, RIGID
+
 TIGHT = MechanismParams(joint_limits=((-1.0, 1.0), (0.5, 0.6), (-0.5, -0.4)))
 
 
 def test_every_workspace_point_solves_within_the_limits():
-    params = nominal_params()
+    params = NOMINAL
     points = workspace_sample(params, 20).points
     assert len(points) == 8000
     for target in points.tolist():

@@ -13,10 +13,8 @@ from spoonarm.analysis import (
     calibrate_handle_distance,
     stabilization_report,
 )
-from spoonarm import default_config_path, load_config
 from spoonarm.cli import main
 from spoonarm.config import ConfigFile, scenario_data
-from spoonarm.defaults import nominal_params
 from spoonarm.dynamics import (
     ComplianceMode,
     ComplianceSpec,
@@ -56,7 +54,8 @@ from spoonarm.statics import (
     synthesize_balancing,
 )
 
-RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+from shipped import NOMINAL, RIGID, SHIPPED
+
 START = JointState(q=(0.0, 0.7, -1.4))
 
 
@@ -92,13 +91,13 @@ def test_unknown_signal_spec_is_a_type_error():
 def test_constant_force_without_three_components_is_rejected():
     with pytest.raises(ValueError,
                        match="constant input force needs three components"):
-        step_dynamics(nominal_params(), [], [], RIGID, START, (0.0, 1.0),
+        step_dynamics(NOMINAL, [], [], RIGID, START, (0.0, 1.0),
                       1e-3)
 
 
 def test_callable_force_without_three_components_is_rejected():
     with pytest.raises(ValueError, match="^input force needs three"):
-        step_dynamics(nominal_params(), [], [], RIGID, START,
+        step_dynamics(NOMINAL, [], [], RIGID, START,
                       lambda t: (0.0, 1.0), 1e-3)
 
 
@@ -125,27 +124,27 @@ def test_malformed_callable_force_names_its_first_time(name):
 
     scenario = Scenario(duration=0.01, initial=START, input=force)
     with pytest.raises(ValueError) as error:
-        run_scenario(nominal_params(), [], [], RIGID, scenario)
+        run_scenario(NOMINAL, [], [], RIGID, scenario)
     assert str(error.value) == f"{message} at t = 0.002500 s"
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3])
 def test_step_dynamics_needs_a_positive_timestep(dt):
     with pytest.raises(ValueError, match="dt must be > 0"):
-        step_dynamics(nominal_params(), [], [], RIGID, START, None, dt)
+        step_dynamics(NOMINAL, [], [], RIGID, START, None, dt)
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf])
 def test_step_dynamics_needs_a_finite_timestep(dt):
     with pytest.raises(ValueError, match="dt must be > 0 and finite"):
-        step_dynamics(nominal_params(), [], [], RIGID, START, None, dt)
+        step_dynamics(NOMINAL, [], [], RIGID, START, None, dt)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_step_dynamics_needs_a_finite_time(t):
     # not a NonFiniteStateError blaming the timestep
     with pytest.raises(ValueError, match="^t must be finite"):
-        step_dynamics(nominal_params(), [], [], RIGID, START,
+        step_dynamics(NOMINAL, [], [], RIGID, START,
                       SineTremor(1.0, 1.0), 1e-3, t=t)
 
 
@@ -166,7 +165,7 @@ def test_noise_seed_must_be_an_integer_of_at_least_zero(seed):
 @pytest.mark.parametrize("impulse", [math.nan, math.inf])
 def test_contact_response_needs_a_finite_impulse(impulse):
     with pytest.raises(ValueError, match="impulse must be finite"):
-        spoon_contact_response(nominal_params(), ComplianceSpec(), impulse)
+        spoon_contact_response(ComplianceSpec(), impulse)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,7 @@ def test_torque_profile_shapes_must_match():
 
 def test_synthesis_rejects_a_negative_free_length():
     with pytest.raises(InfeasibleBoundsError, match="free_length must be"):
-        synthesize_balancing(nominal_params(), SpringKind.LINEAR_REAL,
+        synthesize_balancing(NOMINAL, SpringKind.LINEAR_REAL,
                              free_length=-0.001)
 
 
@@ -241,7 +240,7 @@ def test_calibration_that_exhausts_bisection_returns_the_upper_end(
         return SimpleNamespace(handle_rise=d if d < 0.1 else d + 0.01)
 
     monkeypatch.setattr(analysis, "_excursion", rise)
-    d_h = calibrate_handle_distance(nominal_params(), TrajectorySpec(), 0.105)
+    d_h = calibrate_handle_distance(NOMINAL, TrajectorySpec(), 0.105)
     assert len(calls) == 9 + 200    # the monotonicity sweep, then bisection
     assert d_h == 0.1
 
@@ -249,12 +248,12 @@ def test_calibration_that_exhausts_bisection_returns_the_upper_end(
 @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
 def test_calibration_needs_a_finite_tolerance(tolerance):
     with pytest.raises(ValueError, match="tolerance must be > 0 and finite"):
-        calibrate_handle_distance(nominal_params(), TrajectorySpec(), 0.24,
+        calibrate_handle_distance(NOMINAL, TrajectorySpec(), 0.24,
                                   tolerance=tolerance)
 
 
 def test_attenuation_is_infinite_against_a_baseline_that_never_deviates():
-    params = nominal_params()
+    params = NOMINAL
     still = Scenario(duration=0.05, initial=START)
     pushed = Scenario(duration=0.05, initial=START,
                       input=SineTremor(amplitude=1.0, frequency=5.0))
@@ -332,7 +331,7 @@ def test_rigid_mount_needs_finite_values_of_at_least_zero(field, value):
 
 @pytest.mark.parametrize("band", [math.nan, math.inf, -1.0, 0.0])
 def test_stabilization_band_must_be_finite_and_positive(band):
-    params = nominal_params()
+    params = NOMINAL
     still = run_scenario(params, [], [], RIGID,
                          Scenario(duration=0.01, initial=START))
     with pytest.raises(ValueError, match="^band must be > 0 and finite, not "):
@@ -343,15 +342,13 @@ def test_stabilization_band_must_be_finite_and_positive(band):
 def test_step_dynamics_needs_four_deflections(deflections):
     message = r"deflections needs four entries \(delta_p, delta_y, rate_p"
     with pytest.raises(ValueError, match=message):
-        step_dynamics(nominal_params(), [], [], RIGID, START, None, 1e-3,
+        step_dynamics(NOMINAL, [], [], RIGID, START, None, 1e-3,
                       deflections=deflections)
 
 
 # ---------------------------------------------------------------------------
 # a build's spring and damper sets, read at every public entry point
 
-SHIPPED = load_config(default_config_path())
-BUILD = SHIPPED.mechanism
 RUN = Scenario(0.01, initial=START)
 PLAYBACK = Scenario(0.01, initial=START, input=PrescribedTrajectory(
     ((0.0, 0.35, 0.0, 0.02), (0.01, 0.34, 0.01, 0.05))))
@@ -360,20 +357,20 @@ BOTH = ("springs", "dampers")
 # a playback steps nothing, but its dampers are checked all the same
 ELEMENT_ENTRY_POINTS = {
     "run_scenario": (BOTH, lambda s, d: run_scenario(
-        BUILD, s, d, RIGID, RUN)),
+        NOMINAL, s, d, RIGID, RUN)),
     "run_scenario-playback": (BOTH, lambda s, d: run_scenario(
-        BUILD, s, d, RIGID, PLAYBACK)),
+        NOMINAL, s, d, RIGID, PLAYBACK)),
     "step_dynamics": (BOTH, lambda s, d: step_dynamics(
-        BUILD, s, d, RIGID, START, None, 1e-3)),
-    "ConfigFile": (BOTH, lambda s, d: ConfigFile(BUILD, s, d)),
+        NOMINAL, s, d, RIGID, START, None, 1e-3)),
+    "ConfigFile": (BOTH, lambda s, d: ConfigFile(NOMINAL, s, d)),
     "potential_energy": (("springs",), lambda s, _: potential_energy(
-        BUILD, s, START)),
+        NOMINAL, s, START)),
     "spring_joint_torques": (("springs",), lambda s, _:
                              spring_joint_torques(s, START)),
     "residual_torque_profile": (("springs",), lambda s, _:
-                                residual_torque_profile(BUILD, s)),
+                                residual_torque_profile(NOMINAL, s)),
     "holding_force": (("springs",), lambda s, _: holding_force(
-        BUILD, s, START)),
+        NOMINAL, s, START)),
 }
 SPEC_OF = {"springs": "SpringSpec", "dampers": "DamperSpec"}
 # the other field's set stands in for this one's
@@ -438,51 +435,50 @@ WRONG_TYPES = {
                      r"^duration must be a real number, not '1'$"),
     "q-none": (lambda: JointState(q=None), r"^q must be iterable, not None$"),
     "band-str": (lambda: stabilization_report(
-        TrajectorySpec(), run_scenario(BUILD, (), (), RIGID, RUN), band="1"),
+        TrajectorySpec(), run_scenario(NOMINAL, (), (), RIGID, RUN), band="1"),
         r"^band must be a real number, not '1'$"),
     "contact-duration-str": (lambda: spoon_contact_response(
-        BUILD, ComplianceSpec(), 0.02, duration="1"),
+        ComplianceSpec(), 0.02, duration="1"),
         r"^duration must be a real number, not '1'$"),
     "deflections-none": (lambda: step_dynamics(
-        BUILD, (), (), RIGID, START, None, 1e-3, deflections=None),
+        NOMINAL, (), (), RIGID, START, None, 1e-3, deflections=None),
         r"^deflections must be iterable, not None$"),
     "deflections-str": (lambda: step_dynamics(
-        BUILD, (), (), RIGID, START, None, 1e-3, deflections=("a", 0, 0, 0)),
+        NOMINAL, (), (), RIGID, START, None, 1e-3, deflections=("a", 0, 0, 0)),
         r"^deflections\[0\] must be a real number, not 'a'$"),
     "free-length-str": (lambda: synthesize_balancing(
-        BUILD, "linear_real", free_length="x"),
+        NOMINAL, "linear_real", free_length="x"),
         r"^free_length must be a real number, not 'x'$"),
     "anchor-bounds-none": (lambda: synthesize_balancing(
-        BUILD, "linear_real", anchor_bounds=None),
+        NOMINAL, "linear_real", anchor_bounds=None),
         r"^anchor_bounds must be iterable, not None$"),
     "anchor-bounds-short": (lambda: synthesize_balancing(
-        BUILD, "linear_real", anchor_bounds=((0.1,), (0.2, 0.3))),
+        NOMINAL, "linear_real", anchor_bounds=((0.1,), (0.2, 0.3))),
         r"^anchor_bounds needs two \(min, max\) pairs"),
     "rise-str": (lambda: calibrate_handle_distance(
-        BUILD, TrajectorySpec(), "0.2"),
+        NOMINAL, TrajectorySpec(), "0.2"),
         r"^target_handle_rise must be a real number, not '0.2'$"),
-    "ik-target-short": (lambda: inverse_kinematics(BUILD, (0.3, 0.1)),
+    "ik-target-short": (lambda: inverse_kinematics(NOMINAL, (0.3, 0.1)),
                         r"^target needs three components"),
     # the typed arguments of a rollout, read before any work
     "run-params-none": (lambda: run_scenario(None, (), (), RIGID, RUN),
                         r"^params must be a MechanismParams, not None$"),
     "run-compliance-none": (lambda: run_scenario(
-        BUILD, (), (), None, RUN),
+        NOMINAL, (), (), None, RUN),
         r"^compliance must be a ComplianceSpec, not None$"),
     "run-scenario-dict": (lambda: run_scenario(
-        BUILD, (), (), RIGID, {"duration": 0.01}),
+        NOMINAL, (), (), RIGID, {"duration": 0.01}),
         r"^scenario must be a Scenario, not \{'duration': 0.01\}$"),
     "step-params-none": (lambda: step_dynamics(
         None, (), (), RIGID, START, None, 1e-3),
         r"^params must be a MechanismParams, not None$"),
     "step-compliance-none": (lambda: step_dynamics(
-        BUILD, (), (), None, START, None, 1e-3),
+        NOMINAL, (), (), None, START, None, 1e-3),
         r"^compliance must be a ComplianceSpec, not None$"),
     "step-state-tuple": (lambda: step_dynamics(
-        BUILD, (), (), RIGID, (0.0, 0.7, -1.4), None, 1e-3),
+        NOMINAL, (), (), RIGID, (0.0, 0.7, -1.4), None, 1e-3),
         r"^state must be a JointState, not \(0.0, 0.7, -1.4\)$"),
-    "contact-compliance-none": (lambda: spoon_contact_response(
-        BUILD, None, 0.02),
+    "contact-compliance-none": (lambda: spoon_contact_response(None, 0.02),
         r"^compliance must be a ComplianceSpec, not None$"),
 }
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from spoonarm.analysis import workspace_sample
-from spoonarm.defaults import nominal_params
 from spoonarm.errors import LimitViolationError, UnreachableError
 from spoonarm.kinematics import (
     HANDLE_ANGLE_OFFSETS_RAD,
@@ -25,6 +24,8 @@ from spoonarm.kinematics import (
     spoon_point,
     spoon_pose,
 )
+
+from shipped import NOMINAL
 
 # Planar closure solutions for the plate (r=0.35, z=0.02) and mouth
 # (r=0.35, z=0.35) targets with the nominal geometry, frozen from an
@@ -475,7 +476,7 @@ def _ik_reference(p, x, y, z):
 def test_ik_path_has_libm_bits_over_the_workspace_grid():
     # numpy's own hypot, atan2 and acos may round differently from libm,
     # and differently again under another SIMD dispatch
-    p = nominal_params()
+    p = NOMINAL
     points = workspace_sample(p, 20).points
     assert len(points) == 8000
     got = inverse_kinematics_path(p, np.arange(len(points)), *points.T)

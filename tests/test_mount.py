@@ -23,8 +23,6 @@ from spoonarm.dynamics import (
 )
 from spoonarm.errors import NonFiniteStateError, TimestepTooCoarseError
 
-FREE_LIMITS = ((-1e6, 1e6), (-1e6, 1e6), (-1e6, 1e6))
-
 # damping coefficients (N*m*s/rad) giving zeta = 1.6e-5, 0.19, 1 and 15.8
 # on the default mount (k = 2 N*m/rad, I = 5e-4 kg*m^2)
 DAMPINGS = [1e-6, 0.012, 0.0632, 1.0]
@@ -117,9 +115,8 @@ def test_stiffly_damped_contact_is_finite(damping):
     # c*dt/I = 3, 100 and 2000: outside RK4's stability region, but the
     # propagator is exact and the exponents of the fast mode never
     # overflow
-    p = MechanismParams(joint_limits=FREE_LIMITS)
     comp = ComplianceSpec(damping=damping)
-    res = spoon_contact_response(p, comp, 0.02)
+    res = spoon_contact_response(comp, 0.02)
     assert math.isfinite(res.peak_torque)
     assert res.recentered
     rows = _mount_rows(comp, 0.0, 0.02 / comp.inertia, 5001, 1e-3)
@@ -147,7 +144,7 @@ def test_timestep_bound_on_every_mount_path(factor, coarse):
                        spoon_contact=SpoonContact(time=2 * dt,
                                                   impulse_pitch=0.001))
     paths = [
-        lambda: spoon_contact_response(p, comp, 0.001, dt=dt,
+        lambda: spoon_contact_response(comp, 0.001, dt=dt,
                                        duration=100 * dt),
         lambda: run_scenario(p, [], [], comp, contact),
         lambda: step_dynamics(p, [], [], comp, contact.initial, None, dt),
@@ -237,15 +234,13 @@ def test_spasm_needs_finite_values(field, value):
 def test_peak_on_the_impulse_row_is_model_dependent(damping, peak):
     # the reaction on the impulse row is c * v0 with v0 = 0.02 / 5e-4, an
     # artifact of the ideal impulse that grows with c without bound
-    res = spoon_contact_response(MechanismParams(), wide(damping=damping),
-                                 0.02)
+    res = spoon_contact_response(wide(damping=damping), 0.02)
     assert res.peak_torque == pytest.approx(peak, rel=1e-12)
     assert res.model_dependent
 
 
 def test_later_peak_and_zero_impulse_are_not_model_dependent():
-    later = spoon_contact_response(MechanismParams(), ComplianceSpec(), 0.02)
+    later = spoon_contact_response(ComplianceSpec(), 0.02)
     assert later.peak_torque == 1.0430074916432155
     assert not later.model_dependent
-    assert not spoon_contact_response(MechanismParams(), ComplianceSpec(),
-                                      0.0).model_dependent
+    assert not spoon_contact_response(ComplianceSpec(), 0.0).model_dependent

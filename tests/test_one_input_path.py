@@ -15,10 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spoonarm.defaults import nominal_params
 from spoonarm.dynamics import (
-    ComplianceMode,
-    ComplianceSpec,
     PrescribedTrajectory,
     Scenario,
     _signal_forces,
@@ -30,7 +27,8 @@ from spoonarm.errors import LimitViolationError
 from spoonarm.kinematics import JointState
 from spoonarm.statics import SpringKind, synthesize_balancing
 
-RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+from shipped import NOMINAL, RIGID
+
 START = JointState(q=(0.0, 0.7, -1.4))
 TIMES = np.arange(0, 300) * 1.7e-3
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,10 +55,10 @@ def test_a_playback_has_no_handle_force_and_steps_nothing():
     message = ("^a PrescribedTrajectory is kinematic playback, not a force; "
                "run it through run_scenario$")
     with pytest.raises(ValueError, match=message):
-        step_dynamics(nominal_params(), [], [], RIGID, START, playback, 1e-3)
+        step_dynamics(NOMINAL, [], [], RIGID, START, playback, 1e-3)
     # the start is checked first, as before
     with pytest.raises(LimitViolationError):
-        step_dynamics(nominal_params(), [], [], RIGID,
+        step_dynamics(NOMINAL, [], [], RIGID,
                       JointState(q=(0.0, 9.0, 0.0)), playback, 1e-3)
 
 
@@ -74,18 +72,18 @@ def test_an_input_of_no_kind_is_a_type_error(caller, name):
     inputs = NOT_INPUTS[name]
     with pytest.raises(TypeError, match=f"^unknown input signal {name}$"):
         if caller == "run_scenario":
-            run_scenario(nominal_params(), [], [], RIGID,
+            run_scenario(NOMINAL, [], [], RIGID,
                          Scenario(duration=0.01, initial=START,
                                   input=inputs))
         elif caller == "step_dynamics":
-            step_dynamics(nominal_params(), [], [], RIGID, START, inputs,
+            step_dynamics(NOMINAL, [], [], RIGID, START, inputs,
                           1e-3)
         else:
             generate_signal(inputs, 0.1)
 
 
 def test_balancing_takes_a_spring_kind_value_string():
-    params = nominal_params()
+    params = NOMINAL
     assert (synthesize_balancing(params, "torsion").springs
             == synthesize_balancing(params, SpringKind.TORSION).springs)
     with pytest.raises(ValueError, match="^kind must be a SpringKind"):

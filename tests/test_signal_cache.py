@@ -13,7 +13,6 @@ from spoonarm import JointState, MechanismParams
 from spoonarm.config import scenario_data
 from spoonarm.dynamics import (
     FORCE_BLOCK,
-    ComplianceMode,
     ComplianceSpec,
     DamperModel,
     DamperSpec,
@@ -30,7 +29,8 @@ from spoonarm.dynamics import (
 )
 from spoonarm.kinematics import Joint
 
-RIGID = ComplianceSpec(mode=ComplianceMode.RIGID)
+from shipped import RIGID
+
 EXAMPLE_START = JointState(q=(0.0, 0.7347863005736404, -1.4323283077414541))
 DAMPERS = [DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4)]
 DT = 1e-3

@@ -4,7 +4,6 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from spoonarm import default_config_path, load_config
 from spoonarm.cli import main
 from spoonarm.dynamics import (DamperModel, DamperSpec, damper_law,
                                damper_sum, damper_torque)
@@ -28,6 +27,8 @@ from spoonarm.statics import (
     synthesize_balancing,
 )
 from spoonarm.serialize import write_balance_csv
+
+from shipped import NOMINAL, SHIPPED
 
 # gravity torque amplitudes g*A2, g*A3 for the nominal build
 G2 = 1.4101875
@@ -340,16 +341,11 @@ def test_spring_joint_torques_routing():
     assert t[2] == pytest.approx(spring_torque(s3, -0.5), abs=1e-15)
 
 
-def shipped_build():
-    config = load_config(default_config_path())
-    return config.mechanism, config.springs
-
-
 SHIPPED_POSE = JointState(q=(0.0, 0.7, -0.5))
 
 
 def test_spring_joint_torques_read_springs_from_an_iterator():
-    _, springs = shipped_build()
+    springs = SHIPPED.springs
     got = spring_joint_torques(springs, SHIPPED_POSE)
     assert got[1] != 0.0 and got[2] != 0.0
     from_iterator = spring_joint_torques(iter(springs), SHIPPED_POSE)
@@ -357,7 +353,7 @@ def test_spring_joint_torques_read_springs_from_an_iterator():
 
 
 def test_residual_torque_profile_reads_springs_from_an_iterator():
-    p, springs = shipped_build()
+    p, springs = NOMINAL, SHIPPED.springs
     got = residual_torque_profile(p, springs)
     for profile, from_iterator in zip(got, residual_torque_profile(
             p, iter(springs))):
@@ -370,7 +366,7 @@ def test_residual_torque_profile_reads_springs_from_an_iterator():
 
 
 def test_holding_force_reads_springs_from_an_iterator():
-    p, springs = shipped_build()
+    p, springs = NOMINAL, SHIPPED.springs
     got = holding_force(p, springs, SHIPPED_POSE)
     from_iterator = holding_force(p, iter(springs), SHIPPED_POSE)
     assert (bits(from_iterator) == bits(got)).all()
@@ -542,7 +538,7 @@ def test_balance_table_is_the_cli_table_and_adds_up(tmp_path, capsys, kind,
     # the writer once summed its own spring column from a separate spring
     # set, so the shipped springs beside the real fit's residuals gave rows
     # whose residual was 0.020 N*m off their gravity plus spring
-    p, _ = shipped_build()
+    p = NOMINAL
     springs = synthesize_balancing(p, kind).springs
     path = tmp_path / "balance.csv"
     write_balance_csv(residual_torque_profile(p, springs), path)

@@ -415,7 +415,7 @@ def boundary_lines():
         "stabilization_report/band-str": lambda: stabilization_report(
             still, still, band="1"),
         "spoon_contact_response/duration-str": lambda: spoon_contact_response(
-            P, CONFIG.compliance, 0.02, duration="1"),
+            CONFIG.compliance, 0.02, duration="1"),
         "step_dynamics/deflections-none": lambda: step(None),
         "step_dynamics/deflections-str": lambda: step(("a", 0, 0, 0)),
         "synthesize_balancing/free-length-str": lambda: balance(
@@ -445,7 +445,7 @@ def boundary_lines():
         "step_dynamics/state-tuple": lambda: step_dynamics(
             P, (), (), rigid, START.q, None, DT),
         "spoon_contact_response/compliance-none": lambda: (
-            spoon_contact_response(P, None, 0.02)),
+            spoon_contact_response(None, 0.02)),
     }
     for name, call in calls.items():
         yield from error_line(name, call)
