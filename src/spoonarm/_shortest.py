@@ -10,8 +10,10 @@ entries, built with Python ints on the first call, not at import.
 Cells that Ryu may send down its trailing-zero path (0.5, 2.0, every
 magnitude from 2**49 to 2**131), zeros, subnormals, infinities and NaNs
 take repr itself, once per distinct bit pattern; every other cell takes
-the array path. The
-text of each cell is gathered from its digits by a table of layouts.
+the array path. A cell whose bits equal those of the cell above it takes
+that cell's text, so a run of equal cells is formatted once. The text of
+the whole block is then gathered from the digits in row order, by one
+take through a table of layouts.
 numpy 1.24's value-based casting turns uint64 mixed with int64 into
 float64, so every operand of the uint64 arithmetic is uint64.
 """
@@ -88,7 +90,7 @@ def _form_table():
 def _layout_table():
     """The source byte of each output byte, for every form, sign and
     separator, padded with NUL."""
-    table = np.full((_REPR + 24, 2, 2, _WIDTH), _NUL, dtype=np.int32)
+    table = np.full((_REPR + 24, 2, 2, _WIDTH), _NUL, dtype=np.intp)
 
     def put(form, body, signs=(0, 1)):
         for neg in signs:
@@ -227,14 +229,21 @@ def csv_rows(block) -> bytes:
     """The rows of a 2-D float64 array as CSV text: each cell is its
     float's repr, cells end in ',' and rows in a newline.
 
-    The decimal significand is split into 4-digit chunks, each looked up
-    as four bytes of text; each cell's bytes are then gathered into a
-    fixed width of _WIDTH bytes, and the NUL padding is removed from the
-    whole block's bytes at once."""
+    A cell whose bits equal those of the cell above it takes that cell's
+    text, so each run of equal cells in a column is formatted once. The
+    decimal significand is split into 4-digit chunks, each looked up as
+    four bytes of text; the whole block's bytes are then gathered in row
+    order, _WIDTH bytes a cell, and the NUL padding is removed at once."""
     words, powers, forms, layout = _build_tables()[6:]
-    bits = np.ascontiguousarray(block, dtype=float).view(_U)
-    rows, cols = bits.shape
-    bits = bits.ravel()
+    table = np.ascontiguousarray(block, dtype=float).view(_U)
+    rows, cols = table.shape
+    # a run starts where the bits differ from the cell above, so -0.0
+    # after 0.0 and NaNs of other payloads start runs of their own
+    first = np.ones((rows, cols), dtype=bool)
+    first[1:] = table[1:] != table[:-1]
+    first = first.T.ravel()
+    bits = table.T.ravel()[first]
+    owner = (first.cumsum() - 1).reshape(cols, rows).T.ravel()
     n = bits.size
     digits, exp10, rest = _decimal(bits)
     nd = np.searchsorted(powers[:18], digits, side="right")
@@ -265,15 +274,11 @@ def csv_rows(block) -> bytes:
         lengths = np.array(list(map(len, texts)), dtype=np.intp)
         form[rest] = (_REPR - 1 + lengths[inverse]) * 4
 
-    form = form.reshape(rows, cols)
+    form = form.take(owner).reshape(rows, cols)
     form[:, -1] += 1                            # a row's last cell
-    # gathered one column at a time, so the byte index stays small, then
-    # stripped of the NUL padding by bytes.translate, which is faster than
-    # a boolean compress of the array
-    source = source.ravel()
-    out = np.empty((cols, rows, _WIDTH), dtype=np.uint8)
-    for column in range(cols):
-        index = layout.take(form[:, column], axis=0) \
-            + np.arange(32 * column, 32 * n, 32 * cols)[:, None]
-        source.take(index, out=out[column])
-    return out.transpose(1, 0, 2).tobytes().translate(None, b"\0")
+    # one gather of every cell's bytes in row order, then stripped of the
+    # NUL padding by bytes.translate, which is faster than a boolean
+    # compress of the array
+    index = layout.take(form.ravel(), axis=0)
+    index += 32 * owner.reshape(-1, 1)
+    return source.ravel().take(index).tobytes().translate(None, b"\0")

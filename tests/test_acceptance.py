@@ -34,7 +34,6 @@ from spoonarm.dynamics import (
 from spoonarm.kinematics import (
     Handedness,
     Joint,
-    forward_kinematics,
     handle_jacobian,
     handle_pose,
     inverse_kinematics,

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,17 @@ def test_tables_of_each_width_on_block_edges(tmp_path, width, n):
         -8, 8, (n, width))
     picks = rng.random((n, width)) < 0.2
     cells[picks] = rng.choice(SPECIAL, size=picks.sum())
+    # runs of equal cells, each formatted once: alternating zeros, NaNs of
+    # two payloads side by side, 0.5 (which takes repr), a run across the
+    # first block edge, and a constant column
+    rows = block_rows(width)
+    cells[:8, 0] = [0.0, -0.0] * 4
+    cells[8:12, 0] = _bits(*[0x7FF8000000000000] * 2,
+                           *[0x7FF8000000000001] * 2)
+    cells[12:20, 0] = 0.5
+    cells[rows - 5:rows + 5, 0] = 0.1 + 0.2
+    if width > 1:
+        cells[:, -1] = 12345.678
     # a 1-D first column beside 2-D arrays, as write_sim_csv passes them
     columns = [cells[:, 0]] + np.array_split(cells[:, 1:], 3, axis=1)
     columns = [c for c in columns if c.size]
@@ -171,6 +183,23 @@ def test_tables_of_each_width_on_block_edges(tmp_path, width, n):
     _write_table(path, header, columns)
     want = [header] + [",".join(map(fmt, row)) for row in cells.tolist()]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def test_a_write_takes_the_same_memory_however_long_the_table(tmp_path):
+    # an 18-column table of 2 blocks and one of 20: the block, not the
+    # table, sets a write's peak
+    rng = np.random.default_rng(18)
+    peaks = []
+    for blocks in (2, 20):
+        cells = rng.standard_normal((blocks * block_rows(18), 18))
+        header = ",".join(f"c{i}" for i in range(18))
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / "table.csv", header, (cells,))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
 
 
 def test_rows_per_block_follow_the_cell_budget(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from spoonarm.dynamics import (DamperModel, DamperSpec, damper_law,
 from spoonarm.errors import InfeasibleBoundsError
 from spoonarm.kinematics import Joint, JointState, MechanismParams
 from spoonarm.statics import (
-    DEFAULT_ANCHOR_BOUNDS,
     SpringKind,
     SpringSpec,
     TorqueProfile,
