@@ -11,9 +11,10 @@ Cells that Ryu may send down its trailing-zero path (0.5, 2.0, every
 magnitude from 2**49 to 2**131), zeros, subnormals, infinities and NaNs
 take repr itself, once per distinct bit pattern; every other cell takes
 the array path. A cell whose bits equal those of the cell above it takes
-that cell's text, so a run of equal cells is formatted once. The text of
-the whole block is then gathered from the digits in row order, by one
-take through a table of layouts.
+that cell's text, so a run of equal cells is formatted once. Each run's
+text, a fixed 25 bytes, is gathered from its digits by one take through
+a table of layouts; repr's text is written over a run's first 24 bytes,
+and each cell then copies its run's row, in row order.
 numpy 1.24's value-based casting turns uint64 mixed with int64 into
 float64, so every operand of the uint64 arithmetic is uint64.
 """
@@ -27,16 +28,14 @@ _M32, _32, _52, _63 = _U(0xFFFFFFFF), _U(32), _U(52), _U(63)
 _ALL = (1 << 64) - 1
 _BITS = 125                 # Ryu's multiplier precision, in bits
 
-# A cell's text is gathered from its 32 source bytes: 20 digits of the
+# A run's text is gathered from its 32 source bytes: 20 digits of the
 # decimal significand, 4 of the decimal exponent, then _CONST.
-_CONST = b"0.e-+,\n\0"
-_ZERO, _POINT, _E, _MINUS, _PLUS, _COMMA, _NEWLINE, _NUL = range(24, 32)
-_WIDTH = 25                 # the longest text, 24 bytes, and its separator
+_CONST = b"0.e-+,\0\0"
+_ZERO, _POINT, _E, _MINUS, _PLUS, _COMMA, _NUL = range(24, 31)
+_WIDTH = 25                 # the longest text, 24 bytes, then a comma
 # text forms: positional (digits 1-17, decimal point at -3..16), then
-# exponential (digits, exponent sign, three exponent digits), then repr's
-# own text of 1-24 bytes
+# exponential (digits, exponent sign, three exponent digits)
 _EXPONENTIAL = 17 * 20
-_REPR = _EXPONENTIAL + 17 * 4
 _DECPTS = 700               # decimal points -330..369 in the form table
 
 _tables = None
@@ -88,15 +87,15 @@ def _form_table():
 
 
 def _layout_table():
-    """The source byte of each output byte, for every form, sign and
-    separator, padded with NUL."""
-    table = np.full((_REPR + 24, 2, 2, _WIDTH), _NUL, dtype=np.intp)
+    """The source byte of each output byte, for every form and sign: the
+    text padded with NUL to 24 bytes, then a comma."""
+    table = np.full((_EXPONENTIAL + 17 * 4, 2, _WIDTH), _NUL, dtype=np.intp)
+    table[..., -1] = _COMMA
 
-    def put(form, body, signs=(0, 1)):
-        for neg in signs:
-            for last in (0, 1):
-                row = [_MINUS] * neg + body + [(_COMMA, _NEWLINE)[last]]
-                table[form, neg, last, :len(row)] = row
+    def put(form, body):
+        for neg in (0, 1):
+            row = [_MINUS] * neg + body
+            table[form, neg, :len(row)] = row
 
     for nd in range(1, 18):
         digits = list(range(20 - nd, 20))
@@ -114,9 +113,6 @@ def _layout_table():
                 put(_EXPONENTIAL + (nd - 1) * 4 + 2 * negative + three,
                     mantissa + [_E, (_PLUS, _MINUS)[negative]]
                     + list(range(22 - three, 24)))
-    for length in range(1, 25):
-        # repr's text carries its own sign
-        put(_REPR + length - 1, list(range(length)), signs=(0,))
     return table.reshape(-1, _WIDTH)
 
 
@@ -232,8 +228,9 @@ def csv_rows(block) -> bytes:
     A cell whose bits equal those of the cell above it takes that cell's
     text, so each run of equal cells in a column is formatted once. The
     decimal significand is split into 4-digit chunks, each looked up as
-    four bytes of text; the whole block's bytes are then gathered in row
-    order, _WIDTH bytes a cell, and the NUL padding is removed at once."""
+    four bytes of text; each run's bytes are then gathered, _WIDTH bytes
+    ending in a comma, each cell copies its run's bytes in row order, and
+    the NUL padding is removed at once."""
     words, powers, forms, layout = _build_tables()[6:]
     table = np.ascontiguousarray(block, dtype=float).view(_U)
     rows, cols = table.shape
@@ -248,8 +245,8 @@ def csv_rows(block) -> bytes:
     digits, exp10, rest = _decimal(bits)
     nd = np.searchsorted(powers[:18], digits, side="right")
     decpt = exp10 + nd
-    form = forms[nd * _DECPTS + decpt + 330] * 4
-    form += 2 * (bits >> _63).astype(np.intp)
+    form = forms[nd * _DECPTS + decpt + 330] * 2
+    form += (bits >> _63).astype(np.intp)
     source = np.empty((n, 8), dtype=np.uint32)  # 4-byte words of text
     source.view(np.uint64)[:, 3] = words[10000:].view(np.uint64)[0]
     source[:, 5] = words.take(np.abs(decpt - 1))
@@ -263,22 +260,22 @@ def csv_rows(block) -> bytes:
         source[:, column] = words.take(digits)
         digits = high
     source[:, 0] = words.take(digits)
-    source = source.view(np.uint8)
     del digits, high
 
-    if rest.size:
+    # one gather of each run's bytes; the byte index is freed before the
+    # cells are copied, which keeps a write's peak down
+    index = layout.take(form, axis=0)
+    index += 32 * np.arange(n)[:, None]
+    text = source.view(np.uint8).ravel().take(index)
+    del source, form, index
+    if rest.size:       # repr's text over the 24 bytes before the comma
         values, inverse = np.unique(bits[rest], return_inverse=True)
         texts = [repr(v).encode() for v in values.view(float).tolist()]
-        text = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
-        source[rest, :24] = text[inverse]
-        lengths = np.array(list(map(len, texts)), dtype=np.intp)
-        form[rest] = (_REPR - 1 + lengths[inverse]) * 4
-
-    form = form.take(owner).reshape(rows, cols)
-    form[:, -1] += 1                            # a row's last cell
-    # one gather of every cell's bytes in row order, then stripped of the
-    # NUL padding by bytes.translate, which is faster than a boolean
-    # compress of the array
-    index = layout.take(form.ravel(), axis=0)
-    index += 32 * owner.reshape(-1, 1)
-    return source.ravel().take(index).tobytes().translate(None, b"\0")
+        text[rest, :24] = np.array(texts, dtype="S24").view(
+            np.uint8).reshape(-1, 24)[inverse]
+    # each cell's bytes in row order, a row's last cell ending in a
+    # newline; bytes.translate strips the NUL padding faster than a
+    # boolean compress of the array
+    cells = text.take(owner, axis=0).reshape(rows, cols, _WIDTH)
+    cells[:, -1, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")

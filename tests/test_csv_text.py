@@ -166,7 +166,8 @@ def test_tables_of_each_width_on_block_edges(tmp_path, width, n):
     cells[picks] = rng.choice(SPECIAL, size=picks.sum())
     # runs of equal cells, each formatted once: alternating zeros, NaNs of
     # two payloads side by side, 0.5 (which takes repr), a run across the
-    # first block edge, and a constant column
+    # first block edge, and a constant column, broken across that edge by
+    # runs of 0.5, -0.0 and a NaN, which take repr beside Ryu's columns
     rows = block_rows(width)
     cells[:8, 0] = [0.0, -0.0] * 4
     cells[8:12, 0] = _bits(*[0x7FF8000000000000] * 2,
@@ -175,6 +176,8 @@ def test_tables_of_each_width_on_block_edges(tmp_path, width, n):
     cells[rows - 5:rows + 5, 0] = 0.1 + 0.2
     if width > 1:
         cells[:, -1] = 12345.678
+        edge = cells[rows - 6:rows + 6, -1]
+        edge[:] = np.repeat([0.5, -0.0, math.nan], 4)[:edge.size]
     # a 1-D first column beside 2-D arrays, as write_sim_csv passes them
     columns = [cells[:, 0]] + np.array_split(cells[:, 1:], 3, axis=1)
     columns = [c for c in columns if c.size]

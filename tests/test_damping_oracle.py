@@ -13,7 +13,8 @@ pose, are what the linearisation leaves out.
 The shipped build is the benchmark damper sweep's viscous build of c =
 0.4 on J2 and J3; its builds of c = 0.1 and 1.0 are checked too, and a
 horizontal force whose lateral part drives J1's yaw, an undamped mode of
-pure mass.
+pure mass. A noise tremor is a sum of sines of known frequencies and
+phases, so its closed form is the sum of one tone's.
 """
 
 import math
@@ -21,8 +22,8 @@ import math
 import numpy as np
 import pytest
 
-from spoonarm.dynamics import (DamperModel, DamperSpec, Scenario, SineTremor,
-                               mass_matrix, run_scenario)
+from spoonarm.dynamics import (DamperModel, DamperSpec, NoiseTremor, Scenario,
+                               SineTremor, mass_matrix, run_scenario)
 from spoonarm.kinematics import Joint, handle_jacobian, jacobian
 
 from shipped import EXAMPLE, RIGID, SHIPPED
@@ -31,6 +32,7 @@ START = EXAMPLE.initial
 FREQUENCY = 2.0     # Hz
 DURATION = 4.0      # s
 AMPLITUDES = (0.15, 0.015, 0.0015)      # N
+RMS = (0.1, 0.01, 0.001)                # N, of the noise tremor
 VERTICAL = (0.0, 0.0, 1.0)
 # horizontal: its y part turns the arm about J1, its x part lifts it
 HORIZONTAL = (0.8, 0.6, 0.0)
@@ -65,44 +67,58 @@ def damping_matrix(dampers):
     return np.diag(c)
 
 
-def linear_spoon_deviation(params, dampers, state, force, t):
-    """J_s*dq(t) of M*dq'' + C*dq' = J_h^T*force*sin(2*pi*f*t), starting
-    at rest: (len(t), 3) rows."""
+def tones(tremor):
+    """(force, omega, phases): the tremor as the sum of
+    force*sin(omega*t + phase) over its tones."""
+    direction = np.array(tremor.direction)
+    if isinstance(tremor, NoiseTremor):
+        omega, phases = tremor.tones
+        return (tremor.rms * math.sqrt(2.0 / len(omega)) * direction,
+                omega, phases)
+    return (tremor.amplitude * direction,
+            np.array([2.0 * math.pi * tremor.frequency]), np.zeros(1))
+
+
+def linear_spoon_deviation(params, dampers, state, tremor, t):
+    """J_s*dq(t) of M*dq'' + C*dq' = J_h^T*f(t), starting at rest, with
+    f(t) the tremor's force: (len(t), 3) rows."""
     m = lumped_mass_matrix(params, *state.q[1:])
     mass_values, mass_vectors = np.linalg.eigh(m)
     m_inv_sqrt = mass_vectors @ np.diag(mass_values ** -0.5) @ mass_vectors.T
     lam, modes = np.linalg.eigh(m_inv_sqrt @ damping_matrix(dampers)
                                 @ m_inv_sqrt)
     lam = np.maximum(lam, 0.0)      # J1 has no damper: lam is 0 up to ulps
+    force, omega, phases = tones(tremor)
     b = modes.T @ m_inv_sqrt @ handle_jacobian(params, state).T @ force
-    w = 2.0 * math.pi * FREQUENCY
     tt, lam = t[:, None], lam[None, :]
     # (1 - exp(-lam*t))/lam, and its limit t for an undamped mode
     damped = lam > 0.0
     settle = np.where(damped, -np.expm1(-lam * tt)
                       / np.where(damped, lam, 1.0), tt)
-    # z of z'' + lam*z' = b*sin(w*t), z(0) = z'(0) = 0
-    z = b * (lam * (1.0 - np.cos(w * tt)) / w - np.sin(w * tt)
-             + w * settle) / (lam * lam + w * w)
+    # z of z'' + lam*z' = b*sin(w*t + p), z(0) = z'(0) = 0, summed over
+    # the tones
+    z = 0.0
+    for w, p in zip(omega.tolist(), phases.tolist()):
+        z = z + b * (math.sin(p) - np.sin(w * tt + p)
+                     + lam * (math.cos(p) - np.cos(w * tt + p)) / w
+                     + (w * math.cos(p) - lam * math.sin(p)) * settle
+                     ) / (lam * lam + w * w)
     dq = z @ (m_inv_sqrt @ modes).T
     return dq @ jacobian(params, state).T
 
 
-def rollout_spoon(amplitude, dampers=SHIPPED.dampers, direction=VERTICAL):
+def rollout_spoon(tremor, dampers=SHIPPED.dampers):
     scenario = Scenario(duration=DURATION, timestep=EXAMPLE.timestep,
-                        initial=START,
-                        input=SineTremor(amplitude, FREQUENCY, direction)
-                        if amplitude else None)
+                        initial=START, input=tremor)
     result = run_scenario(SHIPPED.mechanism, SHIPPED.springs, dampers, RIGID,
                           scenario)
     return result.t, result.spoon_pos
 
 
-def relative_rms_error(amplitude, still, dampers=SHIPPED.dampers,
-                       direction=VERTICAL):
-    t, spoon = rollout_spoon(amplitude, dampers, direction)
-    expected = linear_spoon_deviation(
-        SHIPPED.mechanism, dampers, START, amplitude * np.array(direction), t)
+def relative_rms_error(tremor, still, dampers=SHIPPED.dampers):
+    t, spoon = rollout_spoon(tremor, dampers)
+    expected = linear_spoon_deviation(SHIPPED.mechanism, dampers, START,
+                                      tremor, t)
     error = (spoon - still) - expected
     return math.sqrt(np.mean(error * error) / np.mean(expected * expected))
 
@@ -115,10 +131,10 @@ def test_lumped_mass_matrix_is_the_mass_matrix():
 
 
 def test_sine_tremor_rollout_converges_to_the_linear_closed_form():
-    _, still = rollout_spoon(0.0)
+    _, still = rollout_spoon(None)
     # balanced exactly: without tremor the spoon does not move
     assert np.max(np.abs(still - still[0])) < 1e-12
-    errors = [relative_rms_error(amplitude, still)
+    errors = [relative_rms_error(SineTremor(amplitude, FREQUENCY), still)
               for amplitude in AMPLITUDES]
     # first order in the amplitude: 2.05e-2, 2.05e-3 and 2.05e-4 here
     assert errors[0] < 0.03
@@ -136,9 +152,19 @@ def test_damper_sweep_builds_and_a_lateral_force_converge_too(
         coefficient, direction, largest):
     dampers = tuple(DamperSpec(joint, DamperModel.VISCOUS, coefficient)
                     for joint in (Joint.J2, Joint.J3))
-    _, still = rollout_spoon(0.0, dampers)
-    errors = [relative_rms_error(amplitude, still, dampers, direction)
-              for amplitude in AMPLITUDES]
+    _, still = rollout_spoon(None, dampers)
+    errors = [relative_rms_error(SineTremor(amplitude, FREQUENCY, direction),
+                                 still, dampers) for amplitude in AMPLITUDES]
     assert errors[0] < largest
+    for larger, smaller in zip(errors, errors[1:]):
+        assert larger / smaller == pytest.approx(10.0, rel=0.2)
+
+
+def test_noise_tremor_rollout_converges_to_the_sum_over_its_tones():
+    _, still = rollout_spoon(None)
+    errors = [relative_rms_error(NoiseTremor(rms, 2.0, 9.0, seed=11), still)
+              for rms in RMS]
+    # 3.17e-2, 3.17e-3 and 3.17e-4 here
+    assert errors[0] < 0.05
     for larger, smaller in zip(errors, errors[1:]):
         assert larger / smaller == pytest.approx(10.0, rel=0.2)

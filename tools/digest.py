@@ -61,6 +61,24 @@ installed package's lines against it. It covers
   shipped build.
 
 An output that raises is digested as its exception's type and message.
+
+The lines depend on glibc's libm. With Python 3.11.7, numpy 2.4.6 and
+glibc 2.36 on an x86-64 CPU with FMA, 55 of the 527 lines differ when
+glibc takes its non-FMA variants,
+
+    GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA PYTHONPATH=src \
+        python tools/digest.py | diff tools/digest.txt -
+
+namely the CLI's two simulate CSVs (the packaged example and the
+playback file); of run_scenario, spoon_pos of each free rollout,
+applied_torque of each sine, spasm and callable rollout, qdot and
+applied_torque of each noise rollout, and spoon_pos and handle_pos of
+each playback; 18 lines of the damper and spring variants' noise
+rollouts (qdot or spoon_pos, applied_torque, and for some handle_pos,
+e_kin or e_diss); generate_signal of the sine and the noise; and
+simulate/example-float32. The constant-force rollouts, step_dynamics,
+the balance tables and the studies keep their lines. No comparison
+allows for a libm: a CI leg whose libm differs stays red.
 The script takes no options. Besides the package's public names it
 imports spoonarm.cli.main, spoonarm.config's config_data and
 parse_config, and spoonarm.serialize's write_balance_csv and
