@@ -230,6 +230,15 @@ def workspace_sample(params: MechanismParams, resolution: int,
     The summary's plate_vertical_span is the z extent of cloud points
     whose horizontal radius falls within radial_band of plate_radius; it
     answers whether the feeding rise fits the workspace at that radius.
+
+    Each yaw slice of the grid is the same (theta2, theta3) plane turned
+    about J1, and within a slice x = r cos(phi1) - b sin(phi1) is monotone
+    in the plane's radius r. So one stable argsort of the x of the slice
+    of largest |cos(phi1)| orders every slice by x (but for rows whose x
+    ties in that slice): as it is where cos(phi1) has that slice's sign,
+    reversed where it has the other. _unique_rows is given the rows in
+    that order, and its sort merges one presorted run per slice; the
+    order sets only its speed, never its result.
     """
     resolution = integer(resolution, "resolution", 2)
     radial_band = number(radial_band, "radial_band", ">= 0")
@@ -237,53 +246,67 @@ def workspace_sample(params: MechanismParams, resolution: int,
     target_rise = number(target_rise, "target_rise", ">= 0")
     # the trig on the three 1-D axes of an open grid; broadcasting then
     # does per node the same arithmetic a meshgrid would, bit for bit
-    axes = np.ix_(*(np.linspace(lo, hi, resolution)
-                    for lo, hi in params.joint_limits))
-    pts = np.empty((resolution,) * 3 + (3,))
-    pts[..., 0], pts[..., 1], pts[..., 2] = point_position(
-        spoon_point(params),
-        *(f(axis) for axis in axes for f in (np.cos, np.sin)))
-    pts = _unique_rows(pts.reshape(-1, 3))
+    trig = [f(axis) for axis in np.ix_(*(np.linspace(lo, hi, resolution)
+                                         for lo, hi in params.joint_limits))
+            for f in (np.cos, np.sin)]
+    # x and y hold one (theta2, theta3) plane per yaw slice, z the plane
+    x, y, z = point_position(spoon_point(params), *trig)
+    cp = trig[0].ravel()
+    ref = np.argmax(np.abs(cp))
+    order = np.argsort(x[ref].ravel(), kind="stable")
+    # row k of slice i is node index[i, k] of the plane, then of the grid
+    index = np.where(((cp < 0.0) != (cp[ref] < 0.0))[:, None],
+                     order[::-1], order)
+    z = z.take(index).ravel()
+    index += np.arange(0, x.size, order.size)[:, None]
+    index = index.ravel()
+    # taken before the call, so that the grid's x and y are freed by then
+    x, y = x.take(index), y.take(index)
+    x, y, z = _unique_rows(x, y, z, index)
 
-    radial = np.hypot(pts[:, 0], pts[:, 1])
-    in_band = np.abs(radial - plate_radius) <= radial_band
-    if np.any(in_band):
-        band_z = pts[in_band, 2]
-        plate_span = float(band_z.max() - band_z.min())
-    else:
-        plate_span = 0.0
+    radial = np.hypot(x, y)
+    band_z = z[np.abs(radial - plate_radius) <= radial_band]
+    plate_span = float(band_z.max() - band_z.min()) if band_z.size else 0.0
     summary = WorkspaceSummary(
         max_reach=float(radial.max()),
         min_reach=float(radial.min()),
-        vertical_span=float(pts[:, 2].max() - pts[:, 2].min()),
+        vertical_span=float(z.max() - z.min()),
         plate_vertical_span=plate_span,
         covers_target_rise=plate_span >= target_rise,
     )
-    return WorkspaceSample(points=pts, summary=summary)
+    return WorkspaceSample(points=np.column_stack((x, y, z)),
+                           summary=summary)
 
 
-def _unique_rows(points: np.ndarray) -> np.ndarray:
-    """np.unique(points, axis=0) of an (n, 3) table of finite floats (the
-    readers reject non-finite builds). Of each group of equal rows, such
-    as rows that differ only in the sign of a zero, the first in input
-    order is kept.
+def _unique_rows(x, y, z, index) -> tuple:
+    """The columns of np.unique(np.column_stack((x, y, z)), axis=0), for
+    1-D columns of finite floats (the readers reject non-finite builds)
+    whose row i is the row at grid position index[i], the indices
+    distinct. Of each group of equal rows, such as rows that differ only
+    in the sign of a zero, the one first in grid order is kept.
 
     One stable argsort of the complex key x + iy orders the rows by
-    (x, y); only the runs of rows tied in (x, y) are then sorted by z,
-    with a lexsort. That is faster than one three-key lexsort, and far
-    faster than np.unique's generic row compare.
+    (x, y); only the runs of rows tied in (x, y) are then ordered by
+    (z, index), with a lexsort. That is faster than one three-key
+    lexsort, and far faster than np.unique's generic row compare. The
+    argsort is a TimSort, so rows presented as a few sorted runs are
+    merged, not sorted afresh; the result is the same in any order.
     """
-    key = np.empty(len(points), dtype=complex)
-    key.real, key.imag = points[:, 0], points[:, 1]
-    s = points[np.argsort(key, kind="stable")]
+    key = np.empty(len(x), dtype=complex)
+    key.real, key.imag = x, y
+    s = np.argsort(key, kind="stable")
+    del key
+    x, y, z = x.take(s), y.take(s), z.take(s)
     # tie[i]: row i + 1 equals row i in (x, y)
-    tie = (s[1:, 0] == s[:-1, 0]) & (s[1:, 1] == s[:-1, 1])
+    tie = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
     if tie.any():
         rows = np.flatnonzero(np.concatenate((tie, [False]))
                               | np.concatenate(([False], tie)))
         run = np.cumsum(np.concatenate(([True], ~tie)))[rows]
-        s[rows] = s[rows[np.lexsort((s[rows, 2], run))]]
-    return s[np.concatenate(([True], ~tie | (s[1:, 2] != s[:-1, 2])))]
+        by = rows[np.lexsort((index.take(s[rows]), z[rows], run))]
+        x[rows], y[rows], z[rows] = x[by], y[by], z[by]
+    keep = np.concatenate(([True], ~tie | (z[1:] != z[:-1])))
+    return x[keep], y[keep], z[keep]
 
 
 def _segment_deviation(trajectory: TrajectorySpec,

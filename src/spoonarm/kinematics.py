@@ -427,17 +427,21 @@ def _solve_ik(params: MechanismParams, x, y, z, at) -> np.ndarray:
     def within(angle, lo, hi):
         return (lo - IK_LIMIT_TOL <= angle) & (angle <= hi + IK_LIMIT_TOL)
 
-    branches = []
-    for th2 in (psi + gamma, psi - gamma):  # elbow-up first
-        th3 = _wrap_angle(_libm(math.atan2, w - L1 * _libm(math.sin, th2),
-                                u - L1 * _libm(math.cos, th2)))
+    def branch(rows, th2):
+        th3 = _wrap_angle(_libm(math.atan2,
+                                w[rows] - L1 * _libm(math.sin, th2),
+                                u[rows] - L1 * _libm(math.cos, th2)))
         th2 = _wrap_angle(th2)
-        branches.append((th2, th3, within(th2, lo2, hi2)
-                         & within(th3, lo3, hi3)))
-    (th2_up, th3_up, up), (th2_down, th3_down, down) = branches
-    th2 = np.minimum(np.maximum(np.where(up, th2_up, th2_down), lo2), hi2)
-    th3 = np.minimum(np.maximum(np.where(up, th3_up, th3_down), lo3), hi3)
-    inside = up | down
+        return th2, th3, within(th2, lo2, hi2) & within(th3, lo3, hi3)
+
+    # elbow-up first; elbow-down only on the rows it leaves outside
+    th2, th3, inside = branch(slice(None), psi + gamma)
+    down = np.flatnonzero(~inside)
+    if down.size:
+        th2[down], th3[down], inside[down] = branch(
+            down, psi[down] - gamma[down])
+    th2 = np.minimum(np.maximum(th2, lo2), hi2)
+    th3 = np.minimum(np.maximum(th3, lo3), hi3)
     # below 1e-12 the fold-back singularity (only possible when L1 == L2):
     # every theta2 works; take the straight-down fold
     fold = d < 1e-12

@@ -86,6 +86,27 @@ def test_workspace_points_equal_np_unique_off_the_default_build(params):
     _same_rows(sample.points, np.unique(_grid_points(params, 40), axis=0))
 
 
+@pytest.mark.parametrize("resolution", [2, 7, 40])
+@pytest.mark.parametrize("yaw", [(2.0, 3.0), (1.2, 1.9)],
+                         ids=["cos-negative", "across-half-pi"])
+def test_workspace_points_equal_np_unique_on_part_of_the_yaw_range(
+        yaw, resolution):
+    # every yaw slice with cos(phi1) < 0, or slices of both signs
+    params = replace(NOMINAL, joint_limits=(yaw, *NOMINAL.joint_limits[1:]))
+    sample = workspace_sample(params, resolution)
+    _same_rows(sample.points,
+               np.unique(_grid_points(params, resolution), axis=0))
+
+
+def _unique(table, order=None):
+    """_unique_rows of the rows of `table`, given in `order` (a
+    permutation, by default the table's own order), as one table."""
+    table = np.array(table)
+    if order is None:
+        order = np.arange(len(table))
+    return np.column_stack(_unique_rows(*table[order].T, order))
+
+
 def test_unique_rows_with_duplicates_and_ties():
     rng = np.random.default_rng(7)
     # few distinct values per column: many rows tie in x, many in (x, y),
@@ -95,8 +116,33 @@ def test_unique_rows_with_duplicates_and_ties():
     table = np.concatenate([table, table[::-3], table[:5]])
     want = np.unique(table, axis=0)
     assert len(want) < len(table)
-    _same_rows(_unique_rows(table), want)
-    _same_rows(_unique_rows(table[::-1]), want)
+    _same_rows(_unique(table), want)
+    _same_rows(_unique(table[::-1]), want)
+
+
+def _first_of_equal_rows(table):
+    """The rows of `table` sorted by (x, y, z, row number), of each group
+    of equal rows (-0.0 == 0.0) the first: plain Python comparisons."""
+    kept = []
+    for i in sorted(range(len(table)), key=lambda i: (*table[i], i)):
+        if not kept or tuple(table[kept[-1]]) != tuple(table[i]):
+            kept.append(i)
+    return table[kept]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unique_rows_gives_the_same_bits_in_any_presentation_order(seed):
+    rng = np.random.default_rng(seed)
+    # signed zeros and subnormals of both signs: rows that are equal but
+    # for their bits, and ties in (x, y) that only z and the grid order
+    # break
+    table = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 0.25, -3.0],
+                       size=(400, 3))
+    want = _first_of_equal_rows(table)
+    assert len(want) < len(table)
+    for order in (None, np.arange(len(table))[::-1],
+                  rng.permutation(len(table))):
+        _same_rows(_unique(table, order), want)
 
 
 def _unique_both_ways(table, want):
@@ -104,7 +150,7 @@ def _unique_both_ways(table, want):
     bit."""
     table, want = np.array(table), np.array(want)
     _same_rows(np.unique(table, axis=0), want)
-    _same_rows(_unique_rows(table), want)
+    _same_rows(_unique(table), want)
 
 
 def test_unique_rows_sorts_ties_at_the_first_and_last_rows():

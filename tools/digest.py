@@ -50,8 +50,11 @@ installed package's lines against it. It covers
 - the paper's studies on the shipped build: stabilization_report of a
   damped and an undamped rigid-mount noise rollout, against the
   tremor-free rollout and against TrajectorySpec(), the bracket
-  calibrate_handle_distance to a 0.24 m handle rise, and the
-  handle_excursion and trajectory_states of TrajectorySpec();
+  calibrate_handle_distance to a 0.24 m handle rise, the
+  handle_excursion and trajectory_states of TrajectorySpec(), and the
+  workspace_sample points and summary at resolution 25 with the yaw
+  range cut to (2.0, 3.0), where every yaw slice has cos(phi1) < 0, and
+  to (1.2, 1.9), whose slices have both signs;
 - holding_force, mass_matrix, coriolis_matrix, kinetic_energy,
   potential_energy, jacobian, handle_jacobian and gravity_torque at
   START, and spring_torque and damper_torque of each spring and damper
@@ -63,7 +66,7 @@ installed package's lines against it. It covers
 An output that raises is digested as its exception's type and message.
 
 The lines depend on glibc's libm. With Python 3.11.7, numpy 2.4.6 and
-glibc 2.36 on an x86-64 CPU with FMA, 55 of the 527 lines differ when
+glibc 2.36 on an x86-64 CPU with FMA, 55 of the 531 lines differ when
 glibc takes its non-FMA variants,
 
     GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA PYTHONPATH=src \
@@ -132,6 +135,9 @@ STIFF_J3_DAMPING = (20.0, 30.0, 40.0)
 # has dt*lambda = 2.78
 STIFF_J1_START = JointState(q=(0.0, 1.91, -1.38), qdot=(0.5, 0.0, 0.0))
 CONTACT = SpoonContact(time=0.1, impulse_pitch=0.01, impulse_yaw=-0.005)
+# yaw ranges of a workspace cloud: every slice with cos(phi1) < 0, and
+# slices of both signs
+WORKSPACE_YAWS = ((2.0, 3.0), (1.2, 1.9))
 
 # every kind of handle input a rollout takes; fresh() makes the callable
 # anew for each run, so that its call times can be digested
@@ -483,7 +489,9 @@ def study_lines():
     """The paper's studies on the shipped build: the damping score of a
     damped and an undamped rigid-mount noise rollout, against the
     tremor-free rollout and against the feeding motion, the bracket
-    calibration and the handle travel of that motion."""
+    calibration and the handle travel of that motion; and the workspace
+    cloud at resolution 25 with the yaw range cut to each of
+    WORKSPACE_YAWS."""
     def rigid(dampers, inputs):
         return run_scenario(P, CONFIG.springs, dampers, MOUNTS["rigid"],
                             Scenario(duration=DURATION, timestep=DT,
@@ -507,6 +515,15 @@ def study_lines():
     yield from value_line(
         "trajectory_states", lambda: trajectory_states(P, trajectory),
         lambda states: array_sha([dataclasses.astuple(s) for s in states]))
+    for yaw in WORKSPACE_YAWS:
+        name = "workspace_sample/yaw-{}-{}".format(*yaw)
+        build = dataclasses.replace(P, joint_limits=(yaw,
+                                                     *P.joint_limits[1:]))
+        yield from outcome(name, lambda: workspace_sample(build, 25),
+                           lambda sample: [
+                               (f"{name}/points", array_sha(sample.points)),
+                               (f"{name}/summary", array_sha(
+                                   dataclasses.astuple(sample.summary)))])
 
 
 def law_lines():
