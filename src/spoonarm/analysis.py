@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import settling_time
+from .dynamics import SimResult, settling_time
 from .errors import GridMismatchError, NotBracketedError, SpoonArmError
 from .kinematics import (
     HandleVariant,
@@ -30,6 +30,7 @@ from .kinematics import (
     _solve_ik,
     _trig,
     handle_point,
+    instance,
     integer,
     number,
     numbers,
@@ -43,7 +44,7 @@ from .kinematics import forward_kinematics, inverse_kinematics  # noqa: F401
 
 SETTLING_BAND_M = 0.005
 PLATE_RADIUS_M = 0.35
-TARGET_RISE_M = 0.33
+PLATE_BAND_M = 0.01     # half-width of the plate's radial band
 
 
 @dataclass(frozen=True)
@@ -221,15 +222,14 @@ def compare_handle_variants(params: MechanismParams,
     return tuple(rows)
 
 
-def workspace_sample(params: MechanismParams, resolution: int,
-                     plate_radius: float = PLATE_RADIUS_M,
-                     radial_band: float = 0.01,
-                     target_rise: float = TARGET_RISE_M) -> WorkspaceSample:
+def workspace_sample(params: MechanismParams,
+                     resolution: int) -> WorkspaceSample:
     """Utensil positions on a joint-space grid, deduplicated, plus summary.
 
     The summary's plate_vertical_span is the z extent of cloud points
-    whose horizontal radius falls within radial_band of plate_radius; it
-    answers whether the feeding rise fits the workspace at that radius.
+    whose horizontal radius falls within PLATE_BAND_M of PLATE_RADIUS_M;
+    covers_target_rise answers whether it spans the rise of the feeding
+    motion, TrajectorySpec().rise.
 
     Each yaw slice of the grid is the same (theta2, theta3) plane turned
     about J1, and within a slice x = r cos(phi1) - b sin(phi1) is monotone
@@ -241,9 +241,6 @@ def workspace_sample(params: MechanismParams, resolution: int,
     order sets only its speed, never its result.
     """
     resolution = integer(resolution, "resolution", 2)
-    radial_band = number(radial_band, "radial_band", ">= 0")
-    plate_radius = number(plate_radius, "plate_radius", ">= 0")
-    target_rise = number(target_rise, "target_rise", ">= 0")
     # the trig on the three 1-D axes of an open grid; broadcasting then
     # does per node the same arithmetic a meshgrid would, bit for bit
     trig = [f(axis) for axis in np.ix_(*(np.linspace(lo, hi, resolution)
@@ -265,14 +262,14 @@ def workspace_sample(params: MechanismParams, resolution: int,
     x, y, z = _unique_rows(x, y, z, index)
 
     radial = np.hypot(x, y)
-    band_z = z[np.abs(radial - plate_radius) <= radial_band]
+    band_z = z[np.abs(radial - PLATE_RADIUS_M) <= PLATE_BAND_M]
     plate_span = float(band_z.max() - band_z.min()) if band_z.size else 0.0
     summary = WorkspaceSummary(
         max_reach=float(radial.max()),
         min_reach=float(radial.min()),
         vertical_span=float(z.max() - z.min()),
         plate_vertical_span=plate_span,
-        covers_target_rise=plate_span >= target_rise,
+        covers_target_rise=plate_span >= TrajectorySpec().rise,
     )
     return WorkspaceSample(points=np.column_stack((x, y, z)),
                            summary=summary)
@@ -320,28 +317,43 @@ def _segment_deviation(trajectory: TrajectorySpec,
     return np.linalg.norm(positions - nearest, axis=1)
 
 
-def _deviation_series(reference, result) -> np.ndarray:
+def _same_grid(series: SimResult, result: SimResult, name: str):
+    if not np.array_equal(series.t, result.t):
+        raise GridMismatchError(
+            f"{name} and result use different time grids; "
+            "rerun with matching duration and timestep")
+
+
+def _deviation_series(reference, result: SimResult) -> np.ndarray:
     if isinstance(reference, TrajectorySpec):
         return _segment_deviation(reference, result.spoon_pos)
-    if len(reference) != len(result) or not np.array_equal(
-            reference.t, result.t):
-        raise GridMismatchError(
-            "reference and result use different time grids; "
-            "rerun with matching duration and timestep")
     return np.linalg.norm(result.spoon_pos - reference.spoon_pos, axis=1)
 
 
-def stabilization_report(reference, result, baseline=None,
-                         band: float = SETTLING_BAND_M) -> StabilizationReport:
+def stabilization_report(reference, result,
+                         baseline=None) -> StabilizationReport:
     """Deviation metrics of a rollout against a reference motion.
 
     `reference` is either a SimResult on the same time grid or a
     TrajectorySpec (deviation is then the distance to the path segment).
-    `baseline` is the paired undamped rollout for the attenuation ratio;
-    without one, the result serves as its own baseline (attenuation 1.0,
-    or 0.0 for a perfect track). `band` (m) must be finite and > 0.
+    `baseline` is the paired undamped rollout, on the result's time grid,
+    for the attenuation ratio; without one, the result serves as its own
+    baseline (attenuation 1.0, or 0.0 for a perfect track). The settling
+    time is that of the deviation into SETTLING_BAND_M.
+
+    `result` and `baseline` must be SimResults and `reference` a SimResult
+    or a TrajectorySpec, else ValueError naming the argument; a SimResult
+    on another time grid than `result` raises GridMismatchError.
     """
-    band = number(band, "band", "> 0")
+    if not isinstance(reference, (SimResult, TrajectorySpec)):
+        raise ValueError(f"reference must be a SimResult or a "
+                         f"TrajectorySpec, not {reference!r}")
+    instance(result, SimResult, "result")
+    if isinstance(reference, SimResult):
+        _same_grid(reference, result, "reference")
+    if baseline is not None:
+        _same_grid(instance(baseline, SimResult, "baseline"), result,
+                   "baseline")
     dev = _deviation_series(reference, result)
     rms = float(math.sqrt(np.mean(dev ** 2)))
     peak = float(dev.max())
@@ -359,6 +371,6 @@ def stabilization_report(reference, result, baseline=None,
     else:
         attenuation = rms / base_rms
 
-    settling = settling_time(dev >= band, result.t)
+    settling = settling_time(dev >= SETTLING_BAND_M, result.t)
     return StabilizationReport(rms_deviation=rms, attenuation=attenuation,
                                settling_time=settling, peak_deviation=peak)

@@ -18,7 +18,7 @@ class LimitViolationError(SpoonArmError):
 
 
 class InfeasibleBoundsError(SpoonArmError):
-    """Spring synthesis bounds describe an empty or invalid box."""
+    """Spring synthesis has no joint range to fit: it is degenerate."""
 
 
 class NonFiniteStateError(SpoonArmError):

@@ -35,13 +35,13 @@ import numpy as np
 
 from .errors import InfeasibleBoundsError
 from .kinematics import (JointState, Joint, MechanismParams, as_member,
-                         handle_jacobian, number, number_fields, numbers,
-                         sequence, spec_tuple)
+                         handle_jacobian, number_fields, spec_tuple)
 
 GRID_SAMPLES = 181          # minimax grid over a joint range
 GOLDEN_REL_TOL = 1e-10      # relative bracket convergence for stiffness fits
-DEFAULT_ANCHOR_BOUNDS = ((0.06, 0.14), (0.03, 0.07))
-DEFAULT_FREE_LENGTH = 0.005
+ANCHOR_RADIUS_M = 0.1       # a synthesized linear spring's base anchor
+BAR_RADIUS_M = 0.05         # and its attachment radius on the bar
+FREE_LENGTH_M = 0.005       # a synthesized real spring's free length
 
 
 class SpringKind(Enum):
@@ -345,28 +345,27 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _synthesize_joint(params: MechanismParams, joint: Joint, kind: SpringKind,
-                      a: float, b: float, free_length: float) -> SpringSpec:
+def _synthesize_joint(params: MechanismParams, joint: Joint,
+                      kind: SpringKind) -> SpringSpec:
     lo, hi = params.joint_limits[joint]
     if not hi > lo:
         raise InfeasibleBoundsError(f"joint range for {joint.key} is degenerate")
     g_a = _gravity_scale(params, joint)
+    a, b = ANCHOR_RADIUS_M, BAR_RADIUS_M
+    if kind is SpringKind.LINEAR_ZERO_FREE_LENGTH:
+        return SpringSpec(kind, joint, g_a / (a * b), a, b)
     if kind is SpringKind.TORSION:
         unit, k_hi = SpringSpec(kind, joint, 1.0), 4.0 * g_a + 1.0
-    elif kind is SpringKind.LINEAR_REAL and free_length != 0.0:
-        unit = SpringSpec(kind, joint, 1.0, a, b, free_length=free_length)
-        k_hi = 4.0 * g_a / (a * b) + 1.0
     else:
-        # a real spring of free length 0 has the zero-free-length geometry,
-        # whose exact optimum is the closed form; skip the search
-        return SpringSpec(kind, joint, g_a / (a * b), a, b)
+        unit = SpringSpec(kind, joint, 1.0, a, b, FREE_LENGTH_M)
+        k_hi = 4.0 * g_a / (a * b) + 1.0
     # the residual torque at stiffness k is tau_g + k * shape
     tau_g, shape = torque_columns(params, (unit,), joint,
                                   np.linspace(lo, hi, GRID_SAMPLES))
     if kind is SpringKind.LINEAR_REAL:
         k = _golden_min(lambda kk: float(np.max(np.abs(tau_g + kk * shape))),
                         0.0, k_hi)
-        return SpringSpec(kind, joint, k, a, b, free_length=free_length)
+        return SpringSpec(kind, joint, k, a, b, FREE_LENGTH_M)
 
     # for fixed k the best neutral angle centers the residual band,
     # leaving half the band width as the minimax residual
@@ -381,43 +380,25 @@ def _synthesize_joint(params: MechanismParams, joint: Joint, kind: SpringKind,
     return SpringSpec(kind, joint, k, torsion_neutral=neutral)
 
 
-def synthesize_balancing(params: MechanismParams, kind: SpringKind,
-                         anchor_bounds=DEFAULT_ANCHOR_BOUNDS,
-                         free_length: float = DEFAULT_FREE_LENGTH,
-                         ) -> BalanceResult:
+def synthesize_balancing(params: MechanismParams,
+                         kind: SpringKind) -> BalanceResult:
     """Fit one spring of the given kind per lifted joint.
 
-    anchor_bounds is ((a_min, a_max), (b_min, b_max)); anchors are fixed at
-    the bound midpoints and only the stiffness is searched (the torque law
-    depends on the anchors through the product k*a*b, so freeing them adds
+    A linear spring is anchored ANCHOR_RADIUS_M above the joint and
+    attached BAR_RADIUS_M out on the bar, and a real one has free length
+    FREE_LENGTH_M; only the stiffness is searched (the torque law depends
+    on the anchors through the product k*a*b, so freeing them adds
     nothing). Zero-free-length springs have the closed-form exact solution
     k*a*b = g*A_joint; the real and torsion kinds minimize the worst
     absolute residual over a 181-point grid of the joint range by
     golden-section search (the objective is unimodal in k).
 
     `kind` is a SpringKind or its value string; anything else raises
-    ValueError naming `kind`, as do anchor_bounds not two pairs of finite
-    numbers and a free_length not finite. Raises InfeasibleBoundsError for
-    an empty or nonpositive anchor box, a negative free_length or a
-    degenerate joint range.
+    ValueError naming `kind`. A degenerate joint range raises
+    InfeasibleBoundsError.
     """
     kind = as_member(SpringKind, kind, "kind")
-    bounds = sequence(anchor_bounds, "anchor_bounds", numbers)
-    if [len(pair) for pair in bounds] != [2, 2]:
-        raise ValueError(f"anchor_bounds needs two (min, max) pairs, not "
-                         f"{bounds}")
-    (a_lo, a_hi), (b_lo, b_hi) = bounds
-    if a_lo > a_hi or b_lo > b_hi:
-        raise InfeasibleBoundsError("anchor bounds describe an empty box")
-    a = 0.5 * (a_lo + a_hi)
-    b = 0.5 * (b_lo + b_hi)
-    if not (a > 0.0 and b > 0.0):
-        raise InfeasibleBoundsError("anchor bounds must give positive radii")
-    free_length = number(free_length, "free_length")
-    if free_length < 0.0:
-        raise InfeasibleBoundsError("free_length must be >= 0")
-
-    springs = tuple(_synthesize_joint(params, joint, kind, a, b, free_length)
+    springs = tuple(_synthesize_joint(params, joint, kind)
                     for joint in (Joint.J2, Joint.J3))
     return BalanceResult(*springs, *residual_torque_profile(params, springs))
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from spoonarm import JointState
-from spoonarm.cli import build_parser, main
+from spoonarm.cli import build_parser
 from spoonarm.config import default_config_path, save_config, save_scenario
 from spoonarm.dynamics import (
     CONTACT_HORIZON,
@@ -34,13 +34,7 @@ from spoonarm.serialize import (
     write_workspace_csv,
 )
 
-from shipped import NOMINAL, RIGID, SHIPPED
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from shipped import NOMINAL, RIGID, SHIPPED, run
 
 
 def values(stdout: str) -> dict:

@@ -7,18 +7,11 @@ import warnings
 
 import pytest
 
-from spoonarm.cli import main
 from spoonarm.kinematics import inverse_kinematics
 
-from shipped import EXAMPLE_PATH, NOMINAL
+from shipped import EXAMPLE_PATH, NOMINAL, run
 
 SCENARIO = str(EXAMPLE_PATH)
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("target", [(math.nan, 0.0, 0.0),

@@ -393,28 +393,3 @@ def test_calibration_errors_unchanged():
 def test_trajectory_endpoints_must_be_finite(kwargs, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         TrajectorySpec(**kwargs)
-
-
-@pytest.mark.parametrize("kwargs, match", [
-    ({"radial_band": math.nan}, "radial_band"),
-    ({"radial_band": -1.0}, "radial_band"),
-    ({"radial_band": math.inf}, "radial_band"),
-    ({"plate_radius": math.nan}, "plate_radius"),
-    ({"target_rise": math.inf}, "target_rise"),
-    ({"plate_radius": -1.0}, "plate_radius must be >= 0"),
-    ({"target_rise": -1.0}, "target_rise must be >= 0"),
-])
-def test_workspace_summary_inputs_checked(kwargs, match):
-    with pytest.raises(ValueError, match=match):
-        workspace_sample(NOMINAL, 3, **kwargs)
-
-
-def test_workspace_zero_band_is_valid():
-    sample = workspace_sample(NOMINAL, 3, radial_band=0.0)
-    assert sample.summary.plate_vertical_span >= 0.0
-
-
-def test_workspace_zero_radius_and_rise_are_valid():
-    sample = workspace_sample(NOMINAL, 3, plate_radius=0.0,
-                              target_rise=0.0)
-    assert sample.summary.covers_target_rise

@@ -56,7 +56,7 @@ from spoonarm.statics import (
     synthesize_balancing,
 )
 
-from shipped import EXAMPLE, FREE_LIMITS, RIGID, SHIPPED
+from shipped import ASYMMETRIC, EXAMPLE, FREE_LIMITS, RIGID, SHIPPED
 
 # closed forms for the nominal build: M22 = (m1*c1^2 + m2 + mp)*L1^2,
 # M33 = (m2*c2^2 + mp)*L2^2, and the coupling amplitude L1*L2*(m2*c2 + mp)
@@ -121,10 +121,11 @@ def test_mass_matrix_planar_block_closed_form():
         assert m[0, 1] == 0.0 and m[0, 2] == 0.0
 
 
-def test_kinetic_energy_matches_point_mass_oracle():
+@pytest.mark.parametrize("p", [free_params(), ASYMMETRIC],
+                         ids=["nominal", "asymmetric"])
+def test_kinetic_energy_matches_point_mass_oracle(p):
     # velocities of the lumped masses by central differencing the geometry
     # along the flow; no mass-matrix algebra involved
-    p = free_params()
     masses = (p.mass_link1, p.mass_link2, p.mass_payload)
     h = 1e-6
     for state in random_states(200, seed=23):

@@ -32,7 +32,7 @@ from spoonarm.statics import (
     torque_columns,
 )
 
-from shipped import NOMINAL, SHIPPED
+from shipped import ASYMMETRIC, NOMINAL, SHIPPED
 
 ANGLES = np.linspace(-1.75, 2.0, 97)
 SPRINGS = (
@@ -72,10 +72,11 @@ def test_gravity_torque_reads_the_gravity_law():
         gravity_laws(p, Joint.J3)[0](math.cos(-1.1)))
 
 
+@pytest.mark.parametrize("p", [NOMINAL, ASYMMETRIC],
+                         ids=["nominal", "asymmetric"])
 @pytest.mark.parametrize("q", [(0.0, 0.0, 0.0), (0.2, 0.7, -1.4),
                                (-1.0, 2.0, 1.4), (3.0, -0.35, -1.75)])
-def test_gravity_potential_is_the_lumped_height_sum(q):
-    p = NOMINAL
+def test_gravity_potential_is_the_lumped_height_sum(q, p):
     expected = lumped_heights_potential(p, q[1], q[2])
     got = gravity_potential(p, JointState(q=q))
     assert got == pytest.approx(expected, rel=0.0, abs=4e-15)

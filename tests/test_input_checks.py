@@ -31,7 +31,7 @@ from spoonarm.dynamics import (
     spoon_contact_response,
     step_dynamics,
 )
-from spoonarm.errors import InfeasibleBoundsError
+from spoonarm.errors import GridMismatchError
 from spoonarm.kinematics import (
     Handedness,
     HandleVariant,
@@ -51,7 +51,6 @@ from spoonarm.statics import (
     residual_torque_profile,
     spring_joint_torques,
     spring_torque,
-    synthesize_balancing,
 )
 
 from shipped import NOMINAL, RIGID, SHIPPED
@@ -194,12 +193,6 @@ def test_torque_profile_shapes_must_match():
         TorqueProfile(Joint.J2, [0.0, 0.1, 0.2], [1.0, 2.0, 3.0], [1.0, 2.0])
 
 
-def test_synthesis_rejects_a_negative_free_length():
-    with pytest.raises(InfeasibleBoundsError, match="free_length must be"):
-        synthesize_balancing(NOMINAL, SpringKind.LINEAR_REAL,
-                             free_length=-0.001)
-
-
 def test_residual_profile_of_a_pinned_joint_is_one_angle():
     params = MechanismParams(joint_limits=((-math.pi, math.pi), (0.4, 0.4),
                                            (-1.75, 1.4)))
@@ -329,15 +322,6 @@ def test_rigid_mount_needs_finite_values_of_at_least_zero(field, value):
         ComplianceSpec(mode=ComplianceMode.RIGID, **{field: value})
 
 
-@pytest.mark.parametrize("band", [math.nan, math.inf, -1.0, 0.0])
-def test_stabilization_band_must_be_finite_and_positive(band):
-    params = NOMINAL
-    still = run_scenario(params, [], [], RIGID,
-                         Scenario(duration=0.01, initial=START))
-    with pytest.raises(ValueError, match="^band must be > 0 and finite, not "):
-        stabilization_report(still, still, band=band)
-
-
 @pytest.mark.parametrize("deflections", [(0.0, 0.0), (0.0,) * 5])
 def test_step_dynamics_needs_four_deflections(deflections):
     message = r"deflections needs four entries \(delta_p, delta_y, rate_p"
@@ -434,9 +418,6 @@ WRONG_TYPES = {
     "duration-str": (lambda: Scenario(duration="1"),
                      r"^duration must be a real number, not '1'$"),
     "q-none": (lambda: JointState(q=None), r"^q must be iterable, not None$"),
-    "band-str": (lambda: stabilization_report(
-        TrajectorySpec(), run_scenario(NOMINAL, (), (), RIGID, RUN), band="1"),
-        r"^band must be a real number, not '1'$"),
     "contact-duration-str": (lambda: spoon_contact_response(
         ComplianceSpec(), 0.02, duration="1"),
         r"^duration must be a real number, not '1'$"),
@@ -446,15 +427,6 @@ WRONG_TYPES = {
     "deflections-str": (lambda: step_dynamics(
         NOMINAL, (), (), RIGID, START, None, 1e-3, deflections=("a", 0, 0, 0)),
         r"^deflections\[0\] must be a real number, not 'a'$"),
-    "free-length-str": (lambda: synthesize_balancing(
-        NOMINAL, "linear_real", free_length="x"),
-        r"^free_length must be a real number, not 'x'$"),
-    "anchor-bounds-none": (lambda: synthesize_balancing(
-        NOMINAL, "linear_real", anchor_bounds=None),
-        r"^anchor_bounds must be iterable, not None$"),
-    "anchor-bounds-short": (lambda: synthesize_balancing(
-        NOMINAL, "linear_real", anchor_bounds=((0.1,), (0.2, 0.3))),
-        r"^anchor_bounds needs two \(min, max\) pairs"),
     "rise-str": (lambda: calibrate_handle_distance(
         NOMINAL, TrajectorySpec(), "0.2"),
         r"^target_handle_rise must be a real number, not '0.2'$"),
@@ -480,6 +452,17 @@ WRONG_TYPES = {
         r"^state must be a JointState, not \(0.0, 0.7, -1.4\)$"),
     "contact-compliance-none": (lambda: spoon_contact_response(None, 0.02),
         r"^compliance must be a ComplianceSpec, not None$"),
+    # the rollouts and the reference motion a damping score compares
+    "report-reference-none": (lambda: stabilization_report(
+        None, run_scenario(NOMINAL, (), (), RIGID, RUN)),
+        r"^reference must be a SimResult or a TrajectorySpec, not None$"),
+    "report-result-none": (lambda: stabilization_report(
+        TrajectorySpec(), None),
+        r"^result must be a SimResult, not None$"),
+    "report-baseline-spec": (lambda: stabilization_report(
+        TrajectorySpec(), run_scenario(NOMINAL, (), (), RIGID, RUN),
+        TrajectorySpec()),
+        r"^baseline must be a SimResult, not TrajectorySpec\("),
 }
 
 
@@ -488,3 +471,19 @@ WRONG_TYPES = {
 def test_a_value_of_the_wrong_type_is_a_named_error(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+# a baseline on another time grid than the result: longer, or as long at
+# another timestep; against a rollout and against the feeding motion alike
+@pytest.mark.parametrize("grid", [dict(duration=0.02),
+                                  dict(duration=0.02, timestep=2e-3)],
+                         ids=["longer", "coarser"])
+@pytest.mark.parametrize("against", ["rollout", "trajectory"])
+def test_a_baseline_on_another_grid_is_a_grid_mismatch(grid, against):
+    result = run_scenario(NOMINAL, (), (), RIGID, RUN)
+    baseline = run_scenario(NOMINAL, (), (), RIGID,
+                            Scenario(initial=START, **grid))
+    reference = result if against == "rollout" else TrajectorySpec()
+    with pytest.raises(GridMismatchError, match="^baseline and result use "
+                       "different time grids"):
+        stabilization_report(reference, result, baseline)

@@ -224,13 +224,6 @@ def test_real_synthesis_matches_frozen_fit():
     assert res.residual_j3.max_abs == pytest.approx(REAL_RESID3, abs=1e-6)
 
 
-def test_real_synthesis_with_zero_free_length_reduces_to_ideal():
-    res = synthesize_balancing(params_on_comparison_range(),
-                               SpringKind.LINEAR_REAL, free_length=0.0)
-    assert res.spring_j2.stiffness == pytest.approx(G2 / 0.005, rel=1e-12)
-    assert res.max_residual < 1e-12
-
-
 def test_torsion_synthesis_matches_frozen_fit():
     res = synthesize_balancing(params_on_comparison_range(),
                                SpringKind.TORSION)
@@ -262,13 +255,6 @@ def test_massless_synthesis_gives_zero_stiffness():
 
 
 def test_infeasible_bounds():
-    p = MechanismParams()
-    with pytest.raises(InfeasibleBoundsError):
-        synthesize_balancing(p, SpringKind.LINEAR_ZERO_FREE_LENGTH,
-                             anchor_bounds=((0.2, 0.1), (0.03, 0.07)))
-    with pytest.raises(InfeasibleBoundsError):
-        synthesize_balancing(p, SpringKind.LINEAR_ZERO_FREE_LENGTH,
-                             anchor_bounds=((-0.2, 0.1), (0.03, 0.07)))
     degenerate = MechanismParams(joint_limits=((-1.0, 1.0), (0.5, 0.5),
                                                (-1.0, 1.0)))
     with pytest.raises(InfeasibleBoundsError):

@@ -43,10 +43,11 @@ installed package's lines against it. It covers
   as numpy float32;
 - the sorted list of the package's public names, the errors of the
   arguments read at the package boundary (a value of the wrong type,
-  a rollout's params, state, compliance or scenario among them, an
-  entry count or an integer below its bound), a direction too large
-  to square, which is made unit, and the error of a scenario file that
-  is not valid UTF-8;
+  a rollout's params, state, compliance or scenario among them, a
+  damping score's reference, result or baseline, a baseline on another
+  time grid than its result, an entry count or an integer below its
+  bound), a direction too large to square, which is made unit, and the
+  error of a scenario file that is not valid UTF-8;
 - the paper's studies on the shipped build: stabilization_report of a
   damped and an undamped rigid-mount noise rollout, against the
   tremor-free rollout and against TrajectorySpec(), the bracket
@@ -115,8 +116,7 @@ from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
                       run_scenario, save_config, save_scenario,
                       spoon_contact_response, spring_torque,
                       stabilization_report, step_dynamics,
-                      synthesize_balancing, trajectory_states,
-                      workspace_sample)
+                      trajectory_states, workspace_sample)
 from spoonarm.cli import main
 from spoonarm.config import config_data, parse_config
 from spoonarm.serialize import write_balance_csv, write_sim_csv
@@ -432,22 +432,19 @@ def boundary_lines():
     def step(deflections):
         return step_dynamics(*RIGID, START, None, DT, deflections=deflections)
 
-    def balance(**kw):
-        return synthesize_balancing(P, "linear_real", **kw)
-
     calls = {
-        "stabilization_report/band-str": lambda: stabilization_report(
-            still, still, band="1"),
+        "stabilization_report/reference-none": lambda: stabilization_report(
+            None, still),
+        "stabilization_report/result-none": lambda: stabilization_report(
+            TrajectorySpec(), None),
+        "stabilization_report/baseline-spec": lambda: stabilization_report(
+            TrajectorySpec(), still, TrajectorySpec()),
+        "stabilization_report/baseline-grid": lambda: stabilization_report(
+            TrajectorySpec(), still, run_scenario(P, (), (), rigid, short)),
         "spoon_contact_response/duration-str": lambda: spoon_contact_response(
             CONFIG.compliance, 0.02, duration="1"),
         "step_dynamics/deflections-none": lambda: step(None),
         "step_dynamics/deflections-str": lambda: step(("a", 0, 0, 0)),
-        "synthesize_balancing/free-length-str": lambda: balance(
-            free_length="x"),
-        "synthesize_balancing/anchor-bounds-none": lambda: balance(
-            anchor_bounds=None),
-        "synthesize_balancing/anchor-bounds-short": lambda: balance(
-            anchor_bounds=((0.1,), (0.2, 0.3))),
         "calibrate_handle_distance/rise-str": lambda: (
             calibrate_handle_distance(P, TrajectorySpec(), "0.2")),
         "inverse_kinematics/target-short": lambda: inverse_kinematics(
