@@ -12,9 +12,11 @@ magnitude from 2**49 to 2**131), zeros, subnormals, infinities and NaNs
 take repr itself, once per distinct bit pattern; every other cell takes
 the array path. A cell whose bits equal those of the cell above it takes
 that cell's text, so a run of equal cells is formatted once. Each run's
-text, a fixed 25 bytes, is gathered from its digits by one take through
-a table of layouts; repr's text is written over a run's first 24 bytes,
-and each cell then copies its run's row, in row order.
+text, a fixed 25 bytes, is gathered from its digits through a table of
+layouts into one (runs, 25) array, by one take per _CHUNK_RUNS runs, so
+that the byte index, 200 bytes a run, stays bounded; repr's text is
+written over a run's first 24 bytes, and each cell then copies its
+run's row, in row order.
 numpy 1.24's value-based casting turns uint64 mixed with int64 into
 float64, so every operand of the uint64 arithmetic is uint64.
 """
@@ -37,6 +39,7 @@ _WIDTH = 25                 # the longest text, 24 bytes, then a comma
 # exponential (digits, exponent sign, three exponent digits)
 _EXPONENTIAL = 17 * 20
 _DECPTS = 700               # decimal points -330..369 in the form table
+_CHUNK_RUNS = 2048          # runs whose text one take gathers
 
 _tables = None
 
@@ -221,6 +224,19 @@ def _decimal(bits):
     return r, k, np.flatnonzero(unsure)
 
 
+def _gather(source, form, layout):
+    """Each run's text, an (n, _WIDTH) array of bytes: run i's bytes of
+    `source` from offset 32 i, as its form's row of `layout` lists them.
+    The byte index is 200 bytes a run, so it is built for _CHUNK_RUNS
+    runs at a time, never for the whole block."""
+    text = np.empty((len(form), _WIDTH), dtype=np.uint8)
+    for start in range(0, len(form), _CHUNK_RUNS):
+        index = layout.take(form[start:start + _CHUNK_RUNS], axis=0)
+        index += 32 * np.arange(start, start + len(index))[:, None]
+        source.take(index, out=text[start:start + len(index)])
+    return text
+
+
 def csv_rows(block) -> bytes:
     """The rows of a 2-D float64 array as CSV text: each cell is its
     float's repr, cells end in ',' and rows in a newline.
@@ -228,9 +244,9 @@ def csv_rows(block) -> bytes:
     A cell whose bits equal those of the cell above it takes that cell's
     text, so each run of equal cells in a column is formatted once. The
     decimal significand is split into 4-digit chunks, each looked up as
-    four bytes of text; each run's bytes are then gathered, _WIDTH bytes
-    ending in a comma, each cell copies its run's bytes in row order, and
-    the NUL padding is removed at once."""
+    four bytes of text; each run's bytes are then gathered by _gather,
+    _WIDTH bytes ending in a comma, each cell copies its run's bytes in
+    row order, and the NUL padding is removed at once."""
     words, powers, forms, layout = _build_tables()[6:]
     table = np.ascontiguousarray(block, dtype=float).view(_U)
     rows, cols = table.shape
@@ -262,12 +278,8 @@ def csv_rows(block) -> bytes:
     source[:, 0] = words.take(digits)
     del digits, high
 
-    # one gather of each run's bytes; the byte index is freed before the
-    # cells are copied, which keeps a write's peak down
-    index = layout.take(form, axis=0)
-    index += 32 * np.arange(n)[:, None]
-    text = source.view(np.uint8).ravel().take(index)
-    del source, form, index
+    text = _gather(source.view(np.uint8).ravel(), form, layout)
+    del source, form
     if rest.size:       # repr's text over the 24 bytes before the comma
         values, inverse = np.unique(bits[rest], return_inverse=True)
         texts = [repr(v).encode() for v in values.view(float).tolist()]

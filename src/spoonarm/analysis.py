@@ -34,7 +34,8 @@ from .kinematics import (
     integer,
     number,
     numbers,
-    point_position,
+    point_plane,
+    point_turn,
     spoon_point,
 )
 
@@ -138,11 +139,15 @@ def _trajectory_trig(params: MechanismParams,
     return np.array([_trig(q) for q in _trajectory_q(params, trajectory)]).T
 
 
+def _rise(point, trig: np.ndarray) -> float:
+    """Max minus min height of `point` over the _trajectory_trig rows."""
+    z = point_plane(point, *trig[2:])[1]
+    return float(z.max() - z.min())
+
+
 def _excursion(params: MechanismParams, trig: np.ndarray) -> Excursion:
-    spoon_z = point_position(spoon_point(params), *trig)[2]
-    handle_z = point_position(handle_point(params), *trig)[2]
-    spoon_rise = float(spoon_z.max() - spoon_z.min())
-    handle_rise = float(handle_z.max() - handle_z.min())
+    spoon_rise = _rise(spoon_point(params), trig)
+    handle_rise = _rise(handle_point(params), trig)
     return Excursion(spoon_rise, handle_rise, handle_rise / spoon_rise)
 
 
@@ -164,17 +169,18 @@ def calibrate_handle_distance(params: MechanismParams,
 
     Bisection over d_h in (0, L2]; the handle rise must be monotonically
     increasing in d_h over that interval (checked on a coarse sweep first,
-    since bisection silently returns garbage otherwise).
+    since bisection silently returns garbage otherwise). Each trial is the
+    handle point with its reach set to d_h, as a NEW_INBOARD build of that
+    radius would place it, so no build is made per trial.
     """
     target_handle_rise = number(target_handle_rise, "target_handle_rise")
     tolerance = number(tolerance, "tolerance", "> 0")
     L2 = params.link2_length
     trig = _trajectory_trig(params, trajectory)
+    a, L1, _, b, height, drop = handle_point(params)
 
     def rise_at(d: float) -> float:
-        trial = replace(params, handle_variant=HandleVariant.NEW_INBOARD,
-                        handle_distance=d)
-        return _excursion(trial, trig).handle_rise
+        return _rise((a, L1, d, b, height, drop), trig)
 
     lo, hi = L2 * 1e-6, L2
     sweep = [rise_at(lo + (hi - lo) * i / 8.0) for i in range(9)]
@@ -232,36 +238,50 @@ def workspace_sample(params: MechanismParams,
     motion, TrajectorySpec().rise.
 
     Each yaw slice of the grid is the same (theta2, theta3) plane turned
-    about J1, and within a slice x = r cos(phi1) - b sin(phi1) is monotone
-    in the plane's radius r. So one stable argsort of the x of the slice
-    of largest |cos(phi1)| orders every slice by x (but for rows whose x
-    ties in that slice): as it is where cos(phi1) has that slice's sign,
-    reversed where it has the other. _unique_rows is given the rows in
-    that order, and its sort merges one presorted run per slice; the
-    order sets only its speed, never its result.
+    about J1: point_plane gives each plane node's radius r and height z
+    once, and point_turn each slice's x and y from r and the slice's
+    cosine and sine, the operations of point_position, so every
+    coordinate has its bits. Within a slice x = r cos(phi1) - b sin(phi1)
+    is monotone in r, so one stable argsort of the x of the slice of
+    largest |cos(phi1)| orders every slice by x (but for rows whose x ties
+    in that slice): as it is where cos(phi1) has that slice's sign,
+    reversed where it has the other. The sort key x + iy and z are
+    written in that order; _unique_rows sorts them in place, merging one
+    presorted run per slice (the order sets only its speed, never its
+    result), and the rows it keeps fill points once. No grid-sized copy
+    of x, y or z is made besides the key and z, and at resolution 40 the
+    tracemalloc peak is 2.4 times the points' bytes.
     """
     resolution = integer(resolution, "resolution", 2)
-    # the trig on the three 1-D axes of an open grid; broadcasting then
-    # does per node the same arithmetic a meshgrid would, bit for bit
-    trig = [f(axis) for axis in np.ix_(*(np.linspace(lo, hi, resolution)
-                                         for lo, hi in params.joint_limits))
-            for f in (np.cos, np.sin)]
-    # x and y hold one (theta2, theta3) plane per yaw slice, z the plane
-    x, y, z = point_position(spoon_point(params), *trig)
-    cp = trig[0].ravel()
+    point = spoon_point(params)
+    phi1, theta2, theta3 = (np.linspace(lo, hi, resolution)
+                            for lo, hi in params.joint_limits)
+    cp, sp = np.cos(phi1), np.sin(phi1)
+    # node theta2 * resolution + theta3 of the plane
+    r, z = (a.ravel() for a in point_plane(
+        point, np.cos(theta2)[:, None], np.sin(theta2)[:, None],
+        np.cos(theta3), np.sin(theta3)))
     ref = np.argmax(np.abs(cp))
-    order = np.argsort(x[ref].ravel(), kind="stable")
-    # row k of slice i is node index[i, k] of the plane, then of the grid
-    index = np.where(((cp < 0.0) != (cp[ref] < 0.0))[:, None],
-                     order[::-1], order)
-    z = z.take(index).ravel()
-    index += np.arange(0, x.size, order.size)[:, None]
-    index = index.ravel()
-    # taken before the call, so that the grid's x and y are freed by then
-    x, y = x.take(index), y.take(index)
-    x, y, z = _unique_rows(x, y, z, index)
+    order = np.argsort(point_turn(point, r, cp[ref], sp[ref])[0],
+                       kind="stable")
+    # row k of slice i is node[i, k] of the plane
+    node = np.where(((cp < 0.0) != (cp[ref] < 0.0))[:, None],
+                    order[::-1], order)
+    x, y = point_turn(point, r.take(node), cp[:, None], sp[:, None])
+    key = np.empty(node.size, dtype=complex)
+    key.real, key.imag = x.ravel(), y.ravel()
+    del x, y
+    z = z.take(node).ravel()
+    node += np.arange(0, node.size, r.size)[:, None]  # now a grid index
+    keep = _unique_rows(key, z, node.ravel())
+    del node
 
-    radial = np.hypot(x, y)
+    points = np.empty((np.count_nonzero(keep), 3))
+    for column, values in enumerate((key.real, key.imag, z)):
+        points[:, column] = values[keep]
+    del key, z, keep
+    radial = np.hypot(points[:, 0], points[:, 1])
+    z = points[:, 2]
     band_z = z[np.abs(radial - PLATE_RADIUS_M) <= PLATE_BAND_M]
     plate_span = float(band_z.max() - band_z.min()) if band_z.size else 0.0
     summary = WorkspaceSummary(
@@ -271,39 +291,37 @@ def workspace_sample(params: MechanismParams,
         plate_vertical_span=plate_span,
         covers_target_rise=plate_span >= TrajectorySpec().rise,
     )
-    return WorkspaceSample(points=np.column_stack((x, y, z)),
-                           summary=summary)
+    return WorkspaceSample(points=points, summary=summary)
 
 
-def _unique_rows(x, y, z, index) -> tuple:
-    """The columns of np.unique(np.column_stack((x, y, z)), axis=0), for
-    1-D columns of finite floats (the readers reject non-finite builds)
-    whose row i is the row at grid position index[i], the indices
-    distinct. Of each group of equal rows, such as rows that differ only
-    in the sign of a zero, the one first in grid order is kept.
+def _unique_rows(key, z, index) -> np.ndarray:
+    """Sorts rows of finite floats (the readers reject non-finite builds),
+    given as a complex key x + iy and z, in place by (x, y, z, index),
+    and returns the mask of the rows of np.unique(np.column_stack((x, y,
+    z)), axis=0) in that order. Row i is the row at grid position
+    index[i], the indices distinct; of each group of equal rows, such as
+    rows that differ only in the sign of a zero, the one first in grid
+    order is kept.
 
-    One stable argsort of the complex key x + iy orders the rows by
-    (x, y); only the runs of rows tied in (x, y) are then ordered by
-    (z, index), with a lexsort. That is faster than one three-key
-    lexsort, and far faster than np.unique's generic row compare. The
-    argsort is a TimSort, so rows presented as a few sorted runs are
-    merged, not sorted afresh; the result is the same in any order.
+    One stable argsort of the key orders the rows by (x, y); only the
+    runs of rows tied in (x, y) are then ordered by (z, index), with a
+    lexsort. That is faster than one three-key lexsort, and far faster
+    than np.unique's generic row compare. The argsort is a TimSort, so
+    rows presented as a few sorted runs are merged, not sorted afresh;
+    the result is the same in any order.
     """
-    key = np.empty(len(x), dtype=complex)
-    key.real, key.imag = x, y
     s = np.argsort(key, kind="stable")
-    del key
-    x, y, z = x.take(s), y.take(s), z.take(s)
+    key[:] = key.take(s)
+    z[:] = z.take(s)
     # tie[i]: row i + 1 equals row i in (x, y)
-    tie = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
+    tie = key[1:] == key[:-1]
     if tie.any():
         rows = np.flatnonzero(np.concatenate((tie, [False]))
                               | np.concatenate(([False], tie)))
         run = np.cumsum(np.concatenate(([True], ~tie)))[rows]
         by = rows[np.lexsort((index.take(s[rows]), z[rows], run))]
-        x[rows], y[rows], z[rows] = x[by], y[by], z[by]
-    keep = np.concatenate(([True], ~tie | (z[1:] != z[:-1])))
-    return x[keep], y[keep], z[keep]
+        key[rows], z[rows] = key[by], z[by]
+    return np.concatenate(([True], ~tie | (z[1:] != z[:-1])))
 
 
 def _segment_deviation(trajectory: TrajectorySpec,

@@ -24,10 +24,11 @@ signed vertical drop and a signed lateral offset toward the user; the
 lateral offset mirrors with handedness.
 
 Tip and grip are two points of one radial chain (spoon_point and
-handle_point): point_position gives a point's position, and
-point_torque_law binds a point's coefficients once into the law of the
-joint torques J^T F of a force there, whose yaw row is the force's moment
-at that same position.
+handle_point): point_position gives a point's position (point_plane
+its radius and height in the arm's plane, point_turn that radius turned
+about J1), and point_torque_law binds a point's coefficients once into
+the law of the joint torques J^T F of a force there, whose yaw row is
+the force's moment at that same position.
 """
 
 from __future__ import annotations
@@ -308,11 +309,25 @@ def point_position(point, cp, sp, c2t, s2t, c3t, s3t):
     """(x, y, z) of a point of the radial chain from the cosines and sines
     of (phi1, theta2, theta3). `point` holds its radial offset, L1, reach
     along link 2, lateral offset, J2 height and drop. Plain arithmetic,
-    so the trigonometry may be floats or numpy arrays."""
-    a, L1, reach, b, height, drop = point
-    r = a + L1 * c2t + reach * c3t
-    return (r * cp - b * sp, r * sp + b * cp,
-            height + L1 * s2t + reach * s3t + drop)
+    so the trigonometry may be floats or numpy arrays: point_plane, then
+    point_turn."""
+    r, z = point_plane(point, c2t, s2t, c3t, s3t)
+    return (*point_turn(point, r, cp, sp), z)
+
+
+def point_plane(point, c2t, s2t, c3t, s3t):
+    """(r, z) of a point in the arm's vertical plane, from the cosines and
+    sines of (theta2, theta3): its radius along the arm, before the
+    lateral offset, and its height, which no yaw changes."""
+    a, L1, reach, _, height, drop = point
+    return a + L1 * c2t + reach * c3t, height + L1 * s2t + reach * s3t + drop
+
+
+def point_turn(point, r, cp, sp):
+    """(x, y) of a point at plane radius r, turned about J1 by the yaw of
+    cosine cp and sine sp, its lateral offset across the arm."""
+    b = point[3]
+    return r * cp - b * sp, r * sp + b * cp
 
 
 def point_torque_law(point):

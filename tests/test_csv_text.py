@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from spoonarm import _shortest, serialize
-from spoonarm._shortest import _build_tables, _decimal, _product, csv_rows
+from spoonarm._shortest import (_CHUNK_RUNS, _build_tables, _decimal,
+                                _product, csv_rows)
 from spoonarm.serialize import CSV_BLOCK_CELLS, _write_table, block_rows, fmt
 
 
@@ -30,6 +31,16 @@ def _neighbours(values):
     values = np.asarray(values, dtype=float)
     return np.concatenate([np.nextafter(values, -np.inf), values,
                            np.nextafter(values, np.inf)])
+
+
+@pytest.mark.parametrize("runs", [
+    _CHUNK_RUNS - 1, _CHUNK_RUNS, _CHUNK_RUNS + 1, 2 * _CHUNK_RUNS + 1])
+def test_runs_on_either_side_of_a_gather_chunk_edge(runs):
+    # distinct cells, so one run each, of every sign and of magnitudes
+    # that take both text forms
+    rng = np.random.default_rng(runs)
+    _assert_like_fmt(rng.choice([-1.0, 1.0], runs)
+                     * 10.0 ** rng.uniform(-25, 25, runs))
 
 
 def test_random_bit_patterns():

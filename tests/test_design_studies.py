@@ -5,6 +5,7 @@ match bit for bit; plus the input checks of the trajectory and the
 workspace summary."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,8 @@ from spoonarm.kinematics import (
     point_position,
     spoon_point,
 )
-from spoonarm.serialize import _write_table, block_rows
+from spoonarm._shortest import _WIDTH
+from spoonarm.serialize import CSV_BLOCK_CELLS, _write_table, block_rows
 from spoonarm.serialize import fmt, write_workspace_csv
 
 from shipped import NOMINAL
@@ -68,6 +70,8 @@ def test_workspace_points_equal_np_unique(resolution):
 
 @pytest.mark.parametrize("limits", [
     ((-math.pi, math.pi), (0.4, 0.4), (-1.75, 1.4)),   # theta2 pinned
+    ((0.7, 0.7), (-0.35, 2.0), (-1.75, 1.4)),          # yaw: one slice
+    ((-math.pi, math.pi), (-0.35, 2.0), (0.3, 0.3)),   # theta3 pinned
     ((0.3, 0.3), (0.5, 0.5), (0.1, 0.1)),              # all three pinned
 ])
 def test_workspace_points_equal_np_unique_with_pinned_joints(limits):
@@ -99,12 +103,18 @@ def test_workspace_points_equal_np_unique_on_part_of_the_yaw_range(
 
 
 def _unique(table, order=None):
-    """_unique_rows of the rows of `table`, given in `order` (a
-    permutation, by default the table's own order), as one table."""
+    """The rows _unique_rows keeps of the rows of `table`, given in
+    `order` (a permutation, by default the table's own order), as one
+    table in their sorted order."""
     table = np.array(table)
     if order is None:
         order = np.arange(len(table))
-    return np.column_stack(_unique_rows(*table[order].T, order))
+    rows = table[order]
+    key = np.empty(len(rows), dtype=complex)
+    key.real, key.imag = rows[:, 0], rows[:, 1]
+    z = rows[:, 2]
+    keep = _unique_rows(key, z, order)
+    return np.column_stack((key.real[keep], key.imag[keep], z[keep]))
 
 
 def test_unique_rows_with_duplicates_and_ties():
@@ -277,6 +287,36 @@ def test_write_table_columns_of_few_values_equal_fmt(tmp_path, values):
     rows = np.column_stack(columns)
     want = ["a,b,c,d"] + [",".join(map(fmt, row)) for row in rows]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+# ---------------------------------------------------------------------------
+# working sets of the resolution-40 cloud
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of `call()`, called once before, untraced, so
+    that the CSV tables are built by then."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_cloud_sample_peaks_under_three_times_its_points():
+    points = workspace_sample(NOMINAL, 40).points
+    peak = _traced_peak(lambda: workspace_sample(NOMINAL, 40))
+    assert peak <= 3 * points.nbytes
+
+
+def test_the_cloud_write_peaks_under_six_blocks_of_text(tmp_path):
+    # a block of text is CSV_BLOCK_CELLS runs of _WIDTH bytes
+    points = workspace_sample(NOMINAL, 40).points
+    peak = _traced_peak(
+        lambda: write_workspace_csv(points, tmp_path / "cloud.csv"))
+    assert peak <= 6 * CSV_BLOCK_CELLS * _WIDTH
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ the named error the check raises (or, for the exhausted calibration, the
 value it returns)."""
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
@@ -227,12 +226,12 @@ def test_calibration_that_exhausts_bisection_returns_the_upper_end(
     # it, so all 200 halvings run and the bracket's upper end is returned
     calls = []
 
-    def rise(params, trig):
-        d = params.handle_distance
+    def rise(point, trig):
+        d = point[2]                # the handle point's reach, d_h
         calls.append(d)
-        return SimpleNamespace(handle_rise=d if d < 0.1 else d + 0.01)
+        return d if d < 0.1 else d + 0.01
 
-    monkeypatch.setattr(analysis, "_excursion", rise)
+    monkeypatch.setattr(analysis, "_rise", rise)
     d_h = calibrate_handle_distance(NOMINAL, TrajectorySpec(), 0.105)
     assert len(calls) == 9 + 200    # the monotonicity sweep, then bisection
     assert d_h == 0.1

@@ -55,7 +55,9 @@ installed package's lines against it. It covers
   handle_excursion and trajectory_states of TrajectorySpec(), and the
   workspace_sample points and summary at resolution 25 with the yaw
   range cut to (2.0, 3.0), where every yaw slice has cos(phi1) < 0, and
-  to (1.2, 1.9), whose slices have both signs;
+  to (1.2, 1.9), whose slices have both signs, with the yaw pinned at
+  0.7, one slice, and with theta3 pinned at 0.3, each slice one line of
+  theta2 nodes;
 - holding_force, mass_matrix, coriolis_matrix, kinetic_energy,
   potential_energy, jacobian, handle_jacobian and gravity_torque at
   START, and spring_torque and damper_torque of each spring and damper
@@ -67,7 +69,7 @@ installed package's lines against it. It covers
 An output that raises is digested as its exception's type and message.
 
 The lines depend on glibc's libm. With Python 3.11.7, numpy 2.4.6 and
-glibc 2.36 on an x86-64 CPU with FMA, 55 of the 531 lines differ when
+glibc 2.36 on an x86-64 CPU with FMA, 55 of the 535 lines differ when
 glibc takes its non-FMA variants,
 
     GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA PYTHONPATH=src \
@@ -135,9 +137,16 @@ STIFF_J3_DAMPING = (20.0, 30.0, 40.0)
 # has dt*lambda = 2.78
 STIFF_J1_START = JointState(q=(0.0, 1.91, -1.38), qdot=(0.5, 0.0, 0.0))
 CONTACT = SpoonContact(time=0.1, impulse_pitch=0.01, impulse_yaw=-0.005)
-# yaw ranges of a workspace cloud: every slice with cos(phi1) < 0, and
-# slices of both signs
-WORKSPACE_YAWS = ((2.0, 3.0), (1.2, 1.9))
+# joint ranges of a workspace cloud, by digest name, as (joint, range):
+# yaw ranges of every slice with cos(phi1) < 0 and of slices of both
+# signs; a pinned yaw, one slice; and a pinned theta3, whose plane is
+# one line of theta2 nodes, each node repeated
+WORKSPACE_RANGES = {
+    "yaw-2.0-3.0": (0, (2.0, 3.0)),
+    "yaw-1.2-1.9": (0, (1.2, 1.9)),
+    "yaw-pinned-0.7": (0, (0.7, 0.7)),
+    "theta3-pinned-0.3": (2, (0.3, 0.3)),
+}
 
 # every kind of handle input a rollout takes; fresh() makes the callable
 # anew for each run, so that its call times can be digested
@@ -487,8 +496,7 @@ def study_lines():
     damped and an undamped rigid-mount noise rollout, against the
     tremor-free rollout and against the feeding motion, the bracket
     calibration and the handle travel of that motion; and the workspace
-    cloud at resolution 25 with the yaw range cut to each of
-    WORKSPACE_YAWS."""
+    cloud at resolution 25 with each of WORKSPACE_RANGES."""
     def rigid(dampers, inputs):
         return run_scenario(P, CONFIG.springs, dampers, MOUNTS["rigid"],
                             Scenario(duration=DURATION, timestep=DT,
@@ -512,10 +520,11 @@ def study_lines():
     yield from value_line(
         "trajectory_states", lambda: trajectory_states(P, trajectory),
         lambda states: array_sha([dataclasses.astuple(s) for s in states]))
-    for yaw in WORKSPACE_YAWS:
-        name = "workspace_sample/yaw-{}-{}".format(*yaw)
-        build = dataclasses.replace(P, joint_limits=(yaw,
-                                                     *P.joint_limits[1:]))
+    for name, (joint, limits) in WORKSPACE_RANGES.items():
+        name = f"workspace_sample/{name}"
+        build = dataclasses.replace(P, joint_limits=tuple(
+            limits if j == joint else pair
+            for j, pair in enumerate(P.joint_limits)))
         yield from outcome(name, lambda: workspace_sample(build, 25),
                            lambda sample: [
                                (f"{name}/points", array_sha(sample.points)),
