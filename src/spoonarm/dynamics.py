@@ -33,23 +33,30 @@ reads the springs and the dampers once each with kinematics.spec_tuple,
 which takes any iterable and names a bad entry (springs[i], dampers[i]),
 as every public entry point that takes a build's sets does; the sums
 that read a set again per joint (spring_sum, damper_sum,
-statics.torque_columns, potential_sum) take a tuple or a list. It
-computes every per-build constant once: the mass law (_mass_law), each
-lifted joint's statics.gravity_laws torque, the handle's
-kinematics.point_torque_law, and each joint's statics.spring_sum and
-damper_sum, both one statics.law_sum. The step then runs its four
-stages on local floats. Each law keeps one body: _mass_law, gravity's
-and the springs' laws and point_torque_law serve the stepper's floats
-and the statics' and recording's arrays alike, so gravity plus an ideal
-spring cancels in the stage as in the synthesis, and a balanced build
-at rest stays at rest.
+statics.torque_columns, potential_sum) take a tuple or a list. Each law
+the stage evaluates is stated once, as a source template (see _law):
+the mass law (_MASS_TERMS), gravity's torque, each spring kind's torque,
+each damper model's torque and the handle's point_torque_law; each
+joint's spring and damper sums are statics.law_sum templates over them.
+The public functions compile a template into a closure, for floats or
+arrays (the statics, the Jacobians, the recording), and _arm_stepper
+splices the same templates into one function: _STEP, with _STAGE, the
+stage, spliced in four times. Its code is compiled once per build shape
+(spring kinds and damper models per joint, in order), and each build's
+numbers are bound by name, so the stages make no call but the guard's
+rare ones and run on local floats. Gravity plus an ideal spring cancels
+in the stage as in the synthesis, and a balanced build at rest stays at
+rest.
 
 RK4 is stable on a damped mode only while dt*lambda <= 2.785 (Hairer &
 Wanner, Solving ODEs II, IV.2), lambda an eigenvalue of M^-1*C, C the
 diagonal of each joint's summed damper coefficients (a dead zone's at
 full c). Each stage guards it with the m11 and planar determinant it
-solves with: past STIFF_BOUND the step raises TimestepTooCoarseError
-naming the joints, the time and the largest stable dt.
+solves with, against floors computed once per build (_arm_stage), so
+the common path makes two compares; the guard's functions yaw and
+solvable are called only below a floor. Past STIFF_BOUND the step
+raises TimestepTooCoarseError naming the joints, the time and the
+largest stable dt.
 
 The mount is linear and unforced after a contact, so _mount_rows steps
 each axis with its exact propagator, exp(A*dt) in closed form, for
@@ -95,6 +102,7 @@ from itertools import repeat
 
 import numpy as np
 
+from ._law import Law
 from .errors import (DeflectionExceededError, LimitViolationError,
                      NonFiniteStateError, TimestepTooCoarseError)
 from .kinematics import (
@@ -109,6 +117,7 @@ from .kinematics import (
     number,
     number_fields,
     numbers,
+    _point_torques,
     point_position,
     point_torque_law,
     real,
@@ -116,8 +125,8 @@ from .kinematics import (
     spec_tuple,
     spoon_point,
 )
-from .statics import (SpringSpec, gravity_laws, law_sum, potential_sum,
-                      spring_sum)
+from .statics import (SpringSpec, _gravity_torque, _spring_sum, law_sum,
+                      potential_sum)
 
 # Not called here any more, but kept as attributes of this module:
 # perfbench/tracer.py patches these seven names on it.
@@ -426,33 +435,36 @@ class ContactResponse:
 # mass matrix and friends
 
 
+_MASS_TERMS = """
+def terms(c2t, s2t, c3t, s3t):
+    inner = a1 + L1 * c2t
+    r1 = a1 + c1L1 * c2t
+    r2 = inner + c2L2 * c3t
+    r3 = inner + L2 * c3t
+    m11 = m1 * r1 * r1 + m2 * r2 * r2 + mp * r3 * r3
+    cos_d = c2t * c3t + s2t * s3t     # cos(th2 - th3)
+    sin_d = s2t * c3t - c2t * s3t
+    d2 = n2L1 * s2t * (m1c1 * r1 + m2 * r2 + mp * r3)
+    d3 = n2L2 * s3t * (m2c2 * r2 + mp * r3)
+    return m11, b * cos_d, d2, d3, b * sin_d
+"""
+
+
 def _mass_law(params: MechanismParams):
     """(M22, M33, terms): the constant entries M22 and M33 of M(q), and
-    terms(c2t, s2t, c3t, s3t) of the cosines and sines of theta2 and
-    theta3, floats or numpy arrays, with the build's constants bound. It
-    returns the angle-dependent entries and their angle partials (M11,
-    M23, D2, D3, Bs): D2 = dM11/dtheta2, D3 = dM11/dtheta3, and, for the
-    coupling amplitude B of M23 = B*cos(theta2 - theta3), Bs =
-    B*sin(theta2 - theta3) = -dM23/dtheta2."""
+    the Law terms(c2t, s2t, c3t, s3t) (_MASS_TERMS) of the cosines and
+    sines of theta2 and theta3, floats or numpy arrays, with the build's
+    constants bound. It returns the angle-dependent entries and their
+    angle partials (M11, M23, D2, D3, Bs): D2 = dM11/dtheta2, D3 =
+    dM11/dtheta3, and, for the coupling amplitude B of M23 =
+    B*cos(theta2 - theta3), Bs = B*sin(theta2 - theta3) = -dM23/dtheta2."""
     a1, L1, L2 = params.base_offset, params.link1_length, params.link2_length
     m1, m2, mp = params.mass_link1, params.mass_link2, params.mass_payload
     c1, c2 = params.com_fraction1, params.com_fraction2
-    c1L1, c2L2, m1c1, m2c2 = c1 * L1, c2 * L2, m1 * c1, m2 * c2
-    n2L1, n2L2, b = -2.0 * L1, -2.0 * L2, L1 * L2 * (m2c2 + mp)
-
-    def terms(c2t, s2t, c3t, s3t):
-        inner = a1 + L1 * c2t
-        r1 = a1 + c1L1 * c2t
-        r2 = inner + c2L2 * c3t
-        r3 = inner + L2 * c3t
-
-        m11 = m1 * r1 * r1 + m2 * r2 * r2 + mp * r3 * r3
-        cos_d = c2t * c3t + s2t * s3t     # cos(th2 - th3)
-        sin_d = s2t * c3t - c2t * s3t
-        d2 = n2L1 * s2t * (m1c1 * r1 + m2 * r2 + mp * r3)
-        d3 = n2L2 * s3t * (m2c2 * r2 + mp * r3)
-        return m11, b * cos_d, d2, d3, b * sin_d
-
+    m1c1, m2c2 = m1 * c1, m2 * c2
+    terms = Law(_MASS_TERMS, a1=a1, L1=L1, L2=L2, m1=m1, m2=m2, mp=mp,
+                c1L1=c1 * L1, c2L2=c2 * L2, m1c1=m1c1, m2c2=m2c2,
+                n2L1=-2.0 * L1, n2L2=-2.0 * L2, b=L1 * L2 * (m2c2 + mp))
     return ((m1 * c1 * c1 + m2 + mp) * L1 * L1,
             (m2 * c2 * c2 + mp) * L2 * L2, terms)
 
@@ -466,8 +478,8 @@ def _state_mass(params: MechanismParams, state: JointState):
     """(M11, M22, M23, M33, D2, D3, Bs) at one joint state."""
     m22, m33, terms = _mass_law(params)
     _, th2, th3 = state.q
-    m11, m23, d2, d3, bs = terms(math.cos(th2), math.sin(th2),
-                                 math.cos(th3), math.sin(th3))
+    m11, m23, d2, d3, bs = terms.closure()(math.cos(th2), math.sin(th2),
+                                           math.cos(th3), math.sin(th3))
     return m11, m22, m23, m33, d2, d3, bs
 
 
@@ -501,22 +513,48 @@ def kinetic_energy(params: MechanismParams, state: JointState) -> float:
 # dampers and input signals
 
 
+_NO_DAMPER = Law("""
+def no_damper(omega):
+    return 0.0
+""")
+
+_VISCOUS = """
+def viscous(omega):
+    return neg_c * omega
+"""
+
+_DEAD_ZONE_VISCOUS = """
+def dead_zone_viscous(omega):
+    if neg_deadzone <= omega <= deadzone:
+        torque = 0.0
+    else:
+        torque = neg_c * (omega - (deadzone if omega > 0.0 else neg_deadzone))
+    return torque
+"""
+
+
+def _damper_law(spec: DamperSpec) -> Law:
+    """The law of damper_law(spec)."""
+    if spec.model is DamperModel.NONE:
+        return _NO_DAMPER
+    if spec.model is DamperModel.VISCOUS:
+        return Law(_VISCOUS, neg_c=-spec.coefficient)
+    return Law(_DEAD_ZONE_VISCOUS, neg_deadzone=-spec.deadzone,
+               deadzone=spec.deadzone, neg_c=-spec.coefficient)
+
+
 def damper_law(spec: DamperSpec):
     """The torque law torque(omega) of one damper at joint rate omega,
-    its constants bound."""
-    if spec.model is DamperModel.NONE:
-        return lambda omega: 0.0
-    neg_c = -spec.coefficient
-    if spec.model is DamperModel.VISCOUS:
-        return lambda omega: neg_c * omega
-    deadzone = spec.deadzone
-    neg_deadzone = -deadzone
+    its constants bound: each model's law is stated once, as the
+    templates above."""
+    return _damper_law(spec).closure()
 
-    def dead_zone_viscous(omega):
-        if neg_deadzone <= omega <= deadzone:
-            return 0.0
-        return neg_c * (omega - (deadzone if omega > 0.0 else neg_deadzone))
-    return dead_zone_viscous
+
+def _damper_sum(dampers, joint: Joint) -> Law:
+    """The law of damper_sum."""
+    return law_sum((_damper_law(spec) for spec in dampers
+                    if spec.joint == joint and spec.coefficient > 0.0),
+                   _NO_DAMPER)
 
 
 def damper_sum(dampers, joint: Joint):
@@ -524,9 +562,7 @@ def damper_sum(dampers, joint: Joint):
     `joint`, those with a coefficient > 0, added in the order given, the
     laws bound once: the constant law +0.0 for no acting damper.
     `dampers` is a tuple or a list, as each joint's sum reads it again."""
-    return law_sum((damper_law(spec) for spec in dampers
-                    if spec.joint == joint and spec.coefficient > 0.0),
-                   lambda omega: 0.0)
+    return _damper_sum(dampers, joint).closure()
 
 
 def damper_torque(spec: DamperSpec, omega: float) -> float:
@@ -618,24 +654,71 @@ def _stage_times(k0: int, k1: int, n: int, dt: float) -> np.ndarray:
 # equations of motion
 
 
+# One stage of the equations of motion: the joint accelerations and the
+# dissipated power at one state under the handle force, or None for no
+# input. Each law it calls is a Law, spliced in.
+_STAGE = """
+def accel(phi1, th2, th3, w1, w2, w3, force):
+    c2t = cos(th2)
+    s2t = sin(th2)
+    c3t = cos(th3)
+    s3t = sin(th3)
+    m11, m23, d2, d3, bs = mass(c2t, s2t, c3t, s3t)
+
+    tau1 = damper1(w1)
+    damp2 = damper2(w2)
+    damp3 = damper3(w3)
+    power = 0.0 - tau1 * w1 - damp2 * w2 - damp3 * w3
+    weight2 = gravity2(c2t)
+    lift2 = spring2(th2, c2t, s2t)
+    tau2 = weight2 + lift2 + damp2
+    weight3 = gravity3(c3t)
+    lift3 = spring3(th3, c3t, s3t)
+    tau3 = weight3 + lift3 + damp3
+
+    if force is not None:
+        fx, fy, fz = force
+        cp = cos(phi1)
+        sp = sin(phi1)
+        h1, h2, h3 = handle(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz)
+        tau1 += h1
+        tau2 += h2
+        tau3 += h3
+
+    # subtract C(q, qdot) * qdot
+    rhs1 = tau1 - w1 * (d2 * w2 + d3 * w3)
+    rhs2 = tau2 - (-0.5 * d2 * w1 * w1 + bs * w3 * w3)
+    rhs3 = tau3 - (-0.5 * d3 * w1 * w1 - bs * w2 * w2)
+
+    # block solve, behind the guard; joints with no inertia (massless
+    # limit) hold their rate, and a singular planar block degrades to
+    # independent per-joint solves
+    acc1 = rhs1 / m11 if m11 > floor1 else yaw(m11, rhs1)
+    det = m22_m33 - m23 * m23
+    if det > floor23 or solvable(det):
+        acc2 = (rhs2 * m33 - rhs3 * m23) / det
+        acc3 = (rhs3 * m22 - rhs2 * m23) / det
+    else:
+        acc2 = rhs2 / m22 if m22 > tiny else 0.0
+        acc3 = rhs3 / m33 if m33 > tiny else 0.0
+    return acc1, acc2, acc3, power
+"""
+
+
 class _StiffStage(Exception):
     """A stage's dampers are too stiff for dt: args (joints, dt*lambda)."""
 
 
-def _arm_law(params: MechanismParams, springs, dampers, dt: float):
-    """accel(phi1, th2, th3, w1, w2, w3, force) of one build: the joint
-    accelerations and the dissipated power (acc1, acc2, acc3, power) at
-    one state under the handle force (fx, fy, fz), or None for no input.
+def _arm_stage(params: MechanismParams, springs, dampers, dt: float) -> Law:
+    """The Law of _STAGE of one build, for a step of dt.
 
     Every term that does not depend on the state is computed here, once
-    per build: the mass law, each lifted joint's statics.gravity_laws
-    torque, the handle's torque law, and each spring's and each acting
-    damper's law, bound per joint. accel calls each law with positional
-    arguments only: a *args call takes CPython's generic call path and
-    cost about 7% of a rollout.
+    per build: the mass law, each lifted joint's gravity torque, the
+    handle's torque law, and each joint's spring and damper sums, each a
+    statics.law_sum, all bound as Laws for the stage to splice.
 
-    For a step of dt, accel raises _StiffStage(joints, dt*lambda) where
-    dt*lambda of M^-1*C, C the diagonal of each joint's summed
+    For a step of dt, the stage raises _StiffStage(joints, dt*lambda)
+    where dt*lambda of M^-1*C, C the diagonal of each joint's summed
     damper coefficients (a dead zone's at full c), exceeds STIFF_BOUND.
     The build's floors replace the solve's own tests against tiny, so the
     common path makes no extra compare: m11 is tested against
@@ -645,30 +728,17 @@ def _arm_law(params: MechanismParams, springs, dampers, dt: float):
     solves the 2x2 root.
     """
     m22, m33, mass = _mass_law(params)
-    m22_m33 = m22 * m33
-    gravity2, gravity3 = (gravity_laws(params, joint)[0]
-                          for joint in (Joint.J2, Joint.J3))
-    handle_torques = point_torque_law(handle_point(params))
     springs = spec_tuple(springs, SpringSpec, "springs")
     dampers = spec_tuple(dampers, DamperSpec, "dampers")
-    spring2, spring3 = (spring_sum(springs, joint)
-                        for joint in (Joint.J2, Joint.J3))
-    damper1, damper2, damper3 = (damper_sum(dampers, joint)
-                                 for joint in Joint)
-    cos, sin = math.cos, math.sin
     tiny = 1e-18
 
     # dt*c of each joint's dampers, and the floors of the guard
-    dc1, dc2, dc3 = (dt * sum(spec.coefficient for spec in dampers
-                              if spec.joint == joint)
-                     for joint in Joint)
+    c = [0, 0, 0]
+    for spec in dampers:
+        c[spec.joint] += spec.coefficient
+    dc1, dc2, dc3 = dt * c[0], dt * c[1], dt * c[2]
     floor1 = max(tiny, dc1 / STIFF_BOUND)
     floor23 = max(tiny, (dc2 * m33 + dc3 * m22) / STIFF_BOUND)
-    planar = " and ".join(joint.name for joint, dc
-                          in ((Joint.J2, dc2), (Joint.J3, dc3)) if dc)
-    # a singular block's per-joint solves: dt*c/M of each damped joint
-    singular_rate = max((dc / m if m > tiny else math.inf) if dc else 0.0
-                        for dc, m in ((dc2, m22), (dc3, m33)))
 
     def yaw(m11, rhs1):
         """acc1 at m11 <= floor1, unless dt*c1/m11 exceeds STIFF_BOUND: a
@@ -685,47 +755,93 @@ def _arm_law(params: MechanismParams, springs, dampers, dt: float):
             half = 0.5 * (dc2 * m33 + dc3 * m22) / det
             rate = half + math.sqrt(max(half * half - dc2 * dc3 / det, 0.0))
         else:
-            rate = singular_rate
+            # a singular block's per-joint solves: dt*c/M of each damped
+            # joint
+            rate = max((dc / m if m > tiny else math.inf) if dc else 0.0
+                       for dc, m in ((dc2, m22), (dc3, m33)))
         if rate > STIFF_BOUND:
-            raise _StiffStage(planar, rate)
+            raise _StiffStage(" and ".join(
+                joint.name for joint, dc in ((Joint.J2, dc2), (Joint.J3, dc3))
+                if dc), rate)
         return det > tiny
 
-    def accel(phi1, th2, th3, w1, w2, w3, force):
-        c2t, s2t, c3t, s3t = cos(th2), sin(th2), cos(th3), sin(th3)
-        m11, m23, d2, d3, bs = mass(c2t, s2t, c3t, s3t)
+    return Law(_STAGE, {
+        "mass": mass,
+        "damper1": _damper_sum(dampers, Joint.J1),
+        "damper2": _damper_sum(dampers, Joint.J2),
+        "damper3": _damper_sum(dampers, Joint.J3),
+        "gravity2": _gravity_torque(params, Joint.J2),
+        "spring2": _spring_sum(springs, Joint.J2),
+        "gravity3": _gravity_torque(params, Joint.J3),
+        "spring3": _spring_sum(springs, Joint.J3),
+        "handle": _point_torques(handle_point(params)),
+    }, floor1=floor1, yaw=yaw, m22_m33=m22 * m33, floor23=floor23,
+               solvable=solvable, m22=m22, m33=m33, tiny=tiny)
 
-        tau1, damp2, damp3 = damper1(w1), damper2(w2), damper3(w3)
-        power = 0.0 - tau1 * w1 - damp2 * w2 - damp3 * w3
-        tau2 = gravity2(c2t) + spring2(th2, c2t, s2t) + damp2
-        tau3 = gravity3(c3t) + spring3(th3, c3t, s3t) + damp3
 
-        if force is not None:
-            fx, fy, fz = force
-            h1, h2, h3 = handle_torques(cos(phi1), sin(phi1),
-                                        c2t, s2t, c3t, s3t, fx, fy, fz)
-            tau1 += h1
-            tau2 += h2
-            tau3 += h3
+def _arm_law(params: MechanismParams, springs, dampers, dt: float):
+    """accel(phi1, th2, th3, w1, w2, w3, force) of one build: the joint
+    accelerations and the dissipated power (acc1, acc2, acc3, power) at
+    one state under the handle force (fx, fy, fz), or None for no input.
+    It is _arm_stage compiled alone, the stage _arm_stepper splices four
+    times, and raises _StiffStage for dampers too stiff for dt."""
+    return _arm_stage(params, springs, dampers, dt).closure()
 
-        # subtract C(q, qdot) * qdot
-        rhs1 = tau1 - w1 * (d2 * w2 + d3 * w3)
-        rhs2 = tau2 - (-0.5 * d2 * w1 * w1 + bs * w3 * w3)
-        rhs3 = tau3 - (-0.5 * d3 * w1 * w1 - bs * w2 * w2)
 
-        # block solve, behind the guard; joints with no inertia (massless
-        # limit) hold their rate, and a singular planar block degrades to
-        # independent per-joint solves
-        acc1 = rhs1 / m11 if m11 > floor1 else yaw(m11, rhs1)
-        det = m22_m33 - m23 * m23
-        if det > floor23 or solvable(det):
-            acc2 = (rhs2 * m33 - rhs3 * m23) / det
-            acc3 = (rhs3 * m22 - rhs2 * m23) / det
-        else:
-            acc2 = rhs2 / m22 if m22 > tiny else 0.0
-            acc3 = rhs3 / m33 if m33 > tiny else 0.0
-        return acc1, acc2, acc3, power
+# One RK4 step of the arm. The stages are _STAGE, spliced in four times.
+_STEP = """
+def step(y, t, f0, f_half, f1):
+    q1, q2, q3, w1, w2, w3, e = y
+    try:
+        # stage k_i = (rates u_i, accelerations a_i, power p_i)
+        a1, a2, a3, p1 = stage(q1, q2, q3, w1, w2, w3, f0)
+        u1, u2, u3 = w1 + half * a1, w2 + half * a2, w3 + half * a3
+        b1, b2, b3, p2 = stage(q1 + half * w1, q2 + half * w2,
+                               q3 + half * w3, u1, u2, u3, f_half)
+        v1, v2, v3 = w1 + half * b1, w2 + half * b2, w3 + half * b3
+        c1, c2, c3, p3 = stage(q1 + half * u1, q2 + half * u2,
+                               q3 + half * u3, v1, v2, v3, f_half)
+        x1, x2, x3 = w1 + dt * c1, w2 + dt * c2, w3 + dt * c3
+        d1, d2, d3, p4 = stage(q1 + dt * v1, q2 + dt * v2,
+                               q3 + dt * v3, x1, x2, x3, f1)
+    except (ValueError, OverflowError):
+        # a stage left the floats, as math.cos of an infinite angle
+        raise NonFiniteStateError(diverged(t + dt)) from None
+    except StiffStage as stiff:
+        joints, rate = stiff.args
+        raise TimestepTooCoarseError(
+            f"{joints} damping dt*lambda = {rate:.6g} exceeds "
+            f"{STIFF_BOUND} at t = {t:.6f} s; the largest stable dt is "
+            f"{dt * STIFF_BOUND / rate:.6g} s; reduce the timestep"
+        ) from None
+    q1 += sixth * (w1 + 2.0 * u1 + 2.0 * v1 + x1)
+    q2 += sixth * (w2 + 2.0 * u2 + 2.0 * v2 + x2)
+    q3 += sixth * (w3 + 2.0 * u3 + 2.0 * v3 + x3)
+    w1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+    w2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+    w3 += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+    e += sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
 
-    return accel
+    # joint-limit clamp with zeroing of the outgoing velocity
+    if q1 < lo1:
+        q1, w1 = lo1, max(w1, 0.0)
+    elif q1 > hi1:
+        q1, w1 = hi1, min(w1, 0.0)
+    if q2 < lo2:
+        q2, w2 = lo2, max(w2, 0.0)
+    elif q2 > hi2:
+        q2, w2 = hi2, min(w2, 0.0)
+    if q3 < lo3:
+        q3, w3 = lo3, max(w3, 0.0)
+    elif q3 > hi3:
+        q3, w3 = hi3, min(w3, 0.0)
+
+    # x - x is +0.0 for a finite x and NaN for an inf or a NaN
+    if ((q1 - q1) + (q2 - q2) + (q3 - q3) + (w1 - w1) + (w2 - w2)
+            + (w3 - w3) + (e - e) != 0.0):
+        raise NonFiniteStateError(diverged(t + dt))
+    return q1, q2, q3, w1, w2, w3, e
+"""
 
 
 def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
@@ -737,70 +853,22 @@ def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
     The joint limits clamp the position and zero the outgoing velocity;
     a state or stage that leaves the floats raises NonFiniteStateError,
     and a stage whose dampers are too stiff for dt its subclass
-    TimestepTooCoarseError.
-    The stages call accel with positional arguments only, and the step
-    tests the new state's finiteness with one float expression, exact
-    for any finite state, with no call per entry.
+    TimestepTooCoarseError. The step is _STEP with _arm_stage spliced in
+    as its four stages, compiled once per build shape, so a stage makes
+    no call but the guard's rare ones; it tests the new state's
+    finiteness with one float expression, exact for any finite state,
+    with no call per entry.
     """
-    accel = _arm_law(params, springs, dampers, dt)
     (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    diverged = "state diverged at t = {:.6f} s; reduce the timestep".format
-
-    def step(y, t, f0, f_half, f1):
-        q1, q2, q3, w1, w2, w3, e = y
-        try:
-            # stage k_i = (rates u_i, accelerations a_i, power p_i)
-            a1, a2, a3, p1 = accel(q1, q2, q3, w1, w2, w3, f0)
-            u1, u2, u3 = w1 + half * a1, w2 + half * a2, w3 + half * a3
-            b1, b2, b3, p2 = accel(q1 + half * w1, q2 + half * w2,
-                                   q3 + half * w3, u1, u2, u3, f_half)
-            v1, v2, v3 = w1 + half * b1, w2 + half * b2, w3 + half * b3
-            c1, c2, c3, p3 = accel(q1 + half * u1, q2 + half * u2,
-                                   q3 + half * u3, v1, v2, v3, f_half)
-            x1, x2, x3 = w1 + dt * c1, w2 + dt * c2, w3 + dt * c3
-            d1, d2, d3, p4 = accel(q1 + dt * v1, q2 + dt * v2,
-                                   q3 + dt * v3, x1, x2, x3, f1)
-        except (ValueError, OverflowError):
-            # a stage left the floats, as math.cos of an infinite angle
-            raise NonFiniteStateError(diverged(t + dt)) from None
-        except _StiffStage as stiff:
-            joints, rate = stiff.args
-            raise TimestepTooCoarseError(
-                f"{joints} damping dt*lambda = {rate:.6g} exceeds "
-                f"{STIFF_BOUND} at t = {t:.6f} s; the largest stable dt is "
-                f"{dt * STIFF_BOUND / rate:.6g} s; reduce the timestep"
-            ) from None
-        q1 += sixth * (w1 + 2.0 * u1 + 2.0 * v1 + x1)
-        q2 += sixth * (w2 + 2.0 * u2 + 2.0 * v2 + x2)
-        q3 += sixth * (w3 + 2.0 * u3 + 2.0 * v3 + x3)
-        w1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        w2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-        w3 += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-        e += sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-
-        # joint-limit clamp with zeroing of the outgoing velocity
-        if q1 < lo1:
-            q1, w1 = lo1, max(w1, 0.0)
-        elif q1 > hi1:
-            q1, w1 = hi1, min(w1, 0.0)
-        if q2 < lo2:
-            q2, w2 = lo2, max(w2, 0.0)
-        elif q2 > hi2:
-            q2, w2 = hi2, min(w2, 0.0)
-        if q3 < lo3:
-            q3, w3 = lo3, max(w3, 0.0)
-        elif q3 > hi3:
-            q3, w3 = hi3, min(w3, 0.0)
-
-        # x - x is +0.0 for a finite x and NaN for an inf or a NaN
-        if ((q1 - q1) + (q2 - q2) + (q3 - q3) + (w1 - w1) + (w2 - w2)
-                + (w3 - w3) + (e - e) != 0.0):
-            raise NonFiniteStateError(diverged(t + dt))
-        return q1, q2, q3, w1, w2, w3, e
-
-    return step
+    return Law(_STEP, {"stage": _arm_stage(params, springs, dampers, dt)},
+               half=0.5 * dt, dt=dt, sixth=dt / 6.0,
+               NonFiniteStateError=NonFiniteStateError,
+               diverged="state diverged at t = {:.6f} s; reduce the "
+                        "timestep".format,
+               StiffStage=_StiffStage,
+               TimestepTooCoarseError=TimestepTooCoarseError,
+               STIFF_BOUND=STIFF_BOUND, lo1=lo1, hi1=hi1, lo2=lo2, hi2=hi2,
+               lo3=lo3, hi3=hi3).closure()
 
 
 def _mount_rows(compliance: ComplianceSpec, d: float, v: float, n: int,
@@ -1030,7 +1098,7 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
                                                          *row_forces.T))
 
     m22, m33, mass = _mass_law(params)
-    m11, m23, *_ = mass(c2t, s2t, c3t, s3t)
+    m11, m23, *_ = mass.closure()(c2t, s2t, c3t, s3t)
     e_kin = _kinetic(m11, m22, m23, m33, w1, w2, w3)
     e_pot = potential_sum(params, springs, th2, s2t, th3, s3t, np.sqrt,
                           np.maximum)

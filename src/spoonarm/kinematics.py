@@ -41,6 +41,7 @@ from numbers import Real
 
 import numpy as np
 
+from ._law import Law
 from .errors import LimitViolationError, UnreachableError
 
 TWO_PI = 2.0 * math.pi
@@ -330,25 +331,38 @@ def point_turn(point, r, cp, sp):
     return r * cp - b * sp, r * sp + b * cp
 
 
+# the yaw torque is the force's moment about the vertical J1 axis, at
+# point_position's x and y, computed with its operations; each link
+# product is shared, as (-L)*s == -(L*s) exactly
+_POINT_TORQUES = """
+def torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
+    u2 = L1 * c2t
+    u3 = reach * c3t
+    v2 = L1 * s2t
+    v3 = reach * s3t
+    r = a + u2 + u3
+    x = r * cp - b * sp
+    y = r * sp + b * cp
+    return (x * fy - y * fx,
+            -v2 * cp * fx - v2 * sp * fy + u2 * fz,
+            -v3 * cp * fx - v3 * sp * fy + u3 * fz)
+"""
+
+
+def _point_torques(point) -> Law:
+    """The law of point_torque_law(point)."""
+    a, L1, reach, b, _, _ = point
+    return Law(_POINT_TORQUES, a=a, L1=L1, reach=reach, b=b)
+
+
 def point_torque_law(point):
     """The joint-torque law torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz)
     of `point`, its coefficients bound: J^T F of the force (fx, fy, fz)
     there, the trigonometry as for point_position, floats or numpy arrays.
-    This is the one definition of a point's Jacobian: jacobian and
-    handle_jacobian read their rows off it."""
-    a, L1, reach, b, _, _ = point
-
-    def torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
-        # the yaw torque is the force's moment about the vertical J1 axis,
-        # at point_position's x and y, computed with its operations; each
-        # link product is shared, as (-L)*s == -(L*s) exactly
-        u2, u3, v2, v3 = L1 * c2t, reach * c3t, L1 * s2t, reach * s3t
-        r = a + u2 + u3
-        x, y = r * cp - b * sp, r * sp + b * cp
-        return (x * fy - y * fx,
-                -v2 * cp * fx - v2 * sp * fy + u2 * fz,
-                -v3 * cp * fx - v3 * sp * fy + u3 * fz)
-    return torques
+    This is the one definition of a point's Jacobian, _POINT_TORQUES:
+    jacobian and handle_jacobian read their rows off it, and the RK4 step
+    splices it."""
+    return _point_torques(point).closure()
 
 
 def _trig(q):

@@ -30,9 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
+from ._law import Law, arguments
 from .errors import InfeasibleBoundsError
 from .kinematics import (JointState, Joint, MechanismParams, as_member,
                          handle_jacobian, number_fields, spec_tuple)
@@ -161,12 +163,25 @@ def _gravity_scale(params: MechanismParams, joint: Joint) -> float:
     return params.gravity * gravity_coefficients(params)[joint - 1]
 
 
+_GRAVITY_TORQUE = """
+def torque(c):
+    return -g_a * c
+"""
+
+
+def _gravity_torque(params: MechanismParams, joint: Joint) -> Law:
+    """Gravity's torque law on one lifted joint: -g*A*c at the cosine c of
+    its angle."""
+    return Law(_GRAVITY_TORQUE, g_a=_gravity_scale(params, joint))
+
+
 def gravity_laws(params: MechanismParams, joint: Joint):
     """Gravity's laws on one lifted joint, floats or arrays: the torque
-    -g*A*c at the cosine c of its angle, and the potential g*A*s at its
-    sine s above the masses' rest at the base height (see potential_sum)."""
+    -g*A*c at the cosine c of its angle (_GRAVITY_TORQUE), and the
+    potential g*A*s at its sine s above the masses' rest at the base
+    height (see potential_sum)."""
     g_a = _gravity_scale(params, joint)
-    return (lambda c: -g_a * c), (lambda s: g_a * s)
+    return _gravity_torque(params, joint).closure(), (lambda s: g_a * s)
 
 
 def gravity_torque(params: MechanismParams,
@@ -185,11 +200,70 @@ def gravity_potential(params: MechanismParams, state: JointState) -> float:
 # spring models
 
 
-def _spring_length(a2b2, two_ab, s, sqrt=math.sqrt, maximum=max):
-    """Length of a linear spring with a2b2 = a^2 + b^2 and two_ab = 2ab
-    at bar-angle sine s: floats, or numpy arrays with sqrt=np.sqrt and
-    maximum=np.maximum."""
+# the spring laws' templates: each takes floats, or numpy arrays with
+# sqrt=np.sqrt and maximum=np.maximum
+
+_SPRING_LENGTH = Law("""
+def length(a2b2, two_ab, s, sqrt=sqrt, maximum=max):
     return sqrt(maximum(a2b2 - two_ab * s, 0.0))
+""")    # with a2b2 = a^2 + b^2 and two_ab = 2ab, at bar-angle sine s
+
+_NO_SPRING = Law("""
+def no_spring(angle, c, s, sqrt=sqrt, maximum=max):
+    return 0.0 * abs(angle)     # +0.0, a float or a column like angle
+""")
+
+_TORSION_TORQUE = """
+def torque(angle, c, s, sqrt=sqrt, maximum=max):
+    return neg_k * (angle - neutral)
+"""
+
+_TORSION_POTENTIAL = """
+def potential(angle, s, sqrt=sqrt, maximum=max):
+    d = angle - neutral
+    return half_k * d * d
+"""
+
+_ZERO_FREE_LENGTH_TORQUE = """
+def torque(angle, c, s, sqrt=sqrt, maximum=max):
+    return kab * c
+"""
+
+# real linear spring: tau = -k (l - l0) dl/dtheta, dl/dtheta = -ab cos/l;
+# below 1e-12 the anchor and attachment coincide (a == b, bar vertical):
+# the force direction is undefined, the torque limit 0
+_REAL_TORQUE = """
+def torque(angle, c, s, sqrt=sqrt, maximum=max):
+    l = length(a2b2, two_ab, s, sqrt, maximum)
+    return (l >= 1e-12) * (k * (l - l0) * ab * c / maximum(l, 1e-12))
+"""
+
+# both linear kinds; l0 = 0 for the zero-free-length kind
+_LINEAR_POTENTIAL = """
+def potential(angle, s, sqrt=sqrt, maximum=max):
+    l = length(a2b2, two_ab, s, sqrt, maximum)
+    stretch = l - l0
+    return half_k * stretch * stretch
+"""
+
+
+def _spring_laws(spec: SpringSpec) -> tuple[Law, Law]:
+    """The torque and potential laws of one spring, its constants bound."""
+    k = spec.stiffness
+    half_k = 0.5 * k
+    if spec.kind is SpringKind.TORSION:
+        neutral = spec.torsion_neutral
+        return (Law(_TORSION_TORQUE, neg_k=-k, neutral=neutral),
+                Law(_TORSION_POTENTIAL, half_k=half_k, neutral=neutral))
+    a, b, l0 = spec.anchor_radius, spec.bar_radius, spec.free_length
+    ab, a2b2, two_ab = a * b, a * a + b * b, 2.0 * a * b
+    if spec.kind is SpringKind.LINEAR_ZERO_FREE_LENGTH:
+        torque = Law(_ZERO_FREE_LENGTH_TORQUE, kab=k * ab)
+    else:
+        torque = Law(_REAL_TORQUE, {"length": _SPRING_LENGTH}, a2b2=a2b2,
+                     two_ab=two_ab, k=k, l0=l0, ab=ab)
+    return torque, Law(_LINEAR_POTENTIAL, {"length": _SPRING_LENGTH},
+                       a2b2=a2b2, two_ab=two_ab, l0=l0, half_k=half_k)
 
 
 def spring_laws(spec: SpringSpec):
@@ -199,47 +273,11 @@ def spring_laws(spec: SpringSpec):
     spring exerts on its joint at the bar angle, given with its cosine c
     and sine s; potential(angle, s, sqrt=math.sqrt, maximum=max) is the
     elastic energy stored there. Both take floats, or numpy arrays with
-    numpy's sqrt and maximum, for a whole column in one pass.
+    numpy's sqrt and maximum, for a whole column in one pass. Each kind's
+    laws are stated once, as the templates above.
     """
-    k = spec.stiffness
-    half_k = 0.5 * k
-    if spec.kind is SpringKind.TORSION:
-        neg_k, neutral = -k, spec.torsion_neutral
-
-        def torque(angle, c, s, sqrt=math.sqrt, maximum=max):
-            return neg_k * (angle - neutral)
-
-        def potential(angle, s, sqrt=math.sqrt, maximum=max):
-            d = angle - neutral
-            return half_k * d * d
-        return torque, potential
-
-    a, b = spec.anchor_radius, spec.bar_radius
-    ab, a2b2, two_ab = a * b, a * a + b * b, 2.0 * a * b
-    if spec.kind is SpringKind.LINEAR_ZERO_FREE_LENGTH:
-        kab = k * ab
-
-        def torque(angle, c, s, sqrt=math.sqrt, maximum=max):
-            return kab * c
-
-        def potential(angle, s, sqrt=math.sqrt, maximum=max):
-            l = _spring_length(a2b2, two_ab, s, sqrt, maximum)
-            return half_k * l * l
-        return torque, potential
-
-    # real linear spring: tau = -k (l - l0) dl/dtheta, dl/dtheta = -ab cos/l
-    l0 = spec.free_length
-
-    def torque(angle, c, s, sqrt=math.sqrt, maximum=max):
-        l = _spring_length(a2b2, two_ab, s, sqrt, maximum)
-        # below 1e-12 the anchor and attachment coincide (a == b, bar
-        # vertical): the force direction is undefined, the torque limit 0
-        return (l >= 1e-12) * (k * (l - l0) * ab * c / maximum(l, 1e-12))
-
-    def potential(angle, s, sqrt=math.sqrt, maximum=max):
-        stretch = _spring_length(a2b2, two_ab, s, sqrt, maximum) - l0
-        return half_k * stretch * stretch
-    return torque, potential
+    torque, potential = _spring_laws(spec)
+    return torque.closure(), potential.closure()
 
 
 def spring_torque(spec: SpringSpec, angle: float) -> float:
@@ -254,23 +292,33 @@ def spring_potential(spec: SpringSpec, angle: float) -> float:
     return potential(angle, math.sin(angle))
 
 
-def law_sum(laws, zero):
-    """`laws` added in order onto the value of the law `zero`, as one law:
-    `zero` itself for no law, and a lone law itself, with no extra call."""
+@lru_cache(maxsize=None)
+def _sum_template(zero: str) -> str:
+    """The template of one more law added onto a sum, `before`, of laws
+    called as the template `zero` is."""
+    signature, call = arguments(zero)
+    return (f"def total({signature}):\n"
+            f"    value = before({call})\n"
+            f"    term = law({call})\n"
+            f"    return value + term\n")
+
+
+def law_sum(laws, zero: Law) -> Law:
+    """The Laws `laws` added in order onto the value of the Law `zero`, as
+    one law: `zero` itself for no law, and a lone law itself."""
     laws = tuple(laws)
     if len(laws) < 2:
         return laws[0] if laws else zero
-
-    def total(*args):
-        value = zero(*args)
-        for law in laws:
-            value = value + law(*args)
-        return value
+    total = zero
+    for law in laws:
+        total = Law(_sum_template(zero.source), {"before": total, "law": law})
     return total
 
 
-def _no_spring(angle, c, s, sqrt=math.sqrt, maximum=max):
-    return 0.0 * abs(angle)     # +0.0, a float or a column like angle
+def _spring_sum(springs, joint: Joint) -> Law:
+    """The law of spring_sum."""
+    return law_sum((_spring_laws(spec)[0] for spec in springs
+                    if spec.joint == joint), _NO_SPRING)
 
 
 def spring_sum(springs, joint: Joint):
@@ -278,8 +326,7 @@ def spring_sum(springs, joint: Joint):
     spring_laws torque, the laws bound once: +0.0 at every angle for no
     spring. `springs` is a tuple or a list, as each joint's sum reads it
     again."""
-    return law_sum((spring_laws(spec)[0] for spec in springs
-                    if spec.joint == joint), _no_spring)
+    return _spring_sum(springs, joint).closure()
 
 
 def spring_joint_torques(springs, state: JointState) -> tuple[float, float, float]:
@@ -300,7 +347,8 @@ def potential_sum(params: MechanismParams, springs, th2, s2t, th3, s3t,
     for joint, (_, s) in at.items():
         v = v + gravity_laws(params, joint)[1](s)
     for spec in springs:
-        v = v + spring_laws(spec)[1](*at[spec.joint], sqrt, maximum)
+        v = v + _spring_laws(spec)[1].closure()(*at[spec.joint], sqrt,
+                                                maximum)
     return v
 
 

@@ -1,9 +1,12 @@
 """Dynamics tests: mass matrix structure, energy bookkeeping, dampers,
 input signals, integration accuracy, and the compliant mount."""
 
+import ast
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -56,6 +59,7 @@ from spoonarm.statics import (
     synthesize_balancing,
 )
 
+from closure_stage import closure_step
 from shipped import ASYMMETRIC, EXAMPLE, FREE_LIMITS, RIGID, SHIPPED
 
 # closed forms for the nominal build: M22 = (m1*c1^2 + m2 + mp)*L1^2,
@@ -402,6 +406,21 @@ def test_energy_conservation_undamped():
     assert np.all(res.e_diss == 0.0)
 
 
+def test_energy_conservation_undamped_on_the_asymmetric_build():
+    # the swing of test_energy_conservation_undamped with every link
+    # length, mass and centre-of-mass fraction distinct: a Coriolis term
+    # that reads one link's value for the other's, which leaves M and
+    # gravity alone, gains or loses energy here (4.1e-9 drift as built)
+    hang = -math.pi / 2.0
+    sc = Scenario(duration=3.0, timestep=1e-3,
+                  initial=JointState(q=(0.0, hang + 0.4, hang - 0.25),
+                                     qdot=(0.4, 0.2, -0.1)))
+    res = run_scenario(ASYMMETRIC, [], [], RIGID, sc)
+    e = res.total_energy
+    assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-6
+    assert np.all(res.e_diss == 0.0)
+
+
 def test_damped_energy_accounting():
     p = free_params()
     dampers = [DamperSpec(j, DamperModel.VISCOUS, 0.4) for j in Joint]
@@ -545,7 +564,7 @@ TORSION_SPRING = SpringSpec(SpringKind.TORSION, Joint.J3, 0.8,
 ALL_SPRINGS = (ZERO_FREE_LENGTH, REAL_SPRING, TORSION_SPRING)
 
 
-@pytest.mark.parametrize("params, springs, dampers, y", [
+STEPPER_BUILDS = [
     pytest.param(free_params(), (ZERO_FREE_LENGTH,), (), STEP_STATE,
                  id="zero-free-length"),
     pytest.param(free_params(), (REAL_SPRING,), (), STEP_STATE, id="real"),
@@ -582,7 +601,10 @@ ALL_SPRINGS = (ZERO_FREE_LENGTH, REAL_SPRING, TORSION_SPRING)
     pytest.param(free_params(mass_link2=0.0, mass_payload=0.0), ALL_SPRINGS,
                  (DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4),),
                  STEP_STATE, id="degenerate-mass-block"),
-])
+]
+
+
+@pytest.mark.parametrize("params, springs, dampers, y", STEPPER_BUILDS)
 @pytest.mark.parametrize("forces", [(None, None, None), STAGE_FORCES],
                          ids=["no-force", "handle-force"])
 def test_stepper_equals_textbook_rk4(params, springs, dampers, y, forces):
@@ -1164,6 +1186,133 @@ def test_stiff_damper_guard_trips_where_dt_lambda_passes_the_bound(
 # 0.2 starts at dt*lambda = 2.78 there, and drifts 9.27e-3 J in 1 s
 # without the guard
 LEAST_YAW_INERTIA = JointState(q=(0.0, 1.91, -1.38), qdot=(0.5, 0.0, 0.0))
+AT_LEAST_YAW_INERTIA = LEAST_YAW_INERTIA.q + LEAST_YAW_INERTIA.qdot + (0.0,)
+PLANAR_DAMPERS = (DamperSpec(Joint.J2, DamperModel.VISCOUS, 40.0),
+                  DamperSpec(Joint.J3, DamperModel.VISCOUS, 10.0))
+
+
+def oracle_case(params, springs, dampers, y, dt, raises, id):
+    return pytest.param(params, springs, dampers, y, dt, raises, id=id)
+
+
+# the values and the guard's paths the stepper grid does not reach; a
+# case that raises names its error
+ORACLE_CASES = [
+    oracle_case(free_params(), ALL_SPRINGS,
+                (DamperSpec(Joint.J2, DamperModel.VISCOUS, 5e-324),),
+                STEP_STATE, 1e-3, None, "subnormal-coefficient"),
+    oracle_case(free_params(),
+                (SpringSpec(SpringKind.TORSION, Joint.J3, 0.8,
+                            torsion_neutral=-0.0),), (),
+                (0.2, 0.8, -0.0, 0.5, -1.0, 0.0, 0.0), 1e-3, None,
+                "torsion-neutral-minus-zero"),
+    # the first stage's w2 = -1.0 and w3 = 2.0 lie on the band's edges
+    oracle_case(free_params(), ALL_SPRINGS,
+                (DamperSpec(Joint.J2, DamperModel.DEAD_ZONE_VISCOUS, 0.4,
+                            1.0),
+                 DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.3,
+                            2.0)),
+                STEP_STATE, 1e-3, None, "rate-on-the-dead-zone-edges"),
+    # dt*c1/m11 = 2.57 keeps m11 above its floor, 2.78 trips the guard
+    oracle_case(MechanismParams(), (),
+                (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.185),),
+                AT_LEAST_YAW_INERTIA, 1e-3, None, "yaw-near-its-floor"),
+    oracle_case(MechanismParams(), (),
+                (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),),
+                AT_LEAST_YAW_INERTIA, 1e-3, TimestepTooCoarseError,
+                "yaw-guard-trips"),
+    # no mass at all: the yaw guard and the singular block's solves
+    # hold every joint's rate
+    oracle_case(free_params(mass_link1=0.0, mass_link2=0.0,
+                            mass_payload=0.0), ALL_SPRINGS, (), STEP_STATE,
+                1e-3, None, "massless"),
+    oracle_case(free_params(mass_link2=0.0, mass_payload=0.0), ALL_SPRINGS,
+                (DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.4),),
+                STEP_STATE, 1e-3, TimestepTooCoarseError,
+                "singular-block-trips"),
+    # a det under its floor: the 2x2 root passes at 0.999 of the stable
+    # dt and trips at 1.001
+    *(oracle_case(free_params(), ALL_SPRINGS, PLANAR_DAMPERS,
+                  STEP_STATE[:3] + (0.0,) * 4,
+                  margin * dynamics.STIFF_BOUND / stiffest_rate(
+                      free_params(), PLANAR_DAMPERS,
+                      JointState(q=STEP_STATE[:3])),
+                  raises, f"planar-root-{margin}")
+      for margin, raises in ((0.999, None),
+                             (1.001, TimestepTooCoarseError))),
+    oracle_case(free_params(), ALL_SPRINGS,
+                (DamperSpec(Joint.J2, DamperModel.VISCOUS, 100.0),),
+                STEP_STATE, 1e-3, TimestepTooCoarseError,
+                "stiff-planar-block-trips"),
+    oracle_case(MechanismParams(), (), (),
+                (0.0, 0.5, 0.0, 0.0, 1e200, 1e200, 0.0), 1e-3,
+                NonFiniteStateError, "stage-leaves-the-floats"),
+]
+
+
+def outcome(step):
+    """The bytes of the state step() returns, or its error's type and
+    message."""
+    try:
+        return np.array(step()).tobytes()
+    except NonFiniteStateError as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("params, springs, dampers, y, dt, raises", [
+    *(oracle_case(*case.values, 1e-3, None, case.id)
+      for case in STEPPER_BUILDS),
+    *ORACLE_CASES])
+@pytest.mark.parametrize("forces", [(None, None, None), STAGE_FORCES],
+                         ids=["no-force", "handle-force"])
+def test_spliced_step_equals_textbook_rk4_over_the_law_closures(
+        params, springs, dampers, y, dt, raises, forces):
+    # the step splices each law's template; the oracle calls each law's
+    # closure, stage by stage, in textbook RK4
+    step = _arm_stepper(params, springs, dampers, dt)
+    got = outcome(lambda: step(y, 0.25, *forces))
+    assert got == outcome(lambda: closure_step(
+        textbook_rk4, params, springs, dampers, dt, y, 0.25, forces))
+    assert type(got) is (bytes if raises is None else tuple)
+    if raises is not None:
+        assert got[0] is raises
+
+
+# a fresh interpreter loads the shipped config, then builds the
+# stabilization study's damper grid twice: none; viscous and dead zone
+# at c = 0.1, 0.4 and 1.0 on J2 and J3. It prints the number of laws
+# compiled after each of the three, the number of step code objects of
+# the first pass, and whether the second pass stepped with the same ones
+KERNEL_COUNT = """
+import spoonarm.cli
+from spoonarm import _law
+from spoonarm.config import default_config_path, load_config
+from spoonarm.dynamics import DamperModel, DamperSpec, _arm_stepper
+from spoonarm.kinematics import Joint
+
+config = load_config(default_config_path())
+counts = [_law._compile.cache_info().currsize]
+grid = [()] + [tuple(DamperSpec(joint, model, c, deadzone)
+                     for joint in (Joint.J2, Joint.J3))
+               for model, deadzone in ((DamperModel.VISCOUS, 0.0),
+                                       (DamperModel.DEAD_ZONE_VISCOUS, 0.02))
+               for c in (0.1, 0.4, 1.0)]
+codes = []
+for _ in range(2):
+    codes.append([_arm_stepper(config.mechanism, config.springs, dampers,
+                               1e-3).__code__ for dampers in grid])
+    counts.append(_law._compile.cache_info().currsize)
+print((counts, len(set(codes[0])),
+       all(a is b for a, b in zip(*codes))))
+"""
+
+
+def test_the_damper_grid_compiles_one_step_per_build_shape():
+    # import and the config compile nothing; the grid's seven builds
+    # have three shapes, and a second pass compiles none
+    child = subprocess.run([sys.executable, "-c", KERNEL_COUNT],
+                           capture_output=True, text=True, check=True)
+    assert ast.literal_eval(child.stdout) == ([0, 3, 3], 3, True)
 
 
 @pytest.mark.parametrize("coefficient, trips", [
