@@ -16,6 +16,11 @@ it. The code is compiled on first use, once per shape: the template and
 the names of its bindings, and likewise for each bound law; the last
 SHAPES shapes are kept. Each build's values are then bound by name as
 closure variables. No value is ever written into the source.
+
+A law's one function returns its Law, which callers call: its first call
+compiles its closure and keeps it. Only the arm's RK4 step is taken as
+its closure(), which a rollout's loop calls with no Law between. Laws
+called alike add up into one with law_sum, a template per added law.
 """
 
 from __future__ import annotations
@@ -28,12 +33,19 @@ from itertools import count
 
 class Law:
     """The template `source` with the Laws `laws` and the `values` bound
-    by name."""
+    by name. Called, it is its closure, compiled on the first call and
+    kept."""
 
-    __slots__ = ("source", "laws", "values")
+    __slots__ = ("source", "laws", "values", "function")
 
     def __init__(self, source: str, laws=None, /, **values):
         self.source, self.laws, self.values = source, laws or {}, values
+        self.function = None
+
+    def __call__(self, *args):
+        if self.function is None:
+            self.function = self.closure()
+        return self.function(*args)
 
     def closure(self):
         """The law as a function of its template's arguments."""
@@ -41,11 +53,29 @@ class Law:
         return _compile(_shape(self, values))(*values)
 
 
-def arguments(source: str) -> tuple[str, str]:
-    """(signature, call) of a template: its argument list with defaults,
-    and its argument names as a call passes them on."""
-    args = _function(source).args
-    return ast.unparse(args), ", ".join(arg.arg for arg in args.args)
+def law_sum(laws, zero: Law) -> Law:
+    """The Laws `laws` added in order onto the value of the Law `zero`, as
+    one law: `zero` itself for no law, and a lone law itself."""
+    laws = tuple(laws)
+    if len(laws) < 2:
+        return laws[0] if laws else zero
+    total = zero
+    for law in laws:
+        total = Law(_sum_template(zero.source), {"before": total, "law": law})
+    return total
+
+
+@lru_cache(maxsize=None)
+def _sum_template(zero: str) -> str:
+    """The template of one more law added onto a sum, `before`, of laws
+    called as the template `zero` is: zero's signature, defaults
+    included, and each argument passed on to both."""
+    args = _function(zero).args
+    call = ", ".join(arg.arg for arg in args.args)
+    return (f"def total({ast.unparse(args)}):\n"
+            f"    value = before({call})\n"
+            f"    term = law({call})\n"
+            f"    return value + term\n")
 
 
 def _function(source: str) -> ast.FunctionDef:

@@ -37,16 +37,17 @@ statics.torque_columns, potential_sum) take a tuple or a list. Each law
 the stage evaluates is stated once, as a source template (see _law):
 the mass law (_MASS_TERMS), gravity's torque, each spring kind's torque,
 each damper model's torque and the handle's point_torque_law; each
-joint's spring and damper sums are statics.law_sum templates over them.
-The public functions compile a template into a closure, for floats or
-arrays (the statics, the Jacobians, the recording), and _arm_stepper
-splices the same templates into one function: _STEP, with _STAGE, the
-stage, spliced in four times. Its code is compiled once per build shape
-(spring kinds and damper models per joint, in order), and each build's
-numbers are bound by name, so the stages make no call but the guard's
-rare ones and run on local floats. Gravity plus an ideal spring cancels
-in the stage as in the synthesis, and a balanced build at rest stays at
-rest.
+joint's spring and damper sums are _law.law_sum templates over them.
+Each law has one function, which returns its Law: the statics, the
+Jacobians and the recording call that Law, on floats or arrays, and
+_arm_stepper splices the same Laws into one function: _STEP, with the
+stage _STAGE (_arm_stage) spliced in four times. The step is taken as
+its closure, so a rollout's loop calls the compiled function itself.
+Its code is compiled once per build shape (spring kinds and damper
+models per joint, in order), and each build's numbers are bound by
+name, so the stages make no call but the guard's rare ones and run on
+local floats. Gravity plus an ideal spring cancels in the stage as in
+the synthesis, and a balanced build at rest stays at rest.
 
 RK4 is stable on a damped mode only while dt*lambda <= 2.785 (Hairer &
 Wanner, Solving ODEs II, IV.2), lambda an eigenvalue of M^-1*C, C the
@@ -102,7 +103,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._law import Law
+from ._law import Law, law_sum
 from .errors import (DeflectionExceededError, LimitViolationError,
                      NonFiniteStateError, TimestepTooCoarseError)
 from .kinematics import (
@@ -117,7 +118,6 @@ from .kinematics import (
     number,
     number_fields,
     numbers,
-    _point_torques,
     point_position,
     point_torque_law,
     real,
@@ -125,8 +125,7 @@ from .kinematics import (
     spec_tuple,
     spoon_point,
 )
-from .statics import (SpringSpec, _gravity_torque, _spring_sum, law_sum,
-                      potential_sum)
+from .statics import SpringSpec, gravity_laws, potential_sum, spring_sum
 
 # Not called here any more, but kept as attributes of this module:
 # perfbench/tracer.py patches these seven names on it.
@@ -478,8 +477,8 @@ def _state_mass(params: MechanismParams, state: JointState):
     """(M11, M22, M23, M33, D2, D3, Bs) at one joint state."""
     m22, m33, terms = _mass_law(params)
     _, th2, th3 = state.q
-    m11, m23, d2, d3, bs = terms.closure()(math.cos(th2), math.sin(th2),
-                                           math.cos(th3), math.sin(th3))
+    m11, m23, d2, d3, bs = terms(math.cos(th2), math.sin(th2),
+                                 math.cos(th3), math.sin(th3))
     return m11, m22, m23, m33, d2, d3, bs
 
 
@@ -533,8 +532,10 @@ def dead_zone_viscous(omega):
 """
 
 
-def _damper_law(spec: DamperSpec) -> Law:
-    """The law of damper_law(spec)."""
+def damper_law(spec: DamperSpec) -> Law:
+    """The torque Law torque(omega) of one damper at joint rate omega,
+    its constants bound: each model's law is stated once, as the
+    templates above."""
     if spec.model is DamperModel.NONE:
         return _NO_DAMPER
     if spec.model is DamperModel.VISCOUS:
@@ -543,26 +544,15 @@ def _damper_law(spec: DamperSpec) -> Law:
                deadzone=spec.deadzone, neg_c=-spec.coefficient)
 
 
-def damper_law(spec: DamperSpec):
-    """The torque law torque(omega) of one damper at joint rate omega,
-    its constants bound: each model's law is stated once, as the
-    templates above."""
-    return _damper_law(spec).closure()
-
-
-def _damper_sum(dampers, joint: Joint) -> Law:
-    """The law of damper_sum."""
-    return law_sum((_damper_law(spec) for spec in dampers
+def damper_sum(dampers, joint: Joint) -> Law:
+    """The summed torque Law torque(omega) of the dampers that act on
+    `joint`, those with a coefficient > 0, added in the order given, the
+    laws bound once (_law.law_sum): the constant law +0.0 for no acting
+    damper. `dampers` is a tuple or a list, as each joint's sum reads it
+    again."""
+    return law_sum((damper_law(spec) for spec in dampers
                     if spec.joint == joint and spec.coefficient > 0.0),
                    _NO_DAMPER)
-
-
-def damper_sum(dampers, joint: Joint):
-    """The summed torque law torque(omega) of the dampers that act on
-    `joint`, those with a coefficient > 0, added in the order given, the
-    laws bound once: the constant law +0.0 for no acting damper.
-    `dampers` is a tuple or a list, as each joint's sum reads it again."""
-    return _damper_sum(dampers, joint).closure()
 
 
 def damper_torque(spec: DamperSpec, omega: float) -> float:
@@ -715,7 +705,7 @@ def _arm_stage(params: MechanismParams, springs, dampers, dt: float) -> Law:
     Every term that does not depend on the state is computed here, once
     per build: the mass law, each lifted joint's gravity torque, the
     handle's torque law, and each joint's spring and damper sums, each a
-    statics.law_sum, all bound as Laws for the stage to splice.
+    _law.law_sum, all bound as Laws for the stage to splice.
 
     For a step of dt, the stage raises _StiffStage(joints, dt*lambda)
     where dt*lambda of M^-1*C, C the diagonal of each joint's summed
@@ -767,25 +757,16 @@ def _arm_stage(params: MechanismParams, springs, dampers, dt: float) -> Law:
 
     return Law(_STAGE, {
         "mass": mass,
-        "damper1": _damper_sum(dampers, Joint.J1),
-        "damper2": _damper_sum(dampers, Joint.J2),
-        "damper3": _damper_sum(dampers, Joint.J3),
-        "gravity2": _gravity_torque(params, Joint.J2),
-        "spring2": _spring_sum(springs, Joint.J2),
-        "gravity3": _gravity_torque(params, Joint.J3),
-        "spring3": _spring_sum(springs, Joint.J3),
-        "handle": _point_torques(handle_point(params)),
+        "damper1": damper_sum(dampers, Joint.J1),
+        "damper2": damper_sum(dampers, Joint.J2),
+        "damper3": damper_sum(dampers, Joint.J3),
+        "gravity2": gravity_laws(params, Joint.J2)[0],
+        "spring2": spring_sum(springs, Joint.J2),
+        "gravity3": gravity_laws(params, Joint.J3)[0],
+        "spring3": spring_sum(springs, Joint.J3),
+        "handle": point_torque_law(handle_point(params)),
     }, floor1=floor1, yaw=yaw, m22_m33=m22 * m33, floor23=floor23,
                solvable=solvable, m22=m22, m33=m33, tiny=tiny)
-
-
-def _arm_law(params: MechanismParams, springs, dampers, dt: float):
-    """accel(phi1, th2, th3, w1, w2, w3, force) of one build: the joint
-    accelerations and the dissipated power (acc1, acc2, acc3, power) at
-    one state under the handle force (fx, fy, fz), or None for no input.
-    It is _arm_stage compiled alone, the stage _arm_stepper splices four
-    times, and raises _StiffStage for dampers too stiff for dt."""
-    return _arm_stage(params, springs, dampers, dt).closure()
 
 
 # One RK4 step of the arm. The stages are _STAGE, spliced in four times.
@@ -1098,7 +1079,7 @@ def _record(params: MechanismParams, springs, compliance, t: np.ndarray,
                                                          *row_forces.T))
 
     m22, m33, mass = _mass_law(params)
-    m11, m23, *_ = mass.closure()(c2t, s2t, c3t, s3t)
+    m11, m23, *_ = mass(c2t, s2t, c3t, s3t)
     e_kin = _kinetic(m11, m22, m23, m33, w1, w2, w3)
     e_pot = potential_sum(params, springs, th2, s2t, th3, s3t, np.sqrt,
                           np.maximum)

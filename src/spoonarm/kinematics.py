@@ -349,20 +349,15 @@ def torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
 """
 
 
-def _point_torques(point) -> Law:
-    """The law of point_torque_law(point)."""
-    a, L1, reach, b, _, _ = point
-    return Law(_POINT_TORQUES, a=a, L1=L1, reach=reach, b=b)
-
-
-def point_torque_law(point):
-    """The joint-torque law torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz)
+def point_torque_law(point) -> Law:
+    """The joint-torque Law torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz)
     of `point`, its coefficients bound: J^T F of the force (fx, fy, fz)
     there, the trigonometry as for point_position, floats or numpy arrays.
     This is the one definition of a point's Jacobian, _POINT_TORQUES:
     jacobian and handle_jacobian read their rows off it, and the RK4 step
     splices it."""
-    return _point_torques(point).closure()
+    a, L1, reach, b, _, _ = point
+    return Law(_POINT_TORQUES, a=a, L1=L1, reach=reach, b=b)
 
 
 def _trig(q):

@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from ._law import Law, arguments
+from ._law import Law, law_sum
 from .errors import InfeasibleBoundsError
 from .kinematics import (JointState, Joint, MechanismParams, as_member,
                          handle_jacobian, number_fields, spec_tuple)
@@ -169,19 +168,13 @@ def torque(c):
 """
 
 
-def _gravity_torque(params: MechanismParams, joint: Joint) -> Law:
-    """Gravity's torque law on one lifted joint: -g*A*c at the cosine c of
-    its angle."""
-    return Law(_GRAVITY_TORQUE, g_a=_gravity_scale(params, joint))
-
-
 def gravity_laws(params: MechanismParams, joint: Joint):
     """Gravity's laws on one lifted joint, floats or arrays: the torque
-    -g*A*c at the cosine c of its angle (_GRAVITY_TORQUE), and the
+    Law -g*A*c at the cosine c of its angle (_GRAVITY_TORQUE), and the
     potential g*A*s at its sine s above the masses' rest at the base
     height (see potential_sum)."""
     g_a = _gravity_scale(params, joint)
-    return _gravity_torque(params, joint).closure(), (lambda s: g_a * s)
+    return Law(_GRAVITY_TORQUE, g_a=g_a), (lambda s: g_a * s)
 
 
 def gravity_torque(params: MechanismParams,
@@ -247,8 +240,16 @@ def potential(angle, s, sqrt=sqrt, maximum=max):
 """
 
 
-def _spring_laws(spec: SpringSpec) -> tuple[Law, Law]:
-    """The torque and potential laws of one spring, its constants bound."""
+def spring_laws(spec: SpringSpec) -> tuple[Law, Law]:
+    """The torque and potential Laws of one spring, its constants bound.
+
+    torque(angle, c, s, sqrt=math.sqrt, maximum=max) is the torque the
+    spring exerts on its joint at the bar angle, given with its cosine c
+    and sine s; potential(angle, s, sqrt=math.sqrt, maximum=max) is the
+    elastic energy stored there. Both take floats, or numpy arrays with
+    numpy's sqrt and maximum, for a whole column in one pass. Each kind's
+    laws are stated once, as the templates above.
+    """
     k = spec.stiffness
     half_k = 0.5 * k
     if spec.kind is SpringKind.TORSION:
@@ -266,20 +267,6 @@ def _spring_laws(spec: SpringSpec) -> tuple[Law, Law]:
                        a2b2=a2b2, two_ab=two_ab, l0=l0, half_k=half_k)
 
 
-def spring_laws(spec: SpringSpec):
-    """The torque and potential laws of one spring, its constants bound.
-
-    torque(angle, c, s, sqrt=math.sqrt, maximum=max) is the torque the
-    spring exerts on its joint at the bar angle, given with its cosine c
-    and sine s; potential(angle, s, sqrt=math.sqrt, maximum=max) is the
-    elastic energy stored there. Both take floats, or numpy arrays with
-    numpy's sqrt and maximum, for a whole column in one pass. Each kind's
-    laws are stated once, as the templates above.
-    """
-    torque, potential = _spring_laws(spec)
-    return torque.closure(), potential.closure()
-
-
 def spring_torque(spec: SpringSpec, angle: float) -> float:
     """Torque the spring exerts on its joint at the given bar angle."""
     torque, _ = spring_laws(spec)
@@ -292,41 +279,13 @@ def spring_potential(spec: SpringSpec, angle: float) -> float:
     return potential(angle, math.sin(angle))
 
 
-@lru_cache(maxsize=None)
-def _sum_template(zero: str) -> str:
-    """The template of one more law added onto a sum, `before`, of laws
-    called as the template `zero` is."""
-    signature, call = arguments(zero)
-    return (f"def total({signature}):\n"
-            f"    value = before({call})\n"
-            f"    term = law({call})\n"
-            f"    return value + term\n")
-
-
-def law_sum(laws, zero: Law) -> Law:
-    """The Laws `laws` added in order onto the value of the Law `zero`, as
-    one law: `zero` itself for no law, and a lone law itself."""
-    laws = tuple(laws)
-    if len(laws) < 2:
-        return laws[0] if laws else zero
-    total = zero
-    for law in laws:
-        total = Law(_sum_template(zero.source), {"before": total, "law": law})
-    return total
-
-
-def _spring_sum(springs, joint: Joint) -> Law:
-    """The law of spring_sum."""
-    return law_sum((_spring_laws(spec)[0] for spec in springs
+def spring_sum(springs, joint: Joint) -> Law:
+    """The summed torque Law of the springs on `joint`, called as a
+    spring_laws torque, the laws bound once (_law.law_sum): +0.0 at every
+    angle for no spring. `springs` is a tuple or a list, as each joint's
+    sum reads it again."""
+    return law_sum((spring_laws(spec)[0] for spec in springs
                     if spec.joint == joint), _NO_SPRING)
-
-
-def spring_sum(springs, joint: Joint):
-    """The summed torque law of the springs on `joint`, called as a
-    spring_laws torque, the laws bound once: +0.0 at every angle for no
-    spring. `springs` is a tuple or a list, as each joint's sum reads it
-    again."""
-    return _spring_sum(springs, joint).closure()
 
 
 def spring_joint_torques(springs, state: JointState) -> tuple[float, float, float]:
@@ -347,8 +306,7 @@ def potential_sum(params: MechanismParams, springs, th2, s2t, th3, s3t,
     for joint, (_, s) in at.items():
         v = v + gravity_laws(params, joint)[1](s)
     for spec in springs:
-        v = v + _spring_laws(spec)[1].closure()(*at[spec.joint], sqrt,
-                                                maximum)
+        v = v + spring_laws(spec)[1](*at[spec.joint], sqrt, maximum)
     return v
 
 

@@ -1,9 +1,9 @@
 """The stage of the equations of motion composed of the laws' closures.
 
-Each law is called through the closure its public function returns,
-where the RK4 step splices the laws' templates. tests/test_dynamics.py
-steps this stage with textbook RK4 and requires the spliced step to give
-the same bytes, or the same error.
+Each law is called through the Law its one function returns, where the
+RK4 step splices those Laws' templates. tests/test_dynamics.py steps
+this stage with textbook RK4 and requires the spliced step to give the
+same bytes, or the same error.
 """
 
 import math
@@ -20,7 +20,6 @@ def closure_law(params, springs, dampers, dt):
     """accel(phi1, th2, th3, w1, w2, w3, force): (acc1, acc2, acc3,
     power), raising _StiffStage where dt*lambda passes STIFF_BOUND."""
     m22, m33, mass = _mass_law(params)
-    mass = mass.closure()
     m22_m33 = m22 * m33
     gravity2, gravity3 = (gravity_laws(params, joint)[0]
                           for joint in (Joint.J2, Joint.J3))

@@ -14,7 +14,9 @@ The shipped build is the benchmark damper sweep's viscous build of c =
 0.4 on J2 and J3; its builds of c = 0.1 and 1.0 are checked too, and a
 horizontal force whose lateral part drives J1's yaw, an undamped mode of
 pure mass. A noise tremor is a sum of sines of known frequencies and
-phases, so its closed form is the sum of one tone's.
+phases, so its closed form is the sum of one tone's. The mass matrix and
+the sine case run on the asymmetric build too, whose link 1 and link 2
+differ, so that a law reading one link's value for the other's shows.
 """
 
 import math
@@ -25,8 +27,9 @@ import pytest
 from spoonarm.dynamics import (DamperModel, DamperSpec, NoiseTremor, Scenario,
                                SineTremor, mass_matrix, run_scenario)
 from spoonarm.kinematics import Joint, handle_jacobian, jacobian
+from spoonarm.statics import SpringKind, synthesize_balancing
 
-from shipped import EXAMPLE, RIGID, SHIPPED
+from shipped import ASYMMETRIC, EXAMPLE, RIGID, SHIPPED
 
 START = EXAMPLE.initial
 FREQUENCY = 2.0     # Hz
@@ -36,6 +39,11 @@ RMS = (0.1, 0.01, 0.001)                # N, of the noise tremor
 VERTICAL = (0.0, 0.0, 1.0)
 # horizontal: its y part turns the arm about J1, its x part lifts it
 HORIZONTAL = (0.8, 0.6, 0.0)
+# (params, springs): the shipped build, and the asymmetric arm balanced
+# exactly by zero-free-length springs, whose link 1 and link 2 differ
+BUILD = (SHIPPED.mechanism, SHIPPED.springs)
+BUILDS = [BUILD, (ASYMMETRIC, synthesize_balancing(
+    ASYMMETRIC, SpringKind.LINEAR_ZERO_FREE_LENGTH).springs)]
 
 
 def lumped_mass_matrix(params, th2, th3):
@@ -107,36 +115,37 @@ def linear_spoon_deviation(params, dampers, state, tremor, t):
     return dq @ jacobian(params, state).T
 
 
-def rollout_spoon(tremor, dampers=SHIPPED.dampers):
+def rollout_spoon(tremor, dampers=SHIPPED.dampers, build=BUILD):
     scenario = Scenario(duration=DURATION, timestep=EXAMPLE.timestep,
                         initial=START, input=tremor)
-    result = run_scenario(SHIPPED.mechanism, SHIPPED.springs, dampers, RIGID,
-                          scenario)
+    result = run_scenario(*build, dampers, RIGID, scenario)
     return result.t, result.spoon_pos
 
 
-def relative_rms_error(tremor, still, dampers=SHIPPED.dampers):
-    t, spoon = rollout_spoon(tremor, dampers)
-    expected = linear_spoon_deviation(SHIPPED.mechanism, dampers, START,
-                                      tremor, t)
+def relative_rms_error(tremor, still, dampers=SHIPPED.dampers, build=BUILD):
+    t, spoon = rollout_spoon(tremor, dampers, build)
+    expected = linear_spoon_deviation(build[0], dampers, START, tremor, t)
     error = (spoon - still) - expected
     return math.sqrt(np.mean(error * error) / np.mean(expected * expected))
 
 
-def test_lumped_mass_matrix_is_the_mass_matrix():
-    np.testing.assert_allclose(
-        mass_matrix(SHIPPED.mechanism, START),
-        lumped_mass_matrix(SHIPPED.mechanism, *START.q[1:]),
-        rtol=1e-14, atol=1e-17)
+@pytest.mark.parametrize("params", [params for params, _ in BUILDS],
+                         ids=["shipped", "asymmetric"])
+def test_lumped_mass_matrix_is_the_mass_matrix(params):
+    np.testing.assert_allclose(mass_matrix(params, START),
+                               lumped_mass_matrix(params, *START.q[1:]),
+                               rtol=1e-14, atol=1e-17)
 
 
-def test_sine_tremor_rollout_converges_to_the_linear_closed_form():
-    _, still = rollout_spoon(None)
+@pytest.mark.parametrize("build", BUILDS, ids=["shipped", "asymmetric"])
+def test_sine_tremor_rollout_converges_to_the_linear_closed_form(build):
+    _, still = rollout_spoon(None, build=build)
     # balanced exactly: without tremor the spoon does not move
     assert np.max(np.abs(still - still[0])) < 1e-12
-    errors = [relative_rms_error(SineTremor(amplitude, FREQUENCY), still)
-              for amplitude in AMPLITUDES]
-    # first order in the amplitude: 2.05e-2, 2.05e-3 and 2.05e-4 here
+    errors = [relative_rms_error(SineTremor(amplitude, FREQUENCY), still,
+                                 build=build) for amplitude in AMPLITUDES]
+    # first order in the amplitude: 2.05e-2, 2.05e-3 and 2.05e-4 on the
+    # shipped build, 2.33e-2, 2.34e-3 and 2.34e-4 on the asymmetric one
     assert errors[0] < 0.03
     for larger, smaller in zip(errors, errors[1:]):
         assert larger / smaller == pytest.approx(10.0, rel=0.2)

@@ -12,7 +12,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from spoonarm import JointState, MechanismParams, dynamics
+from spoonarm import JointState, MechanismParams, _law, dynamics
 from spoonarm.dynamics import (
     FORCE_BLOCK,
     ComplianceMode,
@@ -29,6 +29,8 @@ from spoonarm.dynamics import (
     SpasmImpulse,
     SpoonContact,
     coriolis_matrix,
+    damper_law,
+    damper_sum,
     damper_torque,
     generate_signal,
     kinetic_energy,
@@ -39,8 +41,9 @@ from spoonarm.dynamics import (
     step_dynamics,
 )
 from spoonarm.dynamics import (
-    _arm_law,
+    _arm_stage,
     _arm_stepper,
+    _mass_law,
     _mount_rows,
     _signal_forces,
     _stage_times,
@@ -48,14 +51,18 @@ from spoonarm.dynamics import (
 from spoonarm.errors import (DeflectionExceededError, LimitViolationError,
                              NonFiniteStateError, TimestepTooCoarseError)
 from spoonarm.errors import UnreachableError
-from spoonarm.kinematics import Joint, handle_jacobian
+from spoonarm.kinematics import (Joint, handle_jacobian, handle_point,
+                                 point_torque_law)
 from spoonarm.kinematics import inverse_kinematics
 from spoonarm.statics import (
     SpringKind,
     SpringSpec,
+    gravity_laws,
     gravity_torque,
     potential_energy,
     spring_joint_torques,
+    spring_laws,
+    spring_sum,
     synthesize_balancing,
 )
 
@@ -150,9 +157,10 @@ def test_kinetic_energy_quadratic_form():
             0.5 * w @ mass_matrix(p, state) @ w, rel=1e-12)
 
 
-def test_coriolis_skew_symmetry():
+@pytest.mark.parametrize("p", [free_params(), ASYMMETRIC],
+                         ids=["nominal", "asymmetric"])
+def test_coriolis_skew_symmetry(p):
     # Mdot - 2C must be skew-symmetric for the Christoffel convention
-    p = free_params()
     h = 1e-6
     for state in random_states(100, seed=37):
         qf = tuple(qi + h * wi for qi, wi in zip(state.q, state.qdot))
@@ -163,10 +171,11 @@ def test_coriolis_skew_symmetry():
         assert np.max(np.abs(s + s.T)) < 1e-7
 
 
-def test_equations_satisfy_the_manipulator_equation():
+@pytest.mark.parametrize("p", [free_params(), ASYMMETRIC],
+                         ids=["nominal", "asymmetric"])
+def test_equations_satisfy_the_manipulator_equation(p):
     # M(q) qdd + C(q, qd) qd = tau_gravity + tau_spring + tau_damper ties
     # the inline C(q, qd) qd of the equations to coriolis_matrix
-    p = free_params()
     springs = (
         SpringSpec(SpringKind.LINEAR_REAL, Joint.J2, stiffness=150.0,
                    anchor_radius=0.1, bar_radius=0.05, free_length=0.02),
@@ -176,7 +185,7 @@ def test_equations_satisfy_the_manipulator_equation():
     dampers = (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),
                DamperSpec(Joint.J2, DamperModel.DEAD_ZONE_VISCOUS, 0.4, 0.3),
                DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.1))
-    accel = _arm_law(p, springs, dampers, 1e-3)
+    accel = _arm_stage(p, springs, dampers, 1e-3)
     for state in random_states(100, seed=41):
         *qdd, power = accel(*state.q, *state.qdot, None)
         qdot = np.array(state.qdot)
@@ -611,7 +620,7 @@ def test_stepper_equals_textbook_rk4(params, springs, dampers, y, forces):
     dt = 1e-3
     step = _arm_stepper(params, springs, dampers, dt)
     got = step(y, 0.0, *forces)
-    expected = textbook_rk4(_arm_law(params, springs, dampers, dt),
+    expected = textbook_rk4(_arm_stage(params, springs, dampers, dt),
                             params.joint_limits, list(y), dt, forces)
     assert isinstance(got, tuple)
     assert np.array(got).tobytes() == np.array(expected).tobytes()
@@ -1313,6 +1322,46 @@ def test_the_damper_grid_compiles_one_step_per_build_shape():
     child = subprocess.run([sys.executable, "-c", KERNEL_COUNT],
                            capture_output=True, text=True, check=True)
     assert ast.literal_eval(child.stdout) == ([0, 3, 3], 3, True)
+
+
+DEAD_ZONE = DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.3, 0.05)
+TRIG = tuple(f(angle) for angle in STEP_STATE[:3] for f in (math.cos,
+                                                             math.sin))
+# each law's one function, made anew per case, and the arguments of a
+# call of the Law it returns
+LAW_CALLS = [
+    pytest.param(lambda: damper_law(DEAD_ZONE), (1.1,), id="damper_law"),
+    pytest.param(lambda: damper_sum(
+        (DEAD_ZONE, DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.1)),
+        Joint.J3), (1.1,), id="damper_sum"),
+    pytest.param(lambda: spring_laws(REAL_SPRING)[0], (0.8, *TRIG[2:4]),
+                 id="spring_laws-torque"),
+    pytest.param(lambda: spring_laws(REAL_SPRING)[1], (0.8, TRIG[3]),
+                 id="spring_laws-potential"),
+    pytest.param(lambda: spring_sum(ALL_SPRINGS, Joint.J3),
+                 (-0.3, *TRIG[4:]), id="spring_sum"),
+    pytest.param(lambda: point_torque_law(handle_point(ASYMMETRIC)),
+                 (*TRIG, *STAGE_FORCES[0]), id="point_torque_law"),
+    pytest.param(lambda: gravity_laws(ASYMMETRIC, Joint.J3)[0], TRIG[4:5],
+                 id="gravity_laws-torque"),
+    pytest.param(lambda: _mass_law(ASYMMETRIC)[2], TRIG[2:], id="_mass_law"),
+    pytest.param(lambda: _arm_stage(ASYMMETRIC, ALL_SPRINGS, (DEAD_ZONE,),
+                                    1e-3),
+                 (*STEP_STATE[:6], STAGE_FORCES[0]), id="_arm_stage"),
+]
+
+
+@pytest.mark.parametrize("make, args", LAW_CALLS)
+def test_a_law_is_called_as_the_closure_it_compiles_once(make, args):
+    law = make()
+    assert isinstance(law, _law.Law)
+    value = law(*args)
+    compiled = _law._compile.cache_info()
+    # the second call reuses the kept closure: no compile, no cache lookup
+    assert np.array(law(*args)).tobytes() == np.array(value).tobytes()
+    assert _law._compile.cache_info() == compiled
+    assert (np.array(value).tobytes()
+            == np.array(law.closure()(*args)).tobytes())
 
 
 @pytest.mark.parametrize("coefficient, trips", [

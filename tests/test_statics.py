@@ -449,8 +449,8 @@ def test_damper_sum_routes_by_joint_skips_idle_dampers_and_adds_in_order():
     assert three == ((0.0 + a) + b) + c != ((0.0 + c) + b) + a
     assert damper_sum([j1, dead, visc], Joint.J1)(w) == damper_torque(j1, w)
     # one acting damper's sum is its own law, not a wrapper around it
-    assert (damper_sum([*idle, dead], Joint.J3).__code__
-            is damper_law(dead).__code__)
+    assert (damper_sum([*idle, dead], Joint.J3).closure().__code__
+            is damper_law(dead).closure().__code__)
     # a zero-coefficient viscous law gives -0.0 at w > 0; skipped, it adds
     # nothing, and no acting damper gives +0.0
     for dampers in ((), (j1,), idle):
