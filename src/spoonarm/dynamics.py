@@ -49,6 +49,19 @@ name, so the stages make no call but the guard's rare ones and run on
 local floats. Gravity plus an ideal spring cancels in the stage as in
 the synthesis, and a balanced build at rest stays at rest.
 
+The handle term is a bound Law of the stage too. A rollout whose input
+is a signal spec with a vertical direction (x == 0.0 == y, either sign
+of zero) tells _arm_stepper so. On a build whose J1 has no acting
+damper and whose two lifted joints both bear a gravity torque that
+cannot underflow (|g*A| >= _LIFT_GRAVITY_FLOOR), the term is then
+_HANDLE_LIFT, the z column of J^T F alone: tau2 += u2*fz and
+tau3 += u3*fz, with no J1 term and no cos or sin of phi1. It is another
+build shape of the one stage, not a second stage, and it keeps every
+bit of the whole _HANDLE_FORCE: each term it drops is a signed zero,
+added to a torque that is never -0 (_arm_stage gives the argument).
+Any other input or build keeps _HANDLE_FORCE, and step_dynamics always
+does, so its rows cross-check a rollout's.
+
 RK4 is stable on a damped mode only while dt*lambda <= 2.785 (Hairer &
 Wanner, Solving ODEs II, IV.2), lambda an eigenvalue of M^-1*C, C the
 diagonal of each joint's summed damper coefficients (a dead zone's at
@@ -668,12 +681,8 @@ def accel(phi1, th2, th3, w1, w2, w3, force):
 
     if force is not None:
         fx, fy, fz = force
-        cp = cos(phi1)
-        sp = sin(phi1)
-        h1, h2, h3 = handle(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz)
-        tau1 += h1
-        tau2 += h2
-        tau3 += h3
+        tau1, tau2, tau3 = handle(phi1, c2t, s2t, c3t, s3t, fx, fy, fz,
+                                  tau1, tau2, tau3)
 
     # subtract C(q, qdot) * qdot
     rhs1 = tau1 - w1 * (d2 * w2 + d3 * w3)
@@ -695,17 +704,64 @@ def accel(phi1, th2, th3, w1, w2, w3, force):
 """
 
 
+# The stage's handle term: the joint torques tau plus J^T F of the handle
+# force, of the handle's point_torque_law "torques"
+_HANDLE_FORCE = """
+def handle_force(phi1, c2t, s2t, c3t, s3t, fx, fy, fz, tau1, tau2, tau3):
+    cp = cos(phi1)
+    sp = sin(phi1)
+    h1, h2, h3 = torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz)
+    return tau1 + h1, tau2 + h2, tau3 + h3
+"""
+
+# The same term of a vertical force, fx and fy signed zeros: the z column
+# of J^T F alone, of the handle's "levers", with the bits of _HANDLE_FORCE
+# on the builds _arm_stage gives it (see there). An infinite phi1 raises
+# as cos(phi1) does there; a NaN one passes, as there.
+_HANDLE_LIFT = """
+def handle_lift(phi1, c2t, s2t, c3t, s3t, fx, fy, fz, tau1, tau2, tau3):
+    if phi1 - phi1 != 0.0 and phi1 == phi1:
+        raise ValueError("math domain error")
+    u2, u3 = levers(c2t, c3t)
+    return tau1, tau2 + u2 * fz, tau3 + u3 * fz
+"""
+
+# |cos| of a float angle is above 2**-62: no float lies nearer an odd
+# multiple of pi/2 than 6381956970095103 * 2**797, where |cos| = 4.69e-19
+# (the worst case of range reduction by pi/2 in double precision; Muller,
+# Elementary Functions, on range reduction). So a gravity torque
+# -g*A*cos of |g*A| >= 2**-960 is at least 2**-1022 in size: normal,
+# never a zero.
+_LIFT_GRAVITY_FLOOR = 2.0 ** -960
+
+
 class _StiffStage(Exception):
     """A stage's dampers are too stiff for dt: args (joints, dt*lambda)."""
 
 
-def _arm_stage(params: MechanismParams, springs, dampers, dt: float) -> Law:
+def _arm_stage(params: MechanismParams, springs, dampers, dt: float,
+               vertical: bool = False) -> Law:
     """The Law of _STAGE of one build, for a step of dt.
 
     Every term that does not depend on the state is computed here, once
     per build: the mass law, each lifted joint's gravity torque, the
-    handle's torque law, and each joint's spring and damper sums, each a
+    handle term, and each joint's spring and damper sums, each a
     _law.law_sum, all bound as Laws for the stage to splice.
+
+    The handle term is _HANDLE_FORCE, the handle's whole J^T F, unless
+    `vertical` says that every force the stage is given has fx and fy
+    signed zeros (a signal spec whose direction has x == 0.0 == y),
+    J1 has no acting damper, and the gravity scale g*A of both lifted
+    joints is at least _LIFT_GRAVITY_FLOOR in size. Then it is
+    _HANDLE_LIFT: tau2 += u2*fz and tau3 += u3*fz, with no J1 term and
+    no cos or sin of phi1, and the same bits (IEEE 754, round to
+    nearest). Where fx = fy = +-0 and the state is finite, every term it
+    drops is a signed zero, and a sum is -0 only when both its addends
+    are. So tau1, J1's zero damper law +0.0 plus +-0, stays +0.0; and
+    tau2 (tau3 alike), gravity's nonzero torque plus the spring's and
+    the damper's, is nonzero or +0, never -0, so adding the dropped
+    zeros to it changes no bit. A stage that leaves the floats gives the
+    step the same error: an infinite phi1 raises as cos(phi1) does.
 
     For a step of dt, the stage raises _StiffStage(joints, dt*lambda)
     where dt*lambda of M^-1*C, C the diagonal of each joint's summed
@@ -755,16 +811,26 @@ def _arm_stage(params: MechanismParams, springs, dampers, dt: float) -> Law:
                 if dc), rate)
         return det > tiny
 
+    damper1 = damper_sum(dampers, Joint.J1)
+    gravity2, gravity3 = (gravity_laws(params, joint)[0]
+                          for joint in (Joint.J2, Joint.J3))
+    torques = point_torque_law(handle_point(params))
+    if (vertical and damper1 is _NO_DAMPER
+            and min(abs(gravity2.values["g_a"]), abs(gravity3.values["g_a"]))
+            >= _LIFT_GRAVITY_FLOOR):
+        handle = Law(_HANDLE_LIFT, {"levers": torques.laws["levers"]})
+    else:
+        handle = Law(_HANDLE_FORCE, {"torques": torques})
     return Law(_STAGE, {
         "mass": mass,
-        "damper1": damper_sum(dampers, Joint.J1),
+        "damper1": damper1,
         "damper2": damper_sum(dampers, Joint.J2),
         "damper3": damper_sum(dampers, Joint.J3),
-        "gravity2": gravity_laws(params, Joint.J2)[0],
+        "gravity2": gravity2,
         "spring2": spring_sum(springs, Joint.J2),
-        "gravity3": gravity_laws(params, Joint.J3)[0],
+        "gravity3": gravity3,
         "spring3": spring_sum(springs, Joint.J3),
-        "handle": point_torque_law(handle_point(params)),
+        "handle": handle,
     }, floor1=floor1, yaw=yaw, m22_m33=m22 * m33, floor23=floor23,
                solvable=solvable, m22=m22, m33=m33, tiny=tiny)
 
@@ -825,11 +891,14 @@ def step(y, t, f0, f_half, f1):
 """
 
 
-def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
+def _arm_stepper(params: MechanismParams, springs, dampers, dt: float,
+                 vertical: bool = False):
     """The RK4 step of dt of one build's arm: step(y, t, f0, f_half, f1)
     takes the packed state y = (phi1, th2, th3, w1, w2, w3, e_diss) at
     time t, with the handle force at t, t + dt/2 and t + dt, and returns
-    the next one.
+    the next one. `vertical` says that every force it is given has fx
+    and fy signed zeros, which lets _arm_stage drop the handle's yaw
+    terms on most builds, with the same bits.
 
     The joint limits clamp the position and zero the outgoing velocity;
     a state or stage that leaves the floats raises NonFiniteStateError,
@@ -841,7 +910,8 @@ def _arm_stepper(params: MechanismParams, springs, dampers, dt: float):
     with no call per entry.
     """
     (lo1, hi1), (lo2, hi2), (lo3, hi3) = params.joint_limits
-    return Law(_STEP, {"stage": _arm_stage(params, springs, dampers, dt)},
+    return Law(_STEP, {"stage": _arm_stage(params, springs, dampers, dt,
+                                           vertical)},
                half=0.5 * dt, dt=dt, sixth=dt / 6.0,
                NonFiniteStateError=NonFiniteStateError,
                diverged="state diverged at t = {:.6f} s; reduce the "
@@ -1007,13 +1077,17 @@ def run_scenario(params: MechanismParams, springs, dampers,
     if isinstance(scenario.input, PrescribedTrajectory):
         states = _playback_states(params, scenario.input, t, dt)
     else:
-        step = _arm_stepper(params, springs, dampers, dt)
-        states = np.empty((n, 7))
-        y = scenario.initial.q + scenario.initial.qdot + (0.0,)
         inputs = scenario.input
         # a signal spec's blocks are shared with other rollouts; any other
         # input is evaluated afresh, a callable at every stage time
         key = repr(inputs) if isinstance(inputs, _SIGNALS) else None
+        # a signal's force is its magnitude times its direction, so one
+        # whose direction has x == 0.0 == y has fx and fy signed zeros
+        step = _arm_stepper(params, springs, dampers, dt,
+                            key is not None and inputs.direction[0] == 0.0
+                            == inputs.direction[1])
+        states = np.empty((n, 7))
+        y = scenario.initial.q + scenario.initial.qdot + (0.0,)
         for k0 in range(0, n, FORCE_BLOCK):
             k1 = min(k0 + FORCE_BLOCK, n)
             # three stage forces per row

@@ -331,13 +331,21 @@ def point_turn(point, r, cp, sp):
     return r * cp - b * sp, r * sp + b * cp
 
 
+# the lifted joints' levers of a vertical force at a point: the z column
+# of its Jacobian, the joint torques per newton of fz
+_POINT_LEVERS = """
+def levers(c2t, c3t):
+    u2 = L1 * c2t
+    u3 = reach * c3t
+    return u2, u3
+"""
+
 # the yaw torque is the force's moment about the vertical J1 axis, at
 # point_position's x and y, computed with its operations; each link
 # product is shared, as (-L)*s == -(L*s) exactly
 _POINT_TORQUES = """
 def torques(cp, sp, c2t, s2t, c3t, s3t, fx, fy, fz):
-    u2 = L1 * c2t
-    u3 = reach * c3t
+    u2, u3 = levers(c2t, c3t)
     v2 = L1 * s2t
     v3 = reach * s3t
     r = a + u2 + u3
@@ -355,9 +363,13 @@ def point_torque_law(point) -> Law:
     there, the trigonometry as for point_position, floats or numpy arrays.
     This is the one definition of a point's Jacobian, _POINT_TORQUES:
     jacobian and handle_jacobian read their rows off it, and the RK4 step
-    splices it."""
+    splices it. Its z column is its bound Law "levers",
+    levers(c2t, c3t) -> (u2, u3) (_POINT_LEVERS), which the RK4 step
+    also splices alone for a vertical force."""
     a, L1, reach, b, _, _ = point
-    return Law(_POINT_TORQUES, a=a, L1=L1, reach=reach, b=b)
+    return Law(_POINT_TORQUES,
+               {"levers": Law(_POINT_LEVERS, L1=L1, reach=reach)},
+               a=a, L1=L1, reach=reach, b=b)
 
 
 def _trig(q):

@@ -648,6 +648,10 @@ ROLLOUT_INPUTS = {
                           direction=(1.0, 0.0, 1.0)),
     "constant": (0.1, -0.2, 0.3),
     "callable": wobble_force,
+    # run_scenario steps these without the handle's yaw terms, and
+    # step_dynamics with them
+    "vertical-sine": SineTremor(amplitude=0.5, frequency=2.0),
+    "vertical-spasm": SpasmImpulse(force=0.8, duration=0.05, onset=0.1),
 }
 # rollout lengths at the force-block edges: one step, one full block, a
 # one-row last block, two full blocks, and a short last block
@@ -1287,11 +1291,172 @@ def test_spliced_step_equals_textbook_rk4_over_the_law_closures(
         assert got[0] is raises
 
 
+def vertical_forces(spec, t, dt=1e-3):
+    """The stage forces of the signal `spec` at t, t + dt/2 and t + dt,
+    as a rollout gives them to the step."""
+    return tuple(_signal_forces(spec, np.array([t, t + 0.5 * dt, t + dt]))
+                 .tolist())
+
+
+VERTICAL_SINE = SineTremor(amplitude=0.5, frequency=7.0)
+# vertical stage forces: a sine, whose magnitude is 0.0 at t = 0; a spasm
+# outside its window, all three zero, and one of -0.0 whose force is
+# (+0.0, +0.0, -0.0); and directions with -0.0 for x, or for both x and
+# y, on either sign of the sine
+VERTICAL_FORCES = {
+    "sine": vertical_forces(VERTICAL_SINE, 0.25),
+    "sine-at-zero": vertical_forces(VERTICAL_SINE, 0.0),
+    "spasm-outside": vertical_forces(
+        SpasmImpulse(force=0.8, duration=0.05, onset=0.1), 0.0),
+    "spasm-of-minus-zero": vertical_forces(
+        SpasmImpulse(force=-0.0, duration=0.05,
+                     direction=(-0.0, -0.0, 1.0)), 0.0),
+    **{f"{name}-{t}": vertical_forces(
+        SineTremor(amplitude=0.5, frequency=7.0, direction=direction), t)
+       for name, direction in (("minus-zero-x", (-0.0, 0.0, 1.0)),
+                               ("minus-zero-x-y", (-0.0, -0.0, 1.0)))
+       for t in (0.02, 0.1)},
+}
+# the lift law's edge cases besides STEPPER_BUILDS and ORACLE_CASES
+LIFT_CASES = [
+    # the torsion spring at its neutral angle and a damped joint at rest:
+    # J3's spring and damper torques are both -0.0
+    oracle_case(free_params(), (TORSION_SPRING,),
+                (DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.3),),
+                (0.2, 0.8, 0.3, 0.5, -1.0, 0.0, 0.1), 1e-3, None,
+                "torsion-at-neutral"),
+    # the shipped build at rest: gravity and its ideal springs cancel to
+    # +0.0 on J2 and J3, and the dampers add -0.0
+    oracle_case(SHIPPED.mechanism, SHIPPED.springs, SHIPPED.dampers,
+                (0.0, 0.7, -0.5, 0.0, 0.0, 0.0, 0.0), 1e-3, None,
+                "balanced-at-rest"),
+    # no gravity: J3's torques at rest sum to -0.0, which the yaw terms'
+    # zeros turn to +0.0, so the lift law must not take this build
+    oracle_case(free_params(gravity=0.0),
+                (SpringSpec(SpringKind.TORSION, Joint.J3, 0.8,
+                            torsion_neutral=1.0),),
+                (DamperSpec(Joint.J3, DamperModel.VISCOUS, 0.3),),
+                (-2.5, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0), 1e-3, None,
+                "weightless-at-rest"),
+    # J1's damper torque at rest is -0.0, which the yaw term's zero turns
+    # to +0.0, so the lift law must not take a J1 damper
+    oracle_case(free_params(), (),
+                (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),),
+                (0.2, 0.8, -0.3, 0.0, -1.0, 2.0, 0.0), 1e-3, None,
+                "j1-damper-at-rest"),
+    # the second stage's phi1 = q1 + dt/2*w1 overflows, and only phi1
+    oracle_case(free_params(), ALL_SPRINGS, (),
+                (sys.float_info.max, 0.8, -0.3, 1e308, -1.0, 2.0, 0.0),
+                1e-3, NonFiniteStateError, "phi1-overflows"),
+]
+
+
+@pytest.mark.parametrize("params, springs, dampers, y, dt, raises", [
+    *(oracle_case(*case.values, 1e-3, None, case.id)
+      for case in STEPPER_BUILDS),
+    *ORACLE_CASES, *LIFT_CASES])
+@pytest.mark.parametrize("forces", VERTICAL_FORCES.values(),
+                         ids=VERTICAL_FORCES.keys())
+def test_a_vertical_force_steps_with_the_general_laws_bits(
+        params, springs, dampers, y, dt, raises, forces):
+    # a stage and a step told their forces are vertical drop the handle's
+    # yaw terms where _arm_stage allows: the same bytes, or the same error
+    def first_stage(stage):
+        try:
+            return np.array(stage(*y[:6], forces[0])).tobytes()
+        except (ValueError, dynamics._StiffStage) as error:
+            return type(error), error.args
+
+    vertical, general = (_arm_stage(params, springs, dampers, dt, flag)
+                         for flag in (True, False))
+    assert first_stage(vertical) == first_stage(general)
+    vertical, general = (_arm_stepper(params, springs, dampers, dt, flag)
+                         for flag in (True, False))
+    got = outcome(lambda: vertical(y, 0.25, *forces))
+    assert got == outcome(lambda: general(y, 0.25, *forces))
+    assert type(got) is (bytes if raises is None else tuple)
+    if raises is not None:
+        assert got[0] is raises
+
+
+def handle_template(stage):
+    """The name of the template of the handle term of a stage's Law."""
+    return ast.parse(stage.laws["handle"].source).body[0].name
+
+
+@pytest.mark.parametrize("phi1", [math.inf, -math.inf, math.nan])
+def test_the_lift_law_fails_where_the_general_law_does(phi1):
+    # only phi1 leaves the floats, at a pose where the stiff J2 damper
+    # trips the guard: cos(phi1) raises ValueError before the guard for
+    # an infinite phi1 and passes a NaN one to it, and so must the lift
+    args = (free_params(), ALL_SPRINGS,
+            (DamperSpec(Joint.J2, DamperModel.VISCOUS, 100.0),))
+    errors = []
+    for vertical in (True, False):
+        stage = _arm_stage(*args, 1e-3, vertical)
+        assert handle_template(stage) == ("handle_lift" if vertical
+                                          else "handle_force")
+        with pytest.raises((ValueError, dynamics._StiffStage)) as error:
+            stage(phi1, *STEP_STATE[1:6], (0.0, -0.0, 1.0))
+        errors.append((error.type, error.value.args))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is (dynamics._StiffStage if math.isnan(phi1)
+                            else ValueError)
+
+
+@pytest.mark.parametrize("params, dampers, inputs, name", [
+    (free_params(), (), VERTICAL_SINE, "handle_lift"),
+    (free_params(), (), SpasmImpulse(force=0.8, duration=0.05,
+                                     direction=(-0.0, 0.0, 2.0)),
+     "handle_lift"),
+    (free_params(), (DamperSpec(Joint.J2, DamperModel.VISCOUS, 0.4),),
+     NoiseTremor(rms=0.4, f_lo=2.0, f_hi=9.0, seed=3), "handle_lift"),
+    (free_params(gravity=-9.81), (), VERTICAL_SINE, "handle_lift"),
+    # the yaw terms stay for a J1 damper, whose sum is not the zero law
+    (free_params(), (DamperSpec(Joint.J1, DamperModel.VISCOUS, 0.2),),
+     VERTICAL_SINE, "handle_force"),
+    # ... for a gravity torque that can be zero: J3 has no mass, or the
+    # gravity is so weak that -g*A*cos can underflow
+    (free_params(mass_link2=0.0, mass_payload=0.0), (), VERTICAL_SINE,
+     "handle_force"),
+    (free_params(gravity=0.0), (), VERTICAL_SINE, "handle_force"),
+    (free_params(gravity=1e-290), (), VERTICAL_SINE, "handle_force"),
+    # ... and for any force that is not a vertical signal's
+    (free_params(), (), ROLLOUT_INPUTS["sine"], "handle_force"),
+    (free_params(), (), SineTremor(amplitude=0.5, frequency=7.0,
+                                   direction=(0.0, 1e-300, 1.0)),
+     "handle_force"),
+    (free_params(), (), (0.0, 0.0, 0.3), "handle_force"),
+    (free_params(), (), lambda t: (0.0, 0.0, 0.3), "handle_force"),
+], ids=["sine", "spasm-minus-zero-x", "noise-j2-damper", "negative-gravity",
+        "j1-damper", "degenerate-mass-block", "no-gravity", "weak-gravity",
+        "oblique-sine", "tiny-y", "constant", "callable"])
+def test_only_a_vertical_signal_on_a_weighted_build_drops_the_yaw_terms(
+        monkeypatch, params, dampers, inputs, name):
+    templates = []
+
+    def stage(*args):
+        law = _arm_stage(*args)
+        templates.append(handle_template(law))
+        return law
+
+    monkeypatch.setattr(dynamics, "_arm_stage", stage)
+    scenario = Scenario(duration=2e-3, timestep=1e-3,
+                        initial=JointState(q=STEP_STATE[:3]), input=inputs)
+    run_scenario(params, ALL_SPRINGS, dampers, RIGID, scenario)
+    # a single step always takes the general law, which checks the lift
+    step_dynamics(params, ALL_SPRINGS, dampers, RIGID, scenario.initial,
+                  inputs, 1e-3)
+    assert templates == [name, "handle_force"]
+
+
 # a fresh interpreter loads the shipped config, then builds the
-# stabilization study's damper grid twice: none; viscous and dead zone
+# stabilization study's damper grid twice for any force, and twice for a
+# vertical one, as damper_sweep's noise is: none; viscous and dead zone
 # at c = 0.1, 0.4 and 1.0 on J2 and J3. It prints the number of laws
-# compiled after each of the three, the number of step code objects of
-# the first pass, and whether the second pass stepped with the same ones
+# compiled after the config and after each pass, the number of step code
+# objects of each first pass, whether each second pass stepped with the
+# same ones, and whether the two forces' steps share any
 KERNEL_COUNT = """
 import spoonarm.cli
 from spoonarm import _law
@@ -1306,22 +1471,29 @@ grid = [()] + [tuple(DamperSpec(joint, model, c, deadzone)
                for model, deadzone in ((DamperModel.VISCOUS, 0.0),
                                        (DamperModel.DEAD_ZONE_VISCOUS, 0.02))
                for c in (0.1, 0.4, 1.0)]
-codes = []
-for _ in range(2):
-    codes.append([_arm_stepper(config.mechanism, config.springs, dampers,
-                               1e-3).__code__ for dampers in grid])
-    counts.append(_law._compile.cache_info().currsize)
-print((counts, len(set(codes[0])),
-       all(a is b for a, b in zip(*codes))))
+shapes, reused, steps = [], [], []
+for vertical in (False, True):
+    codes = []
+    for _ in range(2):
+        codes.append([_arm_stepper(config.mechanism, config.springs, dampers,
+                                   1e-3, vertical).__code__
+                      for dampers in grid])
+        counts.append(_law._compile.cache_info().currsize)
+    shapes.append(len(set(codes[0])))
+    reused.append(all(a is b for a, b in zip(*codes)))
+    steps.append(set(codes[0]))
+print((counts, shapes, reused, bool(steps[0] & steps[1])))
 """
 
 
 def test_the_damper_grid_compiles_one_step_per_build_shape():
     # import and the config compile nothing; the grid's seven builds
-    # have three shapes, and a second pass compiles none
+    # have three shapes, for any force and for a vertical one, and a
+    # second pass compiles none
     child = subprocess.run([sys.executable, "-c", KERNEL_COUNT],
                            capture_output=True, text=True, check=True)
-    assert ast.literal_eval(child.stdout) == ([0, 3, 3], 3, True)
+    assert ast.literal_eval(child.stdout) == (
+        [0, 3, 3, 6, 6], [3, 3], [True, True], False)
 
 
 DEAD_ZONE = DamperSpec(Joint.J3, DamperModel.DEAD_ZONE_VISCOUS, 0.3, 0.05)

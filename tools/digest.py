@@ -27,6 +27,11 @@ installed package's lines against it. It covers
   rigid-mount noise rollout and one step_dynamics call;
 - rigid-mount noise rollouts on the shipped build whose row counts end
   on a force-block edge (one full block, and one row more);
+- an asymmetric build, whose links, centre-of-mass fractions and link
+  masses all differ, so that a law reading one link's value for the
+  other's shows: 0.2 s compliant-mount rollouts with its
+  zero-free-length balance springs under a vertical and under an
+  oblique sine, and its real-spring balance;
 - rollouts whose dampers are too stiff for their timestep, each of which
   raises the stiff-damper guard: the packaged example with one viscous
   J3 damper of c = 20 (at t = 1.256 s), 30 and 40 (at t = 0), and, on a
@@ -69,7 +74,7 @@ installed package's lines against it. It covers
 An output that raises is digested as its exception's type and message.
 
 The lines depend on glibc's libm. With Python 3.11.7, numpy 2.4.6 and
-glibc 2.36 on an x86-64 CPU with FMA, 55 of the 535 lines differ when
+glibc 2.36 on an x86-64 CPU with FMA, 56 of the 558 lines differ when
 glibc takes its non-FMA variants,
 
     GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA PYTHONPATH=src \
@@ -77,9 +82,10 @@ glibc takes its non-FMA variants,
 
 namely the CLI's two simulate CSVs (the packaged example and the
 playback file); of run_scenario, spoon_pos of each free rollout,
-applied_torque of each sine, spasm and callable rollout, qdot and
-applied_torque of each noise rollout, and spoon_pos and handle_pos of
-each playback; 18 lines of the damper and spring variants' noise
+applied_torque of each sine, spasm and callable rollout (the
+asymmetric build's oblique sine among them, but not its vertical one),
+qdot and applied_torque of each noise rollout, and spoon_pos and
+handle_pos of each playback; 18 lines of the damper and spring variants' noise
 rollouts (qdot or spoon_pos, applied_torque, and for some handle_pos,
 e_kin or e_diss); generate_signal of the sine and the noise; and
 simulate/example-float32. The constant-force rollouts, step_dynamics,
@@ -106,7 +112,8 @@ import numpy as np
 
 import spoonarm
 from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
-                      Joint, JointState, NoiseTremor, PrescribedTrajectory,
+                      Joint, JointState, MechanismParams, NoiseTremor,
+                      PrescribedTrajectory,
                       Scenario, SimResult, SineTremor, SpasmImpulse,
                       SpoonContact, SpringKind, SpringSpec, TrajectorySpec,
                       calibrate_handle_distance, coriolis_matrix,
@@ -118,7 +125,8 @@ from spoonarm import (ComplianceMode, DamperModel, DamperSpec, FreeRelease,
                       run_scenario, save_config, save_scenario,
                       spoon_contact_response, spring_torque,
                       stabilization_report, step_dynamics,
-                      trajectory_states, workspace_sample)
+                      synthesize_balancing, trajectory_states,
+                      workspace_sample)
 from spoonarm.cli import main
 from spoonarm.config import config_data, parse_config
 from spoonarm.serialize import write_balance_csv, write_sim_csv
@@ -162,6 +170,17 @@ INPUTS = {
     "playback": PrescribedTrajectory(((0.0, 0.35, 0.0, 0.02),
                                       (0.15, 0.33, 0.04, 0.15),
                                       (0.3, 0.3, 0.02, 0.3))),
+}
+
+# every link length, centre-of-mass fraction and link mass distinct, and
+# its rollouts' vertical and oblique sines by digest name
+ASYMMETRIC = MechanismParams(link1_length=0.27, link2_length=0.22,
+                             com_fraction1=0.45, com_fraction2=0.60,
+                             mass_link1=0.33, mass_link2=0.28)
+ASYMMETRIC_DURATION = 0.2
+ASYMMETRIC_SINES = {
+    "vertical-sine": SineTremor(amplitude=0.5, frequency=7.0),
+    "oblique-sine": INPUTS["sine"],
 }
 
 # (springs, dampers) the shipped config lacks; None keeps its own
@@ -343,6 +362,28 @@ def variant_lines():
             f"step_dynamics/{variant}/noise/rigid",
             lambda: step_dynamics(*build, START, inputs, DT, t=0.123),
             lambda step: sha(repr((step[0].q, step[0].qdot))))
+
+
+def asymmetric_lines():
+    """The asymmetric build's rollouts under ASYMMETRIC_SINES, with its
+    zero-free-length balance springs and the shipped dampers and mount,
+    and its real-spring balance: the springs and both residual
+    profiles."""
+    springs = synthesize_balancing(
+        ASYMMETRIC, SpringKind.LINEAR_ZERO_FREE_LENGTH).springs
+    for name, sine in ASYMMETRIC_SINES.items():
+        scenario = Scenario(duration=ASYMMETRIC_DURATION, timestep=DT,
+                            initial=START, input=sine)
+        yield from rollout(f"run_scenario/asymmetric/{name}/compliant",
+                           ASYMMETRIC, springs, CONFIG.dampers,
+                           CONFIG.compliance, scenario)
+    yield from value_line(
+        "synthesize_balancing/asymmetric/real",
+        lambda: synthesize_balancing(ASYMMETRIC, SpringKind.LINEAR_REAL),
+        lambda balance: sha(repr(balance.springs) + array_sha([
+            (profile.angles, profile.gravity, profile.spring,
+             profile.torques)
+            for profile in (balance.residual_j2, balance.residual_j3)])))
 
 
 def edge_lines():
@@ -577,6 +618,7 @@ def digest_lines():
     yield from rollout_lines()
     yield from step_lines()
     yield from variant_lines()
+    yield from asymmetric_lines()
     yield from edge_lines()
     yield from divergence_lines()
     yield from signal_lines()
